@@ -99,9 +99,6 @@ class BesovProfile:
     def norm(self, alpha):
         return float(np.max(2.0 ** (alpha * self.j) * self.b))
 
-    def csv_rows(self):
-        return [(int(jj), float(bb)) for jj, bb in zip(self.j, self.b)]
-
 
 def block(f, j, partition=None):
     """Littlewood-Paley block Delta_j f as a field on the same lattice."""

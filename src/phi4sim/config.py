@@ -1,8 +1,8 @@
 """Experiment configuration: a small YAML document describing the symbol
 family, potential, epsilon sweep, cutoff rule, seeds, and solver settings.
 
-The on-disk grammar is plain YAML with these top-level keys (all scalars are
-JSON-compatible):
+The on-disk grammar is plain YAML with these keys (all scalars are
+JSON-compatible); unknown keys are rejected at both levels:
 
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
@@ -30,6 +30,9 @@ from .fourier import DispersionQ
 from .renorm import Potential
 
 KNOWN_FAMILIES = ("quartic", "laplacian")
+NESTED_KEYS = {"symbol": {"family", "nu"},
+               "k_rule": {"kind", "factor", "K"},
+               "solver": {"dt", "T", "lam", "kappa", "mode", "picard_iters"}}
 
 
 @dataclass
@@ -45,6 +48,13 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for name, known in NESTED_KEYS.items():
+            block = getattr(self, name)
+            if not isinstance(block, dict):
+                raise ConfigError(f"{name} must be a mapping")
+            extra = set(block) - known
+            if extra:
+                raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
         fam = self.symbol.get("family")
         if fam not in KNOWN_FAMILIES:
             raise ConfigError(f"unknown symbol family {fam!r}")

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import besov, renorm
 from .errors import GridError
-from .fourier import (ExponentialQuadrature, FourierField, from_physical,
-                      semigroup_multiplier, to_physical)
+from .fourier import ExponentialQuadrature, FourierField, from_physical, to_physical
 from .gaussian import advance, sample_stationary
 
 X_EXPONENTS = {  # Besov regularity slot per component at smoothness budget kappa
@@ -301,17 +300,6 @@ def _mode_index(grid, k):
     return tuple(int(ki) % grid.n for ki in k)
 
 
-def _conv_power_weighted(Q, n, K, tau=0.0):
-    """Cube array of n! sum_{P(n,k)} prod_j e^{-tau b_j}/(2 b_j)."""
-    grid = renorm.FrequencyLattice(K)
-    bsq = Q.bracket_sq_grid(grid)
-    A = np.exp(-tau * bsq) * 0.5 / bsq
-    P = grid.pad_size(n)
-    Ax = to_physical(A.astype(np.complex128), grid, P).real
-    conv = from_physical(Ax**n, grid, P).real
-    return math.factorial(n) * conv
-
-
 def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
     """Analytic E[tau-hat(s,k) tau-hat(t,-k)] for the supported symbols.
 
@@ -329,7 +317,7 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
         return float(np.exp(-tau * bsq[idx]) * 0.5 / bsq[idx])
     if isinstance(symbol, tuple) and symbol[0] == "wick":
         n = int(symbol[1])
-        return float(_conv_power_weighted(Q, n, K, tau)[idx])
+        return float(math.factorial(n) * renorm.chaos_convolution_power(Q, n, K, tau)[idx])
     if symbol in ("c1", "c2"):
         if V is None or renorm_set is None:
             raise ValueError("polynomial-noise oracles need V and renorm_set")
@@ -340,8 +328,8 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
                 coeff, legs = a[m - 1], 2 * m - 1
             else:
                 coeff, legs = a[m - 1] / m, 2 * m
-            total += coeff**2 * eps ** (2 * (m - 1)) * \
-                float(_conv_power_weighted(Q, legs, K, tau)[idx])
+            conv = renorm.chaos_convolution_power(Q, legs, K, tau)[idx]
+            total += coeff**2 * eps ** (2 * (m - 1)) * float(math.factorial(legs) * conv)
         return total
     if symbol == "c30":
         if tau > 1e-12:

@@ -14,7 +14,7 @@ truncation), which makes all finite-K product identities exact.
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -362,10 +362,6 @@ def apply_semigroup(F, Q, t):
     return FourierField(F.grid, F.coeffs * mult, F.hermitian)
 
 
-def semigroup_multiplier(grid, Q, t):
-    return np.exp(-t * Q.bracket_sq_grid(grid))
-
-
 class ExponentialQuadrature:
     """One-step exponential (exact-propagator) left-endpoint Duhamel rule.
 
@@ -416,6 +412,8 @@ def load_field(path):
         payload = fh.read(grid.n**3 * 16)
         if len(payload) != grid.n**3 * 16:
             raise GridError("snapshot truncated")
+        if fh.read(1):
+            raise GridError("snapshot has trailing bytes")
         raw = np.frombuffer(payload, dtype="<f8")
         coeffs = (raw[0::2] + 1j * raw[1::2]).reshape((grid.n,) * 3)
     return FourierField(grid, coeffs.copy(), hermitian=bool(herm))

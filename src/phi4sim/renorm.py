@@ -11,8 +11,11 @@ The quadratic/cubic counterterms reduce to lattice sums of the form
 with l = l_1 + .. + l_N (restricted to the cube when matching the truncated
 field products).  The coupled denominator is opened with
 (A+B)^-1 = int_0^inf exp(-s(A+B)) ds, which turns each s-node into a
-convolution power evaluated by real FFTs on a padded grid; the s-integral is
-done with panel-wise Gauss-Legendre on log-spaced panels.
+convolution power; the s-integral is done with panel-wise Gauss-Legendre on
+log-spaced panels.  The spectra involved are radial, hence even in every
+axis, so the convolution powers are evaluated on the non-negative octant of
+a padded grid with type-I DCTs (symmetric convolution; Martucci, IEEE Trans.
+Signal Process. 42(5), 1994) at about 1/8 of the full-grid transform volume.
 """
 
 import math
@@ -25,8 +28,7 @@ from scipy.special import roots_legendre
 
 from .besov import DyadicPartition
 from .errors import FeasibilityError, GrowthViolationError
-from .fourier import (FrequencyLattice, extract_half_spectrum, get_threads,
-                      validate_symbol)
+from .fourier import FrequencyLattice, get_threads, validate_symbol
 from .gaussian import gaussian_expectation, polyder
 
 
@@ -80,12 +82,6 @@ class Potential:
 # variances and coupling
 
 
-def _radial_integrand(Q):
-    def f(r):
-        return r**2 / Q.eval(2.0 * np.pi * r)
-    return f
-
-
 def sigma2_limit(Q, rmax=80.0, tol=1e-10):
     """(1/2) int_{R^3} dtheta / Q(2 pi |theta|) = 2 pi int_0^inf r^2/Q(2 pi r) dr."""
     report = validate_symbol(Q, zmax=1e3, nsamples=400)
@@ -93,7 +89,8 @@ def sigma2_limit(Q, rmax=80.0, tol=1e-10):
         raise GrowthViolationError(
             f"symbol growth exponent 3+eta with eta={report.eta_hat:.3g} <= 0: "
             "radial integral diverges")
-    f = _radial_integrand(Q)
+    def f(r):
+        return r**2 / Q.eval(2.0 * np.pi * r)
     head, _ = integrate.quad(f, 0.0, rmax, epsabs=tol, epsrel=tol, limit=200)
     tail, _ = integrate.quad(f, rmax, np.inf, epsabs=tol, epsrel=tol, limit=200)
     return 2.0 * np.pi * (head + tail)
@@ -104,20 +101,14 @@ def _cube_bsq(Q, K):
     return grid, Q.bracket_sq_grid(grid)
 
 
-def sigma2_eps(Q, eps, K, with_tail=False):
+def sigma2_eps(Q, eps, K):
     """(eps/2) sum_{|k|_inf <= K} bracket(k)^-2 over the mode cube."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if Q.eps != eps:
         Q = Q.with_eps(eps)
     _, bsq = _cube_bsq(Q, K)
-    val = 0.5 * eps * float(np.sum(1.0 / bsq))
-    if not with_tail:
-        return val
-    # continuum estimate of the discarded tail, radial approximation
-    f = _radial_integrand(Q)
-    tail, _ = integrate.quad(f, eps * K, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return val, 2.0 * np.pi * tail
+    return 0.5 * eps * float(np.sum(1.0 / bsq))
 
 
 def coupling_lambda(V, sigma2):
@@ -162,26 +153,57 @@ def _s_quadrature(N, npanels=20, order=8):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _half_embed(grid, cube_vals, P):
-    """Embed a symmetric real cube spectrum into the rfft half-spectrum layout."""
-    full = grid.embed(cube_vals.astype(np.complex128), P)
-    return full[..., : P // 2 + 1]
+class EvenOctant:
+    """Real fields whose cube spectrum is real and even in every axis, held by
+    their samples on the octant {0..P/2}^3 of a size-P grid (P even).
+
+    Such a field is even in every physical axis too, so the octant fixes it;
+    a type-I DCT of length P/2+1 is the size-P DFT restricted to even data.
+    """
+
+    def __init__(self, grid, P):
+        if P % 2 or P < grid.n:
+            raise ValueError(f"octant transforms need an even pad >= {grid.n}, got {P}")
+        self.grid = grid
+        self.P = P
+        # multiplicity of each octant index in the full grid: j and P - j
+        self.w = np.full(P // 2 + 1, 2.0 / P)
+        self.w[[0, -1]] = 1.0 / P
+
+    def samples(self, spec):
+        """Octant samples of the field whose even, real cube spectrum has the
+        non-negative-frequency block spec[:K+1, :K+1, :K+1] (a cube or just
+        that block)."""
+        K = self.grid.K
+        x = spec[: K + 1, : K + 1, : K + 1]
+        # axis by axis, zero-padding to P/2+1 as it goes: each transform
+        # skips the lines that are still all zero
+        for axis in (-1, -2, -3):
+            x = scipy.fft.dct(x, type=1, n=self.P // 2 + 1, axis=axis,
+                              workers=get_threads())
+        return x
+
+    def mean(self, phys):
+        """Full-grid mean of an even field from its octant samples."""
+        return float(self.w @ (self.w @ (phys @ self.w)))
+
+    def spectrum(self, phys):
+        """Cube spectrum (real, FFT order) of an even field from its octant samples."""
+        half = scipy.fft.dctn(phys, type=1, workers=get_threads()) / self.P**3
+        a = np.abs(self.grid.freqs)
+        return half[np.ix_(a, a, a)]
 
 
-def _phys_real(grid, cube_vals, P):
-    """Physical samples (real) of a field with real symmetric cube spectrum."""
-    half = _half_embed(grid, cube_vals, P)
-    return scipy.fft.irfftn(half, s=(P, P, P), axes=(-3, -2, -1),
-                            workers=get_threads()) * P**3
+def _even_pad(need):
+    """Smallest even 5-smooth length >= need (even for the octant, fast for the DCT)."""
+    return 2 * scipy.fft.next_fast_len(-(-need // 2), real=True)
 
 
 def _spi_pad(N, K):
-    need_full = (N + 1) * K + 1
-    if K <= 24:
-        return scipy.fft.next_fast_len(need_full, real=True)
-    # For strongly smoothing symbols the aliased tuples carry weights below
-    # 1e-12 of the total; a half-padded grid keeps the large-K sweeps cheap.
-    return scipy.fft.next_fast_len(2 * K + 2, real=True)
+    # Above K = 24, for strongly smoothing symbols the aliased tuples carry
+    # weights below 1e-12 of the total; a half-padded grid keeps the large-K
+    # sweeps cheap.
+    return _even_pad((N + 1) * K + 1 if K <= 24 else 2 * K + 2)
 
 
 def stationary_pair_integral(Q, N, K, method="auto", restrict=True, pad=None):
@@ -199,16 +221,14 @@ def stationary_pair_integral(Q, N, K, method="auto", restrict=True, pad=None):
         return _spi_direct(Q, grid, bsq, N, restrict)
     if not restrict:
         raise FeasibilityError("FFT path computes the cube-restricted sum only")
-    P = pad or _spi_pad(N, K)
+    octant = EvenOctant(grid, pad or _spi_pad(N, K))
+    b = bsq[: K + 1, : K + 1, : K + 1]  # radial: this block fixes the cube
     nodes, weights = _s_quadrature(N)
     total = 0.0
     pref = math.factorial(N) / 2.0**N
     for s, w in zip(nodes, weights):
-        g = np.exp(-s * bsq) / bsq
-        h = np.exp(-s * bsq)
-        G = _phys_real(grid, g, P)
-        H = _phys_real(grid, h, P)
-        total += w * float(np.mean(H * G**N))
+        h = np.exp(-s * b)
+        total += w * octant.mean(octant.samples(h) * octant.samples(h / b) ** N)
     return pref * total
 
 
@@ -216,30 +236,34 @@ def _cube_kvecs(grid):
     return np.stack([grid.k1.ravel(), grid.k2.ravel(), grid.k3.ravel()], axis=-1)
 
 
-def _spi_direct(Q, grid, bsq, N, restrict):
-    """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only."""
-    kv = _cube_kvecs(grid)
-    b = bsq.ravel()
+def _leading_legs(kv, b, N):
+    """Chunks over the first N-1 legs of the N-tuples of cube modes (the last
+    leg stays a vectorized axis): their summed k and b and product of 1/b."""
     npts = b.size
-    if npts**N > 5e8:
-        raise FeasibilityError(f"direct sum infeasible for N={N}, K={grid.K}")
-    pref = math.factorial(N) / 2.0**N
-    idx = [np.zeros(1, dtype=np.intp)]  # dummy for uniform loop construction
-    total = 0.0
-    # iterate over the first N-1 legs (flattened, chunked), vectorize the last
     shape = (npts,) * (N - 1)
     chunk = max(1, int(2e6 // npts))
     flat_count = npts ** (N - 1)
     for start in range(0, flat_count, chunk):
         stop = min(start + chunk, flat_count)
-        multi = np.unravel_index(np.arange(start, stop), shape)
         ksum = np.zeros((stop - start, 3))
         bsum = np.zeros(stop - start)
         wprod = np.ones(stop - start)
-        for lead in multi:
+        for lead in np.unravel_index(np.arange(start, stop), shape):
             ksum += kv[lead]
             bsum += b[lead]
             wprod *= 1.0 / b[lead]
+        yield ksum, bsum, wprod
+
+
+def _spi_direct(Q, grid, bsq, N, restrict):
+    """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only."""
+    kv = _cube_kvecs(grid)
+    b = bsq.ravel()
+    if b.size**N > 5e8:
+        raise FeasibilityError(f"direct sum infeasible for N={N}, K={grid.K}")
+    pref = math.factorial(N) / 2.0**N
+    total = 0.0
+    for ksum, bsum, wprod in _leading_legs(kv, b, N):
         ktot = ksum[:, None, :] + kv[None, :, :]
         if restrict:
             ok = np.all(np.abs(ktot) <= grid.K, axis=-1)
@@ -271,25 +295,12 @@ def g_kernel_time_integral(Q, eps, m, K, k=(0, 0, 0), restrict=False):
     kvec = np.asarray(k, dtype=np.int64)
     kv = _cube_kvecs(grid)
     b = bsq.ravel()
-    npts = b.size
-    if npts**N > 5e8:
+    if b.size**N > 5e8:
         raise FeasibilityError(f"kernel sum infeasible for m={m}, K={K}")
     part = DyadicPartition(2 * m * K + int(np.ceil(np.linalg.norm(kvec))) + 1)
     pref = math.factorial(2 * m + 1) / 2.0 ** (2 * m)
     total = 0.0
-    shape = (npts,) * (N - 1)
-    chunk = max(1, int(2e6 // npts))
-    flat_count = npts ** (N - 1)
-    for start in range(0, flat_count, chunk):
-        stop = min(start + chunk, flat_count)
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        ksum = np.zeros((stop - start, 3))
-        bsum = np.zeros(stop - start)
-        wprod = np.ones(stop - start)
-        for lead in multi:
-            ksum += kv[lead]
-            bsum += b[lead]
-            wprod *= 1.0 / b[lead]
+    for ksum, bsum, wprod in _leading_legs(kv, b, N):
         ltot = ksum[:, None, :] + kv[None, :, :]
         lshift = ltot + kvec
         if restrict:
@@ -346,14 +357,11 @@ def c_total(lam, C1, C2, C3):
 # oracle helpers shared with the diagram moment checks
 
 
-def chaos_convolution_power(Q, n, K):
-    """Cube array of sum_{l_1+..+l_n = k, l_j in cube} prod_j 1/(2 b_j)."""
+def chaos_convolution_power(Q, n, K, tau=0.0):
+    """Cube array of sum_{l_1+..+l_n = k, l_j in cube} prod_j e^{-tau b_j}/(2 b_j)."""
     grid, bsq = _cube_bsq(Q, K)
-    A = 0.5 / bsq
-    P = scipy.fft.next_fast_len((n + 1) * K + 1, real=True)
-    Ax = _phys_real(grid, A, P)
-    half = scipy.fft.rfftn(Ax**n, axes=(-3, -2, -1), workers=get_threads()) / P**3
-    return extract_half_spectrum(grid, half, P)
+    octant = EvenOctant(grid, _even_pad((n + 1) * K + 1))
+    return octant.spectrum(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq) ** n)
 
 
 def time_integrated_chaos_moment(Q, n, K):
@@ -362,15 +370,12 @@ def time_integrated_chaos_moment(Q, n, K):
         n! b(k)^-1 sum_{P(n,k)} prod_j (2 b_j)^-1 (b(k) + sum_j b_j)^-1.
     """
     grid, bsq = _cube_bsq(Q, K)
-    P = scipy.fft.next_fast_len((n + 1) * K + 1, real=True)
+    octant = EvenOctant(grid, _even_pad((n + 1) * K + 1))
     nodes, weights = _s_quadrature(n)
     acc = np.zeros((grid.n,) * 3)
     for s, w in zip(nodes, weights):
-        g = np.exp(-s * bsq) / bsq
-        Gx = _phys_real(grid, g, P)
-        half = scipy.fft.rfftn(Gx**n, axes=(-3, -2, -1), workers=get_threads()) / P**3
-        conv = extract_half_spectrum(grid, half, P).real
-        acc += w * np.exp(-s * bsq) * conv
+        h = np.exp(-s * bsq)
+        acc += w * h * octant.spectrum(octant.samples(h / bsq) ** n)
     return math.factorial(n) / 2.0**n * acc / bsq
 
 

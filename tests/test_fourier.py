@@ -266,6 +266,15 @@ def test_snapshot_rejects_truncation(tmp_path, rng):
         load_field(path)
 
 
+def test_snapshot_rejects_trailing_bytes(tmp_path, rng):
+    g = FrequencyLattice(2)
+    path = tmp_path / "long.fld"
+    save_field(path, random_hermitian_field(g, rng))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(GridError):
+        load_field(path)
+
+
 def test_results_independent_of_thread_count(rng):
     g = FrequencyLattice(4)
     F = random_hermitian_field(g, rng)

@@ -48,6 +48,18 @@ def test_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("block", [
+    {"solver": {"picard_iters": 3, "dtt": 5}},
+    {"symbol": {"family": "quartic", "nu": 1.0, "nuu": 3}},
+    {"k_rule": {"kind": "inverse", "factor": 4.0, "factr": 9}},
+])
+def test_config_rejects_unknown_nested_key(tmp_path, capsys, block):
+    path = _write_cfg(tmp_path, **block)
+    with pytest.raises(ConfigError, match="unknown"):
+        load_config(path)
+    _expect_exit(["constants", "--config", str(path)], cli.EXIT_USAGE, capsys)
+
+
 def test_config_rejects_unknown_family(tmp_path):
     path = _write_cfg(tmp_path, symbol={"family": "cubic"})
     with pytest.raises(ConfigError):

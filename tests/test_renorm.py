@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phi4sim.errors import GrowthViolationError
-from phi4sim.fourier import DispersionQ, FrequencyLattice
-from phi4sim.renorm import (Potential, a_coeffs, build_renorm, c1, c2, c3,
-                            c_total, chaos_convolution_power, coupling_lambda,
-                            g_kernel_time_integral, sigma2_eps, sigma2_limit,
-                            standard_constants, stationary_pair_integral,
+from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical_real,
+                             to_physical_real)
+from phi4sim.renorm import (EvenOctant, Potential, a_coeffs, build_renorm, c1,
+                            c2, c3, c_total, chaos_convolution_power,
+                            coupling_lambda, g_kernel_time_integral, sigma2_eps,
+                            sigma2_limit, standard_constants,
+                            stationary_pair_integral,
                             time_integrated_chaos_moment)
 
 
@@ -132,12 +135,40 @@ def test_pair_integral_matches_bruteforce_small():
     assert abs(got - want) / want < 1e-12
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4])
 def test_pair_integral_fft_matches_direct(N):
     Q = DispersionQ.quartic(0.25, nu=1.0)
-    d = stationary_pair_integral(Q, N, 3, method="direct")
-    f = stationary_pair_integral(Q, N, 3, method="fft")
+    K = 1 if N == 4 else 3  # the direct sum grows like (2K+1)^(3N)
+    d = stationary_pair_integral(Q, N, K, method="direct")
+    f = stationary_pair_integral(Q, N, K, method="fft")
     assert abs(f - d) / d < 1e-7
+
+
+def test_pair_integral_rejects_odd_pad():
+    Q = DispersionQ.quartic(0.25, nu=1.0)
+    with pytest.raises(ValueError):
+        stationary_pair_integral(Q, 2, 3, method="fft", pad=45)
+
+
+@given(K=st.integers(0, 12), extra=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_even_octant_matches_full_grid(K, extra, seed):
+    # a random cube spectrum, real and even in every axis
+    grid = FrequencyLattice(K)
+    P = 2 * K + 2 + 2 * extra
+    a = np.abs(grid.freqs)
+    spec = np.random.default_rng(seed).uniform(-1.0, 1.0, (K + 1,) * 3)[np.ix_(a, a, a)]
+    full = to_physical_real(spec, grid, P)
+    octant = EvenOctant(grid, P)
+    phys = octant.samples(spec)
+    h = P // 2 + 1
+    assert np.max(np.abs(phys - full[:h, :h, :h])) <= 1e-13 * np.max(np.abs(full))
+    assert abs(octant.mean(phys**2) - np.mean(full**2)) <= 1e-13 * np.mean(full**2)
+    assert np.max(np.abs(octant.spectrum(phys) - spec)) <= 1e-13
+    # on a product the forward step aliases exactly like the full-grid DFT
+    want = from_physical_real(full**2, grid, P)
+    assert np.max(np.abs(octant.spectrum(phys**2) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pair_integral_reduced_padding_agrees():

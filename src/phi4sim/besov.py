@@ -8,8 +8,10 @@ annulus [3/4, 8/3], with
 
 for all |xi| below the covered band.  Blocks are indexed j = -1, 0, .., jmax
 with chi_{-1} = chi_tilde.  All products of blocks are evaluated pointwise on
-the same zero-padded grid used by fourier.product, so the Bony decomposition
-f g = (f<g) + (f>g) + (f o g) is exact up to rounding.
+the degree-2 alias-free padded grid (pad_size(2), the default grid of
+fourier.product), so the Bony decomposition f g = (f<g) + (f>g) + (f o g) is
+exact up to rounding.  Blocks of hermitian fields are real samples from the
+real transform pair of fourier.
 """
 
 import math
@@ -19,8 +21,7 @@ import numpy as np
 
 from .errors import GridError
 from .fourier import (FourierField, ExponentialQuadrature, _check_same_grid,
-                      apply_semigroup, from_physical, from_physical_real,
-                      product, to_physical, to_physical_real)
+                      _project, _samples, apply_semigroup, product)
 
 
 def _smoothstep(u):
@@ -111,22 +112,9 @@ def block(f, j, partition=None):
     return FourierField(f.grid, f.coeffs * W, f.hermitian)
 
 
-def _blocks_physical(coeffs, grid, part, P, real=False):
-    """Physical samples of all blocks: (..., nblocks, P, P, P).
-
-    With real=True the coefficients must be hermitian; the real samples are
-    produced through the half-spectrum transform (about twice as fast)."""
-    W = part.weights(grid)
-    spec = coeffs[..., None, :, :, :] * W
-    if real:
-        return to_physical_real(spec, grid, P)
-    return to_physical(spec, grid, P)
-
-
 def besov_profile(f, partition=None):
     part = partition or default_partition(f.grid)
-    P = f.grid.pad_size(2)
-    B = _blocks_physical(f.coeffs, f.grid, part, P, real=f.hermitian)
+    B = physical_blocks(f, f.grid, part)
     b = np.max(np.abs(B), axis=(-3, -2, -1))
     return BesovProfile(j=np.arange(-1, part.jmax + 1), b=b)
 
@@ -136,16 +124,21 @@ def besov_norm(f, alpha, partition=None):
     return besov_profile(f, partition).norm(alpha)
 
 
-def physical_blocks(coeffs, grid, partition=None, P=None, real=True):
-    """Physical-space samples of every block of a coefficient array.
+def physical_blocks(f, grid, partition=None, P=None):
+    """Physical-space samples of every block of a field.
 
-    Shape (..., nblocks, P, P, P); computing this once and feeding it to
-    `combine` lets several paraproducts share one decomposition.
+    `f` is a FourierField or the bare coefficient array of a real field
+    (batch dims allowed).  Shape (..., nblocks, P, P, P), real for hermitian
+    fields; computing this once and feeding it to `combine` lets several
+    paraproducts share one decomposition.
     """
+    if not isinstance(f, FourierField):
+        f = FourierField(grid, f)
     part = partition or default_partition(grid)
     if P is None:
         P = grid.pad_size(2)
-    return _blocks_physical(coeffs, grid, part, P, real=real)
+    spec = f.coeffs[..., None, :, :, :] * part.weights(grid)
+    return _samples(FourierField(grid, spec, f.hermitian), P)
 
 
 def combine(Bf, Bg, grid, P, mode):
@@ -168,26 +161,23 @@ def combine(Bf, Bg, grid, P, mode):
             acc += near * Bg[..., a, :, :, :]
     else:
         raise ValueError(mode)
-    if np.isrealobj(acc):
-        return from_physical_real(acc, grid, P)
-    return from_physical(acc, grid, P)
+    return _project(acc, grid, P)
 
 
-def _para_core(fc, gc, grid, part, P, mode, freal=True, greal=True):
-    """Shared paraproduct kernel on raw coefficient arrays (batch dims allowed)."""
-    Bf = physical_blocks(fc, grid, part, P, real=freal)
-    Bg = physical_blocks(gc, grid, part, P, real=greal)
-    return combine(Bf, Bg, grid, P, mode)
+def _paraproduct(f, g, mode, partition):
+    """f < g (mode "lt") or f o g (mode "res") as a field (batch dims allowed)."""
+    _check_same_grid(f, g)
+    grid = f.grid
+    part = partition or default_partition(grid)
+    P = grid.pad_size(2)
+    c = combine(physical_blocks(f, grid, part, P),
+                physical_blocks(g, grid, part, P), grid, P, mode)
+    return FourierField(grid, c, f.hermitian and g.hermitian)
 
 
 def para_lt(f, g, partition=None):
     """Low-high paraproduct f < g."""
-    _check_same_grid(f, g)
-    part = partition or default_partition(f.grid)
-    P = f.grid.pad_size(2)
-    c = _para_core(f.coeffs, g.coeffs, f.grid, part, P, "lt",
-                   freal=f.hermitian, greal=g.hermitian)
-    return FourierField(f.grid, c, f.hermitian and g.hermitian)
+    return _paraproduct(f, g, "lt", partition)
 
 
 def para_gt(f, g, partition=None):
@@ -197,19 +187,7 @@ def para_gt(f, g, partition=None):
 
 def resonance(f, g, partition=None):
     """Resonance product f o g = sum_{|i-j|<=1} Delta_i f Delta_j g."""
-    _check_same_grid(f, g)
-    part = partition or default_partition(f.grid)
-    P = f.grid.pad_size(2)
-    c = _para_core(f.coeffs, g.coeffs, f.grid, part, P, "res",
-                   freal=f.hermitian, greal=g.hermitian)
-    return FourierField(f.grid, c, f.hermitian and g.hermitian)
-
-
-def resonance_batch(fc, gc, grid, partition=None):
-    """Resonance product on stacked coefficient arrays (..., n, n, n)."""
-    part = partition or default_partition(grid)
-    P = grid.pad_size(2)
-    return _para_core(fc, gc, grid, part, P, "res")
+    return _paraproduct(f, g, "res", partition)
 
 
 def commutator_com(f, g, h, partition=None):

@@ -11,19 +11,22 @@ validate    numerical checks on the smoothing symbol
 All CSVs are comma-separated UTF-8 with Unix newlines and start with the
 comment lines "# schema=1", "# version=...", "# config=<hash>", "# seed=<n>",
 so a rerun from the same config and seed is byte-identical.  Failures exit
-nonzero and print a single JSON object {"error": <reason>} on stderr.
+nonzero and print a single JSON object {"error": <reason>} on stderr; `solve`
+still writes its manifest and exits 4 when a run blew up or a Picard run did
+not converge (run status "blowup" or "not_converged").
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .config import ExperimentConfig, config_hash, dump_config, load_config
+from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
 from .diagrams import build_limit_upsilon, build_upsilon
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
@@ -31,10 +34,11 @@ from .fourier import (FourierField, FrequencyLattice, save_field, set_threads,
                       validate_symbol)
 from .renorm import build_renorm, coupling_lambda, sigma2_limit
 from .gaussian import NoiseSeed
-from .solver import SolverConfig, solve, y_norm, RemainderPair
+from .solver import SolverConfig, solve, y_distance
 
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+EXIT_RUN_FAILED = 4
 
 
 def _fail(code, reason):
@@ -146,13 +150,11 @@ def cmd_moments(cfg, out_dir, seed):
 
 
 def _solver_config(cfg, eps, K, lam, n_half):
-    s = dict(cfg.solver)
-    s.pop("lam", None)
+    s = {**SOLVER_DEFAULTS, **cfg.solver}
     return SolverConfig(eps=eps, lam=lam, K=K, n_half=n_half,
-                        dt=float(s.pop("dt", 1e-3)), T=float(s.pop("T", 0.1)),
-                        kappa=float(s.pop("kappa", 0.05)),
-                        mode=s.pop("mode", "sequential"),
-                        picard_iters=int(s.pop("picard_iters", 40)))
+                        dt=float(s["dt"]), T=float(s["T"]),
+                        kappa=float(s["kappa"]), mode=s["mode"],
+                        picard_iters=int(s["picard_iters"]))
 
 
 def _time_grid(dt, T):
@@ -196,6 +198,11 @@ def cmd_solve(cfg, out_dir, seed):
             entry["lam"] = float(sc.lam)
             entry["t_final"] = float(pair.t_grid[-1])
             entry["status"] = "ok"
+            if sc.mode == "picard":
+                for key in ("converged", "sweeps", "final_distance"):
+                    entry[key] = pair.info[key]
+                if not pair.info["converged"]:
+                    entry["status"] = "not_converged"
             for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
                 save_field(path, FourierField(grid, traj[-1], hermitian=True))
@@ -208,6 +215,9 @@ def cmd_solve(cfg, out_dir, seed):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     dump_config(cfg, os.path.join(out_dir, "config.yaml"))
+    failed = [r["eps"] for r in manifest["runs"] if r["status"] != "ok"]
+    if failed:
+        _fail(EXIT_RUN_FAILED, f"runs failed (see {path}): eps {failed}")
     return path
 
 
@@ -234,7 +244,8 @@ def cmd_converge(cfg, out_dir, seed):
     for eps in sorted(eps_sorted, reverse=True):
         _, sc, U, pair = _run_one(_with_fixed_K(cfg, K), noise, eps, K, lam, V)
         stride = max(1, (len(pair.t_grid) - 1) // 8)
-        dist = _y_distance(pair, limit, grid, sc.T, V.n, stride)
+        dist = y_distance(pair, limit, 0.0, sc.T, grid, n_half=V.n,
+                          holder_stride=stride)
         if prev is not None and dist >= prev:
             monotone = False
         prev = dist
@@ -246,18 +257,7 @@ def cmd_converge(cfg, out_dir, seed):
 
 
 def _with_fixed_K(cfg, K):
-    d = {f: getattr(cfg, f) for f in ExperimentConfig.__dataclass_fields__}
-    d["k_rule"] = {"kind": "fixed", "K": int(K)}
-    return ExperimentConfig(**d)
-
-
-def _y_distance(pair, limit, grid, T, n_half, stride):
-    diff = RemainderPair(t_grid=pair.t_grid,
-                         v_traj=pair.v_traj - limit.v_traj,
-                         w_traj=pair.w_traj - limit.w_traj,
-                         initial=pair.initial)
-    return y_norm(diff, 0.0, T, n_half=n_half, grid=grid,
-                  holder_stride=stride)
+    return replace(cfg, k_rule={"kind": "fixed", "K": int(K)})
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--threads", type=int, default=None,
-                   help="FFT worker threads (fallback: PHI4_THREADS)")
+                   help="FFT worker threads (default: PHI4_THREADS)")
     p.add_argument("--eps", default=None,
                    help="comma-separated eps list override")
     return p
@@ -288,13 +288,15 @@ def main(argv=None):
         _fail(EXIT_USAGE, f"config error: {exc}")
     if args.eps is not None:
         try:
-            cfg.eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+            eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
         except ValueError:
             _fail(EXIT_USAGE, "bad --eps list")
+        try:
+            cfg = replace(cfg, eps=eps)  # re-runs the config checks
+        except ConfigError as exc:
+            _fail(EXIT_USAGE, f"config error: {exc}")
     if args.threads is not None:
         set_threads(args.threads)
-    elif os.environ.get("PHI4_THREADS"):
-        set_threads(int(os.environ["PHI4_THREADS"]))
     seed = args.seed if args.seed is not None else int(cfg.seed)
     out_dir = args.out or cfg.out_dir
     handler = {"constants": cmd_constants, "moments": cmd_moments,

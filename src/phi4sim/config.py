@@ -2,7 +2,9 @@
 family, potential, epsilon sweep, cutoff rule, seeds, and solver settings.
 
 The on-disk grammar is plain YAML with these keys (all scalars are
-JSON-compatible); unknown keys are rejected at both levels:
+JSON-compatible); unknown keys are rejected at both levels, and so are eps
+outside [0, 1], a solver dt or T that is not 0 < dt <= T, and negative
+samples:
 
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
@@ -30,9 +32,15 @@ from .fourier import DispersionQ
 from .renorm import Potential
 
 KNOWN_FAMILIES = ("quartic", "laplacian")
+SOLVER_DEFAULTS = {"dt": 1e-3, "T": 0.1, "lam": None, "kappa": 0.05,
+                   "mode": "sequential", "picard_iters": 40}
 NESTED_KEYS = {"symbol": {"family", "nu"},
                "k_rule": {"kind", "factor", "K"},
-               "solver": {"dt", "T", "lam", "kappa", "mode", "picard_iters"}}
+               "solver": set(SOLVER_DEFAULTS)}
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -65,6 +73,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown k_rule kind {kind!r}")
         if kind == "fixed" and "K" not in self.k_rule:
             raise ConfigError("fixed k_rule needs K")
+        # eps = 0 is the limit run of solve
+        if not isinstance(self.eps, list) or \
+                not all(_is_number(e) and 0 <= e <= 1 for e in self.eps):
+            raise ConfigError(f"eps must be numbers in [0, 1]: {self.eps!r}")
+        solver = {**SOLVER_DEFAULTS, **self.solver}
+        dt, T = solver["dt"], solver["T"]
+        if not (_is_number(dt) and _is_number(T) and 0 < dt <= T):
+            raise ConfigError(f"solver needs 0 < dt <= T: dt={dt!r}, T={T!r}")
+        if not isinstance(self.samples, int) or self.samples < 0:
+            raise ConfigError(f"samples must be an integer >= 0: {self.samples!r}")
 
     def make_symbol(self, eps):
         fam = self.symbol["family"]

@@ -90,29 +90,23 @@ class _NoiseEvaluator:
         self.C1 = C1
         self.P = grid.pad_size(max(2 * V.n - 1, 2))
 
-    def physical(self, coeffs):
-        return to_physical(coeffs, self.grid, self.P).real
-
-    def project(self, phys):
-        return from_physical(phys, self.grid, self.P)
+    def all_noises(self, coeffs, orders=(0, 1, 2, 3)):
+        """Cube spectra of the noises c0, c1, c2 and the centered cubic c3,
+        for the chaos orders listed (one inverse transform, one forward each)."""
+        x = to_physical(coeffs, self.grid, self.P)
+        psi = np.sqrt(self.eps) * x
+        lam, eps, C1 = self.lam, self.eps, self.C1
+        noise = {
+            0: lambda: self.V.eval(psi, 4) / (6.0 * lam),
+            1: lambda: self.V.eval(psi, 3) / (6.0 * lam * np.sqrt(eps)),
+            2: lambda: self.V.eval(psi, 2) / (3.0 * lam * eps) - C1,
+            3: lambda: self.V.eval(psi, 1) / (lam * eps**1.5) - 3.0 * C1 * x,
+        }
+        return tuple(from_physical(noise[m](), self.grid, self.P) for m in orders)
 
     def quadratic_cubic(self, coeffs):
         """(c2, c3) cube spectra of the centered quadratic and cubic noises."""
-        x = self.physical(coeffs)
-        psi = np.sqrt(self.eps) * x
-        q = self.V.eval(psi, 2) / (3.0 * self.lam * self.eps) - self.C1
-        c = self.V.eval(psi, 1) / (self.lam * self.eps**1.5) - 3.0 * self.C1 * x
-        return self.project(q), self.project(c)
-
-    def all_noises(self, coeffs):
-        """(c0, c1, c2, c3) cube spectra."""
-        x = self.physical(coeffs)
-        psi = np.sqrt(self.eps) * x
-        n0 = self.V.eval(psi, 4) / (6.0 * self.lam)
-        n1 = self.V.eval(psi, 3) / (6.0 * self.lam * np.sqrt(self.eps))
-        n2 = self.V.eval(psi, 2) / (3.0 * self.lam * self.eps) - self.C1
-        n3 = self.V.eval(psi, 1) / (self.lam * self.eps**1.5) - 3.0 * self.C1 * x
-        return (self.project(n0), self.project(n1), self.project(n2), self.project(n3))
+        return self.all_noises(coeffs, (2, 3))
 
 
 class _StandardEvaluator:
@@ -124,17 +118,12 @@ class _StandardEvaluator:
         self.lam = lam
         self.P = grid.pad_size(3)
 
-    def physical(self, coeffs):
-        return to_physical(coeffs, self.grid, self.P).real
-
-    def project(self, phys):
-        return from_physical(phys, self.grid, self.P)
-
     def quadratic_cubic(self, coeffs):
-        x = self.physical(coeffs)
+        x = to_physical(coeffs, self.grid, self.P)
         q = x**2 - self.nu
         c = x**3 - 3.0 * self.nu * x
-        return self.project(q), self.project(c)
+        return (from_physical(q, self.grid, self.P),
+                from_physical(c, self.grid, self.P))
 
     def all_noises(self, coeffs):
         q, c = self.quadratic_cubic(coeffs)
@@ -225,7 +214,8 @@ def _resonance_traj(fa, fb, grid, chunk=16):
     out = np.empty_like(fa)
     for s in range(0, fa.shape[0], chunk):
         e = min(s + chunk, fa.shape[0])
-        out[s:e] = besov.resonance_batch(fa[s:e], fb[s:e], grid)
+        out[s:e] = besov.resonance(FourierField(grid, fa[s:e]),
+                                   FourierField(grid, fb[s:e])).coeffs
     return out
 
 
@@ -381,7 +371,7 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
         elif isinstance(symbol, tuple) and symbol[0] == "wick":
             n = int(symbol[1])
             P = grid.pad_size(n)
-            x = to_physical(ens.coeffs, grid, P).real
+            x = to_physical(ens.coeffs, grid, P)
             from .gaussian import wick_power
             w = from_physical(wick_power(x, n, nu if nu is not None
                                          else _pointwise_var(grid, Q)), grid, P)

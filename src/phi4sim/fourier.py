@@ -10,6 +10,10 @@ so forward() divides the DFT by the number of grid points.  Nonlinear terms
 are evaluated pointwise on a zero-padded physical grid large enough for the
 declared polynomial degree and then projected back onto the cube (Galerkin
 truncation), which makes all finite-K product identities exact.
+
+Hermitian fields use real transforms: to_physical / from_physical pass the
+half-spectrum through irfftn / rfftn.  Complex transforms are used only for
+non-Hermitian fields (FourierField.hermitian False, or complex samples).
 """
 
 import os
@@ -21,9 +25,6 @@ import scipy.fft
 
 from .errors import GridError, SymbolError
 
-_DEFAULT_THREADS = int(os.environ.get("PHI4_THREADS", "0")) or min(4, os.cpu_count() or 1)
-_workers = _DEFAULT_THREADS
-
 
 def set_threads(n):
     """Set the number of FFT worker threads (results are bit-identical for any n)."""
@@ -31,16 +32,11 @@ def set_threads(n):
     _workers = max(1, int(n))
 
 
+set_threads(int(os.environ.get("PHI4_THREADS", "0")) or min(4, os.cpu_count() or 1))
+
+
 def get_threads():
     return _workers
-
-
-def _fftn(a, **kw):
-    return scipy.fft.fftn(a, workers=_workers, **kw)
-
-
-def _ifftn(a, **kw):
-    return scipy.fft.ifftn(a, workers=_workers, **kw)
 
 
 class FrequencyLattice:
@@ -162,34 +158,8 @@ def delta_field(grid, k, amplitude=1.0, symmetrize=False):
     return FourierField(grid, c, hermitian=symmetrize)
 
 
-def forward(f, grid):
-    """Physical samples on the (M,M,M) grid -> FourierField."""
-    f = np.asarray(f)
-    if f.shape[-3:] != (grid.M,) * 3:
-        raise GridError(f"expected shape {(grid.M,)*3}, got {f.shape[-3:]}")
-    F = _fftn(f, axes=(-3, -2, -1)) / grid.M**3
-    return FourierField(grid, grid.extract(F), hermitian=np.isrealobj(f))
-
-
-def inverse(F):
-    """FourierField -> physical samples on the (M,M,M) grid (real if hermitian)."""
-    g = F.grid
-    out = _ifftn(g.embed(F.coeffs, g.M), axes=(-3, -2, -1)) * g.M**3
-    return out.real if F.hermitian else out
-
-
 def to_physical(coeffs, grid, P):
-    """Spectral cube (with optional batch dims) -> samples on a (P,P,P) grid."""
-    return _ifftn(grid.embed(coeffs, P), axes=(-3, -2, -1)) * P**3
-
-
-def from_physical(f, grid, P):
-    """Samples on a (P,P,P) grid -> projected spectral cube."""
-    return grid.extract(_fftn(f, axes=(-3, -2, -1)) / P**3)
-
-
-def to_physical_real(coeffs, grid, P):
-    """Hermitian spectral cube -> real samples on a (P,P,P) grid (rfft path).
+    """Hermitian spectral cube (batch dims allowed) -> real (P,P,P) samples.
 
     Only the non-negative last-axis frequencies are embedded; conjugate
     symmetry supplies the rest inside the inverse real transform."""
@@ -202,8 +172,12 @@ def to_physical_real(coeffs, grid, P):
                             workers=_workers) * P**3
 
 
-def extract_half_spectrum(grid, half, P):
-    """Recover the cube spectrum of a real field from its rfft half-spectrum."""
+def from_physical(f, grid, P):
+    """Real samples on a (P,P,P) grid -> projected hermitian spectral cube.
+
+    The rfftn half-spectrum gives the k3 >= 0 modes; the k3 < 0 modes are
+    their conjugate mirrors."""
+    half = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=_workers) / P**3
     idx = grid.embed_indices(P)
     K = grid.K
     out = np.zeros(half.shape[:-3] + (grid.n,) * 3, dtype=np.complex128)
@@ -215,10 +189,35 @@ def extract_half_spectrum(grid, half, P):
     return out
 
 
-def from_physical_real(f, grid, P):
-    """Real samples on a (P,P,P) grid -> projected hermitian spectral cube."""
-    half = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=_workers) / P**3
-    return extract_half_spectrum(grid, half, P)
+def _samples(F, P):
+    """Samples of a field (batch dims allowed) on a (P,P,P) grid: real for a
+    hermitian field, complex transforms only for a non-hermitian one."""
+    if F.hermitian:
+        return to_physical(F.coeffs, F.grid, P)
+    return scipy.fft.ifftn(F.grid.embed(F.coeffs, P), axes=(-3, -2, -1),
+                           workers=_workers) * P**3
+
+
+def _project(f, grid, P):
+    """Samples on a (P,P,P) grid -> cube spectrum; real samples take the real
+    transform, complex samples the complex one."""
+    if np.isrealobj(f):
+        return from_physical(f, grid, P)
+    return grid.extract(scipy.fft.fftn(f, axes=(-3, -2, -1),
+                                       workers=_workers) / P**3)
+
+
+def forward(f, grid):
+    """Physical samples on the (M,M,M) grid -> FourierField."""
+    f = np.asarray(f)
+    if f.shape[-3:] != (grid.M,) * 3:
+        raise GridError(f"expected shape {(grid.M,)*3}, got {f.shape[-3:]}")
+    return FourierField(grid, _project(f, grid, grid.M), hermitian=np.isrealobj(f))
+
+
+def inverse(F):
+    """FourierField -> physical samples on the (M,M,M) grid (real if hermitian)."""
+    return _samples(F, F.grid.M)
 
 
 def product(F, G, degree_hint=2):
@@ -226,23 +225,16 @@ def product(F, G, degree_hint=2):
     _check_same_grid(F, G)
     g = F.grid
     P = g.pad_size(degree_hint)
-    fp = to_physical(F.coeffs, g, P)
-    gp = to_physical(G.coeffs, g, P)
-    if F.hermitian:
-        fp = fp.real
-    if G.hermitian:
-        gp = gp.real
-    return FourierField(g, from_physical(fp * gp, g, P), F.hermitian and G.hermitian)
+    return FourierField(g, _project(_samples(F, P) * _samples(G, P), g, P),
+                        F.hermitian and G.hermitian)
 
 
 def nonlinear_eval(F, func, degree):
     """Apply a pointwise function of stated polynomial degree, then project."""
     g = F.grid
     P = g.pad_size(degree)
-    fp = to_physical(F.coeffs, g, P)
-    if F.hermitian:
-        fp = fp.real
-    return FourierField(g, from_physical(func(fp), g, P), F.hermitian)
+    y = func(_samples(F, P))
+    return FourierField(g, _project(y, g, P), np.isrealobj(y))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import (besov_norm, combine, commutator_com, default_partition,
-                    para_gt, para_lt, physical_blocks, resonance, _para_core)
+                    para_gt, para_lt, physical_blocks, resonance)
 from .errors import BlowUpSignal, GridError
 from .fourier import (ExponentialQuadrature, FourierField, from_physical,
                       product, to_physical)
@@ -75,8 +75,8 @@ def _wrap(grid, c):
 
 
 def coeffs_F(lam, U, i):
-    """The four coefficient fields (F0, F1, F2, F3) at time index i."""
-    g = U.grid
+    """The four coefficient fields (F0, F1, F2, F3) at time index i, or
+    batched over time when i is a slice."""
     c0 = U.field("c0", i)
     c1 = U.field("c1", i)
     c30 = U.field("c30", i)
@@ -99,94 +99,42 @@ def coeffs_F(lam, U, i):
     return F0, F1, F2, F3
 
 
-def _product_batch(fc, gc, grid, degree):
-    """Alias-free product of stacked hermitian coefficient arrays."""
-    P = grid.pad_size(degree)
-    return from_physical(to_physical(fc, grid, P).real
-                         * to_physical(gc, grid, P).real, grid, P)
-
-
 def coeffs_F_traj(lam, U, chunk=32):
-    """All four coefficient-field trajectories, batched over time.
-
-    Identical arithmetic to per-step coeffs_F, evaluated chunk-wise so the
-    block transforms amortize; returns arrays (F0, F1, F2, F3) of shape
-    (T, n, n, n).
-    """
-    g = U.grid
-    part = default_partition(g)
-    P2 = g.pad_size(2)
-    c0 = U.traj("c0")
-    c1 = U.traj("c1")
-    c30 = U.traj("c30")
-    c31 = U.traj("c31")
-    c22 = U.traj("c22")
-    c32 = U.traj("c32")
-    T = c0.shape[0]
-    out = [np.empty_like(c0) for _ in range(4)]
+    """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
+    shape (T, n, n, n): coeffs_F on time chunks, so the transforms amortize."""
+    T = U.traj("c0").shape[0]
+    out = [np.empty_like(U.traj("c0")) for _ in range(4)]
     for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        s = slice(lo, hi)
-        out[3][s] = -lam * c0[s]
-        out[2][s] = 3.0 * lam**2 * _product_batch(c0[s], c30[s], g, 2) \
-            - 3.0 * lam * c1[s]
-        sq30 = _product_batch(c30[s], c30[s], g, 2)
-        lt = _para_core(c30[s], c1[s], g, part, P2, "lt")
-        gt = _para_core(c1[s], c30[s], g, part, P2, "lt")
-        out[1][s] = (-3.0 * lam**3) * _product_batch(c0[s], sq30, g, 3) \
-            + 6.0 * lam**2 * (lt + gt + c31[s]) + 9.0 * lam**2 * c22[s]
-        cube30 = _product_batch(sq30, c30[s], g, 3)
-        lt2 = _para_core(sq30, c1[s], g, part, P2, "lt")
-        gt2 = _para_core(c1[s], sq30, g, part, P2, "lt")
-        res_c30_c1 = _para_core(c30[s], c1[s], g, part, P2, "res")
-        rr = _para_core(_para_core(c30[s], c30[s], g, part, P2, "res"),
-                        c1[s], g, part, P2, "res")
-        com = _para_core(_para_core(c30[s], c30[s], g, part, P2, "lt"),
-                         c1[s], g, part, P2, "res") \
-            - _product_batch(c30[s], res_c30_c1, g, 2)
-        out[0][s] = lam**4 * _product_batch(c0[s], cube30, g, 4) \
-            - 3.0 * lam**3 * (lt2 + gt2 + rr
-                              + 2.0 * _product_batch(c31[s], c30[s], g, 2)
-                              + 2.0 * com) \
-            + 3.0 * lam**2 * c32[s] \
-            - 9.0 * lam**3 * _product_batch(c22[s], c30[s], g, 2)
-    return out[0], out[1], out[2], out[3]
+        s = slice(lo, min(lo + chunk, T))
+        for dst, F in zip(out, coeffs_F(lam, U, s)):
+            dst[s] = F.coeffs
+    return tuple(out)
 
 
-def g_map(lam, U, u, i, eps, V=None, h=None, A=None, B=None, F=None,
-          blocks=None):
+def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
     """The forcing G(lam, Upsilon, u) at time index i.
 
     `u` is the current v + w (a FourierField); `h` is e^{t(L-1)} c20(0);
     A and B are the running Duhamel accumulators described in the module
-    docstring (zero fields are admissible at t = 0).  `blocks` optionally
-    carries precomputed physical blocks (Bf, Bc2) of u - lam*c30 and of the
-    quadratic noise so the caller's decompositions are reused.
+    docstring; F holds the coefficient-field trajectories of coeffs_F_traj;
+    `blocks` carries the physical blocks (Bf, Bc2) of u - lam*c30 and of the
+    quadratic noise, so the caller's decompositions are reused.  F and
+    blocks are unused (None) when lam = 0.
     """
     g = U.grid
     part = default_partition(g)
     P2 = g.pad_size(2)
-    c2 = U.field("c2", i)
-    c30 = U.field("c30", i)
-    f = u - lam * c30
+    f = u - lam * U.field("c30", i)
     if lam != 0.0:
-        if blocks is None:
-            Bfb = physical_blocks(f.coeffs, g, part, P2)
-            Bc2b = physical_blocks(c2.coeffs, g, part, P2)
-        else:
-            Bfb, Bc2b = blocks
-        if F is None:
-            fields = coeffs_F(lam, U, i)
-            F0c, F1c, F2c, F3c = (x.coeffs for x in fields)
-        else:
-            F0c, F1c, F2c, F3c = (F[j][i] for j in range(4))
+        Bfb, Bc2b = blocks
+        F0c, F1c, F2c, F3c = (F[j][i] for j in range(4))
         # polynomial part evaluated on one shared alias-free grid
         P = g.pad_size(4)
-        ux = to_physical(u.coeffs, g, P).real
-        poly = to_physical(F0c, g, P).real \
-            + to_physical(F1c, g, P).real * ux \
-            + to_physical(F2c, g, P).real * ux**2 \
-            + to_physical(F3c, g, P).real * ux**3
+        ux = to_physical(u.coeffs, g, P)
+        poly = to_physical(F0c, g, P) \
+            + to_physical(F1c, g, P) * ux \
+            + to_physical(F2c, g, P) * ux**2 \
+            + to_physical(F3c, g, P) * ux**3
         out = from_physical(poly, g, P)
         out = out - 3.0 * lam * combine(Bc2b, Bfb, g, P2, "lt")  # f > c2
     else:
@@ -196,23 +144,19 @@ def g_map(lam, U, u, i, eps, V=None, h=None, A=None, B=None, F=None,
         # Taylor remainder of V' around sqrt(eps) * (free field); exactly zero
         # for quartic V
         Pr = g.pad_size(2 * V.n - 1)
-        psi = to_physical(U.traj("one")[i], g, Pr).real * np.sqrt(eps)
-        y = to_physical(f.coeffs, g, Pr).real * np.sqrt(eps)
+        psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
+        y = to_physical(f.coeffs, g, Pr) * np.sqrt(eps)
         out = out - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
     if lam != 0.0:
-        zero = np.zeros_like(u.coeffs)
-        Bc = B if B is not None else zero
-        Af = A if A is not None else zero
-        hc = h if h is not None else zero
-        BBb = physical_blocks(Bc, g, part, P2)
+        BBb = physical_blocks(B, g, part, P2)
         flB = combine(Bfb, BBb, g, P2, "lt")  # f < B
         # Com(f; B; c2) = (f < B) o c2 - f (B o c2)
         com = combine(physical_blocks(flB, g, part, P2), Bc2b, g, P2, "res") \
             - product(f, _wrap(g, combine(BBb, Bc2b, g, P2, "res")), 2).coeffs
-        comm_I = Af - flB
+        comm_I = A - flB
         res_ci = combine(Bc2b, physical_blocks(comm_I, g, part, P2), g, P2,
                          "res")
-        res_h = combine(Bc2b, physical_blocks(hc, g, part, P2), g, P2, "res")
+        res_h = combine(Bc2b, physical_blocks(h, g, part, P2), g, P2, "res")
         out = out + 9.0 * lam**2 * (com + res_ci
                                     - product(_wrap(g, res_h), f, 2).coeffs)
     return _wrap(g, out)
@@ -272,8 +216,8 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
         else:
             para = res = np.zeros(shape, dtype=np.complex128)
             blocks = None
-        G = g_map(lam, U, _wrap(g, vi + wi), i, eps, V=V, h=h, A=A, B=B,
-                  F=F, blocks=blocks).coeffs
+        G = g_map(lam, U, _wrap(g, vi + wi), i, eps, V, h, A, B, F,
+                  blocks).coeffs
         v = quad.advance(v, -3.0 * lam * para)
         w = quad.advance(w, -3.0 * lam * res + G)
         A = quad.advance(A, para)
@@ -286,24 +230,6 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
                                last_state=(v_traj[: i + 1], w_traj[: i + 1]))
         v_traj[i + 1], w_traj[i + 1] = v, w
     return v_traj, w_traj
-
-
-def step(v0, w0, U, config, i, V=None):
-    """Single exponential-Euler step from time index i with fresh accumulators
-    (the sweep in `solve` carries them across steps)."""
-    g = U.grid
-    quad = ExponentialQuadrature(g, U.Q, config.dt)
-    lam = config.lam
-    c2 = U.field("c2", i)
-    c30c = U.traj("c30")[i]
-    f = _wrap(g, v0 + w0 - lam * c30c)
-    para = para_lt(f, c2).coeffs
-    res = resonance(c2, _wrap(g, v0 + w0)).coeffs  # ev0 ~ v0 at t=0
-    G = g_map(lam, U, _wrap(g, v0 + w0), i, config.eps, V=V,
-              h=U.c20_0).coeffs
-    v1 = quad.advance(v0, -3.0 * lam * para)
-    w1 = quad.advance(w0, -3.0 * lam * res + G)
-    return v1, w1
 
 
 def solve(config, U, v0, w0, V=None):
@@ -456,7 +382,7 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     phi2 = (quad.decay - 1.0 + cdt) / (bsq * cdt)
 
     def drift_of(state):
-        phys = to_physical(state, g, Pr).real
+        phys = to_physical(state, g, Pr)
         return -from_physical(V.eval(np.sqrt(eps) * phys, 1), g, Pr) \
             * eps**-1.5 + C * state
 

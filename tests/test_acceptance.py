@@ -14,8 +14,7 @@ from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
                              FrequencyLattice, apply_semigroup, forward,
-                             from_physical, from_physical_real, to_physical,
-                             to_physical_real)
+                             from_physical, to_physical)
 from phi4sim.gaussian import NoiseSeed, chaos_coefficients, hermite
 from phi4sim.renorm import (Potential, build_renorm, c3, coupling_lambda,
                             sigma2_eps, sigma2_limit)
@@ -97,8 +96,8 @@ def test_paraproduct_decomposition_identity_at_scale():
             Bh = physical_blocks(h, g, part, P)
             bony = combine(Bf, Bh, g, P, "lt") + combine(Bh, Bf, g, P, "lt") \
                 + combine(Bf, Bh, g, P, "res")
-            prod = from_physical_real(to_physical_real(f, g, P)
-                                      * to_physical_real(h, g, P), g, P)
+            prod = from_physical(to_physical(f, g, P)
+                                 * to_physical(h, g, P), g, P)
             worst = max(worst, float(np.max(np.abs(prod - bony))))
         assert worst < 1e-11
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +133,15 @@ def test_no_aliasing_in_cubic_power(rng):
     # compare against pairwise convolution done fully alias-free at degree 3
     want = _direct_convolution_3(F)
     assert np.max(np.abs(cube.coeffs - want)) < 1e-11
+
+
+def test_nonlinear_eval_with_complex_values_is_not_hermitian(rng):
+    # the flag picks the transform, so it must follow the values
+    g = FrequencyLattice(2)
+    F = random_hermitian_field(g, rng)
+    G = nonlinear_eval(F, lambda x: 1j * x, 1)
+    assert not G.hermitian
+    assert np.max(np.abs(inverse(G) - 1j * inverse(F))) < 1e-12
 
 
 def _direct_convolution_3(F):
@@ -285,3 +298,15 @@ def test_results_independent_of_thread_count(rng):
     p2 = product(F, G).coeffs.copy()
     set_threads(1)
     assert np.array_equal(p1, p2)
+
+
+def test_thread_count_from_environment_is_clamped():
+    import phi4sim
+
+    src = os.path.dirname(os.path.dirname(phi4sim.__file__))
+    env = dict(os.environ, PHI4_THREADS="-1", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import phi4sim.fourier as f; print(f.get_threads())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"

@@ -60,6 +60,28 @@ def test_config_rejects_unknown_nested_key(tmp_path, capsys, block):
     _expect_exit(["constants", "--config", str(path)], cli.EXIT_USAGE, capsys)
 
 
+@pytest.mark.parametrize("block", [
+    {"eps": [1.5]},
+    {"eps": [0.4, -0.1]},
+    {"solver": {"dt": -1}},
+    {"solver": {"T": 0}},
+    {"solver": {"dt": 0.1, "T": 0.01}},
+    {"samples": -3},
+])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, block):
+    path = _write_cfg(tmp_path, **block)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    _expect_exit(["constants", "--config", str(path)], cli.EXIT_USAGE, capsys)
+
+
+def test_cli_eps_override_is_range_checked(tmp_path, capsys):
+    path = _write_cfg(tmp_path)
+    err = _expect_exit(["constants", "--config", str(path), "--eps", "2"],
+                       cli.EXIT_USAGE, capsys)
+    assert "eps" in err["error"]
+
+
 def test_config_rejects_unknown_family(tmp_path):
     path = _write_cfg(tmp_path, symbol={"family": "cubic"})
     with pytest.raises(ConfigError):
@@ -197,6 +219,24 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
         f = load_field(out / run[f"{tag}_snapshot"])
         assert f.grid.K == 2 and f.hermitian
     assert load_config(out / "config.yaml") is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver, status", [
+    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1},
+     "not_converged"),
+    ({"dt": 1e-3, "T": 0.004, "lam": 1e8}, "blowup"),
+])
+def test_cli_solve_failed_run_exits_nonzero(tmp_path, capsys, solver, status):
+    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2}, solver=solver)
+    out = tmp_path / "s"
+    _expect_exit(["solve", "--config", str(path), "--out", str(out)],
+                 cli.EXIT_RUN_FAILED, capsys)
+    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
+    assert run["status"] == status
+    if status == "not_converged":
+        assert run["converged"] is False and run["sweeps"] == 1
+        assert run["final_distance"] > 0
 
 
 def test_cli_converge_tiny_run(tmp_path):

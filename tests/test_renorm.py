@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phi4sim.errors import GrowthViolationError
-from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical_real,
-                             to_physical_real)
+from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
+                             to_physical)
 from phi4sim.renorm import (EvenOctant, Potential, a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
                             coupling_lambda, g_kernel_time_integral, sigma2_eps,
@@ -159,7 +159,7 @@ def test_even_octant_matches_full_grid(K, extra, seed):
     P = 2 * K + 2 + 2 * extra
     a = np.abs(grid.freqs)
     spec = np.random.default_rng(seed).uniform(-1.0, 1.0, (K + 1,) * 3)[np.ix_(a, a, a)]
-    full = to_physical_real(spec, grid, P)
+    full = to_physical(spec, grid, P)
     octant = EvenOctant(grid, P)
     phys = octant.samples(spec)
     h = P // 2 + 1
@@ -167,7 +167,7 @@ def test_even_octant_matches_full_grid(K, extra, seed):
     assert abs(octant.mean(phys**2) - np.mean(full**2)) <= 1e-13 * np.mean(full**2)
     assert np.max(np.abs(octant.spectrum(phys) - spec)) <= 1e-13
     # on a product the forward step aliases exactly like the full-grid DFT
-    want = from_physical_real(full**2, grid, P)
+    want = from_physical(full**2, grid, P)
     assert np.max(np.abs(octant.spectrum(phys**2) - want)) <= 1e-13 * np.max(np.abs(want))
 
 

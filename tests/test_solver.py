@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from phi4sim.diagrams import build_upsilon
+from phi4sim.diagrams import _resonance_traj, build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice)
+                             FrequencyLattice, get_threads, set_threads)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
                             coeffs_F, coeffs_F_traj, reconstruct_phi, solve,
-                            step, taylor_remainder, y_distance, y_norm)
+                            taylor_remainder, y_distance, y_norm)
 from conftest import random_hermitian_field
 
 EPS = 0.3
@@ -73,6 +73,17 @@ def test_batched_coefficient_fields_match_per_step():
             assert np.array_equal(F[j][i], single[j].coeffs)
 
 
+def test_batched_noise_products_do_not_depend_on_chunk_size():
+    _, _, rs, g, U, cfg = _setup()
+    F1, F3, F32 = (coeffs_F_traj(cfg.lam, U, chunk=c) for c in (1, 3, 32))
+    for j in range(4):
+        assert np.array_equal(F1[j], F3[j])
+        assert np.array_equal(F1[j], F32[j])
+    r1, r16 = (_resonance_traj(U.traj("c30"), U.traj("c2"), g, chunk=c)
+               for c in (1, 16))
+    assert np.array_equal(r1, r16)
+
+
 # ---------------------------------------------------------------------------
 # integration
 
@@ -89,13 +100,30 @@ def test_zero_coupling_is_exact_linear_decay(rng):
         assert np.max(np.abs(P.w_traj[i] - decay**i * w0)) < 1e-12
 
 
-def test_step_matches_first_solve_entry():
-    _, V, rs, g, U, cfg = _setup()
+@pytest.mark.parametrize("mode", ["sequential", "picard"])
+def test_solution_stays_hermitian(mode):
+    # the real transforms drop any anti-hermitian part, so none may build up
+    _, V, rs, g, U, cfg = _setup(mode=mode)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
-    v1, w1 = step(z, z, U, cfg, 0, V=V)
-    assert np.max(np.abs(v1 - P.v_traj[1])) < 1e-13
-    assert np.max(np.abs(w1 - P.w_traj[1])) < 1e-13
+    assert np.max(np.abs(P.w_traj[-1])) > 0
+    for c in np.concatenate([P.v_traj, P.w_traj]):
+        assert FourierField(g, c).hermitian_defect() <= 1e-14 * np.max(np.abs(c))
+
+
+def test_solve_is_independent_of_thread_count():
+    before = get_threads()
+    runs = []
+    try:
+        for n in (1, 2):
+            set_threads(n)
+            _, V, rs, g, U, cfg = _setup()
+            z = np.zeros((g.n,) * 3, dtype=np.complex128)
+            runs.append(solve(cfg, U, z, z, V=V))
+    finally:
+        set_threads(before)
+    assert np.array_equal(runs[0].v_traj, runs[1].v_traj)
+    assert np.array_equal(runs[0].w_traj, runs[1].w_traj)
 
 
 def test_picard_agrees_with_sequential():

@@ -13,7 +13,9 @@ comment lines "# schema=1", "# version=...", "# config=<hash>", "# seed=<n>",
 so a rerun from the same config and seed is byte-identical.  Failures exit
 nonzero and print a single JSON object {"error": <reason>} on stderr; `solve`
 still writes its manifest and exits 4 when a run blew up or a Picard run did
-not converge (run status "blowup" or "not_converged").
+not converge (run status "blowup" or "not_converged").  `converge` likewise
+writes its CSV, names such runs in a trailer line "# failed=<eps,...>" (0 is
+the limit run) and exits 4.
 """
 
 import argparse
@@ -30,8 +32,8 @@ from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
 from .diagrams import build_limit_upsilon, build_upsilon
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
-from .fourier import (FourierField, FrequencyLattice, save_field, set_threads,
-                      validate_symbol)
+from .fourier import (FourierField, FrequencyLattice, _atomic_open, save_field,
+                      set_threads, validate_symbol)
 from .renorm import build_renorm, coupling_lambda, sigma2_limit
 from .gaussian import NoiseSeed
 from .solver import SolverConfig, solve, y_distance
@@ -56,7 +58,7 @@ def _fmt(x):
 
 def _write_csv(path, cfg, seed, columns, rows, trailer=None):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=1\n")
         fh.write(f"# version={__version__}\n")
         fh.write(f"# config={config_hash(cfg)}\n")
@@ -212,7 +214,7 @@ def cmd_solve(cfg, out_dir, seed):
             entry["blowup_time"] = float(sig.t)
         manifest["runs"].append(entry)
     path = os.path.join(out_dir, "manifest.yaml")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     dump_config(cfg, os.path.join(out_dir, "config.yaml"))
     failed = [r["eps"] for r in manifest["runs"] if r["status"] != "ok"]
@@ -236,13 +238,29 @@ def cmd_converge(cfg, out_dir, seed):
     if lam is None:
         Qref = cfg.make_symbol(min(eps_sorted))
         lam = coupling_lambda(V, sigma2_limit(Qref))
-    grid, sc0, U0, limit = _run_one(
-        _with_fixed_K(cfg, K), noise, 0.0, K, lam, V)
+    failed = []
+
+    def run(eps):
+        # a blow-up gives no pair; a Picard run that did not converge
+        # still has one, but both are failures
+        try:
+            _, sc, _, pair = _run_one(_with_fixed_K(cfg, K), noise, eps, K, lam, V)
+        except BlowUpSignal:
+            failed.append(eps)
+            return None, None
+        if sc.mode == "picard" and not pair.info["converged"]:
+            failed.append(eps)
+        return sc, pair
+
+    grid = FrequencyLattice(K)
+    _, limit = run(0.0)
     rows = []
     prev = None
     monotone = True
     for eps in sorted(eps_sorted, reverse=True):
-        _, sc, U, pair = _run_one(_with_fixed_K(cfg, K), noise, eps, K, lam, V)
+        sc, pair = run(eps)
+        if pair is None or limit is None:
+            continue
         stride = max(1, (len(pair.t_grid) - 1) // 8)
         dist = y_distance(pair, limit, 0.0, sc.T, grid, n_half=V.n,
                           holder_stride=stride)
@@ -251,9 +269,14 @@ def cmd_converge(cfg, out_dir, seed):
         prev = dist
         rows.append((eps, K, lam, dist))
     verdict = "decreasing" if monotone else "non-monotone"
-    return _write_csv(os.path.join(out_dir, "converge.csv"), cfg, seed,
-                      ["eps", "K", "lambda", "y_distance"], rows,
-                      trailer=[f"verdict={verdict}"])
+    trailer = [f"verdict={verdict}"]
+    if failed:
+        trailer.append("failed=" + ",".join(f"{e:g}" for e in failed))
+    path = _write_csv(os.path.join(out_dir, "converge.csv"), cfg, seed,
+                      ["eps", "K", "lambda", "y_distance"], rows, trailer=trailer)
+    if failed:
+        _fail(EXIT_RUN_FAILED, f"runs failed (see {path}): eps {failed}")
+    return path
 
 
 def _with_fixed_K(cfg, K):

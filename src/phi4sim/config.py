@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .errors import ConfigError
-from .fourier import DispersionQ
+from .fourier import DispersionQ, _atomic_open
 from .renorm import Potential
 
 KNOWN_FAMILIES = ("quartic", "laplacian")
@@ -116,7 +116,7 @@ def load_config(path):
 def dump_config(cfg, path=None):
     text = yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=False)
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
 

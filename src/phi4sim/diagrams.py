@@ -210,7 +210,10 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
     return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30, c20=c20), c20_0, step_offset
 
 
-def _resonance_traj(fa, fb, grid, chunk=16):
+def _resonance_traj(fa, fb, grid, chunk=1):
+    """besov.resonance of two trajectories, `chunk` time slices per call;
+    per-slice by default, as batches of pruned transforms fall out of the
+    cache (K=8, 51 slices: 0.08 s against 0.11 s in chunks of 16)."""
     out = np.empty_like(fa)
     for s in range(0, fa.shape[0], chunk):
         e = min(s + chunk, fa.shape[0])

@@ -12,12 +12,18 @@ declared polynomial degree and then projected back onto the cube (Galerkin
 truncation), which makes all finite-K product identities exact.
 
 Hermitian fields use real transforms: to_physical / from_physical pass the
-half-spectrum through irfftn / rfftn.  Complex transforms are used only for
-non-Hermitian fields (FourierField.hermitian False, or complex samples).
+k3 >= 0 half-spectrum through a c2r / r2c pass on the last axis.  The pair is
+pruned: it transforms one axis at a time and touches only the 1-D lines the
+mode cube reaches, since on a padded grid of side P ~ (d+1)K most lines are
+zero on input to the inverse and discarded on output of the forward
+transform (the usual dealiasing saving; Bowman & Roberts, SIAM J. Sci.
+Comput. 33, 2011).  Complex transforms are used only for non-Hermitian
+fields (FourierField.hermitian False, or complex samples).
 """
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,24 +82,17 @@ class FrequencyLattice:
         need = max((int(degree) + 1) * self.K + 1, self.n)
         return scipy.fft.next_fast_len(need, real=False)
 
-    def embed_indices(self, P):
-        """Axis indices placing the stored cube into a size-P FFT array."""
-        if P < self.n:
-            raise GridError(f"padded size {P} smaller than lattice {self.n}")
-        return np.concatenate([np.arange(0, self.K + 1), np.arange(P - self.K, P)])
-
     def embed(self, coeffs, P):
         """Zero-pad stored coefficients (leading batch dims allowed) to shape (P,P,P)."""
-        idx = self.embed_indices(P)
-        out = np.zeros(coeffs.shape[:-3] + (P, P, P), dtype=np.complex128)
-        out[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]] = coeffs
-        return out
+        for axis in (-3, -2, -1):
+            coeffs = _refit(coeffs, P, self.K, axis)
+        return coeffs
 
     def extract(self, padded):
         """Project a size-P coefficient array back onto the stored cube."""
-        P = padded.shape[-1]
-        idx = self.embed_indices(P)
-        return padded[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
+        for axis in (-3, -2, -1):
+            padded = _refit(padded, self.n, self.K, axis)
+        return padded
 
     def reflect(self, coeffs):
         """Coefficients of k -> -k (index reversal in FFT order)."""
@@ -158,34 +157,47 @@ def delta_field(grid, k, amplitude=1.0, symmetrize=False):
     return FourierField(grid, c, hermitian=symmetrize)
 
 
+def _refit(a, m, K, axis):
+    """The FFT-ordered frequencies [0..K, -K..-1] on `axis` (< 0) of `a`,
+    copied by slices into a zeroed axis of length m (padding or truncation)."""
+    if min(m, a.shape[axis]) < 2 * K + 1:
+        raise GridError(f"padded size {min(m, a.shape[axis])} smaller than lattice {2 * K + 1}")
+    shape = list(a.shape)
+    shape[axis] = m
+    out = np.zeros(shape, dtype=np.complex128)
+    tail = (slice(None),) * (-1 - axis)
+    out[(..., slice(0, K + 1)) + tail] = a[(..., slice(0, K + 1)) + tail]
+    out[(..., slice(m - K, m)) + tail] = a[(..., slice(a.shape[axis] - K, None)) + tail]
+    return out
+
+
 def to_physical(coeffs, grid, P):
     """Hermitian spectral cube (batch dims allowed) -> real (P,P,P) samples.
 
-    Only the non-negative last-axis frequencies are embedded; conjugate
-    symmetry supplies the rest inside the inverse real transform."""
-    idx = grid.embed_indices(P)
-    K = grid.K
-    half = np.zeros(coeffs.shape[:-3] + (P, P, P // 2 + 1), dtype=np.complex128)
-    half[..., idx[:, None, None], idx[None, :, None],
-         np.arange(K + 1)[None, None, :]] = coeffs[..., : K + 1]
-    return scipy.fft.irfftn(half, s=(P, P, P), axes=(-3, -2, -1),
-                            workers=_workers) * P**3
+    Pruned: the K+1 stored k3 >= 0 columns are inverted along -3 on their
+    (2K+1)(K+1) lines, then along -2 on P(K+1) lines; one real inverse along
+    -1 supplies the k3 < 0 half.  Unscaled inverses (norm="forward")."""
+    K, kw = grid.K, dict(norm="forward", workers=_workers)
+    x = scipy.fft.ifftn(_refit(coeffs[..., : K + 1], P, K, -3), axes=(-3,),
+                        overwrite_x=True, **kw)
+    x = scipy.fft.ifftn(_refit(x, P, K, -2), axes=(-2,), overwrite_x=True, **kw)
+    return scipy.fft.irfftn(x, s=(P,), axes=(-1,), **kw)
 
 
 def from_physical(f, grid, P):
     """Real samples on a (P,P,P) grid -> projected hermitian spectral cube.
 
-    The rfftn half-spectrum gives the k3 >= 0 modes; the k3 < 0 modes are
-    their conjugate mirrors."""
-    half = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=_workers) / P**3
-    idx = grid.embed_indices(P)
-    K = grid.K
-    out = np.zeros(half.shape[:-3] + (grid.n,) * 3, dtype=np.complex128)
-    out[..., : K + 1] = half[..., idx[:, None], idx[None, :], : K + 1]
-    if K > 0:
-        neg = np.conj(half[..., 1: K + 1][..., ::-1, ::-1, ::-1])
-        neg = np.roll(neg, 1, axis=(-3, -2))
-        out[..., K + 1:] = neg[..., idx[:, None], idx[None, :], :]
+    Pruned mirror of to_physical: forward passes along -1, -2, -3 keep K+1,
+    2K+1 and 2K+1 frequencies, only the kept modes are divided by P^3, and
+    the k3 < 0 modes are the conjugate mirrors of the k3 > 0 ones."""
+    K, n = grid.K, grid.n
+    h = scipy.fft.rfftn(f, axes=(-1,), workers=_workers)[..., : K + 1]
+    h = _refit(scipy.fft.fftn(h, axes=(-2,), workers=_workers), n, K, -2)
+    h = _refit(scipy.fft.fftn(h, axes=(-3,), workers=_workers, overwrite_x=True), n, K, -3)
+    h /= P**3
+    out = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : K + 1] = h
+    out[..., K + 1:] = np.roll(np.conj(h[..., ::-1, ::-1, :0:-1]), 1, axis=(-3, -2))
     return out
 
 
@@ -377,7 +389,23 @@ class ExponentialQuadrature:
 
 
 # ---------------------------------------------------------------------------
-# binary snapshots
+# output files and binary snapshots
+
+
+@contextmanager
+def _atomic_open(path, mode="w", **kwargs):
+    """Write `path` through a temporary file in the same directory that
+    replaces it only when the block completes, so an interrupted writer
+    leaves the previous file intact and nothing under a partial name."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
 
 _MAGIC = b"PHI4FLD1"
 
@@ -385,7 +413,7 @@ _MAGIC = b"PHI4FLD1"
 def save_field(path, F):
     """Write a field snapshot: magic, u32 K, u32 M, u8 hermitian, (re, im) f64 pairs."""
     c = np.ascontiguousarray(F.coeffs, dtype=np.complex128)
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIB", F.grid.K, F.grid.M, 1 if F.hermitian else 0))
         inter = np.empty(c.size * 2, dtype="<f8")

@@ -81,20 +81,25 @@ def sample_stationary(seed, grid, Q, sample=0, t0=0.0, step0=0, band=None):
     return ModeOUEnsemble(grid, Q, float(t0), coeffs, seed, sample, step0, band)
 
 
+def _ou_noise(seed, grid, sample, step, bsq, decay, band):
+    """Increment of variance (1 - decay^2) / (2 bsq) per mode at the given
+    counter position, for a symbol already evaluated as bsq, decay."""
+    z = unit_hermitian_normals(seed, grid, sample, TAG_OU, step)
+    inc = z * np.sqrt((1.0 - decay**2) * 0.5 / bsq)
+    mask = band_mask(grid, band)
+    if mask is not None:
+        inc = inc * mask
+    return inc
+
+
 def ou_increment(seed, grid, Q, sample, step, dt, band=None):
     """The Gaussian increment used by `advance` at the given counter position.
 
     Exposed so a reference integrator can drive an equation with the identical
     noise path: variance (1 - e^{-2 b^2 dt}) / (2 b^2) per mode.
     """
-    z = unit_hermitian_normals(seed, grid, sample, TAG_OU, step)
     bsq = Q.bracket_sq_grid(grid)
-    decay = np.exp(-dt * bsq)
-    inc = z * np.sqrt((1.0 - decay**2) * 0.5 / bsq)
-    mask = band_mask(grid, band)
-    if mask is not None:
-        inc = inc * mask
-    return inc
+    return _ou_noise(seed, grid, sample, step, bsq, np.exp(-dt * bsq), band)
 
 
 def advance(ens, dt):
@@ -103,7 +108,7 @@ def advance(ens, dt):
         raise ValueError("dt must be positive")
     bsq = ens.Q.bracket_sq_grid(ens.grid)
     decay = np.exp(-dt * bsq)
-    inc = ou_increment(ens.seed, ens.grid, ens.Q, ens.sample, ens.step, dt, ens.band)
+    inc = _ou_noise(ens.seed, ens.grid, ens.sample, ens.step, bsq, decay, ens.band)
     return replace(ens, t=ens.t + dt, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
 
 

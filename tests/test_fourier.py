@@ -4,15 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                              FrequencyLattice, apply_semigroup, bracket_eps,
-                             delta_field, forward, from_physical, inverse,
-                             load_field, nonlinear_eval, product, save_field,
-                             set_threads, to_physical, validate_symbol,
-                             zero_field)
+                             delta_field, forward, from_physical, get_threads,
+                             inverse, load_field, nonlinear_eval, product,
+                             save_field, set_threads, to_physical,
+                             validate_symbol, zero_field)
 from conftest import random_complex_field, random_hermitian_field
 
 
@@ -72,6 +73,84 @@ def test_pad_size_covers_degree():
     g = FrequencyLattice(8)
     assert g.pad_size(2) >= 3 * 8 + 1
     assert g.pad_size(4) >= 5 * 8 + 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned real pair against full-grid transforms
+
+
+def _hermitian_cube(g, rng, batch=()):
+    z = rng.standard_normal(batch + (g.n,) * 3) \
+        + 1j * rng.standard_normal(batch + (g.n,) * 3)
+    return z + np.conj(g.reflect(z))
+
+
+def _full_grid_pair(g, P):
+    """Reference pair: the cube embedded in an explicit zero (P,P,P) array,
+    full 3-D transforms, the cube extracted again.  The forward reference is
+    the complex fftn of the real samples, so it needs no conjugate mirror."""
+    idx = np.r_[0:g.K + 1, P - g.K:P]
+    cube = np.ix_(idx, idx, idx)
+
+    def to_phys(c):
+        full = np.zeros(c.shape[:-3] + (P, P, P), dtype=np.complex128)
+        for b in np.ndindex(c.shape[:-3]):
+            full[b][cube] = c[b]
+        return scipy.fft.irfftn(full, s=(P, P, P), axes=(-3, -2, -1)) * P**3
+
+    def from_phys(f):
+        full = scipy.fft.fftn(f, axes=(-3, -2, -1)) / P**3
+        out = np.empty(f.shape[:-3] + (g.n,) * 3, dtype=np.complex128)
+        for b in np.ndindex(f.shape[:-3]):
+            out[b] = full[b][cube]
+        return out
+
+    return to_phys, from_phys
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@given(K=st.integers(0, 10), degree=st.integers(1, 5),
+       batch=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pruned_pair_matches_full_grid_transforms(K, degree, batch, seed):
+    g = FrequencyLattice(K)
+    P = g.pad_size(degree)  # odd and even sizes both occur
+    rng = np.random.default_rng(seed)
+    to_ref, from_ref = _full_grid_pair(g, P)
+    c = _hermitian_cube(g, rng, batch)
+    x = to_physical(c, g, P)
+    assert x.shape == batch + (P, P, P) and np.isrealobj(x)
+    assert _rel(x, to_ref(c)) <= 1e-13
+    f = rng.standard_normal(batch + (P, P, P))
+    assert _rel(from_physical(f, g, P), from_ref(f)) <= 1e-13
+
+
+def test_pruned_pair_is_independent_of_thread_count(rng):
+    g = FrequencyLattice(6)
+    P = g.pad_size(3)
+    c = _hermitian_cube(g, rng, (3,))
+    f = rng.standard_normal((3, P, P, P))
+    before = get_threads()
+    try:
+        runs = []
+        for n in (1, 2):
+            set_threads(n)
+            runs.append((to_physical(c, g, P), from_physical(f, g, P)))
+    finally:
+        set_threads(before)
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+@pytest.mark.parametrize("K", [0, 1, 4])
+def test_pruned_pair_round_trips_without_padding(K, rng):
+    g = FrequencyLattice(K)
+    c = _hermitian_cube(g, rng)
+    for P in {g.n, g.pad_size(3)}:  # P = 2K+1 has no zero lines at all
+        assert _rel(from_physical(to_physical(c, g, P), g, P), c) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

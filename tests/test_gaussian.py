@@ -83,6 +83,19 @@ def test_advance_matches_decay_plus_increment():
     assert abs(new.t - dt) < 1e-15
 
 
+@pytest.mark.parametrize("band", [None, 1])
+def test_advance_is_decay_plus_ou_increment_bit_for_bit(band):
+    # brute_force_reference regenerates the noise path through ou_increment
+    g = FrequencyLattice(3)
+    Q = DispersionQ.quartic(0.2, nu=1.0)
+    seed = NoiseSeed(5)
+    ens = advance(sample_stationary(seed, g, Q, sample=2, band=band), 0.01)
+    dt = 0.003
+    decay = np.exp(-dt * Q.bracket_sq_grid(g))
+    inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt, band)
+    assert np.array_equal(advance(ens, dt).coeffs, decay * ens.coeffs + inc)
+
+
 def test_advance_rejects_nonpositive_step():
     g = FrequencyLattice(1)
     ens = sample_stationary(NoiseSeed(0), g, DispersionQ.laplacian(0.0))

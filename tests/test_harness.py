@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from phi4sim import cli
+from phi4sim import cli, fourier
 from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
 from phi4sim.fourier import load_field
@@ -252,6 +253,77 @@ def test_cli_converge_tiny_run(tmp_path):
     eps_col = [float(ln.split(",")[0]) for ln in body[1:]]
     assert eps_col == [0.5, 0.4]  # largest eps first
     assert any(ln.startswith("# verdict=") for ln in lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver, rows", [
+    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1}, 2),
+    ({"dt": 1e-3, "T": 0.004, "lam": 1e8}, 0),
+], ids=["not_converged", "blowup"])
+def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys, solver, rows):
+    path = _write_cfg(tmp_path, eps=[0.5, 0.4],
+                      k_rule={"kind": "fixed", "K": 2}, solver=solver)
+    out = tmp_path / "c"
+    err = _expect_exit(["converge", "--config", str(path), "--out", str(out)],
+                       cli.EXIT_RUN_FAILED, capsys)
+    assert "converge.csv" in err["error"]
+    lines = (out / "converge.csv").read_text().strip().split("\n")
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    assert len(body) == 1 + rows  # a blown-up limit leaves no distance
+    assert lines[-1] == "# failed=0,0.5,0.4"  # the limit run is eps 0
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+def _interrupt_csv(monkeypatch, out):
+    cfg = load_config(_write_cfg(out))
+    write = lambda: cli._write_csv(str(out / "t.csv"), cfg, 7, ["x"], [(1.5,)])
+    write()
+    monkeypatch.setattr(cli, "_fmt", _disk_full)  # the header is written by then
+    return "t.csv", write
+
+
+def _interrupt_manifest(monkeypatch, out):
+    path = _write_cfg(out, k_rule={"kind": "fixed", "K": 1},
+                      solver={"dt": 1e-3, "T": 0.002})
+    cfg = load_config(path)
+    write = lambda: cli.cmd_solve(cfg, str(out), 7)
+    write()
+    real = yaml.safe_dump
+
+    def half_dump(data, stream=None, **kw):
+        if stream is None:  # config_hash still dumps to a string
+            return real(data, **kw)
+        stream.write("runs:\n")
+        _disk_full()
+    monkeypatch.setattr(yaml, "safe_dump", half_dump)
+    return "manifest.yaml", write
+
+
+def _interrupt_snapshot(monkeypatch, out):
+    F = fourier.delta_field(fourier.FrequencyLattice(1), (1, 0, 0), symmetrize=True)
+    write = lambda: fourier.save_field(out / "f.fld", F)
+    write()
+    # the magic is written by the time the header is packed
+    monkeypatch.setattr(fourier, "struct", SimpleNamespace(pack=_disk_full))
+    return "f.fld", write
+
+
+@pytest.mark.parametrize("setup", [_interrupt_csv, _interrupt_manifest,
+                                   _interrupt_snapshot],
+                         ids=["csv", "manifest", "snapshot"])
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, setup):
+    out = tmp_path / "o"
+    out.mkdir()
+    name, write = setup(monkeypatch, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after == before  # previous file intact, no temporary file left
+    assert before[name]
 
 
 def test_cli_converge_rejects_nonpositive_eps(tmp_path, capsys):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import (besov_norm, combine, commutator_com, default_partition,
-                    para_gt, para_lt, physical_blocks, resonance)
+from .besov import besov_norm, combine, default_partition, physical_blocks
 from .errors import BlowUpSignal, GridError
 from .fourier import (ExponentialQuadrature, FourierField, from_physical,
                       product, to_physical)
@@ -76,24 +75,33 @@ def _wrap(grid, c):
 
 def coeffs_F(lam, U, i):
     """The four coefficient fields (F0, F1, F2, F3) at time index i, or
-    batched over time when i is a slice."""
-    c0 = U.field("c0", i)
-    c1 = U.field("c1", i)
-    c30 = U.field("c30", i)
-    c31 = U.field("c31", i)
-    c22 = U.field("c22", i)
-    c32 = U.field("c32", i)
+    batched over time when i is a slice.  The paraproducts, resonances and
+    the commutator are combined from the blocks of c30, c1, c30^2, c30 o c30
+    and c30 < c30, each decomposed once."""
+    g = U.grid
+    P2 = g.pad_size(2)
+    c0, c1, c30, c31, c22, c32 = (U.field(t, i) for t in
+                                  ("c0", "c1", "c30", "c31", "c22", "c32"))
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
+    B30, B1, Bsq = (physical_blocks(f, g, None, P2) for f in (c30, c1, sq30))
+    Bres, Blt = (physical_blocks(combine(B30, B30, g, P2, mode), g, None, P2)
+                 for mode in ("res", "lt"))
+
+    def comb(Bf, Bg, mode):
+        return _wrap(g, combine(Bf, Bg, g, P2, mode))
+
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (para_lt(c30, c1) + para_gt(c30, c1) + c31) \
+        + 6.0 * lam**2 * (comb(B30, B1, "lt") + comb(B1, B30, "lt") + c31) \
         + 9.0 * lam**2 * c22
+    # Com(c30; c30; c1) = (c30 < c30) o c1 - c30 (c30 o c1)
+    com = comb(Blt, B1, "res") - product(c30, comb(B30, B1, "res"), 2)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * (para_lt(sq30, c1) + para_gt(sq30, c1)
-                          + resonance(resonance(c30, c30), c1)
+        - 3.0 * lam**3 * (comb(Bsq, B1, "lt") + comb(B1, Bsq, "lt")
+                          + comb(Bres, B1, "res")
                           + 2.0 * product(c31, c30, 2)
-                          + 2.0 * commutator_com(c30, c30, c1)) \
+                          + 2.0 * com) \
         + 3.0 * lam**2 * c32 \
         - 9.0 * lam**3 * product(c22, c30, 2)
     return F0, F1, F2, F3

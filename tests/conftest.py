@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phi4sim.fourier import FourierField, FrequencyLattice
+from phi4sim.fourier import (FourierField, FrequencyLattice, get_threads,
+                             set_threads)
 
 
 def random_hermitian_field(grid, rng, scale=1.0):
@@ -26,3 +27,13 @@ def rng():
 @pytest.fixture
 def small_grid():
     return FrequencyLattice(4)
+
+
+@pytest.fixture(autouse=True)
+def fft_threads_restored():
+    """Fail a test that leaves the FFT worker count changed, then restore it."""
+    before = get_threads()
+    yield
+    after = get_threads()
+    set_threads(before)
+    assert after == before, f"FFT thread count left at {after}, was {before}"

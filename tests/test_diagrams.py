@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from phi4sim.diagrams import (EnhancedNoise, _burn_phases, build_limit_upsilon,
-                              build_upsilon, mc_moment, regularity_diagnostic,
-                              second_moment_oracle, traj_const_shift, x_norm)
+from phi4sim import besov, diagrams
+from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
+                              build_limit_upsilon, build_upsilon, mc_moment,
+                              regularity_diagnostic, second_moment_oracle,
+                              traj_const_shift, x_norm)
 from phi4sim.errors import GridError
-from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
-                             to_physical)
-from phi4sim.gaussian import NoiseSeed, band_mask, hermite
+from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
+                             from_physical, to_physical)
+from phi4sim.gaussian import NoiseSeed, band_mask, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
 
 EPS = 0.3
@@ -144,6 +146,97 @@ def test_limit_build_wick_identities():
         assert np.max(np.abs(c0.ravel()[1:])) == 0.0
 
 
+def _potential_noises(V, eps, lam, C1, x):
+    """The four noises as V.eval of the derivatives at psi = sqrt(eps) x."""
+    psi = np.sqrt(eps) * x
+    return (V.eval(psi, 4) / (6.0 * lam),
+            V.eval(psi, 3) / (6.0 * lam * np.sqrt(eps)),
+            V.eval(psi, 2) / (3.0 * lam * eps) - C1,
+            V.eval(psi, 1) / (lam * eps**1.5) - 3.0 * C1 * x)
+
+
+@pytest.mark.parametrize("V", [Potential.quartic(0.25), Potential.sextic(1.0),
+                               Potential((0.3, 0.25, 1.0 / 6.0))],
+                         ids=["quartic", "sextic", "mixed"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_noise_evaluator_matches_the_potential_formula(V, order):
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    rs = build_renorm(Q, V, K=KCUT)
+    g = FrequencyLattice(KCUT)
+    ev = _NoiseEvaluator.potential(g, V, EPS, rs.lam, rs.C1)
+    P = g.pad_size(2 * V.n - 1)
+    assert ev.P == P
+    coeffs = sample_stationary(NoiseSeed(3), g, Q).coeffs
+    x = to_physical(coeffs, g, P)
+    want = from_physical(_potential_noises(V, EPS, rs.lam, rs.C1, x)[order],
+                         g, P)
+    got, = ev.all_noises(coeffs, (order,))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the shared powers do not depend on which noises are asked for
+    assert np.array_equal(got, ev.all_noises(coeffs)[order])
+
+
+def test_standard_evaluator_is_one_x_and_the_wick_powers():
+    g = FrequencyLattice(KCUT)
+    Q = DispersionQ.laplacian(0.0)
+    nu = 0.7
+    ev = _NoiseEvaluator.standard(g, nu)
+    P = g.pad_size(3)
+    assert ev.P == P
+    coeffs = sample_stationary(NoiseSeed(4), g, Q).coeffs
+    x = to_physical(coeffs, g, P)
+    c0, c1, c2, c3 = ev.all_noises(coeffs)
+    delta = np.zeros_like(coeffs)
+    delta[0, 0, 0] = 1.0
+    assert np.array_equal(c0, delta)
+    assert np.array_equal(c1, coeffs)
+    for got, samples in ((c2, x**2 - nu), (c3, x**3 - 3.0 * nu * x)):
+        want = from_physical(samples, g, P)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _both_builds(build):
+    if build == "eps":
+        return _small_build()[0]
+    return build_limit_upsilon(NoiseSeed(3), FrequencyLattice(KCUT), 0.0,
+                               np.arange(5) * 0.005, burn_in=0.1,
+                               coarse_dt=0.02, fine_window=0.05)
+
+
+@pytest.mark.parametrize("build", ["eps", "limit"])
+def test_resonance_pass_matches_besov_resonance_bit_for_bit(build, monkeypatch):
+    seen = []
+    real = diagrams._resonance_pass
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append((args, tuple(r.copy() for r in out)))
+        return out
+
+    monkeypatch.setattr(diagrams, "_resonance_pass", spy)
+    _both_builds(build)
+    (c30, c1, c20, c2, g), resonances = seen[0]
+    for i in range(c30.shape[0]):
+        for r, (a, b) in zip(resonances, ((c30, c1), (c20, c2), (c30, c2))):
+            want = besov.resonance(FourierField(g, a[i]), FourierField(g, b[i]))
+            assert np.array_equal(r[i], want.coeffs)
+
+
+@pytest.mark.parametrize("build", ["eps", "limit"])
+def test_resonance_pass_decomposes_each_field_once(build, monkeypatch):
+    calls = []
+    real = besov.physical_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(besov, "physical_blocks", counted)
+    U = _both_builds(build)
+    # c30, c1, c20 and c2, once per time slice
+    assert len(calls) == 4 * len(U.t_grid)
+
+
 # ---------------------------------------------------------------------------
 # moment oracles and Monte Carlo audits
 
@@ -191,9 +284,10 @@ def test_mc_moment_free_field_z_score():
     assert abs(rep.mean - rep.oracle) < 4.0 * rep.se
 
 
-def test_mc_moment_polynomial_noise_z_score():
+@pytest.mark.parametrize("symbol", ["c1", "c2"])
+def test_mc_moment_polynomial_noise_z_score(symbol):
     Q, V, rs, g, _ = _small_setup()
-    rep = mc_moment("c2", (1, 0, 0), 0.0, 400, NoiseSeed(22), g, Q, V=V,
+    rep = mc_moment(symbol, (1, 0, 0), 0.0, 400, NoiseSeed(22), g, Q, V=V,
                     renorm_set=rs)
     assert abs(rep.z) < 4.0
 

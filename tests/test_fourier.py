@@ -371,11 +371,14 @@ def test_results_independent_of_thread_count(rng):
     g = FrequencyLattice(4)
     F = random_hermitian_field(g, rng)
     G = random_hermitian_field(g, rng)
-    set_threads(1)
-    p1 = product(F, G).coeffs.copy()
-    set_threads(2)
-    p2 = product(F, G).coeffs.copy()
-    set_threads(1)
+    before = get_threads()
+    try:
+        set_threads(1)
+        p1 = product(F, G).coeffs.copy()
+        set_threads(2)
+        p2 = product(F, G).coeffs.copy()
+    finally:
+        set_threads(before)
     assert np.array_equal(p1, p2)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from phi4sim.diagrams import _resonance_traj, build_upsilon
+from phi4sim import besov, solver
+from phi4sim.besov import commutator_com, para_gt, para_lt, resonance
+from phi4sim.diagrams import _resonance_pass, build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, get_threads, set_threads)
+                             FrequencyLattice, get_threads, product,
+                             set_threads)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
@@ -79,9 +82,56 @@ def test_batched_noise_products_do_not_depend_on_chunk_size():
     for j in range(4):
         assert np.array_equal(F1[j], F3[j])
         assert np.array_equal(F1[j], F32[j])
-    r1, r16 = (_resonance_traj(U.traj("c30"), U.traj("c2"), g, chunk=c)
-               for c in (1, 16))
+    r1, r16 = (_resonance_pass(U.traj("c30"), U.traj("c1"), U.traj("c22"),
+                               U.traj("c2"), g, chunk=c) for c in (1, 16))
     assert np.array_equal(r1, r16)
+
+
+def _coeffs_F_composed(lam, U, i):
+    """The coefficient fields written with the besov paraproducts, each of
+    which decomposes its own arguments."""
+    c0, c1, c30, c31, c22, c32 = (U.field(t, i) for t in
+                                  ("c0", "c1", "c30", "c31", "c22", "c32"))
+    F3 = -lam * c0
+    F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
+    sq30 = product(c30, c30, 2)
+    F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
+        + 6.0 * lam**2 * (para_lt(c30, c1) + para_gt(c30, c1) + c31) \
+        + 9.0 * lam**2 * c22
+    F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
+        - 3.0 * lam**3 * (para_lt(sq30, c1) + para_gt(sq30, c1)
+                          + resonance(resonance(c30, c30), c1)
+                          + 2.0 * product(c31, c30, 2)
+                          + 2.0 * commutator_com(c30, c30, c1)) \
+        + 3.0 * lam**2 * c32 \
+        - 9.0 * lam**3 * product(c22, c30, 2)
+    return F0, F1, F2, F3
+
+
+def test_coefficient_fields_match_the_composed_formula_bit_for_bit():
+    _, _, rs, g, U, cfg = _setup()
+    for i in (0, len(U.t_grid) - 1, slice(2, 7)):
+        for got, want in zip(coeffs_F(cfg.lam, U, i),
+                             _coeffs_F_composed(cfg.lam, U, i)):
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_coefficient_fields_decompose_each_field_once(monkeypatch):
+    _, _, rs, g, U, cfg = _setup()
+    calls = []
+    real = besov.physical_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(besov, "physical_blocks", counted)
+    monkeypatch.setattr(solver, "physical_blocks", counted)
+    coeffs_F(cfg.lam, U, 0)
+    # c30, c1, c30^2, c30 o c30 and c30 < c30
+    assert len(calls) == 5
+    coeffs_F_traj(cfg.lam, U)
+    assert len(calls) == 5 + 5 * len(U.t_grid)
 
 
 # ---------------------------------------------------------------------------

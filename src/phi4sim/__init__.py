@@ -9,6 +9,5 @@ from . import besov, config, diagrams, errors, fourier, gaussian, renorm, solver
 from .errors import (BlowUpSignal, ConfigError, FeasibilityError, GridError,
                      GrowthViolationError, Phi4Error, SymbolError)
 from .fourier import (DispersionQ, FourierField, FrequencyLattice,
-                      apply_semigroup, bracket_eps, forward, inverse, product,
-                      validate_symbol)
+                      apply_semigroup, bracket_eps, product, validate_symbol)
 from .renorm import Potential, build_renorm, coupling_lambda, sigma2_eps, sigma2_limit

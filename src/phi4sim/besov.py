@@ -10,8 +10,8 @@ for all |xi| below the covered band.  Blocks are indexed j = -1, 0, .., jmax
 with chi_{-1} = chi_tilde.  All products of blocks are evaluated pointwise on
 the degree-2 alias-free padded grid (pad_size(2), the default grid of
 fourier.product), so the Bony decomposition f g = (f<g) + (f>g) + (f o g) is
-exact up to rounding.  Blocks of hermitian fields are real samples from the
-real transform pair of fourier.
+exact up to rounding.  Blocks are real samples from the real transform pair
+of fourier.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridError
 from .fourier import (FourierField, ExponentialQuadrature, _check_same_grid,
-                      _project, _samples, apply_semigroup, product)
+                      apply_semigroup, from_physical, product, to_physical)
 
 
 def _smoothstep(u):
@@ -72,13 +72,12 @@ class DyadicPartition:
 
     def weights(self, grid):
         """Block multipliers on the lattice: array (nblocks, n, n, n)."""
-        key = (grid.K, grid.M)
-        if key not in self._weights:
+        if grid.K not in self._weights:
             W = np.empty((self.nblocks,) + grid.kabs.shape)
             for a in range(self.nblocks):
                 W[a] = self.chi_j(a - 1, grid.kabs)
-            self._weights[key] = W
-        return self._weights[key]
+            self._weights[grid.K] = W
+        return self._weights[grid.K]
 
 
 _partitions = {}
@@ -107,14 +106,13 @@ def block(f, j, partition=None):
         raise ValueError("block index must be >= -1")
     part = partition or default_partition(f.grid)
     if j > part.jmax:
-        return FourierField(f.grid, np.zeros_like(f.coeffs), f.hermitian)
-    W = part.weights(f.grid)[j + 1]
-    return FourierField(f.grid, f.coeffs * W, f.hermitian)
+        return FourierField(f.grid, np.zeros_like(f.coeffs))
+    return FourierField(f.grid, f.coeffs * part.weights(f.grid)[j + 1])
 
 
 def besov_profile(f, partition=None):
     part = partition or default_partition(f.grid)
-    B = physical_blocks(f, f.grid, part)
+    B = physical_blocks(f.coeffs, f.grid, part)
     b = np.max(np.abs(B), axis=(-3, -2, -1))
     return BesovProfile(j=np.arange(-1, part.jmax + 1), b=b)
 
@@ -124,21 +122,16 @@ def besov_norm(f, alpha, partition=None):
     return besov_profile(f, partition).norm(alpha)
 
 
-def physical_blocks(f, grid, partition=None, P=None):
-    """Physical-space samples of every block of a field.
-
-    `f` is a FourierField or the bare coefficient array of a real field
-    (batch dims allowed).  Shape (..., nblocks, P, P, P), real for hermitian
-    fields; computing this once and feeding it to `combine` lets several
+def physical_blocks(coeffs, grid, partition=None, P=None):
+    """Real physical-space samples of every block of a field, given by its
+    coefficient array (batch dims allowed): shape (..., nblocks, P, P, P).
+    Computing this once and feeding it to `combine` lets several
     paraproducts share one decomposition.
     """
-    if not isinstance(f, FourierField):
-        f = FourierField(grid, f)
     part = partition or default_partition(grid)
     if P is None:
         P = grid.pad_size(2)
-    spec = f.coeffs[..., None, :, :, :] * part.weights(grid)
-    return _samples(FourierField(grid, spec, f.hermitian), P)
+    return to_physical(coeffs[..., None, :, :, :] * part.weights(grid), grid, P)
 
 
 def combine(Bf, Bg, grid, P, mode):
@@ -148,9 +141,8 @@ def combine(Bf, Bg, grid, P, mode):
     mode "res": sum_{|i-j|<=1} Delta_i f * Delta_j g.  Returns cube spectra.
     """
     J = Bf.shape[-4]
-    dtype = np.result_type(Bf.dtype, Bg.dtype)
     acc = np.zeros(np.broadcast_shapes(Bf.shape[:-4], Bg.shape[:-4])
-                   + (P, P, P), dtype=dtype)
+                   + (P, P, P))
     if mode == "lt":
         C = np.cumsum(Bf, axis=-4)
         for a in range(2, J):
@@ -161,7 +153,7 @@ def combine(Bf, Bg, grid, P, mode):
             acc += near * Bg[..., a, :, :, :]
     else:
         raise ValueError(mode)
-    return _project(acc, grid, P)
+    return from_physical(acc, grid, P)
 
 
 def _paraproduct(f, g, mode, partition):
@@ -170,9 +162,9 @@ def _paraproduct(f, g, mode, partition):
     grid = f.grid
     part = partition or default_partition(grid)
     P = grid.pad_size(2)
-    c = combine(physical_blocks(f, grid, part, P),
-                physical_blocks(g, grid, part, P), grid, P, mode)
-    return FourierField(grid, c, f.hermitian and g.hermitian)
+    c = combine(physical_blocks(f.coeffs, grid, part, P),
+                physical_blocks(g.coeffs, grid, part, P), grid, P, mode)
+    return FourierField(grid, c)
 
 
 def para_lt(f, g, partition=None):
@@ -230,7 +222,6 @@ def duhamel_para_commutator(f_traj, g_traj, Q, t_grid, partition=None):
             prev_f, prev_g = f_traj[m - 1], g_traj[m - 1]
             I_pg = quad.advance(I_pg, para_lt(prev_f, prev_g, partition).coeffs)
             I_g = quad.advance(I_g, prev_g.coeffs)
-        herm = f.hermitian and g.hermitian
-        inner = para_lt(f, FourierField(grid, I_g, herm), partition)
-        out.append(FourierField(grid, I_pg - inner.coeffs, herm))
+        inner = para_lt(f, FourierField(grid, I_g), partition)
+        out.append(FourierField(grid, I_pg - inner.coeffs))
     return out

@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__
 from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
-from .diagrams import build_limit_upsilon, build_upsilon
+from .diagrams import build_limit_upsilon, build_upsilon, mc_moment
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
 from .fourier import (FourierField, FrequencyLattice, _atomic_open, save_field,
@@ -119,8 +119,6 @@ def cmd_constants(cfg, out_dir, seed):
 
 
 def cmd_moments(cfg, out_dir, seed):
-    from .diagrams import mc_moment
-
     if cfg.samples < 1:
         _fail(EXIT_USAGE, "zero samples")
     if not cfg.eps:
@@ -207,7 +205,7 @@ def cmd_solve(cfg, out_dir, seed):
                     entry["status"] = "not_converged"
             for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
-                save_field(path, FourierField(grid, traj[-1], hermitian=True))
+                save_field(path, FourierField(grid, traj[-1]))
                 entry[f"{tag}_snapshot"] = os.path.basename(path)
         except BlowUpSignal as sig:
             entry["status"] = "blowup"
@@ -320,6 +318,8 @@ def main(argv=None):
             _fail(EXIT_USAGE, f"config error: {exc}")
     if args.threads is not None:
         set_threads(args.threads)
+    if args.seed is not None and args.seed < 0:
+        _fail(EXIT_USAGE, "config error: seed must be an integer >= 0")
     seed = args.seed if args.seed is not None else int(cfg.seed)
     out_dir = args.out or cfg.out_dir
     handler = {"constants": cmd_constants, "moments": cmd_moments,

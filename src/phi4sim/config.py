@@ -2,19 +2,19 @@
 family, potential, epsilon sweep, cutoff rule, seeds, and solver settings.
 
 The on-disk grammar is plain YAML with these keys (all scalars are
-JSON-compatible); unknown keys are rejected at both levels, and so are eps
-outside [0, 1], a solver dt or T that is not 0 < dt <= T, and negative
-samples:
+JSON-compatible); unknown keys are rejected at both levels, and so is every
+scalar of the wrong type or out of the range noted below:
 
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
-    potential: [v2, v4, v6, ...]   ascending even coefficients of V
-    eps:       [0.2, 0.1, ...]     epsilon sweep (may be empty only for solve)
-    k_rule:    {kind: inverse, factor: 4.0}  ->  K = ceil(factor / eps)
-               {kind: fixed,   K: 8}
-    seed:      master seed (unsigned integer)
-    samples:   Monte Carlo replicas
-    solver:    {dt, T, lam: null|float, kappa, mode, picard_iters}
+    potential: [v2, v4, v6, ...]   ascending even coefficients of V (>= 2 numbers)
+    eps:       [0.2, 0.1, ...]     epsilon sweep in [0, 1] (may be empty only for solve)
+    k_rule:    {kind: inverse, factor: 4.0}  ->  K = ceil(factor / eps), factor > 0
+               {kind: fixed,   K: 8}         ->  integer K >= 1
+    seed:      master seed (integer >= 0)
+    samples:   Monte Carlo replicas (integer >= 0)
+    solver:    {dt, T: 0 < dt <= T, lam: null|float, kappa: > 0,
+                mode: sequential|picard, picard_iters: integer >= 1}
     out_dir:   output directory
 
 `dump_config(load_config(p))` reproduces the document byte-identically up to
@@ -43,6 +43,10 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_count(x, least):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
 @dataclass
 class ExperimentConfig:
     name: str = "experiment"
@@ -68,11 +72,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown symbol family {fam!r}")
         if fam == "quartic" and "nu" not in self.symbol:
             raise ConfigError("quartic symbol family needs parameter nu")
+        if not _is_number(self.symbol.get("nu", 0.0)):
+            raise ConfigError(f"symbol nu must be a number: {self.symbol['nu']!r}")
+        if not (isinstance(self.potential, list) and len(self.potential) >= 2
+                and all(map(_is_number, self.potential))):
+            raise ConfigError(f"potential must be >= 2 numbers: {self.potential!r}")
         kind = self.k_rule.get("kind")
         if kind not in ("inverse", "fixed"):
             raise ConfigError(f"unknown k_rule kind {kind!r}")
-        if kind == "fixed" and "K" not in self.k_rule:
-            raise ConfigError("fixed k_rule needs K")
+        if kind == "fixed" and not _is_count(self.k_rule.get("K"), 1):
+            raise ConfigError(f"fixed k_rule needs an integer K >= 1: {self.k_rule!r}")
+        factor = self.k_rule.get("factor")
+        if kind == "inverse" and not (_is_number(factor) and factor > 0):
+            raise ConfigError(f"inverse k_rule needs a factor > 0: {self.k_rule!r}")
+        if not _is_count(self.seed, 0):
+            raise ConfigError(f"seed must be an integer >= 0: {self.seed!r}")
         # eps = 0 is the limit run of solve
         if not isinstance(self.eps, list) or \
                 not all(_is_number(e) and 0 <= e <= 1 for e in self.eps):
@@ -81,7 +95,16 @@ class ExperimentConfig:
         dt, T = solver["dt"], solver["T"]
         if not (_is_number(dt) and _is_number(T) and 0 < dt <= T):
             raise ConfigError(f"solver needs 0 < dt <= T: dt={dt!r}, T={T!r}")
-        if not isinstance(self.samples, int) or self.samples < 0:
+        if solver["mode"] not in ("sequential", "picard"):
+            raise ConfigError(f"unknown solver mode {solver['mode']!r}")
+        if not (_is_number(solver["kappa"]) and solver["kappa"] > 0):
+            raise ConfigError(f"solver kappa must be > 0: {solver['kappa']!r}")
+        if not (solver["lam"] is None or _is_number(solver["lam"])):
+            raise ConfigError(f"solver lam must be null or a number: {solver['lam']!r}")
+        if not _is_count(solver["picard_iters"], 1):
+            raise ConfigError("solver picard_iters must be an integer >= 1: "
+                              f"{solver['picard_iters']!r}")
+        if not _is_count(self.samples, 0):
             raise ConfigError(f"samples must be an integer >= 0: {self.samples!r}")
 
     def make_symbol(self, eps):

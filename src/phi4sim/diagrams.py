@@ -29,8 +29,9 @@ import numpy as np
 
 from . import besov, renorm
 from .errors import GridError
-from .fourier import ExponentialQuadrature, FourierField, from_physical, to_physical
-from .gaussian import advance, sample_stationary
+from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
+                      from_physical, to_physical)
+from .gaussian import advance, sample_stationary, wick_power
 
 X_EXPONENTS = {  # Besov regularity slot per component at smoothness budget kappa
     "c0": lambda k: -k,
@@ -56,7 +57,7 @@ class EnhancedNoise:
     provenance: dict = field(default_factory=dict)
 
     def field(self, tag, i):
-        return FourierField(self.grid, self.components[tag][i], hermitian=True)
+        return FourierField(self.grid, self.components[tag][i])
 
     def traj(self, tag):
         return self.components[tag]
@@ -254,8 +255,6 @@ def build_limit_upsilon(seed, grid, eps_cutoff, t_grid, lam=1.0, sample=0,
     eps_cutoff = 0 uses the full lattice.  The same noise counters as
     build_upsilon are used, so matched seeds give coupled realizations.
     """
-    from .fourier import DispersionQ
-
     Q0 = DispersionQ.laplacian(0.0)
     if eps_cutoff and eps_cutoff > 0:
         band = min(grid.K, int(math.floor(1.0 / eps_cutoff)))
@@ -364,7 +363,6 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
             n = int(symbol[1])
             P = grid.pad_size(n)
             x = to_physical(ens.coeffs, grid, P)
-            from .gaussian import wick_power
             w = from_physical(wick_power(x, n, nu if nu is not None
                                          else _pointwise_var(grid, Q)), grid, P)
             vals[m] = np.abs(w[idx]) ** 2
@@ -430,7 +428,7 @@ def x_norm(U, T, kappa=0.05, holder_stride=None):
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
             i, j = idxs[a], idxs[b]
-            diff = FourierField(U.grid, c30[j] - c30[i], hermitian=True)
+            diff = FourierField(U.grid, c30[j] - c30[i])
             dtv = abs(U.t_grid[j] - U.t_grid[i])
             hold = max(hold, besov.besov_norm(diff, 0.25 - kappa) / dtv**0.125)
     return total + hold

@@ -1,24 +1,25 @@
 """Truncated Fourier representation of real scalar fields on the 3-torus.
 
-Fields are stored as complex coefficient arrays over the symmetric mode cube
-{-K..K}^3 in FFT frequency order (non-negative frequencies first).  The
-Fourier convention is
+Every field of the equation is real, so its coefficients are Hermitian,
+fhat(-k) = conj(fhat(k)).  Fields are stored as complex coefficient arrays
+over the symmetric mode cube {-K..K}^3 in FFT frequency order (non-negative
+frequencies first).  The Fourier convention is
 
     f(x) = sum_k fhat(k) exp(2 pi i k.x),    fhat(k) = int f(x) exp(-2 pi i k.x) dx,
 
-so forward() divides the DFT by the number of grid points.  Nonlinear terms
-are evaluated pointwise on a zero-padded physical grid large enough for the
-declared polynomial degree and then projected back onto the cube (Galerkin
-truncation), which makes all finite-K product identities exact.
+so from_physical divides the DFT by the number of grid points.  Nonlinear
+terms are evaluated pointwise on a zero-padded physical grid large enough for
+the declared polynomial degree and then projected back onto the cube
+(Galerkin truncation), which makes all finite-K product identities exact.
 
-Hermitian fields use real transforms: to_physical / from_physical pass the
-k3 >= 0 half-spectrum through a c2r / r2c pass on the last axis.  The pair is
+One real transform pair, to_physical / from_physical, passes the k3 >= 0
+half-spectrum through a c2r / r2c pass on the last axis.  The pair is
 pruned: it transforms one axis at a time and touches only the 1-D lines the
 mode cube reaches, since on a padded grid of side P ~ (d+1)K most lines are
 zero on input to the inverse and discarded on output of the forward
 transform (the usual dealiasing saving; Bowman & Roberts, SIAM J. Sci.
-Comput. 33, 2011).  Complex transforms are used only for non-Hermitian
-fields (FourierField.hermitian False, or complex samples).
+Comput. 33, 2011).  A complex value never enters it: from_physical rejects
+complex samples and a field cannot be scaled by a complex number.
 """
 
 import os
@@ -46,21 +47,17 @@ def get_threads():
 
 
 class FrequencyLattice:
-    """Symmetric mode cube {-K..K}^3 with an associated physical grid.
+    """Symmetric mode cube {-K..K}^3.
 
     Coefficient arrays have shape (2K+1,)*3 in FFT order along each axis:
     frequencies [0, 1, .., K, -K, .., -1].
     """
 
-    def __init__(self, K, M=None):
+    def __init__(self, K):
         K = int(K)
         if K < 0:
             raise GridError("cutoff K must be >= 0")
-        M = 2 * K + 1 if M is None else int(M)
-        if M < 2 * K + 1:
-            raise GridError(f"physical grid M={M} too small for K={K}")
         self.K = K
-        self.M = M
         self.n = 2 * K + 1
         freqs = np.concatenate([np.arange(0, K + 1), np.arange(-K, 0)])
         self.freqs = freqs
@@ -69,30 +66,18 @@ class FrequencyLattice:
         self.kabs = np.sqrt(self.ksq)
 
     def __eq__(self, other):
-        return isinstance(other, FrequencyLattice) and self.K == other.K and self.M == other.M
+        return isinstance(other, FrequencyLattice) and self.K == other.K
 
     def __hash__(self):
-        return hash((self.K, self.M))
+        return hash(self.K)
 
     def __repr__(self):
-        return f"FrequencyLattice(K={self.K}, M={self.M})"
+        return f"FrequencyLattice(K={self.K})"
 
     def pad_size(self, degree):
         """Smallest fast FFT length alias-free for products of total degree `degree`."""
         need = max((int(degree) + 1) * self.K + 1, self.n)
         return scipy.fft.next_fast_len(need, real=False)
-
-    def embed(self, coeffs, P):
-        """Zero-pad stored coefficients (leading batch dims allowed) to shape (P,P,P)."""
-        for axis in (-3, -2, -1):
-            coeffs = _refit(coeffs, P, self.K, axis)
-        return coeffs
-
-    def extract(self, padded):
-        """Project a size-P coefficient array back onto the stored cube."""
-        for axis in (-3, -2, -1):
-            padded = _refit(padded, self.n, self.K, axis)
-        return padded
 
     def reflect(self, coeffs):
         """Coefficients of k -> -k (index reversal in FFT order)."""
@@ -102,37 +87,31 @@ class FrequencyLattice:
 
 @dataclass
 class FourierField:
-    """A scalar field given by its truncated Fourier coefficients."""
+    """A real scalar field given by its truncated (Hermitian) Fourier coefficients."""
 
     grid: FrequencyLattice
     coeffs: np.ndarray
-    hermitian: bool = True
 
     def copy(self):
-        return FourierField(self.grid, self.coeffs.copy(), self.hermitian)
+        return FourierField(self.grid, self.coeffs.copy())
 
     def __add__(self, other):
         _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs + other.coeffs,
-                            self.hermitian and other.hermitian)
+        return FourierField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs - other.coeffs,
-                            self.hermitian and other.hermitian)
+        return FourierField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return FourierField(self.grid, self.coeffs * scalar,
-                            self.hermitian and not isinstance(scalar, complex))
+        if np.iscomplexobj(scalar):
+            raise TypeError("a real field is scaled by real numbers only")
+        return FourierField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FourierField(self.grid, -self.coeffs, self.hermitian)
-
-    def hermitian_defect(self):
-        """Max |fhat(-k) - conj(fhat(k))| over the lattice."""
-        return float(np.max(np.abs(self.grid.reflect(self.coeffs) - np.conj(self.coeffs))))
+        return FourierField(self.grid, -self.coeffs)
 
 
 def _check_same_grid(*fields):
@@ -140,21 +119,6 @@ def _check_same_grid(*fields):
     for f in fields[1:]:
         if f.grid != g:
             raise GridError("fields live on different lattices")
-
-
-def zero_field(grid):
-    return FourierField(grid, np.zeros((grid.n,) * 3, dtype=np.complex128))
-
-
-def delta_field(grid, k, amplitude=1.0, symmetrize=False):
-    """Field with a single mode k (optionally plus its conjugate at -k)."""
-    c = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    i, j, l = (int(ki) % grid.n for ki in k)
-    c[i, j, l] = amplitude
-    if symmetrize:
-        i2, j2, l2 = ((-int(ki)) % grid.n for ki in k)
-        c[i2, j2, l2] += np.conj(amplitude)
-    return FourierField(grid, c, hermitian=symmetrize)
 
 
 def _refit(a, m, K, axis):
@@ -190,6 +154,8 @@ def from_physical(f, grid, P):
     Pruned mirror of to_physical: forward passes along -1, -2, -3 keep K+1,
     2K+1 and 2K+1 frequencies, only the kept modes are divided by P^3, and
     the k3 < 0 modes are the conjugate mirrors of the k3 > 0 ones."""
+    if np.iscomplexobj(f):
+        raise TypeError("from_physical needs real samples")
     K, n = grid.K, grid.n
     h = scipy.fft.rfftn(f, axes=(-1,), workers=_workers)[..., : K + 1]
     h = _refit(scipy.fft.fftn(h, axes=(-2,), workers=_workers), n, K, -2)
@@ -201,52 +167,13 @@ def from_physical(f, grid, P):
     return out
 
 
-def _samples(F, P):
-    """Samples of a field (batch dims allowed) on a (P,P,P) grid: real for a
-    hermitian field, complex transforms only for a non-hermitian one."""
-    if F.hermitian:
-        return to_physical(F.coeffs, F.grid, P)
-    return scipy.fft.ifftn(F.grid.embed(F.coeffs, P), axes=(-3, -2, -1),
-                           workers=_workers) * P**3
-
-
-def _project(f, grid, P):
-    """Samples on a (P,P,P) grid -> cube spectrum; real samples take the real
-    transform, complex samples the complex one."""
-    if np.isrealobj(f):
-        return from_physical(f, grid, P)
-    return grid.extract(scipy.fft.fftn(f, axes=(-3, -2, -1),
-                                       workers=_workers) / P**3)
-
-
-def forward(f, grid):
-    """Physical samples on the (M,M,M) grid -> FourierField."""
-    f = np.asarray(f)
-    if f.shape[-3:] != (grid.M,) * 3:
-        raise GridError(f"expected shape {(grid.M,)*3}, got {f.shape[-3:]}")
-    return FourierField(grid, _project(f, grid, grid.M), hermitian=np.isrealobj(f))
-
-
-def inverse(F):
-    """FourierField -> physical samples on the (M,M,M) grid (real if hermitian)."""
-    return _samples(F, F.grid.M)
-
-
 def product(F, G, degree_hint=2):
     """Alias-free pointwise product projected back to the cube."""
     _check_same_grid(F, G)
     g = F.grid
     P = g.pad_size(degree_hint)
-    return FourierField(g, _project(_samples(F, P) * _samples(G, P), g, P),
-                        F.hermitian and G.hermitian)
-
-
-def nonlinear_eval(F, func, degree):
-    """Apply a pointwise function of stated polynomial degree, then project."""
-    g = F.grid
-    P = g.pad_size(degree)
-    y = func(_samples(F, P))
-    return FourierField(g, _project(y, g, P), np.isrealobj(y))
+    return FourierField(g, from_physical(to_physical(F.coeffs, g, P)
+                                         * to_physical(G.coeffs, g, P), g, P))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +290,7 @@ def apply_semigroup(F, Q, t):
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
     mult = np.exp(-t * Q.bracket_sq_grid(F.grid))
-    return FourierField(F.grid, F.coeffs * mult, F.hermitian)
+    return FourierField(F.grid, F.coeffs * mult)
 
 
 class ExponentialQuadrature:
@@ -411,11 +338,12 @@ _MAGIC = b"PHI4FLD1"
 
 
 def save_field(path, F):
-    """Write a field snapshot: magic, u32 K, u32 M, u8 hermitian, (re, im) f64 pairs."""
+    """Write a field snapshot: magic, u32 K, u32 M = 2K+1, u8 flag = 1 (the
+    field is real), then the cube as (re, im) f64 pairs."""
     c = np.ascontiguousarray(F.coeffs, dtype=np.complex128)
     with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIB", F.grid.K, F.grid.M, 1 if F.hermitian else 0))
+        fh.write(struct.pack("<IIB", F.grid.K, F.grid.n, 1))
         inter = np.empty(c.size * 2, dtype="<f8")
         inter[0::2] = c.real.ravel()
         inter[1::2] = c.imag.ravel()
@@ -427,8 +355,11 @@ def load_field(path):
         magic = fh.read(8)
         if magic != _MAGIC:
             raise GridError(f"bad snapshot magic {magic!r}")
-        K, M, herm = struct.unpack("<IIB", fh.read(9))
-        grid = FrequencyLattice(K, M)
+        K, M, flag = struct.unpack("<IIB", fh.read(9))
+        if M != 2 * K + 1 or flag != 1:
+            raise GridError(f"snapshot header M={M}, flag={flag} is not a real "
+                            f"field on the K={K} cube")
+        grid = FrequencyLattice(K)
         payload = fh.read(grid.n**3 * 16)
         if len(payload) != grid.n**3 * 16:
             raise GridError("snapshot truncated")
@@ -436,4 +367,4 @@ def load_field(path):
             raise GridError("snapshot has trailing bytes")
         raw = np.frombuffer(payload, dtype="<f8")
         coeffs = (raw[0::2] + 1j * raw[1::2]).reshape((grid.n,) * 3)
-    return FourierField(grid, coeffs.copy(), hermitian=bool(herm))
+    return FourierField(grid, coeffs.copy())

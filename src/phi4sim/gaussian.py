@@ -60,7 +60,7 @@ class ModeOUEnsemble:
     band: int = None
 
     def field(self):
-        return FourierField(self.grid, self.coeffs, hermitian=True)
+        return FourierField(self.grid, self.coeffs)
 
 
 def band_mask(grid, band):

@@ -28,7 +28,7 @@ from scipy.special import roots_legendre
 
 from .besov import DyadicPartition
 from .errors import FeasibilityError, GrowthViolationError
-from .fourier import FrequencyLattice, get_threads, validate_symbol
+from .fourier import DispersionQ, FrequencyLattice, get_threads, validate_symbol
 from .gaussian import gaussian_expectation, polyder
 
 
@@ -429,8 +429,6 @@ def standard_constants(eps_cutoff, K=None):
     resonance expectation of the integrated Wick square, which makes the
     centered objects exactly mean-zero.
     """
-    from .fourier import DispersionQ
-
     R = int(K) if K is not None else int(math.floor(1.0 / eps_cutoff))
     Q0 = DispersionQ.laplacian(0.0)
     _, bsq = _cube_bsq(Q0, R)

@@ -69,10 +69,6 @@ def taylor_remainder(V, x, y):
     return out
 
 
-def _wrap(grid, c):
-    return FourierField(grid, c, hermitian=True)
-
-
 def coeffs_F(lam, U, i):
     """The four coefficient fields (F0, F1, F2, F3) at time index i, or
     batched over time when i is a slice.  The paraproducts, resonances and
@@ -85,12 +81,13 @@ def coeffs_F(lam, U, i):
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
-    B30, B1, Bsq = (physical_blocks(f, g, None, P2) for f in (c30, c1, sq30))
+    B30, B1, Bsq = (physical_blocks(f.coeffs, g, None, P2)
+                    for f in (c30, c1, sq30))
     Bres, Blt = (physical_blocks(combine(B30, B30, g, P2, mode), g, None, P2)
                  for mode in ("res", "lt"))
 
     def comb(Bf, Bg, mode):
-        return _wrap(g, combine(Bf, Bg, g, P2, mode))
+        return FourierField(g, combine(Bf, Bg, g, P2, mode))
 
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
         + 6.0 * lam**2 * (comb(B30, B1, "lt") + comb(B1, B30, "lt") + c31) \
@@ -164,15 +161,16 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
         BBb = physical_blocks(B, g, part, P2)
         flB = combine(Bfb, BBb, g, P2, "lt")  # f < B
         # Com(f; B; c2) = (f < B) o c2 - f (B o c2)
+        Bres = FourierField(g, combine(BBb, Bc2b, g, P2, "res"))  # B o c2
         com = combine(physical_blocks(flB, g, part, P2), Bc2b, g, P2, "res") \
-            - product(f, _wrap(g, combine(BBb, Bc2b, g, P2, "res")), 2).coeffs
+            - product(f, Bres, 2).coeffs
         comm_I = A - flB
         res_ci = combine(Bc2b, physical_blocks(comm_I, g, part, P2), g, P2,
                          "res")
         res_h = combine(Bc2b, physical_blocks(h, g, part, P2), g, P2, "res")
-        out = out + 9.0 * lam**2 * (com + res_ci
-                                    - product(_wrap(g, res_h), f, 2).coeffs)
-    return _wrap(g, out)
+        out = out + 9.0 * lam**2 * (
+            com + res_ci - product(FourierField(g, res_h), f, 2).coeffs)
+    return FourierField(g, out)
 
 
 def _check_grid_match(config, U):
@@ -218,7 +216,7 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
             vi, wi = integrand_source[0][i], integrand_source[1][i]
         c2 = U.field("c2", i)
         c30c = U.traj("c30")[i]
-        f = _wrap(g, vi + wi - lam * c30c)
+        f = FourierField(g, vi + wi - lam * c30c)
         if lam != 0.0:
             Bfb = physical_blocks(f.coeffs, g, part, P2)
             Bc2b = physical_blocks(c2.coeffs, g, part, P2)
@@ -229,7 +227,7 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
         else:
             para = res = np.zeros(shape, dtype=np.complex128)
             blocks = None
-        G = g_map(lam, U, _wrap(g, vi + wi), i, eps, V, h, A, B, F,
+        G = g_map(lam, U, FourierField(g, vi + wi), i, eps, V, h, A, B, F,
                   blocks).coeffs
         v = quad.advance(v, -3.0 * lam * para)
         w = quad.advance(w, -3.0 * lam * res + G)
@@ -252,6 +250,9 @@ def solve(config, U, v0, w0, V=None):
     w0 = np.asarray(w0, dtype=np.complex128)
     if v0.shape != (g.n,) * 3 or w0.shape != (g.n,) * 3:
         raise GridError("initial data shape mismatch")
+    for c in (v0, w0):
+        if np.max(np.abs(g.reflect(c) - np.conj(c))) > 1e-12 * np.max(np.abs(c)):
+            raise GridError("initial data is not the spectrum of a real field")
     if config.mode == "sequential":
         v_traj, w_traj = _march(config, U, v0, w0, V)
         info = {"mode": "sequential"}
@@ -296,8 +297,9 @@ def solve(config, U, v0, w0, V=None):
 def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
                       holder_stride):
     sel = np.where(t_grid <= T + 1e-12)[0]
-    kap = np.array([besov_norm(_wrap(grid, traj[i]), kappa) for i in sel])
-    high = np.array([besov_norm(_wrap(grid, traj[i]), high_alpha) for i in sel])
+    fields = [FourierField(grid, traj[i]) for i in sel]
+    kap = np.array([besov_norm(f, kappa) for f in fields])
+    high = np.array([besov_norm(f, high_alpha) for f in fields])
     t = t_grid[sel]
     total = 0.0
     if eps > 0:
@@ -320,7 +322,7 @@ def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
             s, tt = t_grid[i], t_grid[j]
             if s <= 0:
                 continue
-            diff = besov_norm(_wrap(grid, traj[j] - traj[i]), kappa)
+            diff = besov_norm(FourierField(grid, traj[j] - traj[i]), kappa)
             hold = max(hold, s**0.25 * diff / (tt - s) ** 0.125)
     return total + hold
 

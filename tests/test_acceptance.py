@@ -13,8 +13,8 @@ from phi4sim.besov import besov_norm, combine, physical_blocks, default_partitio
 from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
-                             FrequencyLattice, apply_semigroup, forward,
-                             from_physical, to_physical)
+                             FrequencyLattice, apply_semigroup, from_physical,
+                             to_physical)
 from phi4sim.gaussian import NoiseSeed, chaos_coefficients, hermite
 from phi4sim.renorm import (Potential, build_renorm, c3, coupling_lambda,
                             sigma2_eps, sigma2_limit)
@@ -88,10 +88,10 @@ def test_paraproduct_decomposition_identity_at_scale():
         P = g.pad_size(2)
         rng = np.random.default_rng(314)
         worst = 0.0
-        M = g.M
+        n = g.n
         for _ in range(5):  # 5 chunks x 20 pairs
-            f = forward(rng.standard_normal((20, M, M, M)), g).coeffs
-            h = forward(rng.standard_normal((20, M, M, M)), g).coeffs
+            f = from_physical(rng.standard_normal((20, n, n, n)), g, n)
+            h = from_physical(rng.standard_normal((20, n, n, n)), g, n)
             Bf = physical_blocks(f, g, part, P)
             Bh = physical_blocks(h, g, part, P)
             bony = combine(Bf, Bh, g, P, "lt") + combine(Bh, Bf, g, P, "lt") \

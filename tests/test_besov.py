@@ -9,9 +9,8 @@ from phi4sim.besov import (BesovProfile, DyadicPartition, besov_norm,
                            physical_blocks, resonance)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, apply_semigroup, delta_field,
-                             product)
-from conftest import random_hermitian_field
+                             FrequencyLattice, apply_semigroup, product)
+from conftest import delta_field, random_hermitian_field
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_block_beyond_range_is_zero(rng):
 
 def test_single_mode_besov_norm_scales_with_alpha():
     g = FrequencyLattice(8)
-    f = delta_field(g, (5, 0, 0), symmetrize=True)
+    f = delta_field(g, (5, 0, 0))
     prof = besov_profile(f)
     for alpha in (-0.5, 0.0, 1.0):
         want = max(2.0 ** (alpha * j) * b for j, b in zip(prof.j, prof.b))
@@ -80,8 +79,7 @@ def test_single_mode_besov_norm_scales_with_alpha():
 
 def test_constant_field_lives_in_lowest_block():
     g = FrequencyLattice(4)
-    f = delta_field(g, (0, 0, 0), amplitude=2.0, symmetrize=False)
-    prof = besov_profile(FourierField(g, f.coeffs, hermitian=True))
+    prof = besov_profile(delta_field(g, (0, 0, 0)))  # the constant 2
     assert abs(prof.b[0] - 2.0) < 1e-13
     assert np.max(prof.b[1:]) < 1e-13
 
@@ -113,8 +111,8 @@ def test_paraproduct_frequency_localization():
     # low < high: a low mode against a high mode lands in the paraproduct,
     # never in the resonance
     g = FrequencyLattice(16)
-    lo = delta_field(g, (1, 0, 0), symmetrize=True)
-    hi = delta_field(g, (12, 0, 0), symmetrize=True)
+    lo = delta_field(g, (1, 0, 0))
+    hi = delta_field(g, (12, 0, 0))
     assert np.max(np.abs(resonance(lo, hi).coeffs)) < 1e-13
     full = product(lo, hi).coeffs
     assert np.max(np.abs(para_lt(lo, hi).coeffs - full)) < 1e-12
@@ -178,7 +176,7 @@ def test_duhamel_commutator_matches_reference_accumulation(rng):
         if m > 0:
             I_pg = quad.advance(I_pg, para_lt(f_traj[m - 1], g_traj[m - 1]).coeffs)
             I_g = quad.advance(I_g, g_traj[m - 1].coeffs)
-        want = I_pg - para_lt(f_traj[m], FourierField(g, I_g, True)).coeffs
+        want = I_pg - para_lt(f_traj[m], FourierField(g, I_g)).coeffs
         assert np.max(np.abs(out[m].coeffs - want)) < 1e-13
 
 

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                              FrequencyLattice, apply_semigroup, bracket_eps,
-                             delta_field, forward, from_physical, get_threads,
-                             inverse, load_field, nonlinear_eval, product,
+                             from_physical, get_threads, load_field, product,
                              save_field, set_threads, to_physical,
-                             validate_symbol, zero_field)
-from conftest import random_complex_field, random_hermitian_field
+                             validate_symbol)
+from conftest import delta_field, hermitian_defect, random_hermitian_field
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +22,7 @@ from conftest import random_complex_field, random_hermitian_field
 
 def test_lattice_shapes_and_frequencies():
     g = FrequencyLattice(3)
-    assert g.n == 7 and g.M == 7
+    assert g.n == 7
     assert list(g.freqs) == [0, 1, 2, 3, -3, -2, -1]
     assert g.ksq[0, 0, 0] == 0
     assert g.ksq[1, 0, 0] == 1
@@ -33,14 +32,13 @@ def test_lattice_shapes_and_frequencies():
 def test_lattice_rejects_bad_sizes():
     with pytest.raises(GridError):
         FrequencyLattice(-1)
-    with pytest.raises(GridError):
-        FrequencyLattice(3, M=5)
 
 
 def test_reflect_is_mode_negation():
     g = FrequencyLattice(2)
-    f = delta_field(g, (1, -2, 0))
-    r = g.reflect(f.coeffs)
+    c = np.zeros((g.n,) * 3)
+    c[1, (-2) % g.n, 0] = 1.0
+    r = g.reflect(c)
     assert r[(-1) % g.n, 2 % g.n, 0] == 1.0
     assert np.count_nonzero(r) == 1
 
@@ -51,22 +49,14 @@ def test_forward_inverse_round_trip(K, seed):
     g = FrequencyLattice(K)
     rng = np.random.default_rng(seed)
     f = random_hermitian_field(g, rng)
-    again = forward(inverse(f), g)
-    assert np.max(np.abs(again.coeffs - f.coeffs)) < 1e-12
+    again = from_physical(to_physical(f.coeffs, g, g.n), g, g.n)
+    assert np.max(np.abs(again - f.coeffs)) < 1e-12
 
 
 def test_forward_of_real_samples_is_hermitian(rng):
     g = FrequencyLattice(3)
     f = random_hermitian_field(g, rng)
-    assert f.hermitian
-    assert f.hermitian_defect() < 1e-12
-
-
-def test_embed_extract_round_trip(rng):
-    g = FrequencyLattice(2)
-    c = rng.standard_normal((3, g.n, g.n, g.n)) + 0j  # batch dim
-    P = g.pad_size(2)
-    assert np.array_equal(g.extract(g.embed(c, P)), c)
+    assert hermitian_defect(f) < 1e-12
 
 
 def test_pad_size_covers_degree():
@@ -182,8 +172,8 @@ def _direct_convolution(F, G):
 
 def test_product_matches_direct_convolution(rng):
     g = FrequencyLattice(2)
-    F = random_complex_field(g, rng)
-    G = random_complex_field(g, rng)
+    F = random_hermitian_field(g, rng)
+    G = random_hermitian_field(g, rng)
     got = product(F, G).coeffs
     want = _direct_convolution(F, G)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -194,50 +184,59 @@ def test_product_of_single_modes_adds_frequencies():
     f = delta_field(g, (1, 0, 2))
     h = delta_field(g, (2, -1, 0))
     p = product(f, h).coeffs
-    assert abs(p[3, (-1) % g.n, 2] - 1.0) < 1e-13
-    assert np.count_nonzero(np.abs(p) > 1e-13) == 1
+    # (e_a + e_-a)(e_b + e_-b) has the four modes +-a +-b
+    sums = [(3, -1, 2), (-1, 1, 2), (1, -1, -2), (-3, 1, -2)]
+    for k in sums:
+        assert abs(p[tuple(ki % g.n for ki in k)] - 1.0) < 1e-13
+    assert np.count_nonzero(np.abs(p) > 1e-13) == len(sums)
 
 
 def test_product_outside_cube_is_projected_away():
     g = FrequencyLattice(2)
     f = delta_field(g, (2, 0, 0))
-    p = product(f, f).coeffs  # mode 4 exceeds the cutoff
+    p = product(f, f).coeffs  # modes +-4 exceed the cutoff, 2 e_0 survives
+    assert abs(p[0, 0, 0] - 2.0) < 1e-14
+    p[0, 0, 0] = 0.0
     assert np.max(np.abs(p)) < 1e-14
 
 
 def test_no_aliasing_in_cubic_power(rng):
     g = FrequencyLattice(2)
     F = random_hermitian_field(g, rng)
-    cube = nonlinear_eval(F, lambda x: x**3, 3)
+    P = g.pad_size(3)
+    cube = from_physical(to_physical(F.coeffs, g, P)**3, g, P)
     # compare against pairwise convolution done fully alias-free at degree 3
     want = _direct_convolution_3(F)
-    assert np.max(np.abs(cube.coeffs - want)) < 1e-11
+    assert np.max(np.abs(cube - want)) < 1e-11
 
 
-def test_nonlinear_eval_with_complex_values_is_not_hermitian(rng):
-    # the flag picks the transform, so it must follow the values
+def test_from_physical_rejects_complex_samples():
     g = FrequencyLattice(2)
-    F = random_hermitian_field(g, rng)
-    G = nonlinear_eval(F, lambda x: 1j * x, 1)
-    assert not G.hermitian
-    assert np.max(np.abs(inverse(G) - 1j * inverse(F))) < 1e-12
+    with pytest.raises(TypeError, match="real samples"):
+        from_physical(np.ones((g.n,) * 3) * 1j, g, g.n)
+
+
+def test_field_rejects_complex_scale(rng):
+    F = random_hermitian_field(FrequencyLattice(2), rng)
+    for scale in (1j, np.complex128(2.0)):
+        with pytest.raises(TypeError):
+            F * scale
+        with pytest.raises(TypeError):
+            scale * F
 
 
 def _direct_convolution_3(F):
     g = F.grid
     big = FrequencyLattice(2 * g.K)
-    Fb = FourierField(big, big_embed(F), hermitian=False)
-    sq_full = _direct_convolution(Fb, Fb)  # cube 2K holds the full square
-    back = FourierField(big, sq_full, hermitian=False)
-    out_big = _direct_convolution(back, Fb)
-    n, K = g.n, g.K
+    K = g.K
     idx = np.concatenate([np.arange(0, K + 1), np.arange(big.n - K, big.n)])
-    return out_big[np.ix_(idx, idx, idx)]
-
-
-def big_embed(F):
-    big = FrequencyLattice(2 * F.grid.K)
-    return F.grid.embed(F.coeffs, big.n)
+    cube = np.ix_(idx, idx, idx)
+    c = np.zeros((big.n,) * 3, dtype=np.complex128)
+    c[cube] = F.coeffs
+    Fb = FourierField(big, c)
+    sq_full = _direct_convolution(Fb, Fb)  # cube 2K holds the full square
+    out_big = _direct_convolution(FourierField(big, sq_full), Fb)
+    return out_big[cube]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +335,21 @@ def test_snapshot_round_trip(tmp_path, rng):
     path = tmp_path / "field.fld"
     save_field(path, f)
     back = load_field(path)
-    assert back.grid == g and back.hermitian == f.hermitian
+    assert back.grid == g
     assert np.array_equal(back.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("offset, value", [(12, b"\x09"), (16, b"\x00")],
+                         ids=["M", "flag"])
+def test_snapshot_rejects_header_of_no_real_cube(tmp_path, rng, offset, value):
+    # bytes 12..15 hold M (must be 2K+1), byte 16 the flag (must be 1)
+    path = tmp_path / "field.fld"
+    save_field(path, random_hermitian_field(FrequencyLattice(2), rng))
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 1] = value
+    path.write_bytes(bytes(data))
+    with pytest.raises(GridError, match="header"):
+        load_field(path)
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):

@@ -13,7 +13,7 @@ from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
                             coeffs_F, coeffs_F_traj, reconstruct_phi, solve,
                             taylor_remainder, y_distance, y_norm)
-from conftest import random_hermitian_field
+from conftest import hermitian_defect, random_hermitian_field
 
 EPS = 0.3
 K = 2
@@ -158,7 +158,17 @@ def test_solution_stays_hermitian(mode):
     P = solve(cfg, U, z, z, V=V)
     assert np.max(np.abs(P.w_traj[-1])) > 0
     for c in np.concatenate([P.v_traj, P.w_traj]):
-        assert FourierField(g, c).hermitian_defect() <= 1e-14 * np.max(np.abs(c))
+        assert hermitian_defect(FourierField(g, c)) <= 1e-14 * np.max(np.abs(c))
+
+
+def test_solve_rejects_initial_data_of_no_real_field(rng):
+    # the real transforms would drop the anti-hermitian part silently
+    _, V, rs, g, U, cfg = _setup()
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    c = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+    for v0, w0 in ((c, z), (z, c)):
+        with pytest.raises(GridError, match="real field"):
+            solve(cfg, U, v0, w0, V=V)
 
 
 def test_solve_is_independent_of_thread_count():

@@ -71,7 +71,7 @@ class DyadicPartition:
         return total
 
     def weights(self, grid):
-        """Block multipliers on the lattice: array (nblocks, n, n, n)."""
+        """Block multipliers on the lattice: array (nblocks, n, n, K+1)."""
         if grid.K not in self._weights:
             W = np.empty((self.nblocks,) + grid.kabs.shape)
             for a in range(self.nblocks):
@@ -144,9 +144,11 @@ def combine(Bf, Bg, grid, P, mode):
     acc = np.zeros(np.broadcast_shapes(Bf.shape[:-4], Bg.shape[:-4])
                    + (P, P, P))
     if mode == "lt":
-        C = np.cumsum(Bf, axis=-4)
+        low = Bf[..., 0, :, :, :]  # S_{j-1} f, j = a - 1, as a running sum
         for a in range(2, J):
-            acc += C[..., a - 2, :, :, :] * Bg[..., a, :, :, :]
+            if a > 2:
+                low = low + Bf[..., a - 2, :, :, :]
+            acc += low * Bg[..., a, :, :, :]
     elif mode == "res":
         for a in range(J):
             near = Bf[..., max(a - 1, 0):min(a + 2, J), :, :, :].sum(axis=-4)

@@ -205,7 +205,7 @@ def cmd_solve(cfg, out_dir, seed):
                     entry["status"] = "not_converged"
             for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
-                save_field(path, FourierField(grid, traj[-1]))
+                save_field(path, FourierField(grid, traj[-1][..., : K + 1]))
                 entry[f"{tag}_snapshot"] = os.path.basename(path)
         except BlowUpSignal as sig:
             entry["status"] = "blowup"

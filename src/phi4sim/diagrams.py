@@ -173,7 +173,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
     total_burn = sum(n * h for n, h in phases)
     ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn,
                             band=band)
-    shape = (grid.n,) * 3
+    shape = grid.shape
     I2 = np.zeros(shape, dtype=np.complex128)
     I3 = np.zeros(shape, dtype=np.complex128)
     for n, h in phases:
@@ -290,8 +290,7 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
         Q = Q.with_eps(eps)
     s, t = (t_pair if isinstance(t_pair, (tuple, list)) else (t_pair, t_pair))
     tau = abs(t - s)
-    grid = renorm.FrequencyLattice(K)
-    bsq = Q.bracket_sq_grid(grid)
+    grid, bsq = renorm._cube_bsq(Q, K)
     idx = _mode_index(grid, k)
     if symbol == "one":
         return float(np.exp(-tau * bsq[idx]) * 0.5 / bsq[idx])
@@ -341,7 +340,8 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
     if M < 1:
         raise ValueError("need at least one sample")
     eps = Q.eps
-    idx = _mode_index(grid, k)
+    # k3 < 0 is read at -k: c(k) = conj c(-k), and |c|^2, Re c conj c' are even
+    idx = _mode_index(grid, k if k[2] >= 0 else [-ki for ki in k])
     if V is not None and renorm_set is not None and eps > 0:
         ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam,
                                        renorm_set.C1)
@@ -383,7 +383,7 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
 
 
 def _pointwise_var(grid, Q):
-    return float(np.sum(0.5 / Q.bracket_sq_grid(grid)))
+    return float(np.sum(0.5 / renorm._cube_bsq(Q, grid.K)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Truncated Fourier representation of real scalar fields on the 3-torus.
 
 Every field of the equation is real, so its coefficients are Hermitian,
-fhat(-k) = conj(fhat(k)).  Fields are stored as complex coefficient arrays
-over the symmetric mode cube {-K..K}^3 in FFT frequency order (non-negative
-frequencies first).  The Fourier convention is
+fhat(-k) = conj(fhat(k)).  Fields are stored as the k3 >= 0 half of the mode
+cube {-K..K}^3, arrays (..., n, n, K+1) with n = 2K+1 in FFT frequency order
+(non-negative frequencies first).  Full (n, n, n) cubes appear only at the
+boundaries: solve's initial data and results, the reconstructed and reference
+solutions, and snapshot files; renorm's lattice sums run over the full cube.
+The Fourier convention is
 
     f(x) = sum_k fhat(k) exp(2 pi i k.x),    fhat(k) = int f(x) exp(-2 pi i k.x) dx,
 
@@ -12,8 +15,8 @@ terms are evaluated pointwise on a zero-padded physical grid large enough for
 the declared polynomial degree and then projected back onto the cube
 (Galerkin truncation), which makes all finite-K product identities exact.
 
-One real transform pair, to_physical / from_physical, passes the k3 >= 0
-half-spectrum through a c2r / r2c pass on the last axis.  The pair is
+One real transform pair, to_physical / from_physical, passes the half
+spectrum through a c2r / r2c pass on the last axis.  The pair is
 pruned: it transforms one axis at a time and touches only the 1-D lines the
 mode cube reaches, since on a padded grid of side P ~ (d+1)K most lines are
 zero on input to the inverse and discarded on output of the forward
@@ -47,10 +50,10 @@ def get_threads():
 
 
 class FrequencyLattice:
-    """Symmetric mode cube {-K..K}^3.
+    """Symmetric mode cube {-K..K}^3, stored as its k3 >= 0 half.
 
-    Coefficient arrays have shape (2K+1,)*3 in FFT order along each axis:
-    frequencies [0, 1, .., K, -K, .., -1].
+    Coefficient arrays (and k1, k2, k3, ksq, kabs) have shape `shape` =
+    (n, n, K+1); `freqs` = [0, 1, .., K, -K, .., -1] is the FFT order.
     """
 
     def __init__(self, K):
@@ -61,9 +64,10 @@ class FrequencyLattice:
         self.n = 2 * K + 1
         freqs = np.concatenate([np.arange(0, K + 1), np.arange(-K, 0)])
         self.freqs = freqs
-        self.k1, self.k2, self.k3 = np.meshgrid(freqs, freqs, freqs, indexing="ij")
+        self.k1, self.k2, self.k3 = np.meshgrid(freqs, freqs, freqs[: K + 1], indexing="ij")
         self.ksq = (self.k1**2 + self.k2**2 + self.k3**2).astype(np.float64)
         self.kabs = np.sqrt(self.ksq)
+        self.shape = self.kabs.shape
 
     def __eq__(self, other):
         return isinstance(other, FrequencyLattice) and self.K == other.K
@@ -79,15 +83,10 @@ class FrequencyLattice:
         need = max((int(degree) + 1) * self.K + 1, self.n)
         return scipy.fft.next_fast_len(need, real=False)
 
-    def reflect(self, coeffs):
-        """Coefficients of k -> -k (index reversal in FFT order)."""
-        out = coeffs[..., ::-1, ::-1, ::-1]
-        return np.roll(out, 1, axis=(-3, -2, -1))
-
 
 @dataclass
 class FourierField:
-    """A real scalar field given by its truncated (Hermitian) Fourier coefficients."""
+    """A real scalar field given by its stored half of Fourier coefficients."""
 
     grid: FrequencyLattice
     coeffs: np.ndarray
@@ -136,34 +135,39 @@ def _refit(a, m, K, axis):
 
 
 def to_physical(coeffs, grid, P):
-    """Hermitian spectral cube (batch dims allowed) -> real (P,P,P) samples.
+    """Half spectrum (..., n, n, K+1) (batch dims allowed) -> real (P,P,P) samples.
 
     Pruned: the K+1 stored k3 >= 0 columns are inverted along -3 on their
     (2K+1)(K+1) lines, then along -2 on P(K+1) lines; one real inverse along
     -1 supplies the k3 < 0 half.  Unscaled inverses (norm="forward")."""
     K, kw = grid.K, dict(norm="forward", workers=_workers)
-    x = scipy.fft.ifftn(_refit(coeffs[..., : K + 1], P, K, -3), axes=(-3,),
-                        overwrite_x=True, **kw)
+    if coeffs.shape[-1] != K + 1:
+        raise GridError(f"a half spectrum has K+1 = {K + 1} columns, not {coeffs.shape[-1]}")
+    x = scipy.fft.ifftn(_refit(coeffs, P, K, -3), axes=(-3,), overwrite_x=True, **kw)
     x = scipy.fft.ifftn(_refit(x, P, K, -2), axes=(-2,), overwrite_x=True, **kw)
     return scipy.fft.irfftn(x, s=(P,), axes=(-1,), **kw)
 
 
 def from_physical(f, grid, P):
-    """Real samples on a (P,P,P) grid -> projected hermitian spectral cube.
+    """Real samples on a (P,P,P) grid -> projected half spectrum (..., n, n, K+1).
 
     Pruned mirror of to_physical: forward passes along -1, -2, -3 keep K+1,
-    2K+1 and 2K+1 frequencies, only the kept modes are divided by P^3, and
-    the k3 < 0 modes are the conjugate mirrors of the k3 > 0 ones."""
+    2K+1 and 2K+1 frequencies and only the kept modes are divided by P^3."""
     if np.iscomplexobj(f):
         raise TypeError("from_physical needs real samples")
     K, n = grid.K, grid.n
     h = scipy.fft.rfftn(f, axes=(-1,), workers=_workers)[..., : K + 1]
     h = _refit(scipy.fft.fftn(h, axes=(-2,), workers=_workers), n, K, -2)
     h = _refit(scipy.fft.fftn(h, axes=(-3,), workers=_workers, overwrite_x=True), n, K, -3)
-    h /= P**3
-    out = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., : K + 1] = h
-    out[..., K + 1:] = np.roll(np.conj(h[..., ::-1, ::-1, :0:-1]), 1, axis=(-3, -2))
+    return h / P**3
+
+
+def _mirror(half, grid):
+    """Full (..., n, n, n) cubes from halves: mode k with k3 < 0 is conj at -k."""
+    K = grid.K
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., : K + 1] = half
+    out[..., K + 1:] = np.roll(np.conj(half[..., ::-1, ::-1, :0:-1]), 1, axis=(-3, -2))
     return out
 
 
@@ -339,15 +343,11 @@ _MAGIC = b"PHI4FLD1"
 
 def save_field(path, F):
     """Write a field snapshot: magic, u32 K, u32 M = 2K+1, u8 flag = 1 (the
-    field is real), then the cube as (re, im) f64 pairs."""
-    c = np.ascontiguousarray(F.coeffs, dtype=np.complex128)
+    field is real), then the full cube as (re, im) f64 pairs."""
     with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIB", F.grid.K, F.grid.n, 1))
-        inter = np.empty(c.size * 2, dtype="<f8")
-        inter[0::2] = c.real.ravel()
-        inter[1::2] = c.imag.ravel()
-        fh.write(inter.tobytes())
+        fh.write(_mirror(F.coeffs, F.grid).astype("<c16").tobytes())
 
 
 def load_field(path):
@@ -355,7 +355,10 @@ def load_field(path):
         magic = fh.read(8)
         if magic != _MAGIC:
             raise GridError(f"bad snapshot magic {magic!r}")
-        K, M, flag = struct.unpack("<IIB", fh.read(9))
+        header = fh.read(9)
+        if len(header) != 9:
+            raise GridError("snapshot header truncated")
+        K, M, flag = struct.unpack("<IIB", header)
         if M != 2 * K + 1 or flag != 1:
             raise GridError(f"snapshot header M={M}, flag={flag} is not a real "
                             f"field on the K={K} cube")
@@ -365,6 +368,5 @@ def load_field(path):
             raise GridError("snapshot truncated")
         if fh.read(1):
             raise GridError("snapshot has trailing bytes")
-        raw = np.frombuffer(payload, dtype="<f8")
-        coeffs = (raw[0::2] + 1j * raw[1::2]).reshape((grid.n,) * 3)
-    return FourierField(grid, coeffs.copy())
+        coeffs = np.frombuffer(payload, dtype="<c16").reshape((grid.n,) * 3)
+    return FourierField(grid, coeffs[..., : K + 1].astype(np.complex128))

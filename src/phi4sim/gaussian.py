@@ -33,13 +33,14 @@ def _stream(seed, sample, tag, step):
 def unit_hermitian_normals(seed, grid, sample, tag, step):
     """Complex normals Z on the lattice with Z(-k) = conj(Z(k)), E|Z(k)|^2 = 1.
 
-    Built by hermitian-symmetrizing an i.i.d. complex Gaussian array; the only
-    self-conjugate mode on the odd symmetric lattice is k = 0 (real, variance 1).
+    Built by hermitian-symmetrizing an i.i.d. complex Gaussian cube and keeping
+    its k3 >= 0 half; k = 0 is the only self-conjugate mode (real, variance 1).
     """
     rng = _stream(seed, sample, tag, step)
     ab = rng.standard_normal((2,) + (grid.n,) * 3)
     z = (ab[0] + 1j * ab[1]) / np.sqrt(2.0)
-    return (z + np.conj(grid.reflect(z))) / np.sqrt(2.0)
+    at_minus_k = np.roll(z[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))[..., : grid.K + 1]
+    return (z[..., : grid.K + 1] + np.conj(at_minus_k)) / np.sqrt(2.0)
 
 
 @dataclass

@@ -97,8 +97,10 @@ def sigma2_limit(Q, rmax=80.0, tol=1e-10):
 
 
 def _cube_bsq(Q, K):
+    # over the full cube: the lattice holds only the k3 >= 0 half
     grid = FrequencyLattice(K)
-    return grid, Q.bracket_sq_grid(grid)
+    k1, k2, k3 = np.meshgrid(*[grid.freqs] * 3, indexing="ij", sparse=True)
+    return grid, Q.bracket_sq(np.sqrt((k1**2 + k2**2 + k3**2).astype(np.float64)))
 
 
 def sigma2_eps(Q, eps, K):
@@ -233,7 +235,7 @@ def stationary_pair_integral(Q, N, K, method="auto", restrict=True, pad=None):
 
 
 def _cube_kvecs(grid):
-    return np.stack([grid.k1.ravel(), grid.k2.ravel(), grid.k3.ravel()], axis=-1)
+    return np.stack(np.meshgrid(*[grid.freqs] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _leading_legs(kv, b, N):

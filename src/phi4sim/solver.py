@@ -18,8 +18,8 @@ import numpy as np
 
 from .besov import besov_norm, combine, default_partition, physical_blocks
 from .errors import BlowUpSignal, GridError
-from .fourier import (ExponentialQuadrature, FourierField, from_physical,
-                      product, to_physical)
+from .fourier import (ExponentialQuadrature, FourierField, _mirror,
+                      from_physical, product, to_physical)
 from .gaussian import ou_increment
 
 
@@ -106,7 +106,7 @@ def coeffs_F(lam, U, i):
 
 def coeffs_F_traj(lam, U, chunk=1):
     """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
-    shape (T, n, n, n): coeffs_F on time chunks of `chunk` slices.
+    shape (T, n, n, K+1): coeffs_F on time chunks of `chunk` slices.
 
     Per-slice by default: the pruned transforms are cheap enough that a
     batch of slices only falls out of the cache (K=8, 51 slices, one FFT
@@ -126,7 +126,7 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
 
     `u` is the current v + w (a FourierField); `h` is e^{t(L-1)} c20(0);
     A and B are the running Duhamel accumulators described in the module
-    docstring; F holds the coefficient-field trajectories of coeffs_F_traj;
+    docstring; F holds the four coefficient fields of coeffs_F at index i;
     `blocks` carries the physical blocks (Bf, Bc2) of u - lam*c30 and of the
     quadratic noise, so the caller's decompositions are reused.  F and
     blocks are unused (None) when lam = 0.
@@ -137,14 +137,12 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
     f = u - lam * U.field("c30", i)
     if lam != 0.0:
         Bfb, Bc2b = blocks
-        F0c, F1c, F2c, F3c = (F[j][i] for j in range(4))
-        # polynomial part evaluated on one shared alias-free grid
+        # polynomial part sum_j F_j u^j on one shared alias-free grid
         P = g.pad_size(4)
         ux = to_physical(u.coeffs, g, P)
-        poly = to_physical(F0c, g, P) \
-            + to_physical(F1c, g, P) * ux \
-            + to_physical(F2c, g, P) * ux**2 \
-            + to_physical(F3c, g, P) * ux**3
+        poly = to_physical(F[0], g, P)
+        for j in (1, 2, 3):
+            poly = poly + to_physical(F[j], g, P) * ux**j
         out = from_physical(poly, g, P)
         out = out - 3.0 * lam * combine(Bc2b, Bfb, g, P2, "lt")  # f > c2
     else:
@@ -184,16 +182,16 @@ def _check_grid_match(config, U):
     return nsteps
 
 
-def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
-    """One exponential-Euler sweep.  With integrand_source=None the integrands
-    use the running (sequential) state; otherwise they are evaluated on the
-    supplied previous-iterate trajectories (one Picard sweep)."""
+def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
+    """One exponential-Euler sweep on half spectra.  With integrand_source=None
+    the integrands use the running (sequential) state and F each step's
+    coeffs_F; otherwise the supplied previous iterates and F_traj (Picard)."""
     g = U.grid
     lam = config.lam
     eps = config.eps
     nsteps = _check_grid_match(config, U)
     quad = ExponentialQuadrature(g, U.Q, config.dt)
-    shape = (g.n,) * 3
+    shape = g.shape
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
     A = np.zeros(shape, dtype=np.complex128)
@@ -203,10 +201,6 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
     v_traj = np.empty((nsteps + 1,) + shape, dtype=np.complex128)
     w_traj = np.empty_like(v_traj)
     v_traj[0], w_traj[0] = v, w
-    if F_pre is not None:
-        F = F_pre
-    else:
-        F = coeffs_F_traj(lam, U) if lam != 0.0 else None
     part = default_partition(g)
     P2 = g.pad_size(2)
     for i in range(nsteps):
@@ -218,6 +212,8 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
         c30c = U.traj("c30")[i]
         f = FourierField(g, vi + wi - lam * c30c)
         if lam != 0.0:
+            F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
+                else tuple(c[i] for c in F_traj)
             Bfb = physical_blocks(f.coeffs, g, part, P2)
             Bc2b = physical_blocks(c2.coeffs, g, part, P2)
             para = combine(Bfb, Bc2b, g, P2, "lt")
@@ -226,7 +222,7 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
             blocks = (Bfb, Bc2b)
         else:
             para = res = np.zeros(shape, dtype=np.complex128)
-            blocks = None
+            F = blocks = None
         G = g_map(lam, U, FourierField(g, vi + wi), i, eps, V, h, A, B, F,
                   blocks).coeffs
         v = quad.advance(v, -3.0 * lam * para)
@@ -237,32 +233,34 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_pre=None):
         ev0 = quad.decay * ev0
         if not (np.all(np.isfinite(v.view(np.float64)))
                 and np.all(np.isfinite(w.view(np.float64)))):
-            raise BlowUpSignal(U.t_grid[i + 1],
-                               last_state=(v_traj[: i + 1], w_traj[: i + 1]))
+            raise BlowUpSignal(U.t_grid[i + 1], last_state=tuple(
+                _mirror(t[: i + 1], g) for t in (v_traj, w_traj)))
         v_traj[i + 1], w_traj[i + 1] = v, w
     return v_traj, w_traj
 
 
 def solve(config, U, v0, w0, V=None):
-    """Integrate the remainder system on [0, T]; returns the trajectory pair."""
+    """Integrate the remainder system on [0, T]; full cubes in and out."""
     g = U.grid
     v0 = np.asarray(v0, dtype=np.complex128)
     w0 = np.asarray(w0, dtype=np.complex128)
     if v0.shape != (g.n,) * 3 or w0.shape != (g.n,) * 3:
         raise GridError("initial data shape mismatch")
     for c in (v0, w0):
-        if np.max(np.abs(g.reflect(c) - np.conj(c))) > 1e-12 * np.max(np.abs(c)):
+        at_minus_k = np.roll(c[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+        if np.max(np.abs(at_minus_k - np.conj(c))) > 1e-12 * np.max(np.abs(c)):
             raise GridError("initial data is not the spectrum of a real field")
+    v0h, w0h = v0[..., : g.K + 1], w0[..., : g.K + 1]
     if config.mode == "sequential":
-        v_traj, w_traj = _march(config, U, v0, w0, V)
+        v_traj, w_traj = _march(config, U, v0h, w0h, V)
         info = {"mode": "sequential"}
     else:
         nsteps = _check_grid_match(config, U)
-        shape = (nsteps + 1,) + (g.n,) * 3
+        shape = (nsteps + 1,) + g.shape
         quad = ExponentialQuadrature(g, U.Q, config.dt)
         v_prev = np.empty(shape, dtype=np.complex128)
         w_prev = np.empty_like(v_prev)
-        v_prev[0], w_prev[0] = v0, w0
+        v_prev[0], w_prev[0] = v0h, w0h
         for i in range(nsteps):  # zeroth iterate: pure linear evolution
             v_prev[i + 1] = quad.decay * v_prev[i]
             w_prev[i + 1] = quad.decay * w_prev[i]
@@ -270,8 +268,8 @@ def solve(config, U, v0, w0, V=None):
         info = {"mode": "picard", "converged": False, "non_contraction": False}
         F = coeffs_F_traj(config.lam, U) if config.lam != 0.0 else None
         for sweep in range(config.picard_iters):
-            v_new, w_new = _march(config, U, v0, w0, V,
-                                  integrand_source=(v_prev, w_prev), F_pre=F)
+            v_new, w_new = _march(config, U, v0h, w0h, V,
+                                  integrand_source=(v_prev, w_prev), F_traj=F)
             dist = max(float(np.max(np.abs(v_new - v_prev))),
                        float(np.max(np.abs(w_new - w_prev))))
             dists.append(dist)
@@ -286,8 +284,8 @@ def solve(config, U, v0, w0, V=None):
         info["final_distance"] = dists[-1] if dists else 0.0
         v_traj, w_traj = v_prev, w_prev
     t_grid = U.t_grid[: v_traj.shape[0]].copy()
-    return RemainderPair(t_grid=t_grid, v_traj=v_traj, w_traj=w_traj,
-                         initial=(v0, w0), info=info)
+    return RemainderPair(t_grid=t_grid, v_traj=_mirror(v_traj, g),
+                         w_traj=_mirror(w_traj, g), initial=(v0, w0), info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +294,7 @@ def solve(config, U, v0, w0, V=None):
 
 def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
                       holder_stride):
+    traj = traj[..., : grid.K + 1]  # full cubes -> stored halves
     sel = np.where(t_grid <= T + 1e-12)[0]
     fields = [FourierField(grid, traj[i]) for i in sel]
     kap = np.array([besov_norm(f, kappa) for f in fields])
@@ -355,9 +354,9 @@ def y_distance(P1, P2, eps, T, grid, **kw):
 
 
 def reconstruct_phi(U, P, lam):
-    """Phi = free field - lam * c30 + v + w on the common time grid."""
+    """Phi = free field - lam * c30 + v + w on the common time grid (full cubes)."""
     n = P.v_traj.shape[0]
-    return U.traj("one")[:n] - lam * U.traj("c30")[:n] + P.v_traj + P.w_traj
+    return _mirror(U.traj("one")[:n] - lam * U.traj("c30")[:n], U.grid) + P.v_traj + P.w_traj
 
 
 def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
@@ -368,9 +367,10 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
                + C_eps Phi dt + dxi
 
     on the identical noise path as the enhanced-noise build (the OU increments
-    are regenerated from the same counters).  scheme is "exponential_euler"
-    (the same quadrature as the remainder solver) or "etdrk2" (exponential
-    trapezoidal rule, second-order in the drift, for convergence studies).
+    are regenerated from the same counters), full cubes in and out.  scheme is
+    "exponential_euler" (the remainder solver's quadrature) or "etdrk2"
+    (exponential trapezoidal rule, second order in the drift, for convergence
+    studies).
     """
     g = U.grid
     prov = U.provenance
@@ -380,10 +380,9 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     eps = config.eps
     quad = ExponentialQuadrature(g, Q, config.dt)
     C = renorm_set.C_total if include_counterterm else 0.0
-    if phi0 is None:
-        phi0 = U.traj("one")[0] - config.lam * U.traj("c30")[0]
-    phi = np.array(phi0, dtype=np.complex128)
-    traj = np.empty((nsteps + 1,) + (g.n,) * 3, dtype=np.complex128)
+    phi = U.traj("one")[0] - config.lam * U.traj("c30")[0] if phi0 is None \
+        else np.array(phi0, dtype=np.complex128)[..., : g.K + 1]
+    traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     traj[0] = phi
     offset = prov["step_offset"]
     band = prov.get("band")
@@ -414,6 +413,6 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
         else:
             phi = pred + inc
         if not np.all(np.isfinite(phi.view(np.float64))):
-            raise BlowUpSignal(U.t_grid[i + 1], last_state=traj[: i + 1])
+            raise BlowUpSignal(U.t_grid[i + 1], last_state=_mirror(traj[: i + 1], g))
         traj[i + 1] = phi
-    return traj
+    return _mirror(traj, g)

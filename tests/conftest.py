@@ -17,12 +17,27 @@ def delta_field(grid, k, amplitude=1.0):
     c = np.zeros((grid.n,) * 3, dtype=np.complex128)
     c[tuple(int(ki) % grid.n for ki in k)] = amplitude
     c[tuple(-int(ki) % grid.n for ki in k)] += np.conj(amplitude)
-    return FourierField(grid, c)
+    return FourierField(grid, c[..., : grid.K + 1].copy())
 
 
-def hermitian_defect(F):
-    """Max |fhat(-k) - conj(fhat(k))| over the lattice."""
-    return float(np.max(np.abs(F.grid.reflect(F.coeffs) - np.conj(F.coeffs))))
+def reflected(c):
+    """Full cubes at -k (index reversal in FFT order on the last three axes)."""
+    return np.roll(c[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
+
+
+def hermitian_defect(c):
+    """Max |fhat(-k) - conj(fhat(k))| over full (n, n, n) cubes."""
+    return float(np.max(np.abs(reflected(c) - np.conj(c))))
+
+
+def cube_modes(grid):
+    """(k1, k2, k3) over the full mode cube; the lattice holds the k3 >= 0 half."""
+    return np.meshgrid(grid.freqs, grid.freqs, grid.freqs, indexing="ij")
+
+
+def cube_bsq(Q, grid):
+    """bracket(k)^2 over the full mode cube."""
+    return Q.bracket_sq(np.sqrt(sum(k.astype(float)**2 for k in cube_modes(grid))))
 
 
 @pytest.fixture

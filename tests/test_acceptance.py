@@ -13,8 +13,8 @@ from phi4sim.besov import besov_norm, combine, physical_blocks, default_partitio
 from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
-                             FrequencyLattice, apply_semigroup, from_physical,
-                             to_physical)
+                             FrequencyLattice, _mirror, apply_semigroup,
+                             from_physical, to_physical)
 from phi4sim.gaussian import NoiseSeed, chaos_coefficients, hermite
 from phi4sim.renorm import (Potential, build_renorm, c3, coupling_lambda,
                             sigma2_eps, sigma2_limit)
@@ -232,11 +232,11 @@ def test_zero_coupling_reduces_to_exact_mode_decay():
         rng = np.random.default_rng(4)
         v0 = random_hermitian_field(g, rng).coeffs
         w0 = random_hermitian_field(g, rng).coeffs
-        pair = solve(cfg, U, v0, w0)
+        pair = solve(cfg, U, _mirror(v0, g), _mirror(w0, g))
         decay = ExponentialQuadrature(g, Q, dt).decay
         for i in range(n + 1):
-            assert np.max(np.abs(pair.v_traj[i] - decay**i * v0)) < 1e-12
-            assert np.max(np.abs(pair.w_traj[i] - decay**i * w0)) < 1e-12
+            assert np.max(np.abs(pair.v_traj[i] - _mirror(decay**i * v0, g))) < 1e-12
+            assert np.max(np.abs(pair.w_traj[i] - _mirror(decay**i * w0, g))) < 1e-12
 
 
 def test_semigroup_smoothing_constant_is_small():

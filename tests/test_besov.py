@@ -9,7 +9,8 @@ from phi4sim.besov import (BesovProfile, DyadicPartition, besov_norm,
                            physical_blocks, resonance)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, apply_semigroup, product)
+                             FrequencyLattice, apply_semigroup, from_physical,
+                             product)
 from conftest import delta_field, random_hermitian_field
 
 
@@ -129,6 +130,26 @@ def test_block_sharing_matches_direct_calls(rng):
     assert np.array_equal(combine(Bf, Bh, g, P, "lt"), para_lt(f, h).coeffs)
     assert np.array_equal(combine(Bh, Bf, g, P, "lt"), para_gt(f, h).coeffs)
     assert np.array_equal(combine(Bf, Bh, g, P, "res"), resonance(f, h).coeffs)
+
+
+def _lt_by_cumsum(Bf, Bg, g, P):
+    """The low-high paraproduct summed from a cumulative copy of the blocks."""
+    C = np.cumsum(Bf, axis=-4)
+    acc = np.zeros(np.broadcast_shapes(Bf.shape[:-4], Bg.shape[:-4]) + (P,) * 3)
+    for a in range(2, Bf.shape[-4]):
+        acc += C[..., a - 2, :, :, :] * Bg[..., a, :, :, :]
+    return from_physical(acc, g, P)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_lt_running_sum_matches_cumsum_bit_for_bit(batch):
+    g = FrequencyLattice(6)
+    P = g.pad_size(2)
+    rng = np.random.default_rng(8)
+    f, h = (from_physical(rng.standard_normal(batch + (g.n,) * 3), g, g.n)
+            for _ in range(2))
+    Bf, Bh = (physical_blocks(c, g, None, P) for c in (f, h))
+    assert np.array_equal(combine(Bf, Bh, g, P, "lt"), _lt_by_cumsum(Bf, Bh, g, P))
 
 
 def test_commutator_definition(rng):

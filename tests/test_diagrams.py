@@ -11,6 +11,7 @@ from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
                              from_physical, to_physical)
 from phi4sim.gaussian import NoiseSeed, band_mask, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
+from conftest import cube_bsq, cube_modes
 
 EPS = 0.3
 KCUT = 2
@@ -71,7 +72,7 @@ def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
     for tag in ("one", "c0", "c1", "c2", "c30", "c31", "c22", "c32"):
-        assert U.components[tag].shape == (T, 5, 5, 5)
+        assert U.components[tag].shape == (T, 5, 5, 3)
     assert U.provenance["master"] == 11
     assert U.provenance["lam"] == rs.lam
     assert U.provenance["step_offset"] > 0
@@ -262,10 +263,10 @@ def test_oracle_free_field_temporal_decay():
 def test_oracle_wick_square_is_pair_convolution():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(1)
-    bsq = Q.bracket_sq_grid(g)
+    bsq = cube_bsq(Q, g)
     # direct pair sum at k = (1,0,0)
     want = 0.0
-    kv = np.stack([g.k1.ravel(), g.k2.ravel(), g.k3.ravel()], axis=-1)
+    kv = np.stack([k.ravel() for k in cube_modes(g)], axis=-1)
     b = bsq.ravel()
     for i in range(b.size):
         for j in range(b.size):
@@ -300,6 +301,16 @@ def test_mc_moment_temporal_pair():
     assert abs(rep.z) < 4.0
     assert rep.oracle < second_moment_oracle("one", (1, 0, 0), 0.0, Q, EPS,
                                              KCUT)
+
+
+@pytest.mark.parametrize("t_pair", [None, (0.0, 0.1)])
+def test_mc_moment_reads_negative_k3_as_the_conjugate_mode(t_pair):
+    # the stored half has no k3 < 0 column: mode k is the conjugate of -k
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    g = FrequencyLattice(KCUT)
+    a, b = (mc_moment("one", k, 0.0, 30, NoiseSeed(24), g, Q, t_pair=t_pair)
+            for k in ((1, 2, -1), (-1, -2, 1)))
+    assert a.mean == b.mean and a.se == b.se and a.oracle == b.oracle
 
 
 def test_mc_moment_rejects_zero_samples():

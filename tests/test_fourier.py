@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, apply_semigroup, bracket_eps,
-                             from_physical, get_threads, load_field, product,
-                             save_field, set_threads, to_physical,
-                             validate_symbol)
-from conftest import delta_field, hermitian_defect, random_hermitian_field
+                             FrequencyLattice, _mirror, apply_semigroup,
+                             bracket_eps, from_physical, get_threads,
+                             load_field, product, save_field, set_threads,
+                             to_physical, validate_symbol)
+from conftest import (delta_field, hermitian_defect, random_hermitian_field,
+                      reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +28,8 @@ def test_lattice_shapes_and_frequencies():
     assert g.ksq[0, 0, 0] == 0
     assert g.ksq[1, 0, 0] == 1
     assert g.ksq[-1, 0, 0] == 1
+    assert g.shape == g.kabs.shape == (7, 7, 4)
+    assert list(g.k3[0, 0]) == [0, 1, 2, 3]
 
 
 def test_lattice_rejects_bad_sizes():
@@ -34,13 +37,15 @@ def test_lattice_rejects_bad_sizes():
         FrequencyLattice(-1)
 
 
-def test_reflect_is_mode_negation():
+def test_mirror_is_mode_negation():
     g = FrequencyLattice(2)
-    c = np.zeros((g.n,) * 3)
-    c[1, (-2) % g.n, 0] = 1.0
-    r = g.reflect(c)
-    assert r[(-1) % g.n, 2 % g.n, 0] == 1.0
-    assert np.count_nonzero(r) == 1
+    h = np.zeros(g.shape, dtype=np.complex128)
+    h[1, (-2) % g.n, 1] = 1.0 + 2.0j
+    full = _mirror(h, g)
+    assert full.shape == (g.n,) * 3
+    assert full[(-1) % g.n, 2 % g.n, (-1) % g.n] == 1.0 - 2.0j
+    assert np.count_nonzero(full) == 2
+    assert np.array_equal(full[..., : g.K + 1], h)
 
 
 @given(K=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
@@ -56,7 +61,32 @@ def test_forward_inverse_round_trip(K, seed):
 def test_forward_of_real_samples_is_hermitian(rng):
     g = FrequencyLattice(3)
     f = random_hermitian_field(g, rng)
-    assert hermitian_defect(f) < 1e-12
+    assert f.coeffs.shape == g.shape
+    assert hermitian_defect(_mirror(f.coeffs, g)) < 1e-12
+
+
+def _mirror_as_before(h, g):
+    """The conjugate mirror from_physical used to append to its k3 >= 0 half."""
+    K, n = g.K, g.n
+    out = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : K + 1] = h
+    out[..., K + 1:] = np.roll(np.conj(h[..., ::-1, ::-1, :0:-1]), 1, axis=(-3, -2))
+    return out
+
+
+@given(K=st.integers(0, 10), batch=st.sampled_from([(), (2,)]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_half_and_full_cubes_convert_exactly(K, batch, seed):
+    g = FrequencyLattice(K)
+    rng = np.random.default_rng(seed)
+    P = g.pad_size(2)
+    h = from_physical(rng.standard_normal(batch + (P, P, P)), g, P)
+    assert h.shape == batch + g.shape
+    full = _mirror(h, g)
+    assert np.array_equal(full, _mirror_as_before(h, g))
+    assert np.array_equal(full[..., : K + 1], h)
+    assert hermitian_defect(full) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_pad_size_covers_degree():
@@ -72,7 +102,7 @@ def test_pad_size_covers_degree():
 def _hermitian_cube(g, rng, batch=()):
     z = rng.standard_normal(batch + (g.n,) * 3) \
         + 1j * rng.standard_normal(batch + (g.n,) * 3)
-    return z + np.conj(g.reflect(z))
+    return z + np.conj(reflected(z))
 
 
 def _full_grid_pair(g, P):
@@ -111,17 +141,17 @@ def test_pruned_pair_matches_full_grid_transforms(K, degree, batch, seed):
     rng = np.random.default_rng(seed)
     to_ref, from_ref = _full_grid_pair(g, P)
     c = _hermitian_cube(g, rng, batch)
-    x = to_physical(c, g, P)
+    x = to_physical(c[..., : K + 1], g, P)
     assert x.shape == batch + (P, P, P) and np.isrealobj(x)
     assert _rel(x, to_ref(c)) <= 1e-13
     f = rng.standard_normal(batch + (P, P, P))
-    assert _rel(from_physical(f, g, P), from_ref(f)) <= 1e-13
+    assert _rel(_mirror(from_physical(f, g, P), g), from_ref(f)) <= 1e-13
 
 
 def test_pruned_pair_is_independent_of_thread_count(rng):
     g = FrequencyLattice(6)
     P = g.pad_size(3)
-    c = _hermitian_cube(g, rng, (3,))
+    c = _hermitian_cube(g, rng, (3,))[..., : g.K + 1]
     f = rng.standard_normal((3, P, P, P))
     before = get_threads()
     try:
@@ -138,7 +168,7 @@ def test_pruned_pair_is_independent_of_thread_count(rng):
 @pytest.mark.parametrize("K", [0, 1, 4])
 def test_pruned_pair_round_trips_without_padding(K, rng):
     g = FrequencyLattice(K)
-    c = _hermitian_cube(g, rng)
+    c = _hermitian_cube(g, rng)[..., : K + 1]
     for P in {g.n, g.pad_size(3)}:  # P = 2K+1 has no zero lines at all
         assert _rel(from_physical(to_physical(c, g, P), g, P), c) <= 1e-13
 
@@ -148,15 +178,16 @@ def test_pruned_pair_round_trips_without_padding(K, rng):
 
 
 def _direct_convolution(F, G):
-    """O(n^6) reference convolution projected to the cube."""
+    """O(n^6) reference convolution projected to the full cube."""
     g = F.grid
     K, n = g.K, g.n
+    Fc, Gc = _mirror(F.coeffs, g), _mirror(G.coeffs, g)
     out = np.zeros((n, n, n), dtype=np.complex128)
     rng = range(-K, K + 1)
     for a1 in rng:
         for a2 in rng:
             for a3 in rng:
-                fa = F.coeffs[a1 % n, a2 % n, a3 % n]
+                fa = Fc[a1 % n, a2 % n, a3 % n]
                 if fa == 0:
                     continue
                 for b1 in rng:
@@ -166,7 +197,7 @@ def _direct_convolution(F, G):
                             if max(abs(c[0]), abs(c[1]), abs(c[2])) > K:
                                 continue
                             out[c[0] % n, c[1] % n, c[2] % n] += \
-                                fa * G.coeffs[b1 % n, b2 % n, b3 % n]
+                                fa * Gc[b1 % n, b2 % n, b3 % n]
     return out
 
 
@@ -174,7 +205,7 @@ def test_product_matches_direct_convolution(rng):
     g = FrequencyLattice(2)
     F = random_hermitian_field(g, rng)
     G = random_hermitian_field(g, rng)
-    got = product(F, G).coeffs
+    got = _mirror(product(F, G).coeffs, g)
     want = _direct_convolution(F, G)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -183,7 +214,7 @@ def test_product_of_single_modes_adds_frequencies():
     g = FrequencyLattice(3)
     f = delta_field(g, (1, 0, 2))
     h = delta_field(g, (2, -1, 0))
-    p = product(f, h).coeffs
+    p = _mirror(product(f, h).coeffs, g)
     # (e_a + e_-a)(e_b + e_-b) has the four modes +-a +-b
     sums = [(3, -1, 2), (-1, 1, 2), (1, -1, -2), (-3, 1, -2)]
     for k in sums:
@@ -204,10 +235,18 @@ def test_no_aliasing_in_cubic_power(rng):
     g = FrequencyLattice(2)
     F = random_hermitian_field(g, rng)
     P = g.pad_size(3)
-    cube = from_physical(to_physical(F.coeffs, g, P)**3, g, P)
+    cube = _mirror(from_physical(to_physical(F.coeffs, g, P)**3, g, P), g)
     # compare against pairwise convolution done fully alias-free at degree 3
     want = _direct_convolution_3(F)
     assert np.max(np.abs(cube - want)) < 1e-11
+
+
+def test_to_physical_rejects_a_full_cube(rng):
+    # a full cube's k3 < 0 columns would be read as k3 > K without the check
+    g = FrequencyLattice(2)
+    full = _mirror(random_hermitian_field(g, rng).coeffs, g)
+    with pytest.raises(GridError, match="half spectrum"):
+        to_physical(full, g, g.pad_size(2))
 
 
 def test_from_physical_rejects_complex_samples():
@@ -232,10 +271,11 @@ def _direct_convolution_3(F):
     idx = np.concatenate([np.arange(0, K + 1), np.arange(big.n - K, big.n)])
     cube = np.ix_(idx, idx, idx)
     c = np.zeros((big.n,) * 3, dtype=np.complex128)
-    c[cube] = F.coeffs
-    Fb = FourierField(big, c)
+    c[cube] = _mirror(F.coeffs, g)
+    Fb = FourierField(big, c[..., : big.K + 1])
     sq_full = _direct_convolution(Fb, Fb)  # cube 2K holds the full square
-    out_big = _direct_convolution(FourierField(big, sq_full), Fb)
+    out_big = _direct_convolution(FourierField(big, sq_full[..., : big.K + 1]),
+                                  Fb)
     return out_big[cube]
 
 
@@ -308,7 +348,7 @@ def test_exponential_quadrature_exact_for_constant_forcing():
     Q = DispersionQ.quartic(0.0, nu=1.0)
     dt = 0.37
     quad = ExponentialQuadrature(g, Q, dt)
-    y0 = np.ones((g.n,) * 3, dtype=np.complex128)
+    y0 = np.ones(g.shape, dtype=np.complex128)
     u = 2.5 * np.ones_like(y0)
     got = quad.advance(y0, u)
     b = Q.bracket_sq_grid(g)
@@ -339,6 +379,17 @@ def test_snapshot_round_trip(tmp_path, rng):
     assert np.array_equal(back.coeffs, f.coeffs)
 
 
+def test_snapshot_holds_the_full_cube(tmp_path, rng):
+    # the file format is the (re, im) pairs of all (2K+1)^3 modes
+    g = FrequencyLattice(2)
+    f = random_hermitian_field(g, rng)
+    path = tmp_path / "field.fld"
+    save_field(path, f)
+    raw = np.frombuffer(path.read_bytes()[17:], dtype="<f8")
+    assert np.array_equal(raw[0::2] + 1j * raw[1::2],
+                          _mirror(f.coeffs, g).ravel())
+
+
 @pytest.mark.parametrize("offset, value", [(12, b"\x09"), (16, b"\x00")],
                          ids=["M", "flag"])
 def test_snapshot_rejects_header_of_no_real_cube(tmp_path, rng, offset, value):
@@ -367,6 +418,13 @@ def test_snapshot_rejects_truncation(tmp_path, rng):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(GridError):
+        load_field(path)
+
+
+def test_snapshot_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.fld"
+    path.write_bytes(b"PHI4FLD1\x02\x00")
+    with pytest.raises(GridError, match="header"):
         load_field(path)
 
 

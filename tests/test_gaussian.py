@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phi4sim.fourier import DispersionQ, FrequencyLattice
+from phi4sim.fourier import DispersionQ, FrequencyLattice, _mirror
 from phi4sim.gaussian import (NoiseSeed, TAG_INIT, TAG_OU, advance,
                               band_mask, chaos_coefficients,
                               gaussian_expectation, hermite, ou_increment,
                               sample_stationary, unit_hermitian_normals,
                               wick_power)
+from conftest import hermitian_defect, reflected
 
 
 # ---------------------------------------------------------------------------
@@ -20,9 +21,24 @@ def test_normals_are_hermitian_and_deterministic():
     z1 = unit_hermitian_normals(seed, g, sample=0, tag=TAG_INIT, step=0)
     z2 = unit_hermitian_normals(seed, g, sample=0, tag=TAG_INIT, step=0)
     assert np.array_equal(z1, z2)
-    defect = np.max(np.abs(g.reflect(z1) - np.conj(z1)))
-    assert defect < 1e-15
+    assert z1.shape == g.shape
+    assert hermitian_defect(_mirror(z1, g)) < 1e-15
     assert abs(z1[0, 0, 0].imag) < 1e-15  # the self-conjugate mode is real
+
+
+def test_normals_are_the_half_of_the_symmetrized_cube():
+    # the stream is drawn over the whole cube, so the half is bit-identical
+    # to the k3 >= 0 columns of the symmetrized draw
+    g = FrequencyLattice(3)
+    seed = NoiseSeed(42)
+    ss = np.random.SeedSequence([42, 1, TAG_OU, 5])
+    ab = np.random.Generator(np.random.Philox(seed=ss)).standard_normal(
+        (2,) + (g.n,) * 3)
+    z = (ab[0] + 1j * ab[1]) / np.sqrt(2.0)
+    full = (z + np.conj(reflected(z))) / np.sqrt(2.0)
+    got = unit_hermitian_normals(seed, g, sample=1, tag=TAG_OU, step=5)
+    assert np.array_equal(got, full[..., : g.K + 1])
+    assert np.array_equal(_mirror(got, g), full)
 
 
 def test_distinct_counters_give_distinct_draws():
@@ -40,7 +56,7 @@ def test_unit_variance_of_normals():
     g = FrequencyLattice(2)
     seed = NoiseSeed(7)
     M = 4000
-    acc = np.zeros((g.n,) * 3)
+    acc = np.zeros(g.shape)
     for m in range(M):
         z = unit_hermitian_normals(seed, g, m, TAG_INIT, 0)
         acc += np.abs(z) ** 2
@@ -60,7 +76,7 @@ def test_stationary_spectrum():
     seed = NoiseSeed(3)
     bsq = Q.bracket_sq_grid(g)
     M = 4000
-    acc = np.zeros((g.n,) * 3)
+    acc = np.zeros(g.shape)
     for m in range(M):
         acc += np.abs(sample_stationary(seed, g, Q, sample=m).coeffs) ** 2
     mean = acc / M

@@ -5,8 +5,8 @@ from phi4sim import besov, solver
 from phi4sim.besov import commutator_com, para_gt, para_lt, resonance
 from phi4sim.diagrams import _resonance_pass, build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
-from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, get_threads, product,
+from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
+                             FrequencyLattice, _mirror, get_threads, product,
                              set_threads)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
@@ -143,22 +143,53 @@ def test_zero_coupling_is_exact_linear_decay(rng):
     cfg = SolverConfig(eps=EPS, lam=0.0, dt=DT, T=T, K=K)
     v0 = random_hermitian_field(g, rng).coeffs
     w0 = random_hermitian_field(g, rng).coeffs
-    P = solve(cfg, U, v0, w0)
+    P = solve(cfg, U, _mirror(v0, g), _mirror(w0, g))
     decay = ExponentialQuadrature(g, Q, DT).decay
     for i in range(len(P.t_grid)):
-        assert np.max(np.abs(P.v_traj[i] - decay**i * v0)) < 1e-12
-        assert np.max(np.abs(P.w_traj[i] - decay**i * w0)) < 1e-12
+        assert np.max(np.abs(P.v_traj[i] - _mirror(decay**i * v0, g))) < 1e-12
+        assert np.max(np.abs(P.w_traj[i] - _mirror(decay**i * w0, g))) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["sequential", "picard"])
 def test_solution_stays_hermitian(mode):
-    # the real transforms drop any anti-hermitian part, so none may build up
+    # the real transforms drop any anti-hermitian part, so none may build up;
+    # the returned full cubes mirror k3 > 0, so the k3 = 0 plane is what counts
     _, V, rs, g, U, cfg = _setup(mode=mode)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
+    assert P.v_traj.shape[1:] == P.w_traj.shape[1:] == (g.n,) * 3
     assert np.max(np.abs(P.w_traj[-1])) > 0
     for c in np.concatenate([P.v_traj, P.w_traj]):
-        assert hermitian_defect(FourierField(g, c)) <= 1e-14 * np.max(np.abs(c))
+        assert hermitian_defect(c) <= 1e-14 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("mode, want", [("sequential", 0), ("picard", 1)])
+def test_coefficient_trajectories_are_built_only_for_picard(mode, want,
+                                                            monkeypatch):
+    _, V, rs, g, U, cfg = _setup(mode=mode)
+    calls = []
+    real = solver.coeffs_F_traj
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "coeffs_F_traj", counted)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    P = solve(cfg, U, z, z, V=V)
+    assert len(calls) == want
+    assert mode == "sequential" or P.info["sweeps"] > 1
+
+
+def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
+    # reference: the march fed one coeffs_F_traj precompute, as Picard feeds it
+    _, V, rs, g, U, cfg = _setup()
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    P = solve(cfg, U, z, z, V=V)
+    h = z[..., : g.K + 1]
+    v, w = solver._march(cfg, U, h, h, V, F_traj=coeffs_F_traj(cfg.lam, U))
+    assert np.array_equal(P.v_traj, _mirror(v, g))
+    assert np.array_equal(P.w_traj, _mirror(w, g))
 
 
 def test_solve_rejects_initial_data_of_no_real_field(rng):
@@ -262,7 +293,8 @@ def test_y_norm_monotone_in_horizon():
     g = FrequencyLattice(2)
     t_grid = np.arange(11) * 0.01
     rng = np.random.default_rng(5)
-    v = np.stack([random_hermitian_field(g, rng).coeffs for _ in range(11)])
+    v = _mirror(np.stack([random_hermitian_field(g, rng).coeffs
+                          for _ in range(11)]), g)
     P = RemainderPair(t_grid=t_grid, v_traj=v, w_traj=np.zeros_like(v),
                       initial=(v[0], v[0] * 0))
     assert y_norm(P, 0.0, 0.1, grid=g) >= y_norm(P, 0.0, 0.03, grid=g) - 1e-12

@@ -96,9 +96,15 @@ def cmd_validate(cfg, out_dir, seed):
                        "eta_hat", "passed"], rows)
 
 
-def cmd_constants(cfg, out_dir, seed):
+def _require_positive_eps(cfg):
     if not cfg.eps:
         _fail(EXIT_USAGE, "empty eps list")
+    if any(e <= 0 for e in cfg.eps):
+        _fail(EXIT_USAGE, "eps list must be positive")
+
+
+def cmd_constants(cfg, out_dir, seed):
+    _require_positive_eps(cfg)
     V = cfg.make_potential()
     rows = []
     for eps in cfg.eps:
@@ -121,8 +127,7 @@ def cmd_constants(cfg, out_dir, seed):
 def cmd_moments(cfg, out_dir, seed):
     if cfg.samples < 1:
         _fail(EXIT_USAGE, "zero samples")
-    if not cfg.eps:
-        _fail(EXIT_USAGE, "empty eps list")
+    _require_positive_eps(cfg)
     V = cfg.make_potential()
     noise = NoiseSeed(seed)
     rows = []
@@ -149,11 +154,10 @@ def cmd_moments(cfg, out_dir, seed):
                                      f"max_abs_z={_fmt(float(worst))}"])
 
 
-def _solver_config(cfg, eps, K, lam, n_half):
+def _solver_config(cfg, eps, K, lam):
     s = {**SOLVER_DEFAULTS, **cfg.solver}
-    return SolverConfig(eps=eps, lam=lam, K=K, n_half=n_half,
-                        dt=float(s["dt"]), T=float(s["T"]),
-                        kappa=float(s["kappa"]), mode=s["mode"],
+    return SolverConfig(eps=eps, lam=lam, K=K, dt=float(s["dt"]),
+                        T=float(s["T"]), mode=s["mode"],
                         picard_iters=int(s["picard_iters"]))
 
 
@@ -165,7 +169,7 @@ def _time_grid(dt, T):
 def _run_one(cfg, noise, eps, K, lam, V):
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
-    sc = _solver_config(cfg, eps, K, lam if lam is not None else 1.0, V.n)
+    sc = _solver_config(cfg, eps, K, lam if lam is not None else 1.0)
     t_grid = _time_grid(sc.dt, sc.T)
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
@@ -222,13 +226,10 @@ def cmd_solve(cfg, out_dir, seed):
 
 
 def cmd_converge(cfg, out_dir, seed):
-    if not cfg.eps:
-        _fail(EXIT_USAGE, "empty eps list")
+    _require_positive_eps(cfg)
     V = cfg.make_potential()
     noise = NoiseSeed(seed)
     eps_sorted = sorted(float(e) for e in cfg.eps)
-    if any(e <= 0 for e in eps_sorted):
-        _fail(EXIT_USAGE, "eps list must be positive (the limit run is implicit)")
     # one shared lattice so the runs couple through identical mode noise
     K = cfg.cutoff_for(min(eps_sorted)) if cfg.k_rule["kind"] == "inverse" \
         else int(cfg.k_rule["K"])
@@ -236,6 +237,7 @@ def cmd_converge(cfg, out_dir, seed):
     if lam is None:
         Qref = cfg.make_symbol(min(eps_sorted))
         lam = coupling_lambda(V, sigma2_limit(Qref))
+    kappa = float({**SOLVER_DEFAULTS, **cfg.solver}["kappa"])
     failed = []
 
     def run(eps):
@@ -259,9 +261,8 @@ def cmd_converge(cfg, out_dir, seed):
         sc, pair = run(eps)
         if pair is None or limit is None:
             continue
-        stride = max(1, (len(pair.t_grid) - 1) // 8)
-        dist = y_distance(pair, limit, 0.0, sc.T, grid, n_half=V.n,
-                          holder_stride=stride)
+        dist = y_distance(pair, limit, 0.0, sc.T, grid, kappa=kappa,
+                          n_half=V.n)
         if prev is not None and dist >= prev:
             monotone = False
         prev = dist

@@ -8,13 +8,15 @@ scalar of the wrong type or out of the range noted below:
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
     potential: [v2, v4, v6, ...]   ascending even coefficients of V (>= 2 numbers)
-    eps:       [0.2, 0.1, ...]     epsilon sweep in [0, 1] (may be empty only for solve)
+    eps:       [0.2, 0.1, ...]     epsilon sweep in [0, 1] (may be empty only for solve;
+                                   0, the limit run of solve, needs a fixed k_rule)
     k_rule:    {kind: inverse, factor: 4.0}  ->  K = ceil(factor / eps), factor > 0
                {kind: fixed,   K: 8}         ->  integer K >= 1
     seed:      master seed (integer >= 0)
     samples:   Monte Carlo replicas (integer >= 0)
     solver:    {dt, T: 0 < dt <= T, lam: null|float, kappa: > 0,
                 mode: sequential|picard, picard_iters: integer >= 1}
+               kappa sets the Y-norm of the distances that converge reports
     out_dir:   output directory
 
 `dump_config(load_config(p))` reproduces the document byte-identically up to
@@ -87,10 +89,12 @@ class ExperimentConfig:
             raise ConfigError(f"inverse k_rule needs a factor > 0: {self.k_rule!r}")
         if not _is_count(self.seed, 0):
             raise ConfigError(f"seed must be an integer >= 0: {self.seed!r}")
-        # eps = 0 is the limit run of solve
+        # eps = 0 is the limit run of solve, on a fixed K
         if not isinstance(self.eps, list) or \
                 not all(_is_number(e) and 0 <= e <= 1 for e in self.eps):
             raise ConfigError(f"eps must be numbers in [0, 1]: {self.eps!r}")
+        if kind == "inverse" and 0 in self.eps:
+            raise ConfigError(f"inverse k_rule needs positive eps: {self.eps!r}")
         solver = {**SOLVER_DEFAULTS, **self.solver}
         dt, T = solver["dt"], solver["T"]
         if not (_is_number(dt) and _is_number(T) and 0 < dt <= T):

@@ -1,6 +1,6 @@
 """Construction of the enhanced noise (the seven stochastic objects), the
 sharp-cutoff standard objects, analytic second-moment oracles via Wick
-contractions, Monte Carlo moment audits, and the regularity diagnostic.
+contractions, Monte Carlo moment audits, and the enhanced-noise norm.
 
 Component tags (in chaos order):
     one : the free field trajectory (kept for reconstruction/coupling)
@@ -18,8 +18,9 @@ the main window), so the discrete Duhamel recursion on t >= 0 is at the run
 resolution at logarithmic burn-in cost.
 
 Each noise field is worked once per step: c0..c3 are polynomials in the free
-field that share its transform and powers, and one pass decomposes c30, c1,
-c20 and c2 into Littlewood-Paley blocks once per slice for the resonances.
+field that share its transform and powers, and the same loop decomposes c30,
+c1, c20 and c2 into Littlewood-Paley blocks once per slice for the three
+resonances, so no trajectory of c20 is kept.
 """
 
 import math
@@ -164,9 +165,9 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
 
 def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
                   burn_in, coarse_dt, fine_window, counterterms):
-    """Shared burn-in, main loop and resonance pass; returns the components,
-    c20 at t = 0 and the OU path offset.  `counterterms` (k31, k22, k32) are
-    subtracted as c31 - k31, c22 - k22 (0-mode shifts) and c32 - k32 X."""
+    """Shared burn-in and main loop; returns the components, c20 at t = 0 and
+    the OU path offset.  `counterterms` (k31, k22, k32) are subtracted as
+    c31 - k31, c22 - k22 (0-mode shifts) and c32 - k32 X."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
@@ -184,44 +185,30 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
             I3 = quad.advance(I3, c)
             ens = advance(ens, h)
     step_offset = ens.step
+    c20_0 = I2
 
     T = nsteps + 1
-    one = np.empty((T,) + shape, dtype=np.complex128)
-    n0 = np.empty_like(one)
-    n1 = np.empty_like(one)
-    n2 = np.empty_like(one)
-    c30 = np.empty_like(one)
-    c20 = np.empty_like(one)
+    one, n0, n1, n2, c30, r31, r22, r32 = (
+        np.empty((T,) + shape, dtype=np.complex128) for _ in range(8))
     quad = ExponentialQuadrature(grid, Q, dt)
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
         c30[i] = I3
-        c20[i] = I2
+        # the resonances c30 o c1, c20 o c2 and c30 o c2 of this slice
+        B30, B1, B20, B2 = (besov.physical_blocks(f, grid)
+                            for f in (I3, n1[i], I2, n2[i]))
+        for dst, Ba, Bb in zip((r31, r22, r32), (B30, B20, B30), (B1, B2, B2)):
+            dst[i] = besov.combine(Ba, Bb, grid, "res")
         if i < nsteps:
             I2 = quad.advance(I2, n2[i])
             I3 = quad.advance(I3, a3)
             ens = advance(ens, dt)
-    r31, r22, r32 = _resonance_pass(c30, n1, c20, n2, grid)
     k31, k22, k32 = counterterms
+    r32 -= k32 * one
     return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30,
                 c31=traj_const_shift(r31, -k31), c22=traj_const_shift(r22, -k22),
-                c32=r32 - k32 * one), c20[0].copy(), step_offset
-
-
-def _resonance_pass(c30, c1, c20, c2, grid, chunk=1):
-    """The resonances c30 o c1, c20 o c2 and c30 o c2 of the trajectories,
-    `chunk` slices at a time, each field decomposed into blocks once.
-    Per-slice by default, as batches of pruned transforms fall out of the
-    cache (K=8, 51 slices: 0.08 s against 0.11 s in chunks of 16)."""
-    P = grid.pad_size(2)
-    out = tuple(np.empty_like(c30) for _ in range(3))
-    for s in range(0, len(c30), chunk):
-        B30, B1, B20, B2 = (besov.physical_blocks(f[s:s + chunk], grid, None, P)
-                            for f in (c30, c1, c20, c2))
-        for dst, Ba, Bb in zip(out, (B30, B20, B30), (B1, B2, B2)):
-            dst[s:s + chunk] = besov.combine(Ba, Bb, grid, P, "res")
-    return out
+                c32=r32), c20_0, step_offset
 
 
 def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0, band=None,
@@ -260,7 +247,7 @@ def build_limit_upsilon(seed, grid, eps_cutoff, t_grid, lam=1.0, sample=0,
         band = min(grid.K, int(math.floor(1.0 / eps_cutoff)))
     else:
         band = grid.K
-    c1_std, c2_std = renorm.standard_constants(None, K=band)
+    c1_std, c2_std = renorm.standard_constants(band)
     ev = _NoiseEvaluator.standard(grid, c1_std)
     comps, c20_0, step_offset = _build_common(
         seed, grid, Q0, ev, t_grid, sample, band if band < grid.K else None,
@@ -335,7 +322,7 @@ def _jackknife_se(values):
 
 
 def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
-              t_pair=None, band=None):
+              t_pair=None):
     """Monte Carlo estimate of the second moment at mode k vs the oracle."""
     if M < 1:
         raise ValueError("need at least one sample")
@@ -351,7 +338,7 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
         nu = None
     vals = np.empty(M)
     for m in range(M):
-        ens = sample_stationary(seed, grid, Q, sample=m, band=band)
+        ens = sample_stationary(seed, grid, Q, sample=m)
         if t_pair is not None:
             dt = t_pair[1] - t_pair[0]
             ens2 = advance(ens, dt)
@@ -387,28 +374,10 @@ def _pointwise_var(grid, Q):
 
 
 # ---------------------------------------------------------------------------
-# regularity diagnostic and the enhanced-noise norm
+# the enhanced-noise norm
 
 
-def regularity_diagnostic(moments, brackets, alpha, d=3):
-    """Weighted sup sup_k <k>^(d+2 alpha) E|tau-hat(k)|^2 and its shell trend."""
-    moments = np.asarray(moments, dtype=np.float64)
-    weighted = brackets ** (d + 2.0 * alpha) * moments
-    sup = float(np.max(weighted))
-    arg = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
-    # dyadic shells in |bracket| (brackets >= 1 always)
-    levels = np.floor(np.log2(brackets)).astype(int)
-    shells = {}
-    for j in range(0, int(levels.max()) + 1):
-        sel = levels == j
-        if np.any(sel):
-            shells[j] = float(np.max(weighted[sel]))
-    vals = [v for v in shells.values() if v > 0]
-    trend = max(vals) / min(vals) if vals else float("inf")
-    return dict(sup=sup, argmax=arg, shells=shells, trend_ratio=trend)
-
-
-def x_norm(U, T, kappa=0.05, holder_stride=None):
+def x_norm(U, T, kappa=0.05):
     """Sum of component sup-in-time Besov norms at the slot exponents plus the
     1/8-Hoelder seminorm of the integrated cubic component at level 1/4 - kappa."""
     sel = U.t_grid <= T + 1e-12
@@ -422,12 +391,11 @@ def x_norm(U, T, kappa=0.05, holder_stride=None):
         for i in times:
             best = max(best, besov.besov_norm(U.field(tag, i), alpha))
         total += best
-    idxs = times if holder_stride is None else times[::holder_stride]
     c30 = U.traj("c30")
     hold = 0.0
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            i, j = idxs[a], idxs[b]
+    for a in range(len(times)):
+        for b in range(a + 1, len(times)):
+            i, j = times[a], times[b]
             diff = FourierField(U.grid, c30[j] - c30[i])
             dtv = abs(U.t_grid[j] - U.t_grid[i])
             hold = max(hold, besov.besov_norm(diff, 0.25 - kappa) / dtv**0.125)

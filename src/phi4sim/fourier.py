@@ -171,6 +171,18 @@ def _mirror(half, grid):
     return out
 
 
+def _half(full, grid, what):
+    """The stored half of a full (n, n, n) cube, which must be the spectrum of
+    a real field: |fhat(-k) - conj(fhat(k))| <= 1e-12 max |fhat|."""
+    full = np.asarray(full, dtype=np.complex128)
+    if full.shape != (grid.n,) * 3:
+        raise GridError(f"{what} has shape {full.shape}, not {(grid.n,) * 3}")
+    at_minus_k = np.roll(full[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+    if np.max(np.abs(at_minus_k - np.conj(full))) > 1e-12 * np.max(np.abs(full)):
+        raise GridError(f"{what} is not the spectrum of a real field")
+    return full[..., : grid.K + 1]
+
+
 def product(F, G, degree_hint=2):
     """Alias-free pointwise product projected back to the cube."""
     _check_same_grid(F, G)
@@ -229,12 +241,6 @@ class DispersionQ:
         return self.bracket_sq(grid.kabs)
 
 
-def bracket_eps(Q, k):
-    """Per-mode dispersion bracket for an integer 3-vector k."""
-    kabs = float(np.sqrt(np.dot(k, k)))
-    return float(np.sqrt(Q.bracket_sq(kabs)))
-
-
 @dataclass
 class ValidationReport:
     """Outcome of the numerical checks on a smoothing symbol."""
@@ -245,17 +251,16 @@ class ValidationReport:
     notes: str = ""
 
 
-def validate_symbol(Q, zmax=1e3, nsamples=400):
+def validate_symbol(Q):
     """Check the symbol's normalization, positivity, and growth on samples.
 
     Items: (1) Q(0)=0 with unit curvature Q''(0)/2 = 1; (2) Q > 0 for z > 0;
     (3) fitted log-log growth exponent exceeds 3 (eta_hat = slope - 3 > 0).
-    Item (4), a bound on derivative growth, involves derivatives this package
-    never evaluates and is recorded as unchecked.
+    The samples are 400 log-spaced points z in [1e-6, 1e3].  Item (4), a
+    bound on derivative growth, involves derivatives this package never
+    evaluates and is recorded as unchecked.
     """
-    if zmax <= 1 or nsamples < 100:
-        raise ValueError("need zmax > 1 and nsamples >= 100")
-    z = np.geomspace(1e-6, zmax, nsamples)
+    z = np.geomspace(1e-6, 1e3, 400)
     try:
         qz = np.asarray(Q.eval(z), dtype=np.float64)
         q0 = float(Q.eval(0.0))
@@ -369,4 +374,4 @@ def load_field(path):
         if fh.read(1):
             raise GridError("snapshot has trailing bytes")
         coeffs = np.frombuffer(payload, dtype="<c16").reshape((grid.n,) * 3)
-    return FourierField(grid, coeffs[..., : K + 1].astype(np.complex128))
+    return FourierField(grid, _half(coeffs, grid, "snapshot").copy())

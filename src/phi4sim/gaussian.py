@@ -71,15 +71,16 @@ def band_mask(grid, band):
     return m.astype(np.float64)
 
 
-def sample_stationary(seed, grid, Q, sample=0, t0=0.0, step0=0, band=None):
-    """Draw the stationary Gaussian state: E|fhat(k)|^2 = 1/(2 bracket(k)^2)."""
-    z = unit_hermitian_normals(seed, grid, sample, TAG_INIT, step0)
+def sample_stationary(seed, grid, Q, sample=0, t0=0.0, band=None):
+    """Draw the stationary Gaussian state: E|fhat(k)|^2 = 1/(2 bracket(k)^2),
+    at step 0 of the sample's noise counters."""
+    z = unit_hermitian_normals(seed, grid, sample, TAG_INIT, 0)
     bsq = Q.bracket_sq_grid(grid)
     coeffs = z * np.sqrt(0.5 / bsq)
     mask = band_mask(grid, band)
     if mask is not None:
         coeffs = coeffs * mask
-    return ModeOUEnsemble(grid, Q, float(t0), coeffs, seed, sample, step0, band)
+    return ModeOUEnsemble(grid, Q, float(t0), coeffs, seed, sample, 0, band)
 
 
 def _ou_noise(seed, grid, sample, step, bsq, decay, band):

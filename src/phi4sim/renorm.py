@@ -1,7 +1,6 @@
 """Scalar constants of the theory: limiting and lattice variances, the
-coupling constant, chaos coefficients a_m, the counterterms C1, C2, C3, the
-time-integrated resonance kernels, and the sharp-cutoff standard-model
-constants.
+coupling constant, chaos coefficients a_m, the counterterms C1, C2, C3, and
+the sharp-cutoff standard-model constants.
 
 The quadratic/cubic counterterms reduce to lattice sums of the form
 
@@ -26,7 +25,6 @@ import scipy.fft
 from scipy import integrate
 from scipy.special import roots_legendre
 
-from .besov import DyadicPartition
 from .errors import FeasibilityError, GrowthViolationError
 from .fourier import DispersionQ, FrequencyLattice, get_threads, validate_symbol
 from .gaussian import gaussian_expectation, polyder
@@ -84,7 +82,7 @@ class Potential:
 
 def sigma2_limit(Q, rmax=80.0, tol=1e-10):
     """(1/2) int_{R^3} dtheta / Q(2 pi |theta|) = 2 pi int_0^inf r^2/Q(2 pi r) dr."""
-    report = validate_symbol(Q, zmax=1e3, nsamples=400)
+    report = validate_symbol(Q)
     if not report.items["growth"]:
         raise GrowthViolationError(
             f"symbol growth exponent 3+eta with eta={report.eta_hat:.3g} <= 0: "
@@ -208,21 +206,20 @@ def _spi_pad(N, K):
     return _even_pad((N + 1) * K + 1 if K <= 24 else 2 * K + 2)
 
 
-def stationary_pair_integral(Q, N, K, method="auto", restrict=True, pad=None):
+def stationary_pair_integral(Q, N, K, method="auto", pad=None):
     """E of the resonance of the time-integrated Wick power with itself:
 
         (N!/2^N) sum_{l_1..l_N in cube} prod_j b_j^-1 / (b(l) + sum_j b_j),
 
-    with b(k) = bracket(k)^2 and l = sum_j l_j; `restrict` keeps only tuples
-    whose total l stays in the cube (matching cube-projected field products).
+    with b(k) = bracket(k)^2 and l = sum_j l_j, over the tuples whose total l
+    stays in the cube (matching cube-projected field products).  `method`
+    "direct" sums the tuples, "fft" convolves on the octant of a `pad` grid.
     """
     grid, bsq = _cube_bsq(Q, K)
     if method == "auto":
         method = "direct" if (grid.n**3) ** N <= 2e7 else "fft"
     if method == "direct":
-        return _spi_direct(Q, grid, bsq, N, restrict)
-    if not restrict:
-        raise FeasibilityError("FFT path computes the cube-restricted sum only")
+        return _spi_direct(Q, grid, bsq, N)
     octant = EvenOctant(grid, pad or _spi_pad(N, K))
     b = bsq[: K + 1, : K + 1, : K + 1]  # radial: this block fixes the cube
     nodes, weights = _s_quadrature(N)
@@ -234,17 +231,18 @@ def stationary_pair_integral(Q, N, K, method="auto", restrict=True, pad=None):
     return pref * total
 
 
-def _cube_kvecs(grid):
-    return np.stack(np.meshgrid(*[grid.freqs] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-
-
-def _leading_legs(kv, b, N):
-    """Chunks over the first N-1 legs of the N-tuples of cube modes (the last
-    leg stays a vectorized axis): their summed k and b and product of 1/b."""
-    npts = b.size
-    shape = (npts,) * (N - 1)
-    chunk = max(1, int(2e6 // npts))
-    flat_count = npts ** (N - 1)
+def _spi_direct(Q, grid, bsq, N):
+    """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only.  The
+    first N-1 legs run in chunks, the last stays a vectorized axis."""
+    kv = np.stack(np.meshgrid(*[grid.freqs] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    b = bsq.ravel()
+    if b.size**N > 5e8:
+        raise FeasibilityError(f"direct sum infeasible for N={N}, K={grid.K}")
+    pref = math.factorial(N) / 2.0**N
+    total = 0.0
+    shape = (b.size,) * (N - 1)
+    chunk = max(1, int(2e6 // b.size))
+    flat_count = b.size ** (N - 1)
     for start in range(0, flat_count, chunk):
         stop = min(start + chunk, flat_count)
         ksum = np.zeros((stop - start, 3))
@@ -254,23 +252,8 @@ def _leading_legs(kv, b, N):
             ksum += kv[lead]
             bsum += b[lead]
             wprod *= 1.0 / b[lead]
-        yield ksum, bsum, wprod
-
-
-def _spi_direct(Q, grid, bsq, N, restrict):
-    """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only."""
-    kv = _cube_kvecs(grid)
-    b = bsq.ravel()
-    if b.size**N > 5e8:
-        raise FeasibilityError(f"direct sum infeasible for N={N}, K={grid.K}")
-    pref = math.factorial(N) / 2.0**N
-    total = 0.0
-    for ksum, bsum, wprod in _leading_legs(kv, b, N):
         ktot = ksum[:, None, :] + kv[None, :, :]
-        if restrict:
-            ok = np.all(np.abs(ktot) <= grid.K, axis=-1)
-        else:
-            ok = np.ones(ktot.shape[:2], dtype=bool)
+        ok = np.all(np.abs(ktot) <= grid.K, axis=-1)
         btot = Q.bracket_sq(np.sqrt(np.sum(ktot**2, axis=-1)))
         denom = btot + bsum[:, None] + b[None, :]
         term = (wprod[:, None] / b[None, :]) / denom
@@ -278,46 +261,7 @@ def _spi_direct(Q, grid, bsq, N, restrict):
     return pref * total
 
 
-def g_kernel_time_integral(Q, eps, m, K, k=(0, 0, 0), restrict=False):
-    """Time integral of the resonance kernel at output mode k:
-
-        ((2m+1)!/2^(2m)) sum over 2m-tuples of
-            w(|l+k|, |l|) prod_j b_j^-1 / (b(l+k) + sum_j b_j),
-
-    where w is the dyadic resonance weight sum_{|i-j|<=1} chi_i chi_j.  At
-    k = 0 the weight is identically one and the sum is unrestricted unless
-    `restrict` asks for the cube-projected variant.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if Q.eps != eps:
-        Q = Q.with_eps(eps)
-    grid, bsq = _cube_bsq(Q, K)
-    N = 2 * m
-    kvec = np.asarray(k, dtype=np.int64)
-    kv = _cube_kvecs(grid)
-    b = bsq.ravel()
-    if b.size**N > 5e8:
-        raise FeasibilityError(f"kernel sum infeasible for m={m}, K={K}")
-    part = DyadicPartition(2 * m * K + int(np.ceil(np.linalg.norm(kvec))) + 1)
-    pref = math.factorial(2 * m + 1) / 2.0 ** (2 * m)
-    total = 0.0
-    for ksum, bsum, wprod in _leading_legs(kv, b, N):
-        ltot = ksum[:, None, :] + kv[None, :, :]
-        lshift = ltot + kvec
-        if restrict:
-            ok = np.all(np.abs(ltot) <= grid.K, axis=-1).astype(np.float64)
-        else:
-            ok = 1.0
-        bshift = Q.bracket_sq(np.sqrt(np.sum(lshift**2, axis=-1)))
-        wres = part.resonance_weight(np.sqrt(np.sum(lshift**2, axis=-1)),
-                                     np.sqrt(np.sum(ltot**2, axis=-1)))
-        denom = bshift + bsum[:, None] + b[None, :]
-        total += float(np.sum(ok * wres * (wprod[:, None] / b[None, :]) / denom))
-    return pref * total
-
-
-def c2(Q, V, eps, lam, K, method="auto"):
+def c2(Q, V, eps, lam, K):
     """C2 = sum_m (a_m/m)^2 eps^(2m-2) E[I(X^{<>2m}) o X^{<>2m}]."""
     if Q.eps != eps:
         Q = Q.with_eps(eps)
@@ -327,12 +271,12 @@ def c2(Q, V, eps, lam, K, method="auto"):
         am = a[m - 1]
         if am == 0.0:
             continue
-        spi = stationary_pair_integral(Q, 2 * m, K, method=method)
+        spi = stationary_pair_integral(Q, 2 * m, K)
         total += (am / m) ** 2 * eps ** (2 * m - 2) * spi
     return total
 
 
-def c3(Q, V, eps, lam, K, method="auto"):
+def c3(Q, V, eps, lam, K):
     """C3 = sum_m 3 a_m a_{m+1}/(m(2m+1)) eps^(2m-1) E[I(X^{<>2m+1}) o X^{<>2m+1}].
 
     Empty (exactly zero) for quartic V (n = 2).
@@ -345,7 +289,7 @@ def c3(Q, V, eps, lam, K, method="auto"):
         coeff = 3.0 * a[m - 1] * a[m] / (m * (2 * m + 1))
         if coeff == 0.0:
             continue
-        spi = stationary_pair_integral(Q, 2 * m + 1, K, method=method)
+        spi = stationary_pair_integral(Q, 2 * m + 1, K)
         total += coeff * eps ** (2 * m - 1) * spi
     return total
 
@@ -405,7 +349,7 @@ class RenormSet:
             self.C_total = c_total(self.lam, self.C1, self.C2, self.C3)
 
 
-def build_renorm(Q, V, K=None, method="auto"):
+def build_renorm(Q, V, K=None):
     """Compute the full constant set for the symbol's eps at cutoff K (default 4/eps)."""
     eps = Q.eps
     if eps <= 0:
@@ -417,23 +361,21 @@ def build_renorm(Q, V, K=None, method="auto"):
     s2e = sigma2_eps(Q, eps, K)
     a = a_coeffs(V, eps, lam, s2e)
     C1 = c1(V, eps, lam, s2e)
-    C2 = c2(Q, V, eps, lam, K, method=method)
-    C3 = c3(Q, V, eps, lam, K, method=method)
+    C2 = c2(Q, V, eps, lam, K)
+    C3 = c3(Q, V, eps, lam, K)
     return RenormSet(eps=eps, K=K, sigma2=s2, sigma2_eps=s2e, lam=lam, a_m=a,
                      C1=C1, C2=C2, C3=C3)
 
 
-def standard_constants(eps_cutoff, K=None):
+def standard_constants(K):
     """Sharp-cutoff constants of the standard model (Q = z^2, eps = 0).
 
-    c1_std = E (mollified field)^2 = sum_{|k|_inf <= R} 1/(2<k>^2) with
-    R = floor(1/eps_cutoff) (or the given K); c2_std = half the stationary
-    resonance expectation of the integrated Wick square, which makes the
-    centered objects exactly mean-zero.
+    c1_std = E (mollified field)^2 = sum_{|k|_inf <= K} 1/(2<k>^2);
+    c2_std = half the stationary resonance expectation of the integrated Wick
+    square, which makes the centered objects exactly mean-zero.
     """
-    R = int(K) if K is not None else int(math.floor(1.0 / eps_cutoff))
     Q0 = DispersionQ.laplacian(0.0)
-    _, bsq = _cube_bsq(Q0, R)
+    _, bsq = _cube_bsq(Q0, K)
     c1_std = 0.5 * float(np.sum(1.0 / bsq))
-    c2_std = 0.5 * stationary_pair_integral(Q0, 2, R)
+    c2_std = 0.5 * stationary_pair_integral(Q0, 2, K)
     return c1_std, c2_std

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import besov_norm, combine, default_partition, physical_blocks
+from .besov import besov_norm, combine, physical_blocks
 from .errors import BlowUpSignal, GridError
-from .fourier import (ExponentialQuadrature, FourierField, _mirror,
+from .fourier import (ExponentialQuadrature, FourierField, _half, _mirror,
                       from_physical, product, to_physical)
 from .gaussian import ou_increment
 
@@ -30,17 +30,10 @@ class SolverConfig:
     dt: float
     T: float
     K: int
-    kappa: float = 0.05
-    delta0: float = None
     picard_iters: int = 40
     mode: str = "sequential"
-    n_half: int = 2  # half-degree of V, used by the delta0 default
 
     def __post_init__(self):
-        if self.delta0 is None:
-            self.delta0 = self.kappa / (2 * self.n_half)
-        if not 0 < self.delta0 < self.kappa / self.n_half:
-            raise ValueError("delta0 must lie in (0, kappa/n)")
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
         if self.mode not in ("sequential", "picard"):
@@ -75,19 +68,17 @@ def coeffs_F(lam, U, i):
     the commutator are combined from the blocks of c30, c1, c30^2, c30 o c30
     and c30 < c30, each decomposed once."""
     g = U.grid
-    P2 = g.pad_size(2)
     c0, c1, c30, c31, c22, c32 = (U.field(t, i) for t in
                                   ("c0", "c1", "c30", "c31", "c22", "c32"))
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
-    B30, B1, Bsq = (physical_blocks(f.coeffs, g, None, P2)
-                    for f in (c30, c1, sq30))
-    Bres, Blt = (physical_blocks(combine(B30, B30, g, P2, mode), g, None, P2)
+    B30, B1, Bsq = (physical_blocks(f.coeffs, g) for f in (c30, c1, sq30))
+    Bres, Blt = (physical_blocks(combine(B30, B30, g, mode), g)
                  for mode in ("res", "lt"))
 
     def comb(Bf, Bg, mode):
-        return FourierField(g, combine(Bf, Bg, g, P2, mode))
+        return FourierField(g, combine(Bf, Bg, g, mode))
 
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
         + 6.0 * lam**2 * (comb(B30, B1, "lt") + comb(B1, B30, "lt") + c31) \
@@ -104,20 +95,15 @@ def coeffs_F(lam, U, i):
     return F0, F1, F2, F3
 
 
-def coeffs_F_traj(lam, U, chunk=1):
+def coeffs_F_traj(lam, U):
     """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
-    shape (T, n, n, K+1): coeffs_F on time chunks of `chunk` slices.
-
-    Per-slice by default: the pruned transforms are cheap enough that a
-    batch of slices only falls out of the cache (K=8, 51 slices, one FFT
-    thread: 1.21 s slice by slice, 1.53 s in chunks of 32).  The result is
-    bit-identical for every `chunk`."""
-    T = U.traj("c0").shape[0]
+    shape (T, n, n, K+1): coeffs_F slice by slice (a batch of slices only
+    falls out of the cache: K=8, 51 slices, one FFT thread: 1.21 s slice by
+    slice, 1.53 s in chunks of 32)."""
     out = [np.empty_like(U.traj("c0")) for _ in range(4)]
-    for lo in range(0, T, chunk):
-        s = slice(lo, min(lo + chunk, T))
-        for dst, F in zip(out, coeffs_F(lam, U, s)):
-            dst[s] = F.coeffs
+    for i in range(len(out[0])):
+        for dst, F in zip(out, coeffs_F(lam, U, i)):
+            dst[i] = F.coeffs
     return tuple(out)
 
 
@@ -132,8 +118,6 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
     blocks are unused (None) when lam = 0.
     """
     g = U.grid
-    part = default_partition(g)
-    P2 = g.pad_size(2)
     f = u - lam * U.field("c30", i)
     if lam != 0.0:
         Bfb, Bc2b = blocks
@@ -144,7 +128,7 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
         for j in (1, 2, 3):
             poly = poly + to_physical(F[j], g, P) * ux**j
         out = from_physical(poly, g, P)
-        out = out - 3.0 * lam * combine(Bc2b, Bfb, g, P2, "lt")  # f > c2
+        out = out - 3.0 * lam * combine(Bc2b, Bfb, g, "lt")  # f > c2
     else:
         # every coefficient field carries a factor of the coupling
         out = np.zeros_like(u.coeffs)
@@ -156,16 +140,15 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
         y = to_physical(f.coeffs, g, Pr) * np.sqrt(eps)
         out = out - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
     if lam != 0.0:
-        BBb = physical_blocks(B, g, part, P2)
-        flB = combine(Bfb, BBb, g, P2, "lt")  # f < B
+        BBb = physical_blocks(B, g)
+        flB = combine(Bfb, BBb, g, "lt")  # f < B
         # Com(f; B; c2) = (f < B) o c2 - f (B o c2)
-        Bres = FourierField(g, combine(BBb, Bc2b, g, P2, "res"))  # B o c2
-        com = combine(physical_blocks(flB, g, part, P2), Bc2b, g, P2, "res") \
+        Bres = FourierField(g, combine(BBb, Bc2b, g, "res"))  # B o c2
+        com = combine(physical_blocks(flB, g), Bc2b, g, "res") \
             - product(f, Bres, 2).coeffs
         comm_I = A - flB
-        res_ci = combine(Bc2b, physical_blocks(comm_I, g, part, P2), g, P2,
-                         "res")
-        res_h = combine(Bc2b, physical_blocks(h, g, part, P2), g, P2, "res")
+        res_ci = combine(Bc2b, physical_blocks(comm_I, g), g, "res")
+        res_h = combine(Bc2b, physical_blocks(h, g), g, "res")
         out = out + 9.0 * lam**2 * (
             com + res_ci - product(FourierField(g, res_h), f, 2).coeffs)
     return FourierField(g, out)
@@ -201,8 +184,6 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
     v_traj = np.empty((nsteps + 1,) + shape, dtype=np.complex128)
     w_traj = np.empty_like(v_traj)
     v_traj[0], w_traj[0] = v, w
-    part = default_partition(g)
-    P2 = g.pad_size(2)
     for i in range(nsteps):
         if integrand_source is None:
             vi, wi = v, w
@@ -214,11 +195,10 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
         if lam != 0.0:
             F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
                 else tuple(c[i] for c in F_traj)
-            Bfb = physical_blocks(f.coeffs, g, part, P2)
-            Bc2b = physical_blocks(c2.coeffs, g, part, P2)
-            para = combine(Bfb, Bc2b, g, P2, "lt")
-            res = combine(Bc2b, physical_blocks(ev0 + wi, g, part, P2), g,
-                          P2, "res")
+            Bfb = physical_blocks(f.coeffs, g)
+            Bc2b = physical_blocks(c2.coeffs, g)
+            para = combine(Bfb, Bc2b, g, "lt")
+            res = combine(Bc2b, physical_blocks(ev0 + wi, g), g, "res")
             blocks = (Bfb, Bc2b)
         else:
             para = res = np.zeros(shape, dtype=np.complex128)
@@ -242,15 +222,7 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
 def solve(config, U, v0, w0, V=None):
     """Integrate the remainder system on [0, T]; full cubes in and out."""
     g = U.grid
-    v0 = np.asarray(v0, dtype=np.complex128)
-    w0 = np.asarray(w0, dtype=np.complex128)
-    if v0.shape != (g.n,) * 3 or w0.shape != (g.n,) * 3:
-        raise GridError("initial data shape mismatch")
-    for c in (v0, w0):
-        at_minus_k = np.roll(c[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
-        if np.max(np.abs(at_minus_k - np.conj(c))) > 1e-12 * np.max(np.abs(c)):
-            raise GridError("initial data is not the spectrum of a real field")
-    v0h, w0h = v0[..., : g.K + 1], w0[..., : g.K + 1]
+    v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
     if config.mode == "sequential":
         v_traj, w_traj = _march(config, U, v0h, w0h, V)
         info = {"mode": "sequential"}
@@ -292,8 +264,7 @@ def solve(config, U, v0, w0, V=None):
 # norms
 
 
-def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
-                      holder_stride):
+def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha):
     traj = traj[..., : grid.K + 1]  # full cubes -> stored halves
     sel = np.where(t_grid <= T + 1e-12)[0]
     fields = [FourierField(grid, traj[i]) for i in sel]
@@ -313,7 +284,8 @@ def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
     else:
         total += float(np.max(kap))
     total += float(np.max(t ** (2.0 / 3.0) * high))
-    idxs = sel if holder_stride is None else sel[::holder_stride]
+    # the Hoelder pairs run over every (n//8)-th of the n steps
+    idxs = sel[::max(1, (len(t_grid) - 1) // 8)]
     hold = 0.0
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
@@ -326,17 +298,14 @@ def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha,
     return total + hold
 
 
-def y_norm(P, eps, T, kappa=0.05, delta0=None, n_half=2, grid=None,
-           holder_stride=None):
-    """||(v, w)|| in the epsilon-weighted solution space over [0, T]."""
-    if delta0 is None:
-        delta0 = kappa / (2 * n_half)
-    if grid is None:
-        raise GridError("y_norm needs the lattice (grid=...)")
+def y_norm(P, eps, T, grid, kappa=0.05, n_half=2):
+    """||(v, w)|| in the epsilon-weighted solution space over [0, T], with the
+    early-time weight exponent delta0 = kappa / (2 n) for V of degree 2n."""
+    delta0 = kappa / (2 * n_half)
     nv = _component_y_norm(grid, P.v_traj, P.t_grid, eps, T, kappa, delta0,
-                           1.0 - 2.0 * kappa, holder_stride)
+                           1.0 - 2.0 * kappa)
     nw = _component_y_norm(grid, P.w_traj, P.t_grid, eps, T, kappa, delta0,
-                           1.0 + 2.0 * kappa, holder_stride)
+                           1.0 + 2.0 * kappa)
     return nv + nw
 
 
@@ -346,7 +315,7 @@ def y_distance(P1, P2, eps, T, grid, **kw):
                          v_traj=P1.v_traj - P2.v_traj,
                          w_traj=P1.w_traj - P2.w_traj,
                          initial=P1.initial)
-    return y_norm(diff, eps, T, grid=grid, **kw)
+    return y_norm(diff, eps, T, grid, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +329,7 @@ def reconstruct_phi(U, P, lam):
 
 
 def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
-                          include_counterterm=True, scheme="exponential_euler"):
+                          scheme="exponential_euler"):
     """Direct integration of the full renormalized equation
 
         dPhi = (L-1) Phi dt - eps^{-3/2} P_K V'(sqrt(eps) Phi) dt
@@ -379,9 +348,9 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     nsteps = _check_grid_match(config, U)
     eps = config.eps
     quad = ExponentialQuadrature(g, Q, config.dt)
-    C = renorm_set.C_total if include_counterterm else 0.0
+    C = renorm_set.C_total
     phi = U.traj("one")[0] - config.lam * U.traj("c30")[0] if phi0 is None \
-        else np.array(phi0, dtype=np.complex128)[..., : g.K + 1]
+        else _half(phi0, g, "phi0")
     traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     traj[0] = phi
     offset = prov["step_offset"]

@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy import integrate
 
-from phi4sim.besov import besov_norm, combine, physical_blocks, default_partition
+from phi4sim.besov import besov_norm, combine, physical_blocks
 from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
@@ -84,7 +84,6 @@ def test_free_field_spectrum_and_temporal_decay_monte_carlo():
 def test_paraproduct_decomposition_identity_at_scale():
     with Budget(10.0):
         g = FrequencyLattice(16)
-        part = default_partition(g)
         P = g.pad_size(2)
         rng = np.random.default_rng(314)
         worst = 0.0
@@ -92,10 +91,10 @@ def test_paraproduct_decomposition_identity_at_scale():
         for _ in range(5):  # 5 chunks x 20 pairs
             f = from_physical(rng.standard_normal((20, n, n, n)), g, n)
             h = from_physical(rng.standard_normal((20, n, n, n)), g, n)
-            Bf = physical_blocks(f, g, part, P)
-            Bh = physical_blocks(h, g, part, P)
-            bony = combine(Bf, Bh, g, P, "lt") + combine(Bh, Bf, g, P, "lt") \
-                + combine(Bf, Bh, g, P, "res")
+            Bf = physical_blocks(f, g)
+            Bh = physical_blocks(h, g)
+            bony = combine(Bf, Bh, g, "lt") + combine(Bh, Bf, g, "lt") \
+                + combine(Bf, Bh, g, "res")
             prod = from_physical(to_physical(f, g, P)
                                  * to_physical(h, g, P), g, P)
             worst = max(worst, float(np.max(np.abs(prod - bony))))
@@ -267,7 +266,6 @@ def test_coupled_runs_approach_the_limit_dynamics():
         t_grid = np.arange(n + 1) * dt
         seed = NoiseSeed(77)
         z = np.zeros((g.n,) * 3, dtype=np.complex128)
-        stride = max(1, n // 8)
 
         U0 = build_limit_upsilon(seed, g, 1.0 / (K + 1), t_grid, lam=lam)
         cfg0 = SolverConfig(eps=0.0, lam=lam, dt=dt, T=T, K=K)
@@ -280,6 +278,5 @@ def test_coupled_runs_approach_the_limit_dynamics():
             U = build_upsilon(seed, g, Q, V, eps, t_grid, rs)
             cfg = SolverConfig(eps=eps, lam=lam, dt=dt, T=T, K=K)
             pair = solve(cfg, U, z, z, V=V)
-            dists.append(y_distance(pair, limit, 0.0, T, g,
-                                    holder_stride=stride))
+            dists.append(y_distance(pair, limit, 0.0, T, g))
         assert dists[0] > dists[1] > 0.0, dists

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from phi4sim import besov, diagrams
+from phi4sim import besov
 from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
-                              regularity_diagnostic, second_moment_oracle,
-                              traj_const_shift, x_norm)
+                              second_moment_oracle, traj_const_shift, x_norm)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
                              from_physical, to_physical)
@@ -204,23 +203,31 @@ def _both_builds(build):
                                coarse_dt=0.02, fine_window=0.05)
 
 
-@pytest.mark.parametrize("build", ["eps", "limit"])
-def test_resonance_pass_matches_besov_resonance_bit_for_bit(build, monkeypatch):
-    seen = []
-    real = diagrams._resonance_pass
+def _counterterms(U):
+    """(k31, k22, k32) that the build subtracts from the three resonances."""
+    if "renorm" in U.provenance:
+        rs = U.provenance["renorm"]
+        return rs.C3, rs.C2, 3.0 * rs.C2 + 2.0 * rs.C3
+    c2_std = U.provenance["c2_std"]
+    return 0.0, 2.0 * c2_std, 6.0 * c2_std
 
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        seen.append((args, tuple(r.copy() for r in out)))
+
+@pytest.mark.parametrize("build", ["eps", "limit"])
+def test_resonance_pass_matches_besov_resonance_bit_for_bit(build):
+    U = _both_builds(build)
+    k31, k22, k32 = _counterterms(U)
+
+    def res(a, b, shift=0.0):
+        out = besov.resonance(FourierField(U.grid, a), FourierField(U.grid, b)).coeffs
+        out[0, 0, 0] += shift
         return out
 
-    monkeypatch.setattr(diagrams, "_resonance_pass", spy)
-    _both_builds(build)
-    (c30, c1, c20, c2, g), resonances = seen[0]
-    for i in range(c30.shape[0]):
-        for r, (a, b) in zip(resonances, ((c30, c1), (c20, c2), (c30, c2))):
-            want = besov.resonance(FourierField(g, a[i]), FourierField(g, b[i]))
-            assert np.array_equal(r[i], want.coeffs)
+    c30, c1, c2, one = (U.traj(t) for t in ("c30", "c1", "c2", "one"))
+    for i in range(len(U.t_grid)):
+        assert np.array_equal(U.traj("c31")[i], res(c30[i], c1[i], -k31))
+        assert np.array_equal(U.traj("c32")[i], res(c30[i], c2[i]) - k32 * one[i])
+    # c20 is kept only at t = 0
+    assert np.array_equal(U.traj("c22")[0], res(U.c20_0, c2[0], -k22))
 
 
 @pytest.mark.parametrize("build", ["eps", "limit"])
@@ -321,28 +328,7 @@ def test_mc_moment_rejects_zero_samples():
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and norms
-
-
-def test_regularity_diagnostic_flat_profile():
-    g = FrequencyLattice(8)
-    Q = DispersionQ.quartic(0.0, nu=1.0)
-    brackets = np.sqrt(Q.bracket_sq_grid(g))
-    alpha = -0.5
-    moments = brackets ** (-(3.0 + 2.0 * alpha))
-    out = regularity_diagnostic(moments, brackets, alpha)
-    assert abs(out["sup"] - 1.0) < 1e-12
-    assert abs(out["trend_ratio"] - 1.0) < 1e-12
-    assert all(abs(v - 1.0) < 1e-12 for v in out["shells"].values())
-
-
-def test_regularity_diagnostic_detects_growth():
-    g = FrequencyLattice(8)
-    Q = DispersionQ.quartic(0.0, nu=1.0)
-    brackets = np.sqrt(Q.bracket_sq_grid(g))
-    moments = np.ones_like(brackets)  # too slow a decay for alpha = 0
-    out = regularity_diagnostic(moments, brackets, 0.0)
-    assert out["trend_ratio"] > 10.0
+# the enhanced-noise norm
 
 
 def test_x_norm_finite_and_monotone_in_horizon():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                              FrequencyLattice, _mirror, apply_semigroup,
-                             bracket_eps, from_physical, get_threads,
-                             load_field, product, save_field, set_threads,
-                             to_physical, validate_symbol)
+                             from_physical, get_threads, load_field, product,
+                             save_field, set_threads, to_physical,
+                             validate_symbol)
 from conftest import (delta_field, hermitian_defect, random_hermitian_field,
                       reflected)
 
@@ -287,7 +287,7 @@ def test_bracket_limit_is_shifted_laplacian():
     Q = DispersionQ.quartic(0.0, nu=1.0)
     for k in ((0, 0, 0), (1, 0, 0), (2, 1, 0)):
         ksq = sum(x * x for x in k)
-        assert abs(bracket_eps(Q, k)**2 - (1 + 4 * np.pi**2 * ksq)) < 1e-12
+        assert abs(Q.bracket_sq(np.sqrt(ksq)) - (1 + 4 * np.pi**2 * ksq)) < 1e-12
 
 
 def test_bracket_positive_eps_formula():
@@ -434,6 +434,18 @@ def test_snapshot_rejects_trailing_bytes(tmp_path, rng):
     save_field(path, random_hermitian_field(g, rng))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(GridError):
+        load_field(path)
+
+
+def test_snapshot_rejects_a_cube_of_no_real_field(tmp_path, rng):
+    # a valid header over a random complex cube: its k3 < 0 half is not the
+    # conjugate mirror of the stored half, so no real field has this spectrum
+    path = tmp_path / "complex.fld"
+    save_field(path, random_hermitian_field(FrequencyLattice(2), rng))
+    data = path.read_bytes()
+    c = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
+    path.write_bytes(data[:17] + c.astype("<c16").tobytes())
+    with pytest.raises(GridError, match="real field"):
         load_field(path)
 
 

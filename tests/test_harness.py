@@ -8,6 +8,8 @@ from phi4sim import cli, fourier
 from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
 from phi4sim.fourier import load_field
+from phi4sim.gaussian import NoiseSeed
+from phi4sim.solver import y_distance
 from conftest import delta_field
 
 
@@ -351,3 +353,39 @@ def test_cli_converge_rejects_nonpositive_eps(tmp_path, capsys):
     err = _expect_exit(["converge", "--config", str(path)], cli.EXIT_USAGE,
                        capsys)
     assert "positive" in err["error"]
+
+
+@pytest.mark.parametrize("command, k_rule, code", [
+    ("constants", {"kind": "fixed", "K": 2}, cli.EXIT_USAGE),
+    ("moments", {"kind": "fixed", "K": 2}, cli.EXIT_USAGE),
+    ("converge", {"kind": "fixed", "K": 2}, cli.EXIT_USAGE),
+    ("constants", {"kind": "inverse", "factor": 1.0}, cli.EXIT_USAGE),
+    ("solve", {"kind": "inverse", "factor": 1.0}, cli.EXIT_USAGE),
+    ("solve", {"kind": "fixed", "K": 2}, 0),  # the limit run
+], ids=["constants", "moments", "converge", "constants-inverse", "solve-inverse",
+        "solve-limit"])
+def test_cli_eps_zero_is_a_usage_error_except_the_limit_solve(
+        tmp_path, capsys, command, k_rule, code):
+    path = _write_cfg(tmp_path, eps=[0.0], k_rule=k_rule)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    if code == 0:
+        assert cli.main(argv) == 0
+        return
+    err = _expect_exit(argv, code, capsys)
+    assert "eps" in err["error"]
+
+
+def test_cli_converge_uses_the_config_kappa(tmp_path):
+    path = _write_cfg(tmp_path, eps=[0.4], k_rule={"kind": "fixed", "K": 2},
+                      solver={"dt": 1e-3, "T": 0.004, "lam": 1.0, "kappa": 0.2})
+    out = tmp_path / "c"
+    assert cli.main(["converge", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "converge.csv").read_text().splitlines()
+    row = [ln for ln in lines if ln and ln[0].isdigit()][0].split(",")
+    cfg = load_config(path)
+    V = cfg.make_potential()
+    grid, sc, _, limit = cli._run_one(cfg, NoiseSeed(7), 0.0, 2, 1.0, V)
+    _, _, _, pair = cli._run_one(cfg, NoiseSeed(7), 0.4, 2, 1.0, V)
+    want = y_distance(pair, limit, 0.0, sc.T, grid, kappa=0.2, n_half=V.n)
+    assert float(row[0]) == 0.4 and float(row[-1]) == want
+    assert want != y_distance(pair, limit, 0.0, sc.T, grid, n_half=V.n)

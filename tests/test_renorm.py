@@ -9,8 +9,8 @@ from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical)
 from phi4sim.renorm import (EvenOctant, Potential, a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
-                            coupling_lambda, g_kernel_time_integral, sigma2_eps,
-                            sigma2_limit, standard_constants,
+                            coupling_lambda, sigma2_eps, sigma2_limit,
+                            standard_constants,
                             stationary_pair_integral,
                             time_integrated_chaos_moment)
 from conftest import cube_bsq, cube_modes
@@ -184,22 +184,6 @@ def test_pair_integral_reduced_padding_agrees():
     assert abs(full - red) / full < 1e-9
 
 
-def test_kernel_time_integral_k0_m1():
-    # single mode: (3!/2^2) * 1/(1+2) = 1/2
-    Q = DispersionQ.quartic(0.0, nu=1.0)
-    assert abs(g_kernel_time_integral(Q, 0.0, 1, 0) - 0.5) < 1e-13
-
-
-def test_kernel_time_integral_restricted_is_pair_integral_at_k0():
-    # at k = 0 the resonance weight is identically 1, so the cube-restricted
-    # kernel integral is (2m+1) times the N = 2m pair integral (the kernel
-    # prefactor is (2m+1)!/2^(2m) against N!/2^N)
-    Q = DispersionQ.quartic(0.3, nu=1.0)
-    got = g_kernel_time_integral(Q, 0.3, 1, 1, k=(0, 0, 0), restrict=True)
-    want = 3.0 * stationary_pair_integral(Q, 2, 1, method="direct")
-    assert abs(got - want) / want < 1e-12
-
-
 def test_chaos_convolution_power_single_mode():
     Q = DispersionQ.quartic(0.0, nu=1.0)
     out = chaos_convolution_power(Q, 3, 0)
@@ -280,13 +264,10 @@ def test_build_renorm_default_cutoff():
 
 def test_standard_constants_closed_forms():
     R = 3
-    c1_std, c2_std = standard_constants(1.0 / R, K=R)
+    c1_std, c2_std = standard_constants(R)
     g = FrequencyLattice(R)
     Q0 = DispersionQ.laplacian(0.0)
     want1 = 0.5 * float(np.sum(1.0 / cube_bsq(Q0, g)))
     want2 = 0.5 * stationary_pair_integral(Q0, 2, R)
     assert abs(c1_std - want1) < 1e-13
     assert abs(c2_std - want2) < 1e-13
-    # the rounding rule floor(1/eps) picks the same cube
-    a, b = standard_constants(1.0 / R)
-    assert a == c1_std and b == c2_std

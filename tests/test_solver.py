@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from phi4sim import besov, solver
-from phi4sim.besov import commutator_com, para_gt, para_lt, resonance
-from phi4sim.diagrams import _resonance_pass, build_upsilon
+from phi4sim.besov import commutator_com, para_lt, resonance
+from phi4sim.diagrams import build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
                              FrequencyLattice, _mirror, get_threads, product,
@@ -45,9 +47,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2, mode="magic")
     with pytest.raises(ValueError):
-        SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2, delta0=0.5)
+        SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0, K=2)
     cfg = SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2)
-    assert 0 < cfg.delta0 < cfg.kappa / cfg.n_half
+    assert cfg.mode == "sequential" and cfg.picard_iters == 40
 
 
 def test_taylor_remainder_vanishes_for_quartic(rng):
@@ -69,22 +71,11 @@ def test_taylor_remainder_sextic_closed_form(rng):
 
 def test_batched_coefficient_fields_match_per_step():
     _, _, rs, g, U, cfg = _setup()
-    F = coeffs_F_traj(cfg.lam, U, chunk=3)
+    F = coeffs_F_traj(cfg.lam, U)
     for i in (0, len(U.t_grid) - 1):
         single = coeffs_F(cfg.lam, U, i)
         for j in range(4):
             assert np.array_equal(F[j][i], single[j].coeffs)
-
-
-def test_batched_noise_products_do_not_depend_on_chunk_size():
-    _, _, rs, g, U, cfg = _setup()
-    F1, F3, F32 = (coeffs_F_traj(cfg.lam, U, chunk=c) for c in (1, 3, 32))
-    for j in range(4):
-        assert np.array_equal(F1[j], F3[j])
-        assert np.array_equal(F1[j], F32[j])
-    r1, r16 = (_resonance_pass(U.traj("c30"), U.traj("c1"), U.traj("c22"),
-                               U.traj("c2"), g, chunk=c) for c in (1, 16))
-    assert np.array_equal(r1, r16)
 
 
 def _coeffs_F_composed(lam, U, i):
@@ -96,10 +87,10 @@ def _coeffs_F_composed(lam, U, i):
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (para_lt(c30, c1) + para_gt(c30, c1) + c31) \
+        + 6.0 * lam**2 * (para_lt(c30, c1) + para_lt(c1, c30) + c31) \
         + 9.0 * lam**2 * c22
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * (para_lt(sq30, c1) + para_gt(sq30, c1)
+        - 3.0 * lam**3 * (para_lt(sq30, c1) + para_lt(c1, sq30)
                           + resonance(resonance(c30, c30), c1)
                           + 2.0 * product(c31, c30, 2)
                           + 2.0 * commutator_com(c30, c30, c1)) \
@@ -319,9 +310,21 @@ def test_reconstruction_matches_brute_force():
 def test_counterterm_matters_in_the_reference():
     Q, V, rs, g, U, cfg = _setup()
     ref = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U)
-    raw = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U,
-                                include_counterterm=False)
+    raw = brute_force_reference(NoiseSeed(11), cfg, V, Q,
+                                dataclasses.replace(rs, C_total=0.0), U)
     assert np.max(np.abs(ref[-1] - raw[-1])) > 1e-6
+
+
+def test_reference_takes_full_cube_initial_data_of_a_real_field(rng):
+    Q, V, rs, g, U, cfg = _setup()
+    ref = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U)
+    phi0 = _mirror(U.traj("one")[0] - cfg.lam * U.traj("c30")[0], g)
+    got = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U, phi0=phi0)
+    assert np.array_equal(got, ref)
+    c = rng.standard_normal(phi0.shape) + 1j * rng.standard_normal(phi0.shape)
+    for bad in (c, phi0[..., : g.K + 1]):
+        with pytest.raises(GridError):
+            brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U, phi0=bad)
 
 
 def test_second_order_reference_runs_and_stays_close():

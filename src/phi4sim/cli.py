@@ -139,8 +139,8 @@ def cmd_moments(cfg, out_dir, seed):
         rs = build_renorm(Q, V, K=K)
         for symbol in ("one", ("wick", 2), "c1", "c2"):
             for k in ((0, 0, 0), (1, 0, 0)):
-                rep = mc_moment(symbol, k, 0.0, cfg.samples, noise, grid, Q,
-                                V=V, renorm_set=rs)
+                rep = mc_moment(symbol, k, cfg.samples, noise, grid, Q, V=V,
+                                renorm_set=rs)
                 name = symbol if isinstance(symbol, str) else \
                     f"{symbol[0]}{symbol[1]}"
                 z = rep.z if np.isfinite(rep.z) else 0.0
@@ -169,7 +169,7 @@ def _time_grid(dt, T):
 def _run_one(cfg, noise, eps, K, lam, V):
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
-    sc = _solver_config(cfg, eps, K, lam if lam is not None else 1.0)
+    sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
     t_grid = _time_grid(sc.dt, sc.T)
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
@@ -177,9 +177,7 @@ def _run_one(cfg, noise, eps, K, lam, V):
             sc.lam = rs.lam
         U = build_upsilon(noise, grid, Q, V, eps, t_grid, rs)
     else:
-        if lam is None:
-            sc.lam = 1.0
-        U = build_limit_upsilon(noise, grid, 1.0 / (K + 1), t_grid, lam=sc.lam)
+        U = build_limit_upsilon(noise, grid, t_grid)
     z = np.zeros((grid.n,) * 3, dtype=np.complex128)
     pair = solve(sc, U, z, z, V=V)
     return grid, sc, U, pair
@@ -231,8 +229,7 @@ def cmd_converge(cfg, out_dir, seed):
     noise = NoiseSeed(seed)
     eps_sorted = sorted(float(e) for e in cfg.eps)
     # one shared lattice so the runs couple through identical mode noise
-    K = cfg.cutoff_for(min(eps_sorted)) if cfg.k_rule["kind"] == "inverse" \
-        else int(cfg.k_rule["K"])
+    K = cfg.cutoff_for(min(eps_sorted))
     lam = cfg.solver.get("lam")
     if lam is None:
         Qref = cfg.make_symbol(min(eps_sorted))
@@ -244,7 +241,7 @@ def cmd_converge(cfg, out_dir, seed):
         # a blow-up gives no pair; a Picard run that did not converge
         # still has one, but both are failures
         try:
-            _, sc, _, pair = _run_one(_with_fixed_K(cfg, K), noise, eps, K, lam, V)
+            _, sc, _, pair = _run_one(cfg, noise, eps, K, lam, V)
         except BlowUpSignal:
             failed.append(eps)
             return None, None
@@ -276,10 +273,6 @@ def cmd_converge(cfg, out_dir, seed):
     if failed:
         _fail(EXIT_RUN_FAILED, f"runs failed (see {path}): eps {failed}")
     return path
-
-
-def _with_fixed_K(cfg, K):
-    return replace(cfg, k_rule={"kind": "fixed", "K": int(K)})
 
 
 # ---------------------------------------------------------------------------

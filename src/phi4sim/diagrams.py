@@ -1,6 +1,10 @@
 """Construction of the enhanced noise (the seven stochastic objects), the
-sharp-cutoff standard objects, analytic second-moment oracles via Wick
-contractions, Monte Carlo moment audits, and the enhanced-noise norm.
+standard objects of the eps = 0 limit, analytic second-moment oracles via
+Wick contractions, Monte Carlo moment audits, and the enhanced-noise norm.
+
+Both builds are driven by the one noise of `gaussian`, white noise on the
+full mode lattice, through the same counters, so a build at eps > 0 and the
+limit build from the same seed are coupled realizations.
 
 Component tags (in chaos order):
     one : the free field trajectory (kept for reconstruction/coupling)
@@ -32,7 +36,7 @@ from . import besov, renorm
 from .errors import GridError
 from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                       from_physical, to_physical)
-from .gaussian import advance, sample_stationary, wick_power
+from .gaussian import advance, hermite, sample_stationary
 
 X_EXPONENTS = {  # Besov regularity slot per component at smoothness budget kappa
     "c0": lambda k: -k,
@@ -163,7 +167,7 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
     return phases[::-1]
 
 
-def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
+def _build_common(seed, grid, Q, evaluator, t_grid, sample,
                   burn_in, coarse_dt, fine_window, counterterms):
     """Shared burn-in and main loop; returns the components, c20 at t = 0 and
     the OU path offset.  `counterterms` (k31, k22, k32) are subtracted as
@@ -172,8 +176,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
     total_burn = sum(n * h for n, h in phases)
-    ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn,
-                            band=band)
+    ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn)
     shape = grid.shape
     I2 = np.zeros(shape, dtype=np.complex128)
     I3 = np.zeros(shape, dtype=np.complex128)
@@ -211,7 +214,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample, band,
                 c32=r32), c20_0, step_offset
 
 
-def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0, band=None,
+def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
                   burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
     """Assemble the seven-component enhanced noise at eps > 0."""
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
@@ -219,10 +222,10 @@ def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0, band=None
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
     C2, C3 = renorm_set.C2, renorm_set.C3
     comps, c20_0, step_offset = _build_common(
-        seed, grid, Q, ev, t_grid, sample, band, burn_in, coarse_dt, fine_window,
+        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
         (C3, C2, 3.0 * C2 + 2.0 * C3))
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                band=band, burn_in=burn_in, coarse_dt=coarse_dt,
+                burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
     return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
                          comps, c20_0, prov)
@@ -234,27 +237,20 @@ def traj_const_shift(traj, delta):
     return traj
 
 
-def build_limit_upsilon(seed, grid, eps_cutoff, t_grid, lam=1.0, sample=0,
-                        burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
-    """The standard sharp-cutoff objects (Q = z^2, eps = 0), coupled by seed.
-
-    eps_cutoff > 0 restricts the driving noise to |k|_inf <= floor(1/eps_cutoff);
-    eps_cutoff = 0 uses the full lattice.  The same noise counters as
-    build_upsilon are used, so matched seeds give coupled realizations.
-    """
+def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
+                        coarse_dt=0.02, fine_window=1.0):
+    """The standard objects of the eps = 0 limit (Q = z^2) on the lattice,
+    with the same noise counters as build_upsilon, so matched seeds give
+    coupled realizations."""
     Q0 = DispersionQ.laplacian(0.0)
-    if eps_cutoff and eps_cutoff > 0:
-        band = min(grid.K, int(math.floor(1.0 / eps_cutoff)))
-    else:
-        band = grid.K
-    c1_std, c2_std = renorm.standard_constants(band)
+    c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
     comps, c20_0, step_offset = _build_common(
-        seed, grid, Q0, ev, t_grid, sample, band if band < grid.K else None,
-        burn_in, coarse_dt, fine_window, (0.0, 2.0 * c2_std, 6.0 * c2_std))
+        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
+        (0.0, 2.0 * c2_std, 6.0 * c2_std))
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                band=band, burn_in=burn_in, coarse_dt=coarse_dt,
-                fine_window=fine_window, lam=lam, c1_std=c1_std, c2_std=c2_std)
+                burn_in=burn_in, coarse_dt=coarse_dt,
+                fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
     return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
                          comps, c20_0, prov)
 
@@ -321,9 +317,10 @@ def _jackknife_se(values):
     return float(np.sqrt((M - 1) / M * np.sum((loo - np.mean(loo)) ** 2)))
 
 
-def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
+def mc_moment(symbol, k, M, seed, grid, Q, V=None, renorm_set=None,
               t_pair=None):
-    """Monte Carlo estimate of the second moment at mode k vs the oracle."""
+    """Monte Carlo estimate of the equal-time second moment at mode k vs the
+    oracle; with t_pair = (s, t), of the free field's covariance at lag t - s."""
     if M < 1:
         raise ValueError("need at least one sample")
     eps = Q.eps
@@ -335,7 +332,7 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
         nu = renorm_set.sigma2_eps / eps
     else:
         ev = None
-        nu = None
+        nu = renorm.point_variance(Q, grid.K)
     vals = np.empty(M)
     for m in range(M):
         ens = sample_stationary(seed, grid, Q, sample=m)
@@ -350,8 +347,7 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
             n = int(symbol[1])
             P = grid.pad_size(n)
             x = to_physical(ens.coeffs, grid, P)
-            w = from_physical(wick_power(x, n, nu if nu is not None
-                                         else _pointwise_var(grid, Q)), grid, P)
+            w = from_physical(hermite(n, x, nu), grid, P)
             vals[m] = np.abs(w[idx]) ** 2
         elif symbol in ("c1", "c2"):
             a, = ev.all_noises(ens.coeffs, (1 if symbol == "c1" else 2,))
@@ -363,14 +359,11 @@ def mc_moment(symbol, k, t, M, seed, grid, Q, V=None, renorm_set=None,
     if t_pair is not None:
         oracle = second_moment_oracle("one", k, t_pair, Q, eps, grid.K)
     else:
-        oracle = second_moment_oracle(symbol, k, t, Q, eps, grid.K, V, renorm_set)
+        oracle = second_moment_oracle(symbol, k, 0.0, Q, eps, grid.K, V,
+                                      renorm_set)
     z = (mean - oracle) / se if np.isfinite(se) and se > 0 else float("nan")
     return MomentReport(symbol=symbol, k=tuple(k), mean=mean, se=se,
                         oracle=oracle, z=z, M=M)
-
-
-def _pointwise_var(grid, Q):
-    return float(np.sum(0.5 / renorm._cube_bsq(Q, grid.K)[1]))
 
 
 # ---------------------------------------------------------------------------

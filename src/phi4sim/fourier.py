@@ -204,26 +204,24 @@ class DispersionQ:
     (avoids 0/0 rather than evaluating at small eps).
     """
 
-    def __init__(self, eval=None, eps=0.0, params=None, name=None):
+    def __init__(self, eval=None, eps=0.0):
         if eps < 0 or eps > 1:
             raise SymbolError("eps must lie in [0, 1]")
         self.eval = eval
         self.eps = float(eps)
-        self.params = dict(params or {})
-        self.name = name
 
     @classmethod
     def quartic(cls, eps, nu=1.0):
         """Q(z) = z^2 + nu z^4 (fourth-order smoothing)."""
-        return cls(lambda z: z**2 + nu * z**4, eps, {"nu": nu}, name="quartic")
+        return cls(lambda z: z**2 + nu * z**4, eps)
 
     @classmethod
     def laplacian(cls, eps=0.0):
         """Q(z) = z^2 (no extra smoothing; diverging sigma^2)."""
-        return cls(lambda z: np.asarray(z, dtype=np.float64)**2, eps, name="laplacian")
+        return cls(lambda z: np.asarray(z, dtype=np.float64)**2, eps)
 
     def with_eps(self, eps):
-        return DispersionQ(self.eval, eps, self.params, self.name)
+        return DispersionQ(self.eval, eps)
 
     def bracket_sq(self, kabs):
         """bracket(k)^2 for |k| given as a scalar or array."""

@@ -1,18 +1,18 @@
 """Stationary free fields via exact per-mode Ornstein-Uhlenbeck updates,
-Hermite polynomials, Wick powers, and Gaussian chaos coefficients.
+Hermite polynomials, and Gaussian chaos coefficients.
 
-Randomness comes from counter-based Philox streams keyed by
-(master seed, sample index, purpose tag, step index), so ensembles are
-bit-identical regardless of thread count and the same complex normals can be
-reused across different dispersion symbols (the coupling construction) and by
-the brute-force reference integrator.
+The one driving noise is space-time white noise on the full mode lattice
+|k|_inf <= K, the lattice cutoff being its only truncation.  Randomness comes
+from counter-based Philox streams keyed by (master seed, sample index,
+purpose tag, step index), so ensembles are bit-identical regardless of
+thread count and the same complex normals can be reused across different
+dispersion symbols (the coupling construction) and by the brute-force
+reference integrator.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .fourier import FourierField
 
 TAG_INIT = 1
 TAG_OU = 2
@@ -45,11 +45,7 @@ def unit_hermitian_normals(seed, grid, sample, tag, step):
 
 @dataclass
 class ModeOUEnsemble:
-    """Per-mode complex OU state with conjugate symmetry (a free-field sample).
-
-    `band` optionally restricts the driving noise and state to the sub-cube
-    |k|_inf <= band (sharp Fourier mollification); None means the full lattice.
-    """
+    """Per-mode complex OU state with conjugate symmetry (a free-field sample)."""
 
     grid: object
     Q: object
@@ -58,50 +54,31 @@ class ModeOUEnsemble:
     seed: NoiseSeed
     sample: int = 0
     step: int = 0
-    band: int = None
-
-    def field(self):
-        return FourierField(self.grid, self.coeffs)
 
 
-def band_mask(grid, band):
-    if band is None:
-        return None
-    m = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band) & (np.abs(grid.k3) <= band)
-    return m.astype(np.float64)
-
-
-def sample_stationary(seed, grid, Q, sample=0, t0=0.0, band=None):
+def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
     """Draw the stationary Gaussian state: E|fhat(k)|^2 = 1/(2 bracket(k)^2),
     at step 0 of the sample's noise counters."""
     z = unit_hermitian_normals(seed, grid, sample, TAG_INIT, 0)
     bsq = Q.bracket_sq_grid(grid)
-    coeffs = z * np.sqrt(0.5 / bsq)
-    mask = band_mask(grid, band)
-    if mask is not None:
-        coeffs = coeffs * mask
-    return ModeOUEnsemble(grid, Q, float(t0), coeffs, seed, sample, 0, band)
+    return ModeOUEnsemble(grid, Q, float(t0), z * np.sqrt(0.5 / bsq), seed, sample)
 
 
-def _ou_noise(seed, grid, sample, step, bsq, decay, band):
+def _ou_noise(seed, grid, sample, step, bsq, decay):
     """Increment of variance (1 - decay^2) / (2 bsq) per mode at the given
     counter position, for a symbol already evaluated as bsq, decay."""
     z = unit_hermitian_normals(seed, grid, sample, TAG_OU, step)
-    inc = z * np.sqrt((1.0 - decay**2) * 0.5 / bsq)
-    mask = band_mask(grid, band)
-    if mask is not None:
-        inc = inc * mask
-    return inc
+    return z * np.sqrt((1.0 - decay**2) * 0.5 / bsq)
 
 
-def ou_increment(seed, grid, Q, sample, step, dt, band=None):
+def ou_increment(seed, grid, Q, sample, step, dt):
     """The Gaussian increment used by `advance` at the given counter position.
 
     Exposed so a reference integrator can drive an equation with the identical
     noise path: variance (1 - e^{-2 b^2 dt}) / (2 b^2) per mode.
     """
     bsq = Q.bracket_sq_grid(grid)
-    return _ou_noise(seed, grid, sample, step, bsq, np.exp(-dt * bsq), band)
+    return _ou_noise(seed, grid, sample, step, bsq, np.exp(-dt * bsq))
 
 
 def advance(ens, dt):
@@ -110,7 +87,7 @@ def advance(ens, dt):
         raise ValueError("dt must be positive")
     bsq = ens.Q.bracket_sq_grid(ens.grid)
     decay = np.exp(-dt * bsq)
-    inc = _ou_noise(ens.seed, ens.grid, ens.sample, ens.step, bsq, decay, ens.band)
+    inc = _ou_noise(ens.seed, ens.grid, ens.sample, ens.step, bsq, decay)
     return replace(ens, t=ens.t + dt, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
 
 
@@ -130,11 +107,6 @@ def hermite(n, x, nu=1.0):
     for m in range(1, n):
         h, h_prev = x * h - m * nu * h_prev, h
     return h if h.shape else float(h)
-
-
-def wick_power(f_phys, n, nu):
-    """Pointwise Wick power H_n(f(x); nu) of physical samples."""
-    return hermite(n, np.asarray(f_phys, dtype=np.float64), nu)
 
 
 def _poly_coeffs(f):

@@ -101,14 +101,20 @@ def _cube_bsq(Q, K):
     return grid, Q.bracket_sq(np.sqrt((k1**2 + k2**2 + k3**2).astype(np.float64)))
 
 
+def point_variance(Q, K):
+    """E X(x)^2 = sum_{|k|_inf <= K} 1/(2 bracket(k)^2), the variance of the
+    free field at a point."""
+    _, bsq = _cube_bsq(Q, K)
+    return 0.5 * float(np.sum(1.0 / bsq))
+
+
 def sigma2_eps(Q, eps, K):
     """(eps/2) sum_{|k|_inf <= K} bracket(k)^-2 over the mode cube."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if Q.eps != eps:
         Q = Q.with_eps(eps)
-    _, bsq = _cube_bsq(Q, K)
-    return 0.5 * eps * float(np.sum(1.0 / bsq))
+    return eps * point_variance(Q, K)
 
 
 def coupling_lambda(V, sigma2):
@@ -370,12 +376,9 @@ def build_renorm(Q, V, K=None):
 def standard_constants(K):
     """Sharp-cutoff constants of the standard model (Q = z^2, eps = 0).
 
-    c1_std = E (mollified field)^2 = sum_{|k|_inf <= K} 1/(2<k>^2);
+    c1_std = E X(x)^2 = sum_{|k|_inf <= K} 1/(2<k>^2), the point variance;
     c2_std = half the stationary resonance expectation of the integrated Wick
     square, which makes the centered objects exactly mean-zero.
     """
     Q0 = DispersionQ.laplacian(0.0)
-    _, bsq = _cube_bsq(Q0, K)
-    c1_std = 0.5 * float(np.sum(1.0 / bsq))
-    c2_std = 0.5 * stationary_pair_integral(Q0, 2, K)
-    return c1_std, c2_std
+    return point_variance(Q0, K), 0.5 * stationary_pair_integral(Q0, 2, K)

@@ -155,6 +155,9 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
 
 
 def _check_grid_match(config, U):
+    if config.K != U.grid.K or abs(config.eps - U.eps) > 1e-12:
+        raise GridError(f"config (K={config.K}, eps={config.eps}) does not match "
+                        f"the enhanced noise (K={U.grid.K}, eps={U.eps})")
     t_grid = U.t_grid
     dt = float(t_grid[1] - t_grid[0])
     if abs(dt - config.dt) > 1e-12:
@@ -354,7 +357,6 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     traj[0] = phi
     offset = prov["step_offset"]
-    band = prov.get("band")
     Pr = g.pad_size(2 * V.n - 1)
     if scheme not in ("exponential_euler", "etdrk2"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -371,8 +373,7 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
 
     for i in range(nsteps):
         drift = drift_of(phi)
-        inc = ou_increment(seed, g, Q, prov["sample"], offset + i, config.dt,
-                           band=band)
+        inc = ou_increment(seed, g, Q, prov["sample"], offset + i, config.dt)
         pred = quad.advance(phi, drift)
         if scheme == "etdrk2":
             # trapezoidal corrector along the deterministic flow; the noise

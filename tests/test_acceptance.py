@@ -69,9 +69,9 @@ def test_free_field_spectrum_and_temporal_decay_monte_carlo():
         for eps in (0.2, 0.1):
             Q = DispersionQ.quartic(eps, nu=1.0)
             for k in ((0, 0, 0), (1, 0, 0), (2, 1, 0)):
-                rep = mc_moment("one", k, 0.0, M, NoiseSeed(2024), g, Q)
+                rep = mc_moment("one", k, M, NoiseSeed(2024), g, Q)
                 assert abs(rep.z) <= 3.0, (eps, k, rep.z)
-            lag = mc_moment("one", (1, 0, 0), 0.0, M, NoiseSeed(2025), g, Q,
+            lag = mc_moment("one", (1, 0, 0), M, NoiseSeed(2025), g, Q,
                             t_pair=(0.0, 0.1))
             assert abs(lag.z) <= 3.0, (eps, lag.z)
             # the lag oracle itself is the exponential decay of the equal-time
@@ -267,7 +267,7 @@ def test_coupled_runs_approach_the_limit_dynamics():
         seed = NoiseSeed(77)
         z = np.zeros((g.n,) * 3, dtype=np.complex128)
 
-        U0 = build_limit_upsilon(seed, g, 1.0 / (K + 1), t_grid, lam=lam)
+        U0 = build_limit_upsilon(seed, g, t_grid)
         cfg0 = SolverConfig(eps=0.0, lam=lam, dt=dt, T=T, K=K)
         limit = solve(cfg0, U0, z, z, V=V)
 

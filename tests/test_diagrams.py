@@ -8,7 +8,7 @@ from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
                              from_physical, to_physical)
-from phi4sim.gaussian import NoiseSeed, band_mask, hermite, sample_stationary
+from phi4sim.gaussian import NoiseSeed, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
 from conftest import cube_bsq, cube_modes
 
@@ -116,25 +116,13 @@ def test_build_rejects_nonuniform_grid():
                       rs)
 
 
-def test_limit_build_band_restriction():
-    g = FrequencyLattice(4)
-    t_grid = np.arange(3) * 0.005
-    U = build_limit_upsilon(NoiseSeed(7), g, eps_cutoff=0.5, t_grid=t_grid,
-                            burn_in=0.1, coarse_dt=0.02, fine_window=0.05)
-    assert U.provenance["band"] == 2
-    mask = band_mask(g, 2)
-    one = U.components["one"]
-    assert np.all(one[:, mask == 0] == 0)
-    assert np.any(one[:, mask == 1] != 0)
-    assert U.eps == 0.0
-
-
 def test_limit_build_wick_identities():
-    # the standard objects use exact Wick powers of the mollified field
+    # the standard objects use exact Wick powers of the free field
     g = FrequencyLattice(2)
     t_grid = np.arange(3) * 0.005
-    U = build_limit_upsilon(NoiseSeed(3), g, eps_cutoff=0.0, t_grid=t_grid,
-                            burn_in=0.1, coarse_dt=0.02, fine_window=0.05)
+    U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.1,
+                            coarse_dt=0.02, fine_window=0.05)
+    assert U.eps == 0.0
     nu = U.provenance["c1_std"]
     P = g.pad_size(2)
     for i in range(len(t_grid)):
@@ -198,7 +186,7 @@ def test_standard_evaluator_is_one_x_and_the_wick_powers():
 def _both_builds(build):
     if build == "eps":
         return _small_build()[0]
-    return build_limit_upsilon(NoiseSeed(3), FrequencyLattice(KCUT), 0.0,
+    return build_limit_upsilon(NoiseSeed(3), FrequencyLattice(KCUT),
                                np.arange(5) * 0.005, burn_in=0.1,
                                coarse_dt=0.02, fine_window=0.05)
 
@@ -286,7 +274,7 @@ def test_oracle_wick_square_is_pair_convolution():
 def test_mc_moment_free_field_z_score():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    rep = mc_moment("one", (1, 0, 0), 0.0, 400, NoiseSeed(21), g, Q)
+    rep = mc_moment("one", (1, 0, 0), 400, NoiseSeed(21), g, Q)
     assert rep.M == 400 and rep.se > 0
     assert abs(rep.z) < 4.0
     assert abs(rep.mean - rep.oracle) < 4.0 * rep.se
@@ -295,7 +283,7 @@ def test_mc_moment_free_field_z_score():
 @pytest.mark.parametrize("symbol", ["c1", "c2"])
 def test_mc_moment_polynomial_noise_z_score(symbol):
     Q, V, rs, g, _ = _small_setup()
-    rep = mc_moment(symbol, (1, 0, 0), 0.0, 400, NoiseSeed(22), g, Q, V=V,
+    rep = mc_moment(symbol, (1, 0, 0), 400, NoiseSeed(22), g, Q, V=V,
                     renorm_set=rs)
     assert abs(rep.z) < 4.0
 
@@ -303,7 +291,7 @@ def test_mc_moment_polynomial_noise_z_score(symbol):
 def test_mc_moment_temporal_pair():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    rep = mc_moment("one", (1, 0, 0), 0.0, 400, NoiseSeed(23), g, Q,
+    rep = mc_moment("one", (1, 0, 0), 400, NoiseSeed(23), g, Q,
                     t_pair=(0.0, 0.1))
     assert abs(rep.z) < 4.0
     assert rep.oracle < second_moment_oracle("one", (1, 0, 0), 0.0, Q, EPS,
@@ -315,7 +303,7 @@ def test_mc_moment_reads_negative_k3_as_the_conjugate_mode(t_pair):
     # the stored half has no k3 < 0 column: mode k is the conjugate of -k
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    a, b = (mc_moment("one", k, 0.0, 30, NoiseSeed(24), g, Q, t_pair=t_pair)
+    a, b = (mc_moment("one", k, 30, NoiseSeed(24), g, Q, t_pair=t_pair)
             for k in ((1, 2, -1), (-1, -2, 1)))
     assert a.mean == b.mean and a.se == b.se and a.oracle == b.oracle
 
@@ -324,7 +312,7 @@ def test_mc_moment_rejects_zero_samples():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(1)
     with pytest.raises(ValueError):
-        mc_moment("one", (0, 0, 0), 0.0, 0, NoiseSeed(0), g, Q)
+        mc_moment("one", (0, 0, 0), 0, NoiseSeed(0), g, Q)
 
 
 # ---------------------------------------------------------------------------

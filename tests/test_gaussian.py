@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from phi4sim.fourier import DispersionQ, FrequencyLattice, _mirror
 from phi4sim.gaussian import (NoiseSeed, TAG_INIT, TAG_OU, advance,
-                              band_mask, chaos_coefficients,
-                              gaussian_expectation, hermite, ou_increment,
-                              sample_stationary, unit_hermitian_normals,
-                              wick_power)
+                              chaos_coefficients, gaussian_expectation,
+                              hermite, ou_increment, sample_stationary,
+                              unit_hermitian_normals)
 from conftest import hermitian_defect, reflected
 
 
@@ -99,16 +98,15 @@ def test_advance_matches_decay_plus_increment():
     assert abs(new.t - dt) < 1e-15
 
 
-@pytest.mark.parametrize("band", [None, 1])
-def test_advance_is_decay_plus_ou_increment_bit_for_bit(band):
+def test_advance_is_decay_plus_ou_increment_bit_for_bit():
     # brute_force_reference regenerates the noise path through ou_increment
     g = FrequencyLattice(3)
     Q = DispersionQ.quartic(0.2, nu=1.0)
     seed = NoiseSeed(5)
-    ens = advance(sample_stationary(seed, g, Q, sample=2, band=band), 0.01)
+    ens = advance(sample_stationary(seed, g, Q, sample=2), 0.01)
     dt = 0.003
     decay = np.exp(-dt * Q.bracket_sq_grid(g))
-    inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt, band)
+    inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt)
     assert np.array_equal(advance(ens, dt).coeffs, decay * ens.coeffs + inc)
 
 
@@ -117,16 +115,6 @@ def test_advance_rejects_nonpositive_step():
     ens = sample_stationary(NoiseSeed(0), g, DispersionQ.laplacian(0.0))
     with pytest.raises(ValueError):
         advance(ens, 0.0)
-
-
-def test_band_restriction_zeroes_high_modes():
-    g = FrequencyLattice(4)
-    ens = sample_stationary(NoiseSeed(1), g, DispersionQ.quartic(0.2), band=2)
-    mask = band_mask(g, 2)
-    assert np.all(ens.coeffs[mask == 0] == 0)
-    assert np.any(ens.coeffs[mask == 1] != 0)
-    ens2 = advance(ens, 0.05)
-    assert np.all(ens2.coeffs[mask == 0] == 0)
 
 
 def test_matched_counters_couple_different_symbols():
@@ -155,11 +143,6 @@ def test_hermite_low_orders():
     assert np.allclose(hermite(2, x, nu), x**2 - nu)
     assert np.allclose(hermite(3, x, nu), x**3 - 3 * nu * x)
     assert np.allclose(hermite(4, x, nu), x**4 - 6 * nu * x**2 + 3 * nu**2)
-
-
-def test_wick_power_is_hermite_pointwise(rng):
-    x = rng.standard_normal((4, 4, 4))
-    assert np.array_equal(wick_power(x, 3, 2.0), hermite(3, x, 2.0))
 
 
 def test_gaussian_expectation_moments():

@@ -243,6 +243,19 @@ def test_solve_rejects_mismatched_dt():
         solve(cfg, U, np.zeros((g.n,) * 3), np.zeros((g.n,) * 3))
 
 
+@pytest.mark.parametrize("change", [{"K": K + 1}, {"eps": EPS / 2}],
+                         ids=["K", "eps"])
+def test_config_must_match_the_noise(change):
+    Q, V, rs, g, U, cfg = _setup()
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    for mode in ("sequential", "picard"):
+        bad = dataclasses.replace(cfg, mode=mode, **change)
+        with pytest.raises(GridError, match="does not match the enhanced noise"):
+            solve(bad, U, z, z, V=V)
+    with pytest.raises(GridError, match="does not match the enhanced noise"):
+        brute_force_reference(NoiseSeed(11), bad, V, Q, rs, U)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -167,11 +167,12 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
     return phases[::-1]
 
 
-def _build_common(seed, grid, Q, evaluator, t_grid, sample,
-                  burn_in, coarse_dt, fine_window, counterterms):
-    """Shared burn-in and main loop; returns the components, c20 at t = 0 and
-    the OU path offset.  `counterterms` (k31, k22, k32) are subtracted as
-    c31 - k31, c22 - k22 (0-mode shifts) and c32 - k32 X."""
+def _build_common(seed, grid, Q, eps, evaluator, t_grid, sample,
+                  burn_in, coarse_dt, fine_window, counterterms, **provenance):
+    """Shared burn-in and main loop; returns the EnhancedNoise, whose
+    provenance adds the OU path offset and the build arguments to the keys
+    given.  `counterterms` (k31, k22, k32) are subtracted as c31 - k31,
+    c22 - k22 (0-mode shifts) and c32 - k32 X."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
@@ -209,9 +210,11 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
             ens = advance(ens, dt)
     k31, k22, k32 = counterterms
     r32 -= k32 * one
-    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30,
-                c31=traj_const_shift(r31, -k31), c22=traj_const_shift(r22, -k22),
-                c32=r32), c20_0, step_offset
+    comps = dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30, c31=traj_const_shift(r31, -k31),
+                 c22=traj_const_shift(r22, -k22), c32=r32)
+    prov = dict(master=seed.master, sample=sample, step_offset=step_offset, burn_in=burn_in,
+                coarse_dt=coarse_dt, fine_window=fine_window, **provenance)
+    return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64), comps, c20_0, prov)
 
 
 def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
@@ -221,14 +224,9 @@ def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
     C2, C3 = renorm_set.C2, renorm_set.C3
-    comps, c20_0, step_offset = _build_common(
-        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
-        (C3, C2, 3.0 * C2 + 2.0 * C3))
-    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                burn_in=burn_in, coarse_dt=coarse_dt,
-                fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
-    return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
-                         comps, c20_0, prov)
+    return _build_common(seed, grid, Q, eps, ev, t_grid, sample, burn_in, coarse_dt,
+                         fine_window, (C3, C2, 3.0 * C2 + 2.0 * C3),
+                         lam=renorm_set.lam, renorm=renorm_set)
 
 
 def traj_const_shift(traj, delta):
@@ -245,14 +243,9 @@ def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
-    comps, c20_0, step_offset = _build_common(
-        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
-        (0.0, 2.0 * c2_std, 6.0 * c2_std))
-    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                burn_in=burn_in, coarse_dt=coarse_dt,
-                fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
-    return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
-                         comps, c20_0, prov)
+    return _build_common(seed, grid, Q0, 0.0, ev, t_grid, sample, burn_in, coarse_dt,
+                         fine_window, (0.0, 2.0 * c2_std, 6.0 * c2_std),
+                         c1_std=c1_std, c2_std=c2_std)
 
 
 # ---------------------------------------------------------------------------

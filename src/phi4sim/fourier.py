@@ -15,14 +15,14 @@ terms are evaluated pointwise on a zero-padded physical grid large enough for
 the declared polynomial degree and then projected back onto the cube
 (Galerkin truncation), which makes all finite-K product identities exact.
 
-One real transform pair, to_physical / from_physical, passes the half
-spectrum through a c2r / r2c pass on the last axis.  The pair is
-pruned: it transforms one axis at a time and touches only the 1-D lines the
-mode cube reaches, since on a padded grid of side P ~ (d+1)K most lines are
-zero on input to the inverse and discarded on output of the forward
-transform (the usual dealiasing saving; Bowman & Roberts, SIAM J. Sci.
-Comput. 33, 2011).  A complex value never enters it: from_physical rejects
-complex samples and a field cannot be scaled by a complex number.
+One real transform pair, to_physical / from_physical, works one axis at a
+time over only the lines the mode cube reaches (pruning: on a padded grid of
+side P ~ (d+1)K most lines are zero; Bowman & Roberts, SIAM J. Sci. Comput.
+33, 2011).  Each pass is a product with a thin DFT matrix cached per (K, P),
+run on the BLAS thread pool (OpenBLAS splits large products, seen from K = 24,
+across threads, which can change the last bits); a batch is looped over slice
+by slice, so it gives the per-slice results bit for bit.  from_physical
+rejects complex samples and a field cannot be scaled by a complex number.
 """
 
 import os
@@ -37,7 +37,7 @@ from .errors import GridError, SymbolError
 
 
 def set_threads(n):
-    """Set the number of FFT worker threads (results are bit-identical for any n)."""
+    """Set the scipy.fft workers of renorm's DCT sums; the transform pair uses BLAS threads."""
     global _workers
     _workers = max(1, int(n))
 
@@ -120,46 +120,53 @@ def _check_same_grid(*fields):
             raise GridError("fields live on different lattices")
 
 
-def _refit(a, m, K, axis):
-    """The FFT-ordered frequencies [0..K, -K..-1] on `axis` (< 0) of `a`,
-    copied by slices into a zeroed axis of length m (padding or truncation)."""
-    if min(m, a.shape[axis]) < 2 * K + 1:
-        raise GridError(f"padded size {min(m, a.shape[axis])} smaller than lattice {2 * K + 1}")
-    shape = list(a.shape)
-    shape[axis] = m
-    out = np.zeros(shape, dtype=np.complex128)
-    tail = (slice(None),) * (-1 - axis)
-    out[(..., slice(0, K + 1)) + tail] = a[(..., slice(0, K + 1)) + tail]
-    out[(..., slice(m - K, m)) + tail] = a[(..., slice(a.shape[axis] - K, None)) + tail]
-    return out
+_pair_matrices = {}
+
+
+def _matrices(grid, P):
+    """The pair's pruned DFT matrices at (K, P), built once: E[p, a] =
+    exp(2 pi i p f_a / P) with each phase reduced mod P and the column of -f
+    the exact conjugate of that of f, Eh = E^H, and the real r2c matrix R and
+    its c2r transpose C (weight 1 at k3 = 0, 2 above) on interleaved (re, im)."""
+    K, n = grid.K, grid.n
+    if P < n:
+        raise GridError(f"padded size {P} smaller than lattice {n}")
+    if (K, P) not in _pair_matrices:
+        ang = 2 * np.pi * (np.outer(np.arange(P), np.arange(K + 1)) % P) / P
+        E = np.exp(1j * ang)
+        E = np.concatenate([E, np.conj(E[:, :0:-1])], axis=1)
+        R = np.stack([np.cos(ang), -np.sin(ang)], axis=-1).reshape(P, 2 * (K + 1))
+        C = np.ascontiguousarray(R.T * np.r_[1.0, 1.0, np.full(2 * K, 2.0)][:, None])
+        _pair_matrices[K, P] = (E, np.ascontiguousarray(E.conj().T), C, R)
+    return _pair_matrices[K, P]
 
 
 def to_physical(coeffs, grid, P):
     """Half spectrum (..., n, n, K+1) (batch dims allowed) -> real (P,P,P) samples.
 
-    Pruned: the K+1 stored k3 >= 0 columns are inverted along -3 on their
-    (2K+1)(K+1) lines, then along -2 on P(K+1) lines; one real inverse along
-    -1 supplies the k3 < 0 half.  Unscaled inverses (norm="forward")."""
-    K, kw = grid.K, dict(norm="forward", workers=_workers)
+    Pruned: E inverts axis -3 on the n(K+1) stored lines, then axis -2 on
+    P(K+1) lines; the c2r product adds the k3 < 0 half (Im at k3 = 0 is
+    ignored, as by irfft).  Unscaled inverses."""
+    K = grid.K
     if coeffs.shape[-1] != K + 1:
         raise GridError(f"a half spectrum has K+1 = {K + 1} columns, not {coeffs.shape[-1]}")
-    x = scipy.fft.ifftn(_refit(coeffs, P, K, -3), axes=(-3,), overwrite_x=True, **kw)
-    x = scipy.fft.ifftn(_refit(x, P, K, -2), axes=(-2,), overwrite_x=True, **kw)
-    return scipy.fft.irfftn(x, s=(P,), axes=(-1,), **kw)
+    E, _, C, _ = _matrices(grid, P)
+    x = E @ coeffs.reshape(coeffs.shape[:-2] + (-1,))  # (..., P, n(K+1))
+    return (E @ x.reshape(x.shape[:-1] + (grid.n, K + 1))).view(np.float64) @ C
 
 
 def from_physical(f, grid, P):
     """Real samples on a (P,P,P) grid -> projected half spectrum (..., n, n, K+1).
 
-    Pruned mirror of to_physical: forward passes along -1, -2, -3 keep K+1,
-    2K+1 and 2K+1 frequencies and only the kept modes are divided by P^3."""
+    Pruned mirror of to_physical (r2c along -1, then Eh along -2 and -3); only
+    the kept modes are divided by P^3."""
     if np.iscomplexobj(f):
         raise TypeError("from_physical needs real samples")
-    K, n = grid.K, grid.n
-    h = scipy.fft.rfftn(f, axes=(-1,), workers=_workers)[..., : K + 1]
-    h = _refit(scipy.fft.fftn(h, axes=(-2,), workers=_workers), n, K, -2)
-    h = _refit(scipy.fft.fftn(h, axes=(-3,), workers=_workers, overwrite_x=True), n, K, -3)
-    return h / P**3
+    _, Eh, _, R = _matrices(grid, P)
+    h = Eh @ (f @ R).view(np.complex128)  # (..., P, n, K+1)
+    h = Eh @ h.reshape(h.shape[:-2] + (-1,))
+    h /= P**3
+    return h.reshape(h.shape[:-1] + (grid.n, grid.K + 1))
 
 
 def _mirror(half, grid):

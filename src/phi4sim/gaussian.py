@@ -10,7 +10,8 @@ dispersion symbols (the coupling construction) and by the brute-force
 reference integrator.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +55,8 @@ class ModeOUEnsemble:
     seed: NoiseSeed
     sample: int = 0
     step: int = 0
+    # (dt, decay, increment scale) of the last step, reused while dt repeats
+    transition: tuple = field(default=None, repr=False, compare=False)
 
 
 def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
@@ -64,11 +67,11 @@ def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
     return ModeOUEnsemble(grid, Q, float(t0), z * np.sqrt(0.5 / bsq), seed, sample)
 
 
-def _ou_noise(seed, grid, sample, step, bsq, decay):
-    """Increment of variance (1 - decay^2) / (2 bsq) per mode at the given
-    counter position, for a symbol already evaluated as bsq, decay."""
-    z = unit_hermitian_normals(seed, grid, sample, TAG_OU, step)
-    return z * np.sqrt((1.0 - decay**2) * 0.5 / bsq)
+def _transition(grid, Q, dt):
+    """(dt, decay e^{-b^2 dt}, increment scale sqrt((1 - decay^2) / (2 b^2)))."""
+    bsq = Q.bracket_sq_grid(grid)
+    decay = np.exp(-dt * bsq)
+    return dt, decay, np.sqrt((1.0 - decay**2) * 0.5 / bsq)
 
 
 def ou_increment(seed, grid, Q, sample, step, dt):
@@ -77,18 +80,19 @@ def ou_increment(seed, grid, Q, sample, step, dt):
     Exposed so a reference integrator can drive an equation with the identical
     noise path: variance (1 - e^{-2 b^2 dt}) / (2 b^2) per mode.
     """
-    bsq = Q.bracket_sq_grid(grid)
-    return _ou_noise(seed, grid, sample, step, bsq, np.exp(-dt * bsq))
+    return unit_hermitian_normals(seed, grid, sample, TAG_OU, step) * _transition(grid, Q, dt)[2]
 
 
 def advance(ens, dt):
     """Exact OU transition: new = e^{-b^2 dt} old + increment; stationarity preserved."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    bsq = ens.Q.bracket_sq_grid(ens.grid)
-    decay = np.exp(-dt * bsq)
-    inc = _ou_noise(ens.seed, ens.grid, ens.sample, ens.step, bsq, decay)
-    return replace(ens, t=ens.t + dt, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
+    tr = ens.transition
+    if tr is None or tr[0] != dt:
+        tr = _transition(ens.grid, ens.Q, dt)
+    z = unit_hermitian_normals(ens.seed, ens.grid, ens.sample, TAG_OU, ens.step)
+    return replace(ens, t=ens.t + dt, coeffs=tr[1] * ens.coeffs + z * tr[2],
+                   step=ens.step + 1, transition=tr)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +120,6 @@ def _poly_coeffs(f):
     return c
 
 
-def _double_factorial_odd(m):
-    # (2m-1)!! for m >= 0
-    out = 1.0
-    for i in range(1, 2 * m, 2):
-        out *= i
-    return out
-
-
 def gaussian_expectation(f, sigma2):
     """E f(X) for X ~ N(0, sigma2).
 
@@ -141,7 +137,7 @@ def gaussian_expectation(f, sigma2):
     total = 0.0
     for p, cp in enumerate(c):
         if p % 2 == 0 and cp != 0.0:
-            total += cp * _double_factorial_odd(p // 2) * sigma2 ** (p // 2)
+            total += cp * math.prod(range(1, p, 2)) * sigma2 ** (p // 2)  # (p-1)!!
     return float(total)
 
 

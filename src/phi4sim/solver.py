@@ -54,11 +54,12 @@ def taylor_remainder(V, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     out = V.eval(x + y, 1)
-    fact = 1.0
+    fact, yj = 1.0, 1.0
     for j in range(4):
         if j > 0:
             fact *= j
-        out = out - V.eval(x, j + 1) * y**j / fact
+            yj = yj * y
+        out = out - V.eval(x, j + 1) * yj / fact
     return out
 
 
@@ -97,9 +98,7 @@ def coeffs_F(lam, U, i):
 
 def coeffs_F_traj(lam, U):
     """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
-    shape (T, n, n, K+1): coeffs_F slice by slice (a batch of slices only
-    falls out of the cache: K=8, 51 slices, one FFT thread: 1.21 s slice by
-    slice, 1.53 s in chunks of 32)."""
+    shape (T, n, n, K+1), from coeffs_F slice by slice."""
     out = [np.empty_like(U.traj("c0")) for _ in range(4)]
     for i in range(len(out[0])):
         for dst, F in zip(out, coeffs_F(lam, U, i)):
@@ -124,9 +123,10 @@ def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
         # polynomial part sum_j F_j u^j on one shared alias-free grid
         P = g.pad_size(4)
         ux = to_physical(u.coeffs, g, P)
-        poly = to_physical(F[0], g, P)
+        poly, uj = to_physical(F[0], g, P), 1.0
         for j in (1, 2, 3):
-            poly = poly + to_physical(F[j], g, P) * ux**j
+            uj = uj * ux
+            poly += to_physical(F[j], g, P) * uj
         out = from_physical(poly, g, P)
         out = out - 3.0 * lam * combine(Bc2b, Bfb, g, "lt")  # f > c2
     else:
@@ -350,6 +350,9 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
         raise GridError("seed does not match the enhanced-noise provenance")
     nsteps = _check_grid_match(config, U)
     eps = config.eps
+    if abs(Q.eps - eps) > 1e-12 or abs(renorm_set.eps - eps) > 1e-12:
+        raise GridError(f"symbol / constants eps {Q.eps} / {renorm_set.eps} do not match "
+                        f"the enhanced noise (eps={U.eps})")
     quad = ExponentialQuadrature(g, Q, config.dt)
     C = renorm_set.C_total
     phi = U.traj("one")[0] - config.lam * U.traj("c30")[0] if phi0 is None \

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
@@ -134,6 +134,7 @@ def _rel(a, b):
 
 @given(K=st.integers(0, 10), degree=st.integers(1, 5),
        batch=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**32 - 1))
+@example(K=24, degree=4, batch=(), seed=0)  # P = 121
 @settings(max_examples=40, deadline=None)
 def test_pruned_pair_matches_full_grid_transforms(K, degree, batch, seed):
     g = FrequencyLattice(K)
@@ -148,21 +149,61 @@ def test_pruned_pair_matches_full_grid_transforms(K, degree, batch, seed):
     assert _rel(_mirror(from_physical(f, g, P), g), from_ref(f)) <= 1e-13
 
 
-def test_pruned_pair_is_independent_of_thread_count(rng):
-    g = FrequencyLattice(6)
-    P = g.pad_size(3)
-    c = _hermitian_cube(g, rng, (3,))[..., : g.K + 1]
+_BLAS_RUN = """
+import hashlib
+import numpy as np
+from phi4sim.fourier import FourierField, FrequencyLattice, from_physical, product, to_physical
+rng = np.random.default_rng(7)
+h = hashlib.sha256()
+for K, degree in ((2, 2), (8, 2), (8, 3), (8, 4)):
+    g = FrequencyLattice(K)
+    P = g.pad_size(degree)
     f = rng.standard_normal((3, P, P, P))
-    before = get_threads()
-    try:
-        runs = []
-        for n in (1, 2):
-            set_threads(n)
-            runs.append((to_physical(c, g, P), from_physical(f, g, P)))
-    finally:
-        set_threads(before)
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
+    c = from_physical(f, g, P)
+    F, G = FourierField(g, c[0]), FourierField(g, c[1])
+    for a in (c, to_physical(c, g, P), product(F, G, degree).coeffs):
+        h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_pruned_pair_is_independent_of_thread_count():
+    # the pair runs on the BLAS thread pool: to_physical, from_physical and
+    # product give the same bits with one and with two BLAS threads
+    import phi4sim
+
+    src = os.path.dirname(os.path.dirname(phi4sim.__file__))
+    digests = []
+    for n in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
+                   OMP_NUM_THREADS=n)
+        out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_pruned_pair_of_a_batch_is_the_pair_of_each_slice(degree, rng):
+    # batch dimensions are looped over one slice at a time: chunk independence
+    g = FrequencyLattice(8)
+    P = g.pad_size(degree)
+    c = _hermitian_cube(g, rng, (2, 3))[..., : g.K + 1]
+    f = rng.standard_normal((2, 3, P, P, P))
+    x, h = to_physical(c, g, P), from_physical(f, g, P)
+    for b in np.ndindex(2, 3):
+        assert np.array_equal(x[b], to_physical(c[b], g, P))
+        assert np.array_equal(h[b], from_physical(f[b], g, P))
+    assert np.array_equal(x[1], to_physical(c[1], g, P))  # a sub-batch too
+
+
+def test_pruned_pair_rejects_a_grid_smaller_than_the_lattice(rng):
+    g = FrequencyLattice(3)
+    c = _hermitian_cube(g, rng)[..., : g.K + 1]
+    with pytest.raises(GridError, match="smaller than lattice"):
+        to_physical(c, g, g.n - 1)
+    with pytest.raises(GridError, match="smaller than lattice"):
+        from_physical(rng.standard_normal((g.n - 1,) * 3), g, g.n - 1)
 
 
 @pytest.mark.parametrize("K", [0, 1, 4])

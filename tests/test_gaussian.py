@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,18 @@ def test_advance_is_decay_plus_ou_increment_bit_for_bit():
     decay = np.exp(-dt * Q.bracket_sq_grid(g))
     inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt)
     assert np.array_equal(advance(ens, dt).coeffs, decay * ens.coeffs + inc)
+
+
+def test_advance_reuses_the_transition_of_its_step_size():
+    # steps of one size evaluate the symbol once; a new size recomputes it
+    g = FrequencyLattice(3)
+    Q = DispersionQ.quartic(0.2, nu=1.0)
+    ens = advance(sample_stationary(NoiseSeed(5), g, Q, sample=1), 0.01)
+    for dt in (0.01, 0.003):
+        fresh = advance(replace(ens, transition=None), dt)
+        again = advance(ens, dt)
+        assert again.transition[0] == dt
+        assert np.array_equal(again.coeffs, fresh.coeffs)
 
 
 def test_advance_rejects_nonpositive_step():

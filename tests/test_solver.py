@@ -354,3 +354,15 @@ def test_reference_rejects_foreign_seed():
     Q, V, rs, g, U, cfg = _setup()
     with pytest.raises(GridError):
         brute_force_reference(NoiseSeed(999), cfg, V, Q, rs, U)
+
+
+@pytest.mark.parametrize("which", ["Q", "renorm_set"])
+def test_reference_rejects_a_symbol_or_constants_of_another_eps(which):
+    # the OU increments and the drift would follow another symbol than U's
+    Q, V, rs, g, U, cfg = _setup()
+    other = DispersionQ.quartic(EPS / 3, nu=1.0)
+    args = {"Q": Q, "renorm_set": rs}
+    args[which] = other if which == "Q" else build_renorm(other, V, K=K)
+    with pytest.raises(GridError, match="do not match the enhanced noise"):
+        brute_force_reference(NoiseSeed(11), cfg, V, args["Q"],
+                              args["renorm_set"], U)

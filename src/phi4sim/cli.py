@@ -289,7 +289,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--threads", type=int, default=None,
-                   help="renorm DCT workers (default: PHI4_THREADS); the pair uses BLAS threads")
+                   help="transform worker threads (default: PHI4_THREADS)")
     p.add_argument("--eps", default=None,
                    help="comma-separated eps list override")
     return p

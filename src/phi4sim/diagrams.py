@@ -36,7 +36,7 @@ from . import besov, renorm
 from .errors import GridError
 from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                       from_physical, to_physical)
-from .gaussian import advance, hermite, sample_stationary
+from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 X_EXPONENTS = {  # Besov regularity slot per component at smoothness budget kappa
     "c0": lambda k: -k,
@@ -167,12 +167,11 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
     return phases[::-1]
 
 
-def _build_common(seed, grid, Q, eps, evaluator, t_grid, sample,
-                  burn_in, coarse_dt, fine_window, counterterms, **provenance):
-    """Shared burn-in and main loop; returns the EnhancedNoise, whose
-    provenance adds the OU path offset and the build arguments to the keys
-    given.  `counterterms` (k31, k22, k32) are subtracted as c31 - k31,
-    c22 - k22 (0-mode shifts) and c32 - k32 X."""
+def _build_common(seed, grid, Q, evaluator, t_grid, sample,
+                  burn_in, coarse_dt, fine_window, counterterms):
+    """Shared burn-in and main loop; returns the components, c20 at t = 0 and
+    the OU path offset.  `counterterms` (k31, k22, k32) are subtracted as
+    c31 - k31, c22 - k22 (0-mode shifts) and c32 - k32 X."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
@@ -182,19 +181,19 @@ def _build_common(seed, grid, Q, eps, evaluator, t_grid, sample,
     I2 = np.zeros(shape, dtype=np.complex128)
     I3 = np.zeros(shape, dtype=np.complex128)
     for n, h in phases:
-        quad = ExponentialQuadrature(grid, Q, h)
+        quad, step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
         for _ in range(n):
             q, c = evaluator.all_noises(ens.coeffs, (2, 3))
             I2 = quad.advance(I2, q)
             I3 = quad.advance(I3, c)
-            ens = advance(ens, h)
+            ens = advance(ens, h, step)
     step_offset = ens.step
     c20_0 = I2
 
     T = nsteps + 1
     one, n0, n1, n2, c30, r31, r22, r32 = (
         np.empty((T,) + shape, dtype=np.complex128) for _ in range(8))
-    quad = ExponentialQuadrature(grid, Q, dt)
+    quad, step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
@@ -207,14 +206,12 @@ def _build_common(seed, grid, Q, eps, evaluator, t_grid, sample,
         if i < nsteps:
             I2 = quad.advance(I2, n2[i])
             I3 = quad.advance(I3, a3)
-            ens = advance(ens, dt)
+            ens = advance(ens, dt, step)
     k31, k22, k32 = counterterms
     r32 -= k32 * one
-    comps = dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30, c31=traj_const_shift(r31, -k31),
-                 c22=traj_const_shift(r22, -k22), c32=r32)
-    prov = dict(master=seed.master, sample=sample, step_offset=step_offset, burn_in=burn_in,
-                coarse_dt=coarse_dt, fine_window=fine_window, **provenance)
-    return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64), comps, c20_0, prov)
+    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30,
+                c31=traj_const_shift(r31, -k31), c22=traj_const_shift(r22, -k22),
+                c32=r32), c20_0, step_offset
 
 
 def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
@@ -224,9 +221,14 @@ def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
     C2, C3 = renorm_set.C2, renorm_set.C3
-    return _build_common(seed, grid, Q, eps, ev, t_grid, sample, burn_in, coarse_dt,
-                         fine_window, (C3, C2, 3.0 * C2 + 2.0 * C3),
-                         lam=renorm_set.lam, renorm=renorm_set)
+    comps, c20_0, step_offset = _build_common(
+        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
+        (C3, C2, 3.0 * C2 + 2.0 * C3))
+    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
+                burn_in=burn_in, coarse_dt=coarse_dt,
+                fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
+    return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
+                         comps, c20_0, prov)
 
 
 def traj_const_shift(traj, delta):
@@ -243,9 +245,14 @@ def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
-    return _build_common(seed, grid, Q0, 0.0, ev, t_grid, sample, burn_in, coarse_dt,
-                         fine_window, (0.0, 2.0 * c2_std, 6.0 * c2_std),
-                         c1_std=c1_std, c2_std=c2_std)
+    comps, c20_0, step_offset = _build_common(
+        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
+        (0.0, 2.0 * c2_std, 6.0 * c2_std))
+    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
+                burn_in=burn_in, coarse_dt=coarse_dt,
+                fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
+    return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
+                         comps, c20_0, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,19 @@ the declared polynomial degree and then projected back onto the cube
 One real transform pair, to_physical / from_physical, works one axis at a
 time over only the lines the mode cube reaches (pruning: on a padded grid of
 side P ~ (d+1)K most lines are zero; Bowman & Roberts, SIAM J. Sci. Comput.
-33, 2011).  Each pass is a product with a thin DFT matrix cached per (K, P),
-run on the BLAS thread pool (OpenBLAS splits large products, seen from K = 24,
-across threads, which can change the last bits); a batch is looped over slice
-by slice, so it gives the per-slice results bit for bit.  from_physical
-rejects complex samples and a field cannot be scaled by a complex number.
+33, 2011).  Each pass is a product with a thin DFT matrix cached per (K, P).
+Large passes are cut into blocks fixed by (K, P), which the set_threads
+workers share; numpy's OpenBLAS is held to one thread, because it splits a
+product by its own thread count with other roundings.  So the results are
+bit-identical for any worker count or OPENBLAS_NUM_THREADS, and a batch gives
+the per-slice results bit for bit.  from_physical rejects complex samples and
+a field cannot be scaled by a complex number.
 """
 
+import ctypes
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -37,11 +41,30 @@ from .errors import GridError, SymbolError
 
 
 def set_threads(n):
-    """Set the scipy.fft workers of renorm's DCT sums; the transform pair uses BLAS threads."""
-    global _workers
+    """Set the worker threads of the transform pair and of renorm's DCT sums
+    (results are bit-identical for any n)."""
+    global _workers, _pool
     _workers = max(1, int(n))
+    _pool = None
 
 
+def _hold_blas_to_one_thread():
+    """Set numpy's OpenBLAS to one thread, where its entry point can be found
+    (another BLAS is left as it is)."""
+    try:
+        lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_hold_blas_to_one_thread()
 set_threads(int(os.environ.get("PHI4_THREADS", "0")) or min(4, os.cpu_count() or 1))
 
 
@@ -141,18 +164,51 @@ def _matrices(grid, P):
     return _pair_matrices[K, P]
 
 
+def _spans(grid, P, rows, width=1):
+    """Blocks [a, b) of range(rows * width), cut at whole rows where (K, P)
+    alone decide: one block up to about 4M samples times K+1 (every P at
+    K = 8), at most 32."""
+    nb = min(rows, 32, max(1, P**3 * (grid.K + 1) >> 22))
+    return [(i * rows // nb * width, (i + 1) * rows // nb * width) for i in range(nb)]
+
+
+def _on_workers(work, spans):
+    """work(a, b) for each block [a, b), shared by the set_threads workers."""
+    global _pool
+    if _workers == 1 or len(spans) == 1:
+        for a, b in spans:
+            work(a, b)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_workers)
+    for _ in _pool.map(lambda ab: work(*ab), spans):  # re-raises a block's error
+        pass
+
+
 def to_physical(coeffs, grid, P):
     """Half spectrum (..., n, n, K+1) (batch dims allowed) -> real (P,P,P) samples.
 
     Pruned: E inverts axis -3 on the n(K+1) stored lines, then axis -2 on
     P(K+1) lines; the c2r product adds the k3 < 0 half (Im at k3 = 0 is
     ignored, as by irfft).  Unscaled inverses."""
-    K = grid.K
+    K, n = grid.K, grid.n
     if coeffs.shape[-1] != K + 1:
         raise GridError(f"a half spectrum has K+1 = {K + 1} columns, not {coeffs.shape[-1]}")
     E, _, C, _ = _matrices(grid, P)
-    x = E @ coeffs.reshape(coeffs.shape[:-2] + (-1,))  # (..., P, n(K+1))
-    return (E @ x.reshape(x.shape[:-1] + (grid.n, K + 1))).view(np.float64) @ C
+    c = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    x = np.empty(c.shape[:-2] + (P, n * (K + 1)), dtype=np.complex128)
+    out = np.empty(c.shape[:-2] + (P, P, P))
+
+    def lines(a, b):  # stored mode lines a .. b - 1, all P samples along -3
+        np.matmul(E, c[..., a:b], out=x[..., a:b])
+
+    def planes(a, b):  # sample planes a .. b - 1 of axis -3
+        y = E @ x[..., a:b, :].reshape(x.shape[:-2] + (b - a, n, K + 1))
+        np.matmul(y.view(np.float64), C, out=out[..., a:b, :, :])
+
+    _on_workers(lines, _spans(grid, P, n, K + 1))
+    _on_workers(planes, _spans(grid, P, P))
+    return out
 
 
 def from_physical(f, grid, P):
@@ -162,11 +218,22 @@ def from_physical(f, grid, P):
     the kept modes are divided by P^3."""
     if np.iscomplexobj(f):
         raise TypeError("from_physical needs real samples")
+    K, n = grid.K, grid.n
     _, Eh, _, R = _matrices(grid, P)
-    h = Eh @ (f @ R).view(np.complex128)  # (..., P, n, K+1)
-    h = Eh @ h.reshape(h.shape[:-2] + (-1,))
+    x = np.empty(f.shape[:-2] + (n, K + 1), dtype=np.complex128)  # (..., P, n, K+1)
+    h = np.empty(f.shape[:-3] + (n, n * (K + 1)), dtype=np.complex128)
+    xl = x.reshape(x.shape[:-2] + (-1,))
+
+    def planes(a, b):  # sample planes a .. b - 1 of axis -3
+        np.matmul(Eh, (f[..., a:b, :, :] @ R).view(np.complex128), out=x[..., a:b, :, :])
+
+    def lines(a, b):  # kept mode lines a .. b - 1, summed over axis -3
+        np.matmul(Eh, xl[..., a:b], out=h[..., a:b])
+
+    _on_workers(planes, _spans(grid, P, P))
+    _on_workers(lines, _spans(grid, P, n, K + 1))
     h /= P**3
-    return h.reshape(h.shape[:-1] + (grid.n, grid.K + 1))
+    return h.reshape(h.shape[:-1] + (n, K + 1))
 
 
 def _mirror(half, grid):

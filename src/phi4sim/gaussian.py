@@ -10,8 +10,7 @@ dispersion symbols (the coupling construction) and by the brute-force
 reference integrator.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,8 +54,6 @@ class ModeOUEnsemble:
     seed: NoiseSeed
     sample: int = 0
     step: int = 0
-    # (dt, decay, increment scale) of the last step, reused while dt repeats
-    transition: tuple = field(default=None, repr=False, compare=False)
 
 
 def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
@@ -67,11 +64,12 @@ def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
     return ModeOUEnsemble(grid, Q, float(t0), z * np.sqrt(0.5 / bsq), seed, sample)
 
 
-def _transition(grid, Q, dt):
-    """(dt, decay e^{-b^2 dt}, increment scale sqrt((1 - decay^2) / (2 b^2)))."""
+def ou_transition(grid, Q, dt):
+    """The per-mode constants of an OU step of size dt: the decay e^{-b^2 dt}
+    and the increment scale sqrt((1 - decay^2) / (2 b^2))."""
     bsq = Q.bracket_sq_grid(grid)
     decay = np.exp(-dt * bsq)
-    return dt, decay, np.sqrt((1.0 - decay**2) * 0.5 / bsq)
+    return decay, np.sqrt((1.0 - decay**2) * 0.5 / bsq)
 
 
 def ou_increment(seed, grid, Q, sample, step, dt):
@@ -80,19 +78,18 @@ def ou_increment(seed, grid, Q, sample, step, dt):
     Exposed so a reference integrator can drive an equation with the identical
     noise path: variance (1 - e^{-2 b^2 dt}) / (2 b^2) per mode.
     """
-    return unit_hermitian_normals(seed, grid, sample, TAG_OU, step) * _transition(grid, Q, dt)[2]
+    return unit_hermitian_normals(seed, grid, sample, TAG_OU, step) * ou_transition(grid, Q, dt)[1]
 
 
-def advance(ens, dt):
-    """Exact OU transition: new = e^{-b^2 dt} old + increment; stationarity preserved."""
+def advance(ens, dt, transition=None):
+    """Exact OU transition: new = e^{-b^2 dt} old + increment; stationarity
+    preserved.  A caller repeating one step passes `transition` =
+    ou_transition(ens.grid, ens.Q, dt), computed once."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tr = ens.transition
-    if tr is None or tr[0] != dt:
-        tr = _transition(ens.grid, ens.Q, dt)
-    z = unit_hermitian_normals(ens.seed, ens.grid, ens.sample, TAG_OU, ens.step)
-    return replace(ens, t=ens.t + dt, coeffs=tr[1] * ens.coeffs + z * tr[2],
-                   step=ens.step + 1, transition=tr)
+    decay, scale = transition or ou_transition(ens.grid, ens.Q, dt)
+    inc = unit_hermitian_normals(ens.seed, ens.grid, ens.sample, TAG_OU, ens.step) * scale
+    return replace(ens, t=ens.t + dt, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +117,14 @@ def _poly_coeffs(f):
     return c
 
 
+def _double_factorial_odd(m):
+    # (2m-1)!! for m >= 0
+    out = 1.0
+    for i in range(1, 2 * m, 2):
+        out *= i
+    return out
+
+
 def gaussian_expectation(f, sigma2):
     """E f(X) for X ~ N(0, sigma2).
 
@@ -137,7 +142,7 @@ def gaussian_expectation(f, sigma2):
     total = 0.0
     for p, cp in enumerate(c):
         if p % 2 == 0 and cp != 0.0:
-            total += cp * math.prod(range(1, p, 2)) * sigma2 ** (p // 2)  # (p-1)!!
+            total += cp * _double_factorial_odd(p // 2) * sigma2 ** (p // 2)
     return float(total)
 
 

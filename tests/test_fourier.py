@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
+from phi4sim import fourier
 from phi4sim.errors import GridError, SymbolError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                              FrequencyLattice, _mirror, apply_semigroup,
@@ -155,7 +156,7 @@ import numpy as np
 from phi4sim.fourier import FourierField, FrequencyLattice, from_physical, product, to_physical
 rng = np.random.default_rng(7)
 h = hashlib.sha256()
-for K, degree in ((2, 2), (8, 2), (8, 3), (8, 4)):
+for K, degree in ((2, 2), (8, 2), (8, 3), (8, 4), (24, 5), (40, 2)):
     g = FrequencyLattice(K)
     P = g.pad_size(degree)
     f = rng.standard_normal((3, P, P, P))
@@ -168,15 +169,16 @@ print(h.hexdigest())
 
 
 def test_pruned_pair_is_independent_of_thread_count():
-    # the pair runs on the BLAS thread pool: to_physical, from_physical and
-    # product give the same bits with one and with two BLAS threads
+    # to_physical, from_physical and product give the same bits with one and
+    # with two workers and BLAS threads, also where OpenBLAS would split a
+    # product across its threads (K = 24, P = 147 and K = 40, P = 121)
     import phi4sim
 
     src = os.path.dirname(os.path.dirname(phi4sim.__file__))
     digests = []
     for n in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
-                   OMP_NUM_THREADS=n)
+                   OMP_NUM_THREADS=n, PHI4_THREADS=n)
         out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())
@@ -491,18 +493,27 @@ def test_snapshot_rejects_a_cube_of_no_real_field(tmp_path, rng):
 
 
 def test_results_independent_of_thread_count(rng):
-    g = FrequencyLattice(4)
+    # at K = 24 the passes are cut into blocks that the workers share; eight
+    # workers on fewer cores, switching often, write the same bits as one
+    g = FrequencyLattice(24)
+    P = g.pad_size(5)
+    assert len(fourier._spans(g, P, g.n)) > 2
     F = random_hermitian_field(g, rng)
     G = random_hermitian_field(g, rng)
-    before = get_threads()
+    f = rng.standard_normal((2, P, P, P))
+    before, interval = get_threads(), sys.getswitchinterval()
+    runs = []
     try:
-        set_threads(1)
-        p1 = product(F, G).coeffs.copy()
-        set_threads(2)
-        p2 = product(F, G).coeffs.copy()
+        sys.setswitchinterval(1e-6)
+        for n in (1, 8):
+            set_threads(n)
+            runs.append((product(F, G, 5).coeffs, from_physical(f, g, P),
+                         to_physical(F.coeffs, g, P)))
     finally:
         set_threads(before)
-    assert np.array_equal(p1, p2)
+        sys.setswitchinterval(interval)
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
 
 
 def test_thread_count_from_environment_is_clamped():

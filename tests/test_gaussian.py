@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from phi4sim.fourier import DispersionQ, FrequencyLattice, _mirror
 from phi4sim.gaussian import (NoiseSeed, TAG_INIT, TAG_OU, advance,
                               chaos_coefficients, gaussian_expectation,
-                              hermite, ou_increment, sample_stationary,
-                              unit_hermitian_normals)
+                              hermite, ou_increment, ou_transition,
+                              sample_stationary, unit_hermitian_normals)
 from conftest import hermitian_defect, reflected
 
 
@@ -112,16 +110,15 @@ def test_advance_is_decay_plus_ou_increment_bit_for_bit():
     assert np.array_equal(advance(ens, dt).coeffs, decay * ens.coeffs + inc)
 
 
-def test_advance_reuses_the_transition_of_its_step_size():
-    # steps of one size evaluate the symbol once; a new size recomputes it
+def test_advance_with_a_precomputed_transition_is_the_plain_step():
+    # the noise builds compute ou_transition once per step size
     g = FrequencyLattice(3)
     Q = DispersionQ.quartic(0.2, nu=1.0)
     ens = advance(sample_stationary(NoiseSeed(5), g, Q, sample=1), 0.01)
     for dt in (0.01, 0.003):
-        fresh = advance(replace(ens, transition=None), dt)
-        again = advance(ens, dt)
-        assert again.transition[0] == dt
-        assert np.array_equal(again.coeffs, fresh.coeffs)
+        new = advance(ens, dt, ou_transition(g, Q, dt))
+        assert new.step == ens.step + 1 and new.t == ens.t + dt
+        assert np.array_equal(new.coeffs, advance(ens, dt).coeffs)
 
 
 def test_advance_rejects_nonpositive_step():

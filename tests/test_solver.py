@@ -1,15 +1,17 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-
-import dataclasses
 
 from phi4sim import besov, solver
 from phi4sim.besov import commutator_com, para_lt, resonance
 from phi4sim.diagrams import build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
-                             FrequencyLattice, _mirror, get_threads, product,
-                             set_threads)
+                             FrequencyLattice, _mirror, product)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
@@ -193,19 +195,42 @@ def test_solve_rejects_initial_data_of_no_real_field(rng):
             solve(cfg, U, v0, w0, V=V)
 
 
+_THREADS_RUN = """
+import hashlib
+import numpy as np
+from phi4sim.diagrams import build_upsilon
+from phi4sim.fourier import DispersionQ, FourierField, FrequencyLattice, product
+from phi4sim.gaussian import NoiseSeed
+from phi4sim.renorm import Potential, build_renorm
+from phi4sim.solver import SolverConfig, solve
+Q, V, g = DispersionQ.quartic(0.3), Potential.quartic(0.25), FrequencyLattice(24)
+rs = build_renorm(Q, V, K=24)
+U = build_upsilon(NoiseSeed(3), g, Q, V, 0.3, np.arange(3) * 1e-3, rs,
+                  burn_in=0.004, coarse_dt=0.02, fine_window=0.002)
+z = np.zeros((g.n,) * 3, dtype=np.complex128)
+run = solve(SolverConfig(eps=0.3, lam=rs.lam, dt=1e-3, T=2e-3, K=24), U, z, z, V=V)
+F = FourierField(g, U.traj("one")[-1])
+h = hashlib.sha256()
+for a in (run.v_traj, run.w_traj, product(F, F, 5).coeffs):
+    h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
 def test_solve_is_independent_of_thread_count():
-    before = get_threads()
-    runs = []
-    try:
-        for n in (1, 2):
-            set_threads(n)
-            _, V, rs, g, U, cfg = _setup()
-            z = np.zeros((g.n,) * 3, dtype=np.complex128)
-            runs.append(solve(cfg, U, z, z, V=V))
-    finally:
-        set_threads(before)
-    assert np.array_equal(runs[0].v_traj, runs[1].v_traj)
-    assert np.array_equal(runs[0].w_traj, runs[1].w_traj)
+    # K = 24: the pair cuts its passes into blocks shared by the workers, and
+    # OpenBLAS would split these products across its threads
+    import phi4sim
+
+    src = os.path.dirname(os.path.dirname(phi4sim.__file__))
+    digests = []
+    for n in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
+                   OMP_NUM_THREADS=n, PHI4_THREADS=n)
+        out = subprocess.run([sys.executable, "-c", _THREADS_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_picard_agrees_with_sequential():

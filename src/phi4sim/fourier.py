@@ -40,12 +40,17 @@ import scipy.fft
 from .errors import GridError, SymbolError
 
 
+_pool = None
+
+
 def set_threads(n):
     """Set the worker threads of the transform pair and of renorm's DCT sums
     (results are bit-identical for any n)."""
     global _workers, _pool
     _workers = max(1, int(n))
-    _pool = None
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
 def _hold_blas_to_one_thread():

@@ -181,19 +181,19 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
     I2 = np.zeros(shape, dtype=np.complex128)
     I3 = np.zeros(shape, dtype=np.complex128)
     for n, h in phases:
-        quad, step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
+        quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
         for _ in range(n):
             q, c = evaluator.all_noises(ens.coeffs, (2, 3))
             I2 = quad.advance(I2, q)
             I3 = quad.advance(I3, c)
-            ens = advance(ens, h, step)
+            ens = advance(ens, h, ou_step)
     step_offset = ens.step
     c20_0 = I2
 
     T = nsteps + 1
     one, n0, n1, n2, c30, r31, r22, r32 = (
         np.empty((T,) + shape, dtype=np.complex128) for _ in range(8))
-    quad, step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
+    quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
@@ -206,7 +206,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
         if i < nsteps:
             I2 = quad.advance(I2, n2[i])
             I3 = quad.advance(I3, a3)
-            ens = advance(ens, dt, step)
+            ens = advance(ens, dt, ou_step)
     k31, k22, k32 = counterterms
     r32 -= k32 * one
     return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30,

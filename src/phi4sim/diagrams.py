@@ -1,6 +1,6 @@
 """Construction of the enhanced noise (the seven stochastic objects), the
 standard objects of the eps = 0 limit, analytic second-moment oracles via
-Wick contractions, Monte Carlo moment audits, and the enhanced-noise norm.
+Wick contractions, and Monte Carlo moment audits.
 
 Both builds are driven by the one noise of `gaussian`, white noise on the
 full mode lattice, through the same counters, so a build at eps > 0 and the
@@ -37,17 +37,6 @@ from .errors import GridError
 from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                       from_physical, to_physical)
 from .gaussian import advance, hermite, ou_transition, sample_stationary
-
-X_EXPONENTS = {  # Besov regularity slot per component at smoothness budget kappa
-    "c0": lambda k: -k,
-    "c1": lambda k: -0.5 - k,
-    "c2": lambda k: -1.0 - k,
-    "c30": lambda k: 0.5 - k,
-    "c31": lambda k: -k,
-    "c22": lambda k: -k,
-    "c32": lambda k: -0.5 - k,
-}
-
 
 @dataclass
 class EnhancedNoise:
@@ -364,32 +353,3 @@ def mc_moment(symbol, k, M, seed, grid, Q, V=None, renorm_set=None,
     z = (mean - oracle) / se if np.isfinite(se) and se > 0 else float("nan")
     return MomentReport(symbol=symbol, k=tuple(k), mean=mean, se=se,
                         oracle=oracle, z=z, M=M)
-
-
-# ---------------------------------------------------------------------------
-# the enhanced-noise norm
-
-
-def x_norm(U, T, kappa=0.05):
-    """Sum of component sup-in-time Besov norms at the slot exponents plus the
-    1/8-Hoelder seminorm of the integrated cubic component at level 1/4 - kappa."""
-    sel = U.t_grid <= T + 1e-12
-    if not np.any(sel):
-        raise GridError("time grid does not reach into [0, T]")
-    times = np.where(sel)[0]
-    total = 0.0
-    for tag, expo in X_EXPONENTS.items():
-        alpha = expo(kappa)
-        best = 0.0
-        for i in times:
-            best = max(best, besov.besov_norm(U.field(tag, i), alpha))
-        total += best
-    c30 = U.traj("c30")
-    hold = 0.0
-    for a in range(len(times)):
-        for b in range(a + 1, len(times)):
-            i, j = times[a], times[b]
-            diff = FourierField(U.grid, c30[j] - c30[i])
-            dtv = abs(U.t_grid[j] - U.t_grid[i])
-            hold = max(hold, besov.besov_norm(diff, 0.25 - kappa) / dtv**0.125)
-    return total + hold

@@ -1,22 +1,24 @@
 """Paracontrolled remainder system for (v, w), the coefficient fields F_j,
-the G map, exponential-Euler / Picard integration, Y-norms, and the
-reconstruction of the full solution against a brute-force reference.
+exponential-Euler / Picard integration, Y-norms, and the reconstruction of
+the full solution against a brute-force reference.
 
 The discrete scheme keeps the Duhamel structure exact: every integral is
 advanced by the exponential left-endpoint rule, and the running accumulators
 
-    A(t) = I((v + w - lam*c30) < c2),    B(t) = I(c2)
+    A(t) = I(f < c2),    c20(t) = I(c2)(t) + e^{t(L-1)} c20(0),
 
-satisfy the same recursion as v itself, so the commutator
-[I, <](u - lam*c30, c2) = A - (u - lam*c30) < B costs no extra quadrature
-error relative to the v-equation.
+with f = v + w - lam*c30, satisfy the same recursion as v itself.  The
+paper's split of the resonance, Com(f; I(c2); c2) + c2 o (A - f < I(c2))
+- f (c2 o e^{t(L-1)} c20(0)), equals c2 o A - f (c2 o c20) in exact
+arithmetic, because the resonance sums the symmetric set of block pairs
+|i - j| <= 1; so each step forms the latter.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import besov_norm, combine, physical_blocks
+from .besov import besov_norm, besov_profile, combine, physical_blocks
 from .errors import BlowUpSignal, GridError
 from .fourier import (ExponentialQuadrature, FourierField, _half, _mirror,
                       from_physical, product, to_physical)
@@ -38,6 +40,8 @@ class SolverConfig:
             raise ValueError("dt and T must be positive")
         if self.mode not in ("sequential", "picard"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.picard_iters < 1:
+            raise ValueError("picard_iters must be at least 1")
 
 
 @dataclass
@@ -106,54 +110,6 @@ def coeffs_F_traj(lam, U):
     return tuple(out)
 
 
-def g_map(lam, U, u, i, eps, V, h, A, B, F, blocks):
-    """The forcing G(lam, Upsilon, u) at time index i.
-
-    `u` is the current v + w (a FourierField); `h` is e^{t(L-1)} c20(0);
-    A and B are the running Duhamel accumulators described in the module
-    docstring; F holds the four coefficient fields of coeffs_F at index i;
-    `blocks` carries the physical blocks (Bf, Bc2) of u - lam*c30 and of the
-    quadratic noise, so the caller's decompositions are reused.  F and
-    blocks are unused (None) when lam = 0.
-    """
-    g = U.grid
-    f = u - lam * U.field("c30", i)
-    if lam != 0.0:
-        Bfb, Bc2b = blocks
-        # polynomial part sum_j F_j u^j on one shared alias-free grid
-        P = g.pad_size(4)
-        ux = to_physical(u.coeffs, g, P)
-        poly, uj = to_physical(F[0], g, P), 1.0
-        for j in (1, 2, 3):
-            uj = uj * ux
-            poly += to_physical(F[j], g, P) * uj
-        out = from_physical(poly, g, P)
-        out = out - 3.0 * lam * combine(Bc2b, Bfb, g, "lt")  # f > c2
-    else:
-        # every coefficient field carries a factor of the coupling
-        out = np.zeros_like(u.coeffs)
-    if eps > 0 and V is not None and V.n > 2:
-        # Taylor remainder of V' around sqrt(eps) * (free field); exactly zero
-        # for quartic V
-        Pr = g.pad_size(2 * V.n - 1)
-        psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
-        y = to_physical(f.coeffs, g, Pr) * np.sqrt(eps)
-        out = out - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
-    if lam != 0.0:
-        BBb = physical_blocks(B, g)
-        flB = combine(Bfb, BBb, g, "lt")  # f < B
-        # Com(f; B; c2) = (f < B) o c2 - f (B o c2)
-        Bres = FourierField(g, combine(BBb, Bc2b, g, "res"))  # B o c2
-        com = combine(physical_blocks(flB, g), Bc2b, g, "res") \
-            - product(f, Bres, 2).coeffs
-        comm_I = A - flB
-        res_ci = combine(Bc2b, physical_blocks(comm_I, g), g, "res")
-        res_h = combine(Bc2b, physical_blocks(h, g), g, "res")
-        out = out + 9.0 * lam**2 * (
-            com + res_ci - product(FourierField(g, res_h), f, 2).coeffs)
-    return FourierField(g, out)
-
-
 def _check_grid_match(config, U):
     if config.K != U.grid.K or abs(config.eps - U.eps) > 1e-12:
         raise GridError(f"config (K={config.K}, eps={config.eps}) does not match "
@@ -177,14 +133,13 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
     eps = config.eps
     nsteps = _check_grid_match(config, U)
     quad = ExponentialQuadrature(g, U.Q, config.dt)
-    shape = g.shape
+    P4 = g.pad_size(4)
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
-    A = np.zeros(shape, dtype=np.complex128)
-    B = np.zeros(shape, dtype=np.complex128)
-    h = np.array(U.c20_0, dtype=np.complex128)
+    A = np.zeros(g.shape, dtype=np.complex128)
+    c20 = np.array(U.c20_0, dtype=np.complex128)
     ev0 = v.copy()
-    v_traj = np.empty((nsteps + 1,) + shape, dtype=np.complex128)
+    v_traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     w_traj = np.empty_like(v_traj)
     v_traj[0], w_traj[0] = v, w
     for i in range(nsteps):
@@ -192,27 +147,37 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
             vi, wi = v, w
         else:
             vi, wi = integrand_source[0][i], integrand_source[1][i]
-        c2 = U.field("c2", i)
-        c30c = U.traj("c30")[i]
-        f = FourierField(g, vi + wi - lam * c30c)
-        if lam != 0.0:
-            F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
-                else tuple(c[i] for c in F_traj)
-            Bfb = physical_blocks(f.coeffs, g)
-            Bc2b = physical_blocks(c2.coeffs, g)
-            para = combine(Bfb, Bc2b, g, "lt")
-            res = combine(Bc2b, physical_blocks(ev0 + wi, g), g, "res")
-            blocks = (Bfb, Bc2b)
-        else:
-            para = res = np.zeros(shape, dtype=np.complex128)
-            F = blocks = None
-        G = g_map(lam, U, FourierField(g, vi + wi), i, eps, V, h, A, B, F,
-                  blocks).coeffs
+        c2 = U.traj("c2")[i]
+        u = vi + wi
+        f = FourierField(g, u - lam * U.traj("c30")[i])
+        F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
+            else tuple(c[i] for c in F_traj)
+        Bf = physical_blocks(f.coeffs, g)
+        Bc2 = physical_blocks(c2, g)
+        para = combine(Bf, Bc2, g, "lt")  # f < c2
+        res = combine(Bc2, physical_blocks(ev0 + wi, g), g, "res")
+        # G: the polynomial part sum_j F_j u^j on one shared alias-free grid
+        ux = to_physical(u, g, P4)
+        poly, uj = to_physical(F[0], g, P4), 1.0
+        for j in (1, 2, 3):
+            uj = uj * ux
+            poly += to_physical(F[j], g, P4) * uj
+        G = from_physical(poly, g, P4) - 3.0 * lam * combine(Bc2, Bf, g, "lt")
+        if eps > 0 and V is not None and V.n > 2:
+            # Taylor remainder of V' around sqrt(eps) * (free field); exactly
+            # zero for quartic V
+            Pr = g.pad_size(2 * V.n - 1)
+            psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
+            y = to_physical(f.coeffs, g, Pr) * np.sqrt(eps)
+            G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
+        # c2 o I(f < c2) - f (c2 o c20), with I(c2) + e^{t(L-1)} c20(0) = c20
+        res_A = combine(Bc2, physical_blocks(A, g), g, "res")
+        res_c20 = FourierField(g, combine(Bc2, physical_blocks(c20, g), g, "res"))
+        G = G + 9.0 * lam**2 * (res_A - product(res_c20, f, 2).coeffs)
         v = quad.advance(v, -3.0 * lam * para)
         w = quad.advance(w, -3.0 * lam * res + G)
         A = quad.advance(A, para)
-        B = quad.advance(B, c2.coeffs)
-        h = quad.decay * h
+        c20 = quad.advance(c20, c2)
         ev0 = quad.decay * ev0
         if not (np.all(np.isfinite(v.view(np.float64)))
                 and np.all(np.isfinite(w.view(np.float64)))):
@@ -241,7 +206,7 @@ def solve(config, U, v0, w0, V=None):
             w_prev[i + 1] = quad.decay * w_prev[i]
         dists = []
         info = {"mode": "picard", "converged": False, "non_contraction": False}
-        F = coeffs_F_traj(config.lam, U) if config.lam != 0.0 else None
+        F = coeffs_F_traj(config.lam, U)
         for sweep in range(config.picard_iters):
             v_new, w_new = _march(config, U, v0h, w0h, V,
                                   integrand_source=(v_prev, w_prev), F_traj=F)
@@ -256,7 +221,7 @@ def solve(config, U, v0, w0, V=None):
                 info["non_contraction"] = True
                 break
         info["sweeps"] = len(dists)
-        info["final_distance"] = dists[-1] if dists else 0.0
+        info["final_distance"] = dists[-1]
         v_traj, w_traj = v_prev, w_prev
     t_grid = U.t_grid[: v_traj.shape[0]].copy()
     return RemainderPair(t_grid=t_grid, v_traj=_mirror(v_traj, g),
@@ -270,9 +235,9 @@ def solve(config, U, v0, w0, V=None):
 def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha):
     traj = traj[..., : grid.K + 1]  # full cubes -> stored halves
     sel = np.where(t_grid <= T + 1e-12)[0]
-    fields = [FourierField(grid, traj[i]) for i in sel]
-    kap = np.array([besov_norm(f, kappa) for f in fields])
-    high = np.array([besov_norm(f, high_alpha) for f in fields])
+    profiles = [besov_profile(FourierField(grid, traj[i])) for i in sel]
+    kap = np.array([p.norm(kappa) for p in profiles])
+    high = np.array([p.norm(high_alpha) for p in profiles])
     t = t_grid[sel]
     total = 0.0
     if eps > 0:

@@ -4,7 +4,7 @@ import pytest
 from phi4sim import besov
 from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
-                              second_moment_oracle, traj_const_shift, x_norm)
+                              second_moment_oracle, traj_const_shift)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
                              from_physical, to_physical)
@@ -313,21 +313,3 @@ def test_mc_moment_rejects_zero_samples():
     g = FrequencyLattice(1)
     with pytest.raises(ValueError):
         mc_moment("one", (0, 0, 0), 0, NoiseSeed(0), g, Q)
-
-
-# ---------------------------------------------------------------------------
-# the enhanced-noise norm
-
-
-def test_x_norm_finite_and_monotone_in_horizon():
-    U, _, _ = _small_build()
-    n1 = x_norm(U, U.t_grid[2])
-    n2 = x_norm(U, U.t_grid[-1])
-    assert np.isfinite(n2) and n2 > 0
-    assert n2 >= n1 - 1e-12
-
-
-def test_x_norm_needs_a_reachable_horizon():
-    U, _, _ = _small_build()
-    with pytest.raises(GridError):
-        x_norm(U, -1.0)

@@ -50,6 +50,8 @@ def test_config_validation():
         SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2, mode="magic")
     with pytest.raises(ValueError):
         SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0, K=2)
+    with pytest.raises(ValueError):
+        SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2, picard_iters=0)
     cfg = SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2)
     assert cfg.mode == "sequential" and cfg.picard_iters == 40
 
@@ -183,6 +185,26 @@ def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
     v, w = solver._march(cfg, U, h, h, V, F_traj=coeffs_F_traj(cfg.lam, U))
     assert np.array_equal(P.v_traj, _mirror(v, g))
     assert np.array_equal(P.w_traj, _mirror(w, g))
+
+
+def test_march_step_decomposes_ten_fields_and_combines_fourteen_times(
+        monkeypatch):
+    # coeffs_F's 5 decompositions and 9 combines, then f, c2, ev0 + w, A and
+    # c20, and f < c2, c2 o (ev0 + w), c2 > f, c2 o A and c2 o c20
+    _, V, rs, g, U, cfg = _setup()
+    calls = {"physical_blocks": 0, "combine": 0}
+    for name in calls:
+        real = getattr(besov, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    solve(cfg, U, z, z, V=V)
+    nsteps = len(U.t_grid) - 1
+    assert calls == {"physical_blocks": 10 * nsteps, "combine": 14 * nsteps}
 
 
 def test_solve_rejects_initial_data_of_no_real_field(rng):
@@ -343,6 +365,27 @@ def test_reconstruction_matches_brute_force():
     err = np.sqrt(np.mean(np.abs(phi - ref) ** 2)) / scale
     # the two schemes are algebraically identical; only rounding separates them
     assert err < 1e-7
+
+
+@pytest.mark.parametrize("mode", ["sequential", "picard"])
+def test_sextic_reconstruction_matches_brute_force(mode):
+    # V.n > 2: the step's Taylor remainder of V' is not zero
+    eps, K, dt, T = 0.3, 4, 1e-4, 0.003
+    Q = DispersionQ.quartic(eps, nu=1.0)
+    V = Potential.sextic(1.0)
+    rs = build_renorm(Q, V, K=K)
+    g = FrequencyLattice(K)
+    t_grid = np.arange(int(round(T / dt)) + 1) * dt
+    U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs,
+                      burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+    cfg = SolverConfig(eps=eps, lam=rs.lam, dt=dt, T=T, K=K, mode=mode)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    P = solve(cfg, U, z, z, V=V)
+    assert mode == "sequential" or P.info["converged"]
+    phi = reconstruct_phi(U, P, cfg.lam)
+    ref = brute_force_reference(NoiseSeed(5), cfg, V, Q, rs, U)
+    err = np.sqrt(np.mean(np.abs(phi - ref) ** 2) / np.mean(np.abs(ref) ** 2))
+    assert err < 1e-8
 
 
 def test_counterterm_matters_in_the_reference():

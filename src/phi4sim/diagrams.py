@@ -86,6 +86,18 @@ class _NoiseEvaluator:
         self.grid = grid
         self.P = grid.pad_size(max(map(len, polys)) - 1)
         self.polys = [np.trim_zeros(np.asarray(p, float), "b") for p in polys]
+        self._buffers = {}
+
+    def _work(self, batch, name):
+        """The padded-grid work array `name` of a batch shape, made at its
+        first use and reused by every later call."""
+        if (batch, name) not in self._buffers:
+            self._buffers[batch, name] = np.empty(batch + (self.P,) * 3)
+        return self._buffers[batch, name]
+
+    def release(self):
+        """Free the work arrays; the next call makes them again."""
+        self._buffers.clear()
 
     @classmethod
     def potential(cls, grid, V, eps, lam, C1):
@@ -108,20 +120,29 @@ class _NoiseEvaluator:
     def all_noises(self, coeffs, orders=(0, 1, 2, 3)):
         """Cube spectra of the noises of the chaos orders listed.  A noise of
         degree <= 1 is formed in spectral space; the others share one inverse
-        transform and the powers of x, and take one forward transform each."""
+        transform and the powers of x, and take one forward transform each.
+        The padded-grid work runs in place in the evaluator's arrays; every
+        spectrum returned is a new array."""
         polys = [self.polys[m] for m in orders]
         top = max(map(len, polys))
-        powers = [1.0]
+        batch = coeffs.shape[:-3]
+        powers = [None]
         if top > 2:
-            powers.append(to_physical(coeffs, self.grid, self.P))
-            while len(powers) < top:
-                powers.append(powers[-1] * powers[1])
+            powers += [self._work(batch, j) for j in range(1, top)]
+            to_physical(coeffs, self.grid, self.P, out=powers[1])
+            for j in range(2, top):
+                np.multiply(powers[j - 1], powers[1], out=powers[j])
         out = []
         for p in polys:
             if len(p) > 2:
-                terms = [a * powers[j] for j, a in enumerate(p) if a]
-                out.append(from_physical(sum(terms[1:], terms[0]), self.grid,
-                                         self.P))
+                # ((a0 + a1 x) + a2 x^2) + ..., skipping zero coefficients
+                js = [j for j in range(1, len(p)) if p[j]]
+                work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
+                if p[0]:
+                    work += p[0]
+                for j in js[1:]:
+                    work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
+                out.append(from_physical(work, self.grid, self.P))
                 continue
             c = p[1] * coeffs if len(p) == 2 else np.zeros_like(coeffs)
             if len(p) and p[0]:
@@ -186,6 +207,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
+        evaluator.release()  # the resonance pass below sets the peak memory
         c30[i] = I3
         # the resonances c30 o c1, c20 o c2 and c30 o c2 of this slice
         B30, B1, B20, B2 = (besov.physical_blocks(f, grid)

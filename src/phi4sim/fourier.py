@@ -190,8 +190,9 @@ def _on_workers(work, spans):
         pass
 
 
-def to_physical(coeffs, grid, P):
-    """Half spectrum (..., n, n, K+1) (batch dims allowed) -> real (P,P,P) samples.
+def to_physical(coeffs, grid, P, out=None):
+    """Half spectrum (..., n, n, K+1) (batch dims allowed) -> real (P,P,P) samples,
+    written into `out` (a float64 array of that shape) when given.
 
     Pruned: E inverts axis -3 on the n(K+1) stored lines, then axis -2 on
     P(K+1) lines; the c2r product adds the k3 < 0 half (Im at k3 = 0 is
@@ -202,7 +203,11 @@ def to_physical(coeffs, grid, P):
     E, _, C, _ = _matrices(grid, P)
     c = coeffs.reshape(coeffs.shape[:-2] + (-1,))
     x = np.empty(c.shape[:-2] + (P, n * (K + 1)), dtype=np.complex128)
-    out = np.empty(c.shape[:-2] + (P, P, P))
+    shape = c.shape[:-2] + (P, P, P)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise GridError(f"out must be float64 of shape {shape}, not {out.dtype} {out.shape}")
 
     def lines(a, b):  # stored mode lines a .. b - 1, all P samples along -3
         np.matmul(E, c[..., a:b], out=x[..., a:b])

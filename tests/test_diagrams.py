@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,28 @@ def test_standard_evaluator_is_one_x_and_the_wick_powers():
     for got, samples in ((c2, x**2 - nu), (c3, x**3 - 3.0 * nu * x)):
         want = from_physical(samples, g, P)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("V", [Potential.quartic(0.25), Potential.sextic(1.0)],
+                         ids=["quartic", "sextic"])
+def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
+    # the powers and sums live in the evaluator's arrays from the first call
+    # on: besides the spectra it returns, a later call allocates less than one
+    # (P, P, P) float64 array (the pair's own temporaries are thinner)
+    Q = DispersionQ.quartic(0.2, nu=1.0)
+    g = FrequencyLattice(8)
+    rs = build_renorm(Q, V, K=8)
+    ev = _NoiseEvaluator.potential(g, V, 0.2, rs.lam, rs.C1)
+    coeffs = sample_stationary(NoiseSeed(5), g, Q).coeffs
+    first = ev.all_noises(coeffs)
+    tracemalloc.start()
+    try:
+        again = ev.all_noises(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in again) < 8 * ev.P**3
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def _both_builds(build):

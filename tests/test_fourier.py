@@ -199,6 +199,21 @@ def test_pruned_pair_of_a_batch_is_the_pair_of_each_slice(degree, rng):
     assert np.array_equal(x[1], to_physical(c[1], g, P))  # a sub-batch too
 
 
+@pytest.mark.parametrize("batch", [(), (2, 3)], ids=["single", "batched"])
+def test_to_physical_into_out_is_the_fresh_result(batch, rng):
+    g = FrequencyLattice(4)
+    P = g.pad_size(3)
+    c = _hermitian_cube(g, rng, batch)[..., : g.K + 1]
+    out = np.full(batch + (P, P, P), np.nan)
+    assert to_physical(c, g, P, out=out) is out
+    assert np.array_equal(out, to_physical(c, g, P))
+    for bad in (np.empty(batch + (P, P, P + 1)), np.empty((P, P, P, 1)),
+                np.empty(batch + (P, P, P), dtype=np.float32),
+                np.empty(batch + (P, P, P), dtype=np.complex128)):
+        with pytest.raises(GridError, match="out must be"):
+            to_physical(c, g, P, out=bad)
+
+
 def test_pruned_pair_rejects_a_grid_smaller_than_the_lattice(rng):
     g = FrequencyLattice(3)
     c = _hermitian_cube(g, rng)[..., : g.K + 1]

@@ -22,9 +22,14 @@ the main window), so the discrete Duhamel recursion on t >= 0 is at the run
 resolution at logarithmic burn-in cost.
 
 Each noise field is worked once per step: c0..c3 are polynomials in the free
-field that share its transform and powers, and the same loop decomposes c30,
-c1, c20 and c2 into Littlewood-Paley blocks once per slice for the three
-resonances, so no trajectory of c20 is kept.
+field X.  Their terms of degree <= 1 (all of c0 and c1 at the quartic, -C1 in
+c2, -3 C1 X in c3) are formed in spectral space.  The monomials of degree >= 2
+share one inverse transform of X and its powers, and each noise sums them in
+place on the padded grid before its one forward transform, in arrays the
+evaluator makes at their first use, so a burn-in step allocates no
+padded-grid array.  The same loop decomposes c30, c1, c20 and c2 into
+Littlewood-Paley blocks once per slice for the three resonances, so no
+trajectory of c20 is kept.
 """
 
 import math
@@ -118,11 +123,12 @@ class _NoiseEvaluator:
                           [0.0, -3.0 * nu, 0.0, 1.0]))
 
     def all_noises(self, coeffs, orders=(0, 1, 2, 3)):
-        """Cube spectra of the noises of the chaos orders listed.  A noise of
-        degree <= 1 is formed in spectral space; the others share one inverse
-        transform and the powers of x, and take one forward transform each.
-        The padded-grid work runs in place in the evaluator's arrays; every
-        spectrum returned is a new array."""
+        """Cube spectra of the noises of the chaos orders listed.  The terms of
+        degree <= 1 are formed in spectral space; the monomials of degree >= 2
+        share one inverse transform and the powers of x, and each noise that
+        has them takes one forward transform.  The padded-grid work runs in
+        place in the evaluator's arrays; every spectrum returned is a new
+        array."""
         polys = [self.polys[m] for m in orders]
         top = max(map(len, polys))
         batch = coeffs.shape[:-3]
@@ -134,17 +140,13 @@ class _NoiseEvaluator:
                 np.multiply(powers[j - 1], powers[1], out=powers[j])
         out = []
         for p in polys:
+            c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
             if len(p) > 2:
-                # ((a0 + a1 x) + a2 x^2) + ..., skipping zero coefficients
-                js = [j for j in range(1, len(p)) if p[j]]
+                js = [j for j in range(2, len(p)) if p[j]]
                 work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
-                if p[0]:
-                    work += p[0]
                 for j in js[1:]:
                     work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
-                out.append(from_physical(work, self.grid, self.P))
-                continue
-            c = p[1] * coeffs if len(p) == 2 else np.zeros_like(coeffs)
+                c += from_physical(work, self.grid, self.P)
             if len(p) and p[0]:
                 c[..., 0, 0, 0] += p[0]
             out.append(c)

@@ -3,7 +3,8 @@ family, potential, epsilon sweep, cutoff rule, seeds, and solver settings.
 
 The on-disk grammar is plain YAML with these keys (all scalars are
 JSON-compatible); unknown keys are rejected at both levels, and so is every
-scalar of the wrong type or out of the range noted below:
+scalar of the wrong type, not finite (.inf, .nan) or out of the range noted
+below:
 
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
@@ -42,7 +43,13 @@ NESTED_KEYS = {"symbol": {"family", "nu"},
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float, not a bool (an int past the float range is not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_count(x, least):
@@ -75,10 +82,10 @@ class ExperimentConfig:
         if fam == "quartic" and "nu" not in self.symbol:
             raise ConfigError("quartic symbol family needs parameter nu")
         if not _is_number(self.symbol.get("nu", 0.0)):
-            raise ConfigError(f"symbol nu must be a number: {self.symbol['nu']!r}")
+            raise ConfigError(f"symbol nu must be a finite number: {self.symbol['nu']!r}")
         if not (isinstance(self.potential, list) and len(self.potential) >= 2
                 and all(map(_is_number, self.potential))):
-            raise ConfigError(f"potential must be >= 2 numbers: {self.potential!r}")
+            raise ConfigError(f"potential must be >= 2 finite numbers: {self.potential!r}")
         kind = self.k_rule.get("kind")
         if kind not in ("inverse", "fixed"):
             raise ConfigError(f"unknown k_rule kind {kind!r}")
@@ -86,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"fixed k_rule needs an integer K >= 1: {self.k_rule!r}")
         factor = self.k_rule.get("factor")
         if kind == "inverse" and not (_is_number(factor) and factor > 0):
-            raise ConfigError(f"inverse k_rule needs a factor > 0: {self.k_rule!r}")
+            raise ConfigError(f"inverse k_rule needs a finite factor > 0: {self.k_rule!r}")
         if not _is_count(self.seed, 0):
             raise ConfigError(f"seed must be an integer >= 0: {self.seed!r}")
         # eps = 0 is the limit run of solve, on a fixed K
@@ -98,13 +105,13 @@ class ExperimentConfig:
         solver = {**SOLVER_DEFAULTS, **self.solver}
         dt, T = solver["dt"], solver["T"]
         if not (_is_number(dt) and _is_number(T) and 0 < dt <= T):
-            raise ConfigError(f"solver needs 0 < dt <= T: dt={dt!r}, T={T!r}")
+            raise ConfigError(f"solver needs finite 0 < dt <= T: dt={dt!r}, T={T!r}")
         if solver["mode"] not in ("sequential", "picard"):
             raise ConfigError(f"unknown solver mode {solver['mode']!r}")
         if not (_is_number(solver["kappa"]) and solver["kappa"] > 0):
-            raise ConfigError(f"solver kappa must be > 0: {solver['kappa']!r}")
+            raise ConfigError(f"solver kappa must be finite and > 0: {solver['kappa']!r}")
         if not (solver["lam"] is None or _is_number(solver["lam"])):
-            raise ConfigError(f"solver lam must be null or a number: {solver['lam']!r}")
+            raise ConfigError(f"solver lam must be null or a finite number: {solver['lam']!r}")
         if not _is_count(solver["picard_iters"], 1):
             raise ConfigError("solver picard_iters must be an integer >= 1: "
                               f"{solver['picard_iters']!r}")

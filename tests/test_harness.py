@@ -83,6 +83,14 @@ def test_config_rejects_unknown_nested_key(tmp_path, capsys, block):
     {"solver": {"picard_iters": 2.5}},
     {"potential": [0.0, "x"]},
     {"symbol": {"family": "quartic", "nu": "abc"}},
+    # not finite: factor .inf used to die with an OverflowError, nu .nan to
+    # exit 1 and potential .inf to write lambda=inf as a successful row
+    {"k_rule": {"kind": "inverse", "factor": float("inf")}},
+    {"symbol": {"family": "quartic", "nu": float("nan")}},
+    {"potential": [0.0, float("inf")]},
+    {"potential": [0.0, 10**400]},
+    {"solver": {"dt": 1e-3, "T": float("inf")}},
+    {"solver": {"lam": float("nan")}},
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, block):
     path = _write_cfg(tmp_path, **block)
@@ -228,6 +236,30 @@ def test_cli_moments_tiny_run(tmp_path):
     trailer = [ln for ln in lines if ln.startswith("# verdict=")]
     assert trailer and trailer[0] == "# verdict=pass"
     assert any(ln.startswith("# max_abs_z=") for ln in lines)
+
+
+def test_cli_moments_draws_each_sample_and_oracle_once_per_symbol(tmp_path,
+                                                                  monkeypatch):
+    # one eps, four symbols, two modes: each symbol's 50 samples are drawn
+    # once for both modes, and each oracle cube is built once per chaos order
+    from phi4sim import diagrams, renorm
+    calls = {"draws": 0, "cubes": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diagrams, "sample_stationary",
+                        counted("draws", diagrams.sample_stationary))
+    monkeypatch.setattr(renorm, "chaos_convolution_power",
+                        counted("cubes", renorm.chaos_convolution_power))
+    path = _write_cfg(tmp_path)
+    assert cli.main(["moments", "--config", str(path), "--out",
+                     str(tmp_path / "m")]) == 0
+    # wick2, and c1, c2 of the quartic: one chaos order each
+    assert calls == {"draws": 4 * 50, "cubes": 3}
 
 
 def test_cli_solve_writes_manifest_and_snapshots(tmp_path):

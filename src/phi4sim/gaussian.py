@@ -33,14 +33,18 @@ def _stream(seed, sample, tag, step):
 def unit_hermitian_normals(seed, grid, sample, tag, step):
     """Complex normals Z on the lattice with Z(-k) = conj(Z(k)), E|Z(k)|^2 = 1.
 
-    Built by hermitian-symmetrizing an i.i.d. complex Gaussian cube and keeping
-    its k3 >= 0 half; k = 0 is the only self-conjugate mode (real, variance 1).
+    The k3 >= 0 half of the hermitian symmetrization (z(k) + conj z(-k)) / sqrt 2
+    of an i.i.d. complex Gaussian cube z = (a + i b) / sqrt 2, drawn over the
+    whole cube; the draws at -k are read directly, so only the half is formed.
+    k = 0 is the only self-conjugate mode (real, variance 1).
     """
     rng = _stream(seed, sample, tag, step)
     ab = rng.standard_normal((2,) + (grid.n,) * 3)
-    z = (ab[0] + 1j * ab[1]) / np.sqrt(2.0)
-    at_minus_k = np.roll(z[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))[..., : grid.K + 1]
-    return (z[..., : grid.K + 1] + np.conj(at_minus_k)) / np.sqrt(2.0)
+    neg = -np.arange(grid.n) % grid.n  # the index of -k along an axis
+    minus_k = ab.take(neg[: grid.K + 1], axis=3).take(neg, axis=1).take(neg, axis=2)
+    z, at_minus_k = ((a[0] + 1j * a[1]) / np.sqrt(2.0)
+                     for a in (ab[..., : grid.K + 1], minus_k))
+    return (z + np.conj(at_minus_k)) / np.sqrt(2.0)
 
 
 @dataclass

@@ -138,14 +138,13 @@ def cmd_moments(cfg, out_dir, seed):
         grid = FrequencyLattice(K)
         rs = build_renorm(Q, V, K=K)
         for symbol in ("one", ("wick", 2), "c1", "c2"):
-            for k in ((0, 0, 0), (1, 0, 0)):
-                rep = mc_moment(symbol, k, cfg.samples, noise, grid, Q, V=V,
-                                renorm_set=rs)
-                name = symbol if isinstance(symbol, str) else \
-                    f"{symbol[0]}{symbol[1]}"
+            name = symbol if isinstance(symbol, str) else \
+                f"{symbol[0]}{symbol[1]}"
+            for rep in mc_moment(symbol, ((0, 0, 0), (1, 0, 0)), cfg.samples,
+                                 noise, grid, Q, V=V, renorm_set=rs):
                 z = rep.z if np.isfinite(rep.z) else 0.0
                 worst = max(worst, abs(z))
-                rows.append((eps, name, f"{k[0]};{k[1]};{k[2]}", rep.M,
+                rows.append((eps, name, ";".join(map(str, rep.k)), rep.M,
                              rep.mean, rep.oracle, rep.se, rep.z))
     verdict = "pass" if worst <= 4.0 else "fail"
     return _write_csv(os.path.join(out_dir, "moments.csv"), cfg, seed,

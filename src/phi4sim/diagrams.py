@@ -272,8 +272,8 @@ def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
 # analytic second moments (Wick contraction sums)
 
 
-def _mode_index(grid, k):
-    return tuple(int(ki) % grid.n for ki in k)
+def _mode_index(n, k):
+    return tuple(int(ki) % n for ki in k)
 
 
 def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
@@ -282,17 +282,23 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
     symbol is 'one', ('wick', n), 'c1', 'c2', or 'c30' (equal-time only for
     'c30').
     """
+    cube = _oracle_cube(symbol, t_pair, Q, eps, K, V, renorm_set)
+    return float(cube[_mode_index(len(cube), k)])
+
+
+def _oracle_cube(symbol, t_pair, Q, eps, K, V=None, renorm_set=None):
+    """second_moment_oracle on the whole mode cube (FFT order): one
+    convolution power per chaos order, whatever the number of modes read."""
     if Q.eps != eps:
         Q = Q.with_eps(eps)
     s, t = (t_pair if isinstance(t_pair, (tuple, list)) else (t_pair, t_pair))
     tau = abs(t - s)
-    grid, bsq = renorm._cube_bsq(Q, K)
-    idx = _mode_index(grid, k)
+    _, bsq = renorm._cube_bsq(Q, K)
     if symbol == "one":
-        return float(np.exp(-tau * bsq[idx]) * 0.5 / bsq[idx])
+        return np.exp(-tau * bsq) * 0.5 / bsq
     if isinstance(symbol, tuple) and symbol[0] == "wick":
         n = int(symbol[1])
-        return float(math.factorial(n) * renorm.chaos_convolution_power(Q, n, K, tau)[idx])
+        return math.factorial(n) * renorm.chaos_convolution_power(Q, n, K, tau)
     if symbol in ("c1", "c2"):
         if V is None or renorm_set is None:
             raise ValueError("polynomial-noise oracles need V and renorm_set")
@@ -303,8 +309,8 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
                 coeff, legs = a[m - 1], 2 * m - 1
             else:
                 coeff, legs = a[m - 1] / m, 2 * m
-            conv = renorm.chaos_convolution_power(Q, legs, K, tau)[idx]
-            total += coeff**2 * eps ** (2 * (m - 1)) * float(math.factorial(legs) * conv)
+            conv = renorm.chaos_convolution_power(Q, legs, K, tau)
+            total += coeff**2 * eps ** (2 * (m - 1)) * (math.factorial(legs) * conv)
         return total
     if symbol == "c30":
         if tau > 1e-12:
@@ -316,7 +322,7 @@ def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
         for m in range(1, V.n):
             coeff = 3.0 * a[m - 1] / (m * (2 * m + 1))
             ti = renorm.time_integrated_chaos_moment(Q, 2 * m + 1, K)
-            total += coeff**2 * eps ** (2 * (m - 1)) * float(ti[idx])
+            total += coeff**2 * eps ** (2 * (m - 1)) * ti
         return total
     raise ValueError(f"unsupported symbol {symbol!r}")
 
@@ -330,15 +336,18 @@ def _jackknife_se(values):
     return float(np.sqrt((M - 1) / M * np.sum((loo - np.mean(loo)) ** 2)))
 
 
-def mc_moment(symbol, k, M, seed, grid, Q, V=None, renorm_set=None,
+def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
               t_pair=None):
-    """Monte Carlo estimate of the equal-time second moment at mode k vs the
-    oracle; with t_pair = (s, t), of the free field's covariance at lag t - s."""
+    """Monte Carlo estimates of the equal-time second moment at each mode k of
+    `modes` vs the oracle, one MomentReport per mode; with t_pair = (s, t), of
+    the free field's covariance at lag t - s.  Each sample is drawn and
+    evaluated once for all the modes, and the oracle cube is built once."""
     if M < 1:
         raise ValueError("need at least one sample")
     eps = Q.eps
     # k3 < 0 is read at -k: c(k) = conj c(-k), and |c|^2, Re c conj c' are even
-    idx = _mode_index(grid, k if k[2] >= 0 else [-ki for ki in k])
+    idx = tuple(np.transpose([_mode_index(grid.n, k if k[2] >= 0 else [-ki for ki in k])
+                              for k in modes]))
     if V is not None and renorm_set is not None and eps > 0:
         ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam,
                                        renorm_set.C1)
@@ -346,34 +355,36 @@ def mc_moment(symbol, k, M, seed, grid, Q, V=None, renorm_set=None,
     else:
         ev = None
         nu = renorm.point_variance(Q, grid.K)
-    vals = np.empty(M)
+    vals = np.empty((len(modes), M))
     for m in range(M):
         ens = sample_stationary(seed, grid, Q, sample=m)
         if t_pair is not None:
             dt = t_pair[1] - t_pair[0]
             ens2 = advance(ens, dt)
-            vals[m] = (ens.coeffs[idx] * np.conj(ens2.coeffs[idx])).real
+            vals[:, m] = (ens.coeffs[idx] * np.conj(ens2.coeffs[idx])).real
             continue
         if symbol == "one":
-            vals[m] = np.abs(ens.coeffs[idx]) ** 2
+            a = ens.coeffs
         elif isinstance(symbol, tuple) and symbol[0] == "wick":
             n = int(symbol[1])
             P = grid.pad_size(n)
             x = to_physical(ens.coeffs, grid, P)
-            w = from_physical(hermite(n, x, nu), grid, P)
-            vals[m] = np.abs(w[idx]) ** 2
+            a = from_physical(hermite(n, x, nu), grid, P)
         elif symbol in ("c1", "c2"):
             a, = ev.all_noises(ens.coeffs, (1 if symbol == "c1" else 2,))
-            vals[m] = np.abs(a[idx]) ** 2
         else:
             raise ValueError(f"unsupported symbol {symbol!r}")
-    mean = float(np.mean(vals))
-    se = _jackknife_se(vals)
+        vals[:, m] = np.abs(a[idx]) ** 2
     if t_pair is not None:
-        oracle = second_moment_oracle("one", k, t_pair, Q, eps, grid.K)
+        cube = _oracle_cube("one", t_pair, Q, eps, grid.K)
     else:
-        oracle = second_moment_oracle(symbol, k, 0.0, Q, eps, grid.K, V,
-                                      renorm_set)
-    z = (mean - oracle) / se if np.isfinite(se) and se > 0 else float("nan")
-    return MomentReport(symbol=symbol, k=tuple(k), mean=mean, se=se,
-                        oracle=oracle, z=z, M=M)
+        cube = _oracle_cube(symbol, 0.0, Q, eps, grid.K, V, renorm_set)
+    reports = []
+    for k, v in zip(modes, vals):
+        mean = float(np.mean(v))
+        se = _jackknife_se(v)
+        oracle = float(cube[_mode_index(grid.n, k)])
+        z = (mean - oracle) / se if np.isfinite(se) and se > 0 else float("nan")
+        reports.append(MomentReport(symbol=symbol, k=tuple(k), mean=mean, se=se,
+                                    oracle=oracle, z=z, M=M))
+    return reports

@@ -298,7 +298,7 @@ def test_oracle_wick_square_is_pair_convolution():
 def test_mc_moment_free_field_z_score():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    rep = mc_moment("one", (1, 0, 0), 400, NoiseSeed(21), g, Q)
+    rep, = mc_moment("one", [(1, 0, 0)], 400, NoiseSeed(21), g, Q)
     assert rep.M == 400 and rep.se > 0
     assert abs(rep.z) < 4.0
     assert abs(rep.mean - rep.oracle) < 4.0 * rep.se
@@ -307,16 +307,16 @@ def test_mc_moment_free_field_z_score():
 @pytest.mark.parametrize("symbol", ["c1", "c2"])
 def test_mc_moment_polynomial_noise_z_score(symbol):
     Q, V, rs, g, _ = _small_setup()
-    rep = mc_moment(symbol, (1, 0, 0), 400, NoiseSeed(22), g, Q, V=V,
-                    renorm_set=rs)
+    rep, = mc_moment(symbol, [(1, 0, 0)], 400, NoiseSeed(22), g, Q, V=V,
+                     renorm_set=rs)
     assert abs(rep.z) < 4.0
 
 
 def test_mc_moment_temporal_pair():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    rep = mc_moment("one", (1, 0, 0), 400, NoiseSeed(23), g, Q,
-                    t_pair=(0.0, 0.1))
+    rep, = mc_moment("one", [(1, 0, 0)], 400, NoiseSeed(23), g, Q,
+                     t_pair=(0.0, 0.1))
     assert abs(rep.z) < 4.0
     assert rep.oracle < second_moment_oracle("one", (1, 0, 0), 0.0, Q, EPS,
                                              KCUT)
@@ -327,13 +327,26 @@ def test_mc_moment_reads_negative_k3_as_the_conjugate_mode(t_pair):
     # the stored half has no k3 < 0 column: mode k is the conjugate of -k
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(KCUT)
-    a, b = (mc_moment("one", k, 30, NoiseSeed(24), g, Q, t_pair=t_pair)
-            for k in ((1, 2, -1), (-1, -2, 1)))
+    a, b = mc_moment("one", [(1, 2, -1), (-1, -2, 1)], 30, NoiseSeed(24), g,
+                     Q, t_pair=t_pair)
     assert a.mean == b.mean and a.se == b.se and a.oracle == b.oracle
+
+
+@pytest.mark.parametrize("symbol", ["one", ("wick", 2), "c1", "c2"])
+def test_mc_moment_of_several_modes_is_that_of_each_mode(symbol):
+    # the samples are drawn once for all the modes, with the same values
+    Q, V, rs, g, _ = _small_setup()
+    modes = [(0, 0, 0), (1, 0, 0), (2, -1, 1)]
+    both = mc_moment(symbol, modes, 20, NoiseSeed(25), g, Q, V=V, renorm_set=rs)
+    for k, rep in zip(modes, both):
+        one, = mc_moment(symbol, [k], 20, NoiseSeed(25), g, Q, V=V, renorm_set=rs)
+        assert rep == one and rep.k == k
+        assert rep.oracle == second_moment_oracle(symbol, k, 0.0, Q, EPS, KCUT,
+                                                  V, rs)
 
 
 def test_mc_moment_rejects_zero_samples():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(1)
     with pytest.raises(ValueError):
-        mc_moment("one", (0, 0, 0), 0, NoiseSeed(0), g, Q)
+        mc_moment("one", [(0, 0, 0)], 0, NoiseSeed(0), g, Q)

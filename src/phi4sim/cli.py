@@ -79,11 +79,7 @@ def cmd_validate(cfg, out_dir, seed):
     eps_list = cfg.eps or [0.1]
     rows = []
     for eps in eps_list:
-        Q = cfg.make_symbol(eps)
-        try:
-            rep = validate_symbol(Q)
-        except SymbolError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        rep = validate_symbol(cfg.make_symbol(eps))
         rows.append((eps, rep.items["normalization"], rep.items["positivity"],
                      rep.items["growth"], rep.eta_hat, rep.passed))
         if not rep.items["growth"]:
@@ -113,10 +109,7 @@ def cmd_constants(cfg, out_dir, seed):
         if not rep.items["growth"]:
             _fail(EXIT_VALIDATION, "growth violation")
         K = cfg.cutoff_for(eps)
-        try:
-            rs = build_renorm(Q, V, K=K)
-        except GrowthViolationError:
-            _fail(EXIT_VALIDATION, "growth violation")
+        rs = build_renorm(Q, V, K=K)
         rows.append((eps, K, rs.sigma2_eps, rs.lam, rs.C1, rs.C2, rs.C3,
                      rs.C_total))
     return _write_csv(os.path.join(out_dir, "constants.csv"), cfg, seed,
@@ -320,6 +313,8 @@ def main(argv=None):
                "validate": cmd_validate}[args.command]
     try:
         path = handler(cfg, out_dir, seed)
+    except (GrowthViolationError, SymbolError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     except Phi4Error as exc:
         _fail(1, str(exc))
     print(path)

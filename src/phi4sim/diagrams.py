@@ -1,6 +1,6 @@
-"""Construction of the enhanced noise (the seven stochastic objects), the
-standard objects of the eps = 0 limit, analytic second-moment oracles via
-Wick contractions, and Monte Carlo moment audits.
+"""Construction of the enhanced noise (six component trajectories and one
+counterterm), the standard objects of the eps = 0 limit, analytic
+second-moment oracles via Wick contractions, and Monte Carlo moment audits.
 
 Both builds are driven by the one noise of `gaussian`, white noise on the
 full mode lattice, through the same counters, so a build at eps > 0 and the
@@ -12,11 +12,12 @@ Component tags (in chaos order):
     c1  : V'''(sqrt(eps) X) / (6 lambda sqrt(eps))
     c2  : V''(sqrt(eps) X) / (3 lambda eps) - C1
     c30 : stationary Duhamel integral of the centered cubic noise
-    c31 : resonance(c30, c1) - C3
-    c22 : resonance(c20, c2) - C2
-    c32 : resonance(c30, c2) - (3 C2 + 2 C3) X
-plus the single field c20_0 (the integrated Wick square at t = 0) used by the
-solver.  The stationary integrals start at t = -burn_in on a graded mesh
+    c32 : resonance(c30, c2) - k32 X
+plus the scalar k32 = 3 C2 + 2 C3 (6 c2_std in the limit).  The paper's
+other two resonances, c31 = c30 o c1 - C3 and c22 = c20 o c2 - C2, enter the
+remainder step only in combinations that collapse exactly at a fixed cutoff
+(see `solver`), so neither they nor the integrated Wick square c20 are
+built.  The stationary integral starts at t = -burn_in on a graded mesh
 whose step coarsens geometrically away from t = 0 (run resolution adjacent to
 the main window), so the discrete Duhamel recursion on t >= 0 is at the run
 resolution at logarithmic burn-in cost.
@@ -27,9 +28,9 @@ c2, -3 C1 X in c3) are formed in spectral space.  The monomials of degree >= 2
 share one inverse transform of X and its powers, and each noise sums them in
 place on the padded grid before its one forward transform, in arrays the
 evaluator makes at their first use, so a burn-in step allocates no
-padded-grid array.  The same loop decomposes c30, c1, c20 and c2 into
-Littlewood-Paley blocks once per slice for the three resonances, so no
-trajectory of c20 is kept.
+padded-grid array.  The burn-in evaluates c3 alone, one forward transform per
+step.  The main loop decomposes c30 and c2 into Littlewood-Paley blocks once
+per slice for the resonance c30 o c2.
 """
 
 import math
@@ -45,14 +46,15 @@ from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 @dataclass
 class EnhancedNoise:
-    """Time-indexed component fields of one enhanced-noise realization."""
+    """Time-indexed component fields of one enhanced-noise realization and
+    the counterterm k32 that c32 subtracts."""
 
     grid: object
     Q: object
     eps: float
     t_grid: np.ndarray
     components: dict
-    c20_0: np.ndarray
+    k32: float
     provenance: dict = field(default_factory=dict)
 
     def field(self, tag, i):
@@ -180,74 +182,56 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
 
 
 def _build_common(seed, grid, Q, evaluator, t_grid, sample,
-                  burn_in, coarse_dt, fine_window, counterterms):
-    """Shared burn-in and main loop; returns the components, c20 at t = 0 and
-    the OU path offset.  `counterterms` (k31, k22, k32) are subtracted as
-    c31 - k31, c22 - k22 (0-mode shifts) and c32 - k32 X."""
+                  burn_in, coarse_dt, fine_window, k32):
+    """Shared burn-in and main loop; returns the components and the OU path
+    offset.  The counterterm `k32` is subtracted as c32 = c30 o c2 - k32 X."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
     total_burn = sum(n * h for n, h in phases)
     ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn)
     shape = grid.shape
-    I2 = np.zeros(shape, dtype=np.complex128)
     I3 = np.zeros(shape, dtype=np.complex128)
     for n, h in phases:
         quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
         for _ in range(n):
-            q, c = evaluator.all_noises(ens.coeffs, (2, 3))
-            I2 = quad.advance(I2, q)
+            c, = evaluator.all_noises(ens.coeffs, (3,))
             I3 = quad.advance(I3, c)
             ens = advance(ens, h, ou_step)
     step_offset = ens.step
-    c20_0 = I2
 
     T = nsteps + 1
-    one, n0, n1, n2, c30, r31, r22, r32 = (
-        np.empty((T,) + shape, dtype=np.complex128) for _ in range(8))
+    one, n0, n1, n2, c30, c32 = (
+        np.empty((T,) + shape, dtype=np.complex128) for _ in range(6))
     quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
         evaluator.release()  # the resonance pass below sets the peak memory
         c30[i] = I3
-        # the resonances c30 o c1, c20 o c2 and c30 o c2 of this slice
-        B30, B1, B20, B2 = (besov.physical_blocks(f, grid)
-                            for f in (I3, n1[i], I2, n2[i]))
-        for dst, Ba, Bb in zip((r31, r22, r32), (B30, B20, B30), (B1, B2, B2)):
-            dst[i] = besov.combine(Ba, Bb, grid, "res")
+        c32[i] = besov.combine(besov.physical_blocks(I3, grid),
+                               besov.physical_blocks(n2[i], grid), grid, "res")
         if i < nsteps:
-            I2 = quad.advance(I2, n2[i])
             I3 = quad.advance(I3, a3)
             ens = advance(ens, dt, ou_step)
-    k31, k22, k32 = counterterms
-    r32 -= k32 * one
-    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30,
-                c31=traj_const_shift(r31, -k31), c22=traj_const_shift(r22, -k22),
-                c32=r32), c20_0, step_offset
+    c32 -= k32 * one
+    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30, c32=c32), step_offset
 
 
 def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
                   burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
-    """Assemble the seven-component enhanced noise at eps > 0."""
+    """Assemble the enhanced noise at eps > 0."""
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
-    C2, C3 = renorm_set.C2, renorm_set.C3
-    comps, c20_0, step_offset = _build_common(
-        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
-        (C3, C2, 3.0 * C2 + 2.0 * C3))
+    k32 = 3.0 * renorm_set.C2 + 2.0 * renorm_set.C3
+    comps, step_offset = _build_common(
+        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window, k32)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
     return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
-                         comps, c20_0, prov)
-
-
-def traj_const_shift(traj, delta):
-    """Add a spatial constant to every time slice (0-mode shift)."""
-    traj[:, 0, 0, 0] += delta
-    return traj
+                         comps, k32, prov)
 
 
 def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
@@ -258,14 +242,14 @@ def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
-    comps, c20_0, step_offset = _build_common(
-        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window,
-        (0.0, 2.0 * c2_std, 6.0 * c2_std))
+    k32 = 6.0 * c2_std
+    comps, step_offset = _build_common(
+        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window, k32)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
     return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
-                         comps, c20_0, prov)
+                         comps, k32, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +328,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
     evaluated once for all the modes, and the oracle cube is built once."""
     if M < 1:
         raise ValueError("need at least one sample")
+    if t_pair is not None and symbol != "one":
+        raise ValueError(f"a time pair is supported for 'one' only, not {symbol!r}")
     eps = Q.eps
     # k3 < 0 is read at -k: c(k) = conj c(-k), and |c|^2, Re c conj c' are even
     idx = tuple(np.transpose([_mode_index(grid.n, k if k[2] >= 0 else [-ki for ki in k])
@@ -375,10 +361,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
         else:
             raise ValueError(f"unsupported symbol {symbol!r}")
         vals[:, m] = np.abs(a[idx]) ** 2
-    if t_pair is not None:
-        cube = _oracle_cube("one", t_pair, Q, eps, grid.K)
-    else:
-        cube = _oracle_cube(symbol, 0.0, Q, eps, grid.K, V, renorm_set)
+    cube = _oracle_cube(symbol, 0.0 if t_pair is None else t_pair, Q, eps,
+                        grid.K, V, renorm_set)
     reports = []
     for k, v in zip(modes, vals):
         mean = float(np.mean(v))

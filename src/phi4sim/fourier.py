@@ -330,7 +330,6 @@ class ValidationReport:
     items: dict = field(default_factory=dict)
     eta_hat: float = float("nan")
     passed: bool = False
-    notes: str = ""
 
 
 def validate_symbol(Q):
@@ -372,7 +371,6 @@ def validate_symbol(Q):
         items=items,
         eta_hat=eta_hat,
         passed=item1 and item2 and item3,
-        notes="derivative_bounds recorded as unchecked",
     )
 
 

@@ -76,13 +76,14 @@ def ou_transition(grid, Q, dt):
     return decay, np.sqrt((1.0 - decay**2) * 0.5 / bsq)
 
 
-def ou_increment(seed, grid, Q, sample, step, dt):
-    """The Gaussian increment used by `advance` at the given counter position.
+def ou_increment(seed, grid, sample, step, transition):
+    """The Gaussian increment used by `advance` at the given counter position,
+    for `transition` = ou_transition(grid, Q, dt).
 
     Exposed so a reference integrator can drive an equation with the identical
     noise path: variance (1 - e^{-2 b^2 dt}) / (2 b^2) per mode.
     """
-    return unit_hermitian_normals(seed, grid, sample, TAG_OU, step) * ou_transition(grid, Q, dt)[1]
+    return unit_hermitian_normals(seed, grid, sample, TAG_OU, step) * transition[1]
 
 
 def advance(ens, dt, transition=None):

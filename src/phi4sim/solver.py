@@ -3,15 +3,42 @@ exponential-Euler / Picard integration, Y-norms, and the reconstruction of
 the full solution against a brute-force reference.
 
 The discrete scheme keeps the Duhamel structure exact: every integral is
-advanced by the exponential left-endpoint rule, and the running accumulators
+advanced by the exponential left-endpoint rule, and the running accumulator
+A(t) = I(f < c2), with f = v + w - lam*c30, satisfies the same recursion as
+v itself.  The paper's split of the resonance, Com(f; I(c2); c2)
++ c2 o (A - f < I(c2)) - f (c2 o e^{t(L-1)} c20(0)), equals
+c2 o A - f (c2 o c20) in exact arithmetic, because the resonance sums the
+symmetric set of block pairs |i - j| <= 1.
 
-    A(t) = I(f < c2),    c20(t) = I(c2)(t) + e^{t(L-1)} c20(0),
+The paper's step is written with the renormalised resonances
+c31 = c30 o c1 - k31 and c22 = c20 o c2 - k22, which it needs as eps -> 0.
+At a fixed cutoff three identities hold in exact arithmetic on the
+alias-free grids:
+    (a) Bony: f < g + g < f + f o g = P(fg), and blocks are linear, so
+        c30^2 = 2 (c30 < c30) + c30 o c30;
+    (b) c31 = c30 o c1 - k31;
+    (c) c20 = I(c2) + e^{t(L-1)} c20(0) is the noise build's integrated Wick
+        square, so c2 o c20 = c22 + k22.
+By (a) and (b) the paraproducts, the resonances and the commutator
+Com(c30; c30; c1) in F are projected products P(.); by (c) every c22 term of
+F cancels against the step's -9 lam^2 f (c2 o c20).  What is left of k31 and
+k22 is one mass term, -lam^2 (6 k31 + 9 k22) f = -3 lam^2 k32 f, where k32
+(3 C2 + 2 C3, or 6 c2_std in the limit) is the counterterm c32 subtracts.
+With sq = P(c30^2),
 
-with f = v + w - lam*c30, satisfy the same recursion as v itself.  The
-paper's split of the resonance, Com(f; I(c2); c2) + c2 o (A - f < I(c2))
-- f (c2 o e^{t(L-1)} c20(0)), equals c2 o A - f (c2 o c20) in exact
-arithmetic, because the resonance sums the symmetric set of block pairs
-|i - j| <= 1; so each step forms the latter.
+    F3 = -lam c0
+    F2 = 3 lam^2 P(c0 c30) - 3 lam c1
+    F1 = -3 lam^3 P(c0 sq) + 6 lam^2 P(c30 c1)
+    F0 = lam^4 P(c0 P(sq c30)) - 3 lam^3 P(sq c1) + 3 lam^2 c32
+
+and the march integrates
+
+    v = e^{t(L-1)} v(0) + I(-3 lam f < c2),
+    w = e^{t(L-1)} w(0) + I(-3 lam c2 o (e^{t(L-1)} v(0) + w) + G),
+    G = sum_j F_j u^j - 3 lam c2 < f + 9 lam^2 c2 o A - 3 lam^2 k32 f,
+
+with u = v + w and, for V of degree > 4, the Taylor remainder of V' in G.
+A step decomposes f, c2, e^{t(L-1)} v(0) + w and A and combines four times.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +49,7 @@ from .besov import besov_norm, besov_profile, combine, physical_blocks
 from .errors import BlowUpSignal, GridError
 from .fourier import (ExponentialQuadrature, FourierField, _half, _mirror,
                       from_physical, product, to_physical)
-from .gaussian import ou_increment
+from .gaussian import ou_increment, ou_transition
 
 
 @dataclass
@@ -49,7 +76,6 @@ class RemainderPair:
     t_grid: np.ndarray
     v_traj: np.ndarray
     w_traj: np.ndarray
-    initial: tuple
     info: dict = field(default_factory=dict)
 
 
@@ -69,34 +95,17 @@ def taylor_remainder(V, x, y):
 
 def coeffs_F(lam, U, i):
     """The four coefficient fields (F0, F1, F2, F3) at time index i, or
-    batched over time when i is a slice.  The paraproducts, resonances and
-    the commutator are combined from the blocks of c30, c1, c30^2, c30 o c30
-    and c30 < c30, each decomposed once."""
-    g = U.grid
-    c0, c1, c30, c31, c22, c32 = (U.field(t, i) for t in
-                                  ("c0", "c1", "c30", "c31", "c22", "c32"))
+    batched over time when i is a slice: projected products of c0, c1 and
+    c30, and c32 (the module docstring derives them from the paper's form)."""
+    c0, c1, c30, c32 = (U.field(t, i) for t in ("c0", "c1", "c30", "c32"))
+    sq30 = product(c30, c30, 2)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
-    sq30 = product(c30, c30, 2)
-    B30, B1, Bsq = (physical_blocks(f.coeffs, g) for f in (c30, c1, sq30))
-    Bres, Blt = (physical_blocks(combine(B30, B30, g, mode), g)
-                 for mode in ("res", "lt"))
-
-    def comb(Bf, Bg, mode):
-        return FourierField(g, combine(Bf, Bg, g, mode))
-
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (comb(B30, B1, "lt") + comb(B1, B30, "lt") + c31) \
-        + 9.0 * lam**2 * c22
-    # Com(c30; c30; c1) = (c30 < c30) o c1 - c30 (c30 o c1)
-    com = comb(Blt, B1, "res") - product(c30, comb(B30, B1, "res"), 2)
+        + 6.0 * lam**2 * product(c30, c1, 2)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * (comb(Bsq, B1, "lt") + comb(B1, Bsq, "lt")
-                          + comb(Bres, B1, "res")
-                          + 2.0 * product(c31, c30, 2)
-                          + 2.0 * com) \
-        + 3.0 * lam**2 * c32 \
-        - 9.0 * lam**3 * product(c22, c30, 2)
+        - 3.0 * lam**3 * product(sq30, c1, 2) \
+        + 3.0 * lam**2 * c32
     return F0, F1, F2, F3
 
 
@@ -137,7 +146,6 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
     A = np.zeros(g.shape, dtype=np.complex128)
-    c20 = np.array(U.c20_0, dtype=np.complex128)
     ev0 = v.copy()
     v_traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     w_traj = np.empty_like(v_traj)
@@ -149,10 +157,10 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
             vi, wi = integrand_source[0][i], integrand_source[1][i]
         c2 = U.traj("c2")[i]
         u = vi + wi
-        f = FourierField(g, u - lam * U.traj("c30")[i])
+        f = u - lam * U.traj("c30")[i]
         F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
             else tuple(c[i] for c in F_traj)
-        Bf = physical_blocks(f.coeffs, g)
+        Bf = physical_blocks(f, g)
         Bc2 = physical_blocks(c2, g)
         para = combine(Bf, Bc2, g, "lt")  # f < c2
         res = combine(Bc2, physical_blocks(ev0 + wi, g), g, "res")
@@ -168,16 +176,14 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
             # zero for quartic V
             Pr = g.pad_size(2 * V.n - 1)
             psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
-            y = to_physical(f.coeffs, g, Pr) * np.sqrt(eps)
+            y = to_physical(f, g, Pr) * np.sqrt(eps)
             G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
-        # c2 o I(f < c2) - f (c2 o c20), with I(c2) + e^{t(L-1)} c20(0) = c20
-        res_A = combine(Bc2, physical_blocks(A, g), g, "res")
-        res_c20 = FourierField(g, combine(Bc2, physical_blocks(c20, g), g, "res"))
-        G = G + 9.0 * lam**2 * (res_A - product(res_c20, f, 2).coeffs)
+        # c2 o I(f < c2) and the mass term of the renormalised resonances
+        G = G + 9.0 * lam**2 * combine(Bc2, physical_blocks(A, g), g, "res") \
+            - 3.0 * lam**2 * U.k32 * f
         v = quad.advance(v, -3.0 * lam * para)
         w = quad.advance(w, -3.0 * lam * res + G)
         A = quad.advance(A, para)
-        c20 = quad.advance(c20, c2)
         ev0 = quad.decay * ev0
         if not (np.all(np.isfinite(v.view(np.float64)))
                 and np.all(np.isfinite(w.view(np.float64)))):
@@ -225,7 +231,7 @@ def solve(config, U, v0, w0, V=None):
         v_traj, w_traj = v_prev, w_prev
     t_grid = U.t_grid[: v_traj.shape[0]].copy()
     return RemainderPair(t_grid=t_grid, v_traj=_mirror(v_traj, g),
-                         w_traj=_mirror(w_traj, g), initial=(v0, w0), info=info)
+                         w_traj=_mirror(w_traj, g), info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +287,7 @@ def y_distance(P1, P2, eps, T, grid, **kw):
     """Y-norm of the difference of two trajectory pairs on a shared grid."""
     diff = RemainderPair(t_grid=P1.t_grid,
                          v_traj=P1.v_traj - P2.v_traj,
-                         w_traj=P1.w_traj - P2.w_traj,
-                         initial=P1.initial)
+                         w_traj=P1.w_traj - P2.w_traj)
     return y_norm(diff, eps, T, grid, **kw)
 
 
@@ -325,6 +330,7 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     traj[0] = phi
     offset = prov["step_offset"]
+    ou_step = ou_transition(g, Q, config.dt)
     Pr = g.pad_size(2 * V.n - 1)
     if scheme not in ("exponential_euler", "etdrk2"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -341,7 +347,7 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
 
     for i in range(nsteps):
         drift = drift_of(phi)
-        inc = ou_increment(seed, g, Q, prov["sample"], offset + i, config.dt)
+        inc = ou_increment(seed, g, prov["sample"], offset + i, ou_step)
         pred = quad.advance(phi, drift)
         if scheme == "etdrk2":
             # trapezoidal corrector along the deterministic flow; the noise

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phi4sim import besov
+from phi4sim import besov, diagrams
 from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
-                              second_moment_oracle, traj_const_shift)
+                              second_moment_oracle)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
                              from_physical, to_physical)
@@ -64,7 +64,7 @@ def test_build_is_deterministic_and_sample_indexed():
     U2, _, _ = _small_build()
     for tag in U1.components:
         assert np.array_equal(U1.components[tag], U2.components[tag])
-    assert np.array_equal(U1.c20_0, U2.c20_0)
+    assert U1.k32 == U2.k32
     U3, _, _ = _small_build(sample=1)
     assert not np.array_equal(U1.components["one"], U3.components["one"])
 
@@ -72,8 +72,10 @@ def test_build_is_deterministic_and_sample_indexed():
 def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
-    for tag in ("one", "c0", "c1", "c2", "c30", "c31", "c22", "c32"):
+    assert sorted(U.components) == ["c0", "c1", "c2", "c30", "c32", "one"]
+    for tag in U.components:
         assert U.components[tag].shape == (T, 5, 5, 3)
+    assert U.k32 == 3.0 * rs.C2 + 2.0 * rs.C3
     assert U.provenance["master"] == 11
     assert U.provenance["lam"] == rs.lam
     assert U.provenance["step_offset"] > 0
@@ -96,13 +98,6 @@ def test_quartic_noise_identities():
         x = to_physical(U.components["one"][i], g, P).real
         h2 = from_physical(hermite(2, x, rs.C1), g, P)
         assert np.max(np.abs(U.components["c2"][i] - h2)) < 1e-10
-
-
-def test_counterterm_shifts_touch_only_the_zero_mode():
-    arr = np.ones((2, 3, 3, 3), dtype=np.complex128)
-    out = traj_const_shift(arr, -0.5)
-    assert out[0, 0, 0, 0] == 0.5 and out[1, 0, 0, 0] == 0.5
-    assert np.all(out.ravel()[1:27] == 1.0)
 
 
 def test_build_rejects_mismatched_symbol():
@@ -215,31 +210,24 @@ def _both_builds(build):
                                coarse_dt=0.02, fine_window=0.05)
 
 
-def _counterterms(U):
-    """(k31, k22, k32) that the build subtracts from the three resonances."""
+def _k32(U):
+    """The counterterm that c32 subtracts: 3 C2 + 2 C3, or 6 c2_std in the
+    limit."""
     if "renorm" in U.provenance:
         rs = U.provenance["renorm"]
-        return rs.C3, rs.C2, 3.0 * rs.C2 + 2.0 * rs.C3
-    c2_std = U.provenance["c2_std"]
-    return 0.0, 2.0 * c2_std, 6.0 * c2_std
+        return 3.0 * rs.C2 + 2.0 * rs.C3
+    return 6.0 * U.provenance["c2_std"]
 
 
 @pytest.mark.parametrize("build", ["eps", "limit"])
 def test_resonance_pass_matches_besov_resonance_bit_for_bit(build):
     U = _both_builds(build)
-    k31, k22, k32 = _counterterms(U)
-
-    def res(a, b, shift=0.0):
-        out = besov.resonance(FourierField(U.grid, a), FourierField(U.grid, b)).coeffs
-        out[0, 0, 0] += shift
-        return out
-
-    c30, c1, c2, one = (U.traj(t) for t in ("c30", "c1", "c2", "one"))
+    assert U.k32 == _k32(U)
+    c30, c2, one = (U.traj(t) for t in ("c30", "c2", "one"))
     for i in range(len(U.t_grid)):
-        assert np.array_equal(U.traj("c31")[i], res(c30[i], c1[i], -k31))
-        assert np.array_equal(U.traj("c32")[i], res(c30[i], c2[i]) - k32 * one[i])
-    # c20 is kept only at t = 0
-    assert np.array_equal(U.traj("c22")[0], res(U.c20_0, c2[0], -k22))
+        res = besov.resonance(FourierField(U.grid, c30[i]),
+                              FourierField(U.grid, c2[i])).coeffs
+        assert np.array_equal(U.traj("c32")[i], res - U.k32 * one[i])
 
 
 @pytest.mark.parametrize("build", ["eps", "limit"])
@@ -253,8 +241,31 @@ def test_resonance_pass_decomposes_each_field_once(build, monkeypatch):
 
     monkeypatch.setattr(besov, "physical_blocks", counted)
     U = _both_builds(build)
-    # c30, c1, c20 and c2, once per time slice
-    assert len(calls) == 4 * len(U.t_grid)
+    # c30 and c2, once per time slice
+    assert len(calls) == 2 * len(U.t_grid)
+
+
+def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
+    # the burn-in integrates c3 alone: one forward transform per step; each
+    # slice of the main loop takes two, for c2 and c3 (c0, c1 have degree <= 1)
+    orders, forward = [], []
+    real_noises, real_forward = _NoiseEvaluator.all_noises, diagrams.from_physical
+
+    def noises(self, coeffs, orders_=(0, 1, 2, 3)):
+        orders.append(tuple(orders_))
+        return real_noises(self, coeffs, orders_)
+
+    def counted(*args, **kwargs):
+        forward.append(None)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(_NoiseEvaluator, "all_noises", noises)
+    monkeypatch.setattr(diagrams, "from_physical", counted)
+    U = _small_build()[0]
+    T = len(U.t_grid)
+    nburn = sum(n for n, _ in _burn_phases(0.005, 0.2, 0.02, 0.05))
+    assert orders == [(3,)] * nburn + [(0, 1, 2, 3)] * T
+    assert len(forward) == nburn + 2 * T
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +354,16 @@ def test_mc_moment_of_several_modes_is_that_of_each_mode(symbol):
         assert rep == one and rep.k == k
         assert rep.oracle == second_moment_oracle(symbol, k, 0.0, Q, EPS, KCUT,
                                                   V, rs)
+
+
+@pytest.mark.parametrize("symbol", [("wick", 2), "c1", "c2"],
+                         ids=["wick2", "c1", "c2"])
+def test_mc_moment_rejects_a_time_pair_for_any_symbol_but_the_free_field(symbol):
+    # only the free field's covariance at a lag is estimated
+    Q, V, rs, g, _ = _small_setup()
+    with pytest.raises(ValueError, match="time pair"):
+        mc_moment(symbol, [(1, 0, 0)], 4, NoiseSeed(26), g, Q, V=V,
+                  renorm_set=rs, t_pair=(0.0, 0.1))
 
 
 def test_mc_moment_rejects_zero_samples():

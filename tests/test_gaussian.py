@@ -93,7 +93,7 @@ def test_advance_matches_decay_plus_increment():
     dt = 0.07
     new = advance(ens, dt)
     decay = np.exp(-dt * Q.bracket_sq_grid(g))
-    inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt)
+    inc = ou_increment(seed, g, ens.sample, ens.step, ou_transition(g, Q, dt))
     assert np.max(np.abs(new.coeffs - (decay * ens.coeffs + inc))) < 1e-15
     assert new.step == ens.step + 1
     assert abs(new.t - dt) < 1e-15
@@ -107,7 +107,7 @@ def test_advance_is_decay_plus_ou_increment_bit_for_bit():
     ens = advance(sample_stationary(seed, g, Q, sample=2), 0.01)
     dt = 0.003
     decay = np.exp(-dt * Q.bracket_sq_grid(g))
-    inc = ou_increment(seed, g, Q, ens.sample, ens.step, dt)
+    inc = ou_increment(seed, g, ens.sample, ens.step, ou_transition(g, Q, dt))
     assert np.array_equal(advance(ens, dt).coeffs, decay * ens.coeffs + inc)
 
 

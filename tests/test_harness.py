@@ -198,6 +198,16 @@ def test_cli_constants_laplacian_fails_validation(tmp_path, capsys):
     assert err["error"] == "growth violation"
 
 
+@pytest.mark.parametrize("command", ["validate", "constants", "moments",
+                                     "solve", "converge"])
+def test_cli_inadmissible_symbol_fails_validation(tmp_path, capsys, command):
+    # every command reports a symbol of too slow growth as a validation failure
+    path = _write_cfg(tmp_path, symbol={"family": "laplacian"})
+    err = _expect_exit([command, "--config", str(path), "--out",
+                        str(tmp_path / "o")], cli.EXIT_VALIDATION, capsys)
+    assert "growth" in err["error"]
+
+
 def test_cli_bad_config_path_is_usage_error(tmp_path, capsys):
     err = _expect_exit(["constants", "--config", str(tmp_path / "nope.yaml")],
                        cli.EXIT_USAGE, capsys)

@@ -82,51 +82,69 @@ def test_batched_coefficient_fields_match_per_step():
             assert np.array_equal(F[j][i], single[j].coeffs)
 
 
-def _coeffs_F_composed(lam, U, i):
-    """The coefficient fields written with the besov paraproducts, each of
-    which decomposes its own arguments."""
-    c0, c1, c30, c31, c22, c32 = (U.field(t, i) for t in
-                                  ("c0", "c1", "c30", "c31", "c22", "c32"))
+def _plus_constant(F, c):
+    """F + c for a spatial constant c: a shift of the zero mode."""
+    out = F.copy()
+    out.coeffs[..., 0, 0, 0] += c
+    return out
+
+
+def _coeffs_F_paper(lam, U, i, k31):
+    """The coefficient fields in the paper's paraproduct form, with the
+    renormalised resonance c31 = c30 o c1 - k31 formed here.  The c22 terms
+    of that form are left out: they cancel exactly against the step's
+    -9 lam^2 f (c2 o c20), which the reconstruction tests check end to end."""
+    c0, c1, c30, c32 = (U.field(t, i) for t in ("c0", "c1", "c30", "c32"))
+    c31 = _plus_constant(resonance(c30, c1), -k31)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (para_lt(c30, c1) + para_lt(c1, c30) + c31) \
-        + 9.0 * lam**2 * c22
+        + 6.0 * lam**2 * (para_lt(c30, c1) + para_lt(c1, c30) + c31)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
         - 3.0 * lam**3 * (para_lt(sq30, c1) + para_lt(c1, sq30)
                           + resonance(resonance(c30, c30), c1)
                           + 2.0 * product(c31, c30, 2)
                           + 2.0 * commutator_com(c30, c30, c1)) \
-        + 3.0 * lam**2 * c32 \
-        - 9.0 * lam**3 * product(c22, c30, 2)
+        + 3.0 * lam**2 * c32
     return F0, F1, F2, F3
 
 
-def test_coefficient_fields_match_the_composed_formula_bit_for_bit():
-    _, _, rs, g, U, cfg = _setup()
-    for i in (0, len(U.t_grid) - 1, slice(2, 7)):
-        for got, want in zip(coeffs_F(cfg.lam, U, i),
-                             _coeffs_F_composed(cfg.lam, U, i)):
-            assert np.array_equal(got.coeffs, want.coeffs)
+def test_coefficient_fields_match_the_paraproduct_form():
+    # Bony's decomposition and c30^2 = 2 (c30 < c30) + c30 o c30 collapse the
+    # paraproducts, resonances and the commutator into projected products;
+    # what is left of k31 is the k31 part -6 lam^2 k31 f of the step's mass
+    # term, f = u - lam c30: -6 lam^2 k31 in F1, 6 lam^3 k31 c30 in F0.
+    # k31 = C3 is zero for the quartic potential, not for the sextic one.
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    g = FrequencyLattice(K)
+    for V in (Potential.quartic(0.25), Potential.sextic(1.0)):
+        rs = build_renorm(Q, V, K=K)
+        U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, np.arange(6) * DT, rs,
+                          burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
+        lam, k31 = rs.lam, rs.C3
+        for i in (0, len(U.t_grid) - 1, slice(2, 5)):
+            F0, F1, F2, F3 = coeffs_F(lam, U, i)
+            with_mass = (F0 + 6.0 * lam**3 * k31 * U.field("c30", i),
+                         _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
+            for got, want in zip(with_mass, _coeffs_F_paper(lam, U, i, k31)):
+                scale = np.max(np.abs(want.coeffs))
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
 
 
-def test_coefficient_fields_decompose_each_field_once(monkeypatch):
+def test_coefficient_fields_decompose_no_field(monkeypatch):
     _, _, rs, g, U, cfg = _setup()
     calls = []
-    real = besov.physical_blocks
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(besov, "physical_blocks", counted)
-    monkeypatch.setattr(solver, "physical_blocks", counted)
+    for name in ("physical_blocks", "combine"):
+        monkeypatch.setattr(besov, name, counted)
+        monkeypatch.setattr(solver, name, counted)
     coeffs_F(cfg.lam, U, 0)
-    # c30, c1, c30^2, c30 o c30 and c30 < c30
-    assert len(calls) == 5
     coeffs_F_traj(cfg.lam, U)
-    assert len(calls) == 5 + 5 * len(U.t_grid)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +205,10 @@ def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
     assert np.array_equal(P.w_traj, _mirror(w, g))
 
 
-def test_march_step_decomposes_ten_fields_and_combines_fourteen_times(
+def test_march_step_decomposes_four_fields_and_combines_four_times(
         monkeypatch):
-    # coeffs_F's 5 decompositions and 9 combines, then f, c2, ev0 + w, A and
-    # c20, and f < c2, c2 o (ev0 + w), c2 > f, c2 o A and c2 o c20
+    # f, c2, ev0 + w and A, and f < c2, c2 o (ev0 + w), c2 > f and c2 o A;
+    # coeffs_F makes none
     _, V, rs, g, U, cfg = _setup()
     calls = {"physical_blocks": 0, "combine": 0}
     for name in calls:
@@ -204,7 +222,7 @@ def test_march_step_decomposes_ten_fields_and_combines_fourteen_times(
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(cfg, U, z, z, V=V)
     nsteps = len(U.t_grid) - 1
-    assert calls == {"physical_blocks": 10 * nsteps, "combine": 14 * nsteps}
+    assert calls == {"physical_blocks": 4 * nsteps, "combine": 4 * nsteps}
 
 
 def test_solve_rejects_initial_data_of_no_real_field(rng):
@@ -315,8 +333,7 @@ def _pair_from_constant(g, t_grid, amp, at=None):
     else:
         v[at, 0, 0, 0] = amp
     w = np.zeros_like(v)
-    return RemainderPair(t_grid=np.asarray(t_grid, float), v_traj=v, w_traj=w,
-                         initial=(v[0], w[0]))
+    return RemainderPair(t_grid=np.asarray(t_grid, float), v_traj=v, w_traj=w)
 
 
 def test_y_norm_scales_linearly_and_distance_of_equal_pairs_is_zero():
@@ -346,8 +363,7 @@ def test_y_norm_monotone_in_horizon():
     rng = np.random.default_rng(5)
     v = _mirror(np.stack([random_hermitian_field(g, rng).coeffs
                           for _ in range(11)]), g)
-    P = RemainderPair(t_grid=t_grid, v_traj=v, w_traj=np.zeros_like(v),
-                      initial=(v[0], v[0] * 0))
+    P = RemainderPair(t_grid=t_grid, v_traj=v, w_traj=np.zeros_like(v))
     assert y_norm(P, 0.0, 0.1, grid=g) >= y_norm(P, 0.0, 0.03, grid=g) - 1e-12
 
 

@@ -44,8 +44,8 @@ _pool = None
 
 
 def set_threads(n):
-    """Set the worker threads of the transform pair and of renorm's DCT sums
-    (results are bit-identical for any n)."""
+    """Set the worker threads of the transform pair (results are
+    bit-identical for any n)."""
     global _workers, _pool
     _workers = max(1, int(n))
     if _pool is not None:

@@ -13,8 +13,10 @@ field products).  The coupled denominator is opened with
 convolution power; the s-integral is done with panel-wise Gauss-Legendre on
 log-spaced panels.  The spectra involved are radial, hence even in every
 axis, so the convolution powers are evaluated on the non-negative octant of
-a padded grid with type-I DCTs (symmetric convolution; Martucci, IEEE Trans.
-Signal Process. 42(5), 1994) at about 1/8 of the full-grid transform volume.
+a padded grid (symmetric convolution; Martucci, IEEE Trans. Signal Process.
+42(5), 1994).  There the size-P DFT is a type-I DCT, which runs as pruned
+products with cosine matrices cached per (K, P): each pass contracts an axis
+that holds only the K+1 non-negative frequencies.
 """
 
 import math
@@ -26,7 +28,7 @@ from scipy import integrate
 from scipy.special import roots_legendre
 
 from .errors import FeasibilityError, GrowthViolationError
-from .fourier import DispersionQ, FrequencyLattice, get_threads, validate_symbol
+from .fourier import DispersionQ, FrequencyLattice, validate_symbol
 from .gaussian import gaussian_expectation, polyder
 
 
@@ -103,9 +105,12 @@ def _cube_bsq(Q, K):
 
 def point_variance(Q, K):
     """E X(x)^2 = sum_{|k|_inf <= K} 1/(2 bracket(k)^2), the variance of the
-    free field at a point."""
-    _, bsq = _cube_bsq(Q, K)
-    return 0.5 * float(np.sum(1.0 / bsq))
+    free field at a point, summed over the octant with multiplicities 1, 2, 2,
+    .. per axis (the sum is radial)."""
+    k = np.arange(K + 1.0)
+    inv = 1.0 / Q.bracket_sq(np.sqrt(k[:, None, None] ** 2 + k[:, None] ** 2 + k**2))
+    m = np.r_[1.0, np.full(K, 2.0)]
+    return 0.5 * float(m @ (m @ (inv @ m)))
 
 
 def sigma2_eps(Q, eps, K):
@@ -159,12 +164,33 @@ def _s_quadrature(N, npanels=20, order=8):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+_octant_matrices = {}
+
+
+def _cosines(K, P):
+    """The octant's cosine matrices at (K, P), built once, with M = P/2+1 and
+    each phase reduced mod P = 2(M-1): D[j, k] = c_k cos(pi jk/(M-1)) with
+    c_0 = 1, c_k = 2 (samples from the K+1 non-negative frequencies), and
+    S[k, j] = w_j cos(pi jk/(M-1)) / P with endpoint weights 1, 2, .., 2, 1
+    (the kept frequencies from the octant samples)."""
+    if (K, P) not in _octant_matrices:
+        M = P // 2 + 1
+        cos = np.cos(2 * np.pi * (np.outer(np.arange(M), np.arange(K + 1)) % P) / P)
+        w = np.full(M, 2.0 / P)
+        w[[0, -1]] = 1.0 / P
+        D = cos * np.r_[1.0, np.full(K, 2.0)]
+        _octant_matrices[K, P] = (D, np.ascontiguousarray(cos.T * w))
+    return _octant_matrices[K, P]
+
+
 class EvenOctant:
     """Real fields whose cube spectrum is real and even in every axis, held by
     their samples on the octant {0..P/2}^3 of a size-P grid (P even).
 
-    Such a field is even in every physical axis too, so the octant fixes it;
-    a type-I DCT of length P/2+1 is the size-P DFT restricted to even data.
+    Such a field is even in every physical axis too, so the octant fixes it,
+    and the size-P DFT restricted to even data is a type-I DCT of length P/2+1.
+    Both directions run as three products with the cosine matrices of
+    _cosines, one per axis.
     """
 
     def __init__(self, grid, P):
@@ -172,22 +198,22 @@ class EvenOctant:
             raise ValueError(f"octant transforms need an even pad >= {grid.n}, got {P}")
         self.grid = grid
         self.P = P
-        # multiplicity of each octant index in the full grid: j and P - j
-        self.w = np.full(P // 2 + 1, 2.0 / P)
-        self.w[[0, -1]] = 1.0 / P
+        self.D, self.S = _cosines(grid.K, P)
+        # multiplicity of each octant index in the full grid (j and P - j)
+        # over P: the k = 0 row of S
+        self.w = self.S[0]
 
     def samples(self, spec):
         """Octant samples of the field whose even, real cube spectrum has the
-        non-negative-frequency block spec[:K+1, :K+1, :K+1] (a cube or just
-        that block)."""
-        K = self.grid.K
-        x = spec[: K + 1, : K + 1, : K + 1]
-        # axis by axis, zero-padding to P/2+1 as it goes: each transform
-        # skips the lines that are still all zero
-        for axis in (-1, -2, -3):
-            x = scipy.fft.dct(x, type=1, n=self.P // 2 + 1, axis=axis,
-                              workers=get_threads())
-        return x
+        non-negative-frequency block spec[..., :K+1, :K+1, :K+1] (a cube or
+        just that block; batch dims allowed, each slice gets its own bits)."""
+        K, M, D = self.grid.K, self.P // 2 + 1, self.D
+        x = spec[..., : K + 1, : K + 1, : K + 1]
+        # axis -1, then -2, then -3: each pass contracts K+1 nonzeros
+        x = x.reshape(x.shape[:-3] + ((K + 1) ** 2, K + 1)) @ D.T
+        x = D @ x.reshape(x.shape[:-2] + (K + 1, K + 1, M))
+        x = D @ x.reshape(x.shape[:-3] + (K + 1, M * M))
+        return x.reshape(x.shape[:-2] + (M, M, M))
 
     def mean(self, phys):
         """Full-grid mean of an even field from its octant samples."""
@@ -195,21 +221,24 @@ class EvenOctant:
 
     def spectrum(self, phys):
         """Cube spectrum (real, FFT order) of an even field from its octant samples."""
-        half = scipy.fft.dctn(phys, type=1, workers=get_threads()) / self.P**3
+        K, M, S = self.grid.K, self.P // 2 + 1, self.S
+        x = S @ phys.reshape(M, M * M)
+        x = S @ x.reshape(K + 1, M, M)
+        x = (x.reshape((K + 1) ** 2, M) @ S.T).reshape((K + 1,) * 3)
         a = np.abs(self.grid.freqs)
-        return half[np.ix_(a, a, a)]
+        return x[np.ix_(a, a, a)]
 
 
 def _even_pad(need):
-    """Smallest even 5-smooth length >= need (even for the octant, fast for the DCT)."""
+    """Smallest even 5-smooth length >= need (even for the octant)."""
     return 2 * scipy.fft.next_fast_len(-(-need // 2), real=True)
 
 
-def _spi_pad(N, K):
-    # Above K = 24, for strongly smoothing symbols the aliased tuples carry
-    # weights below 1e-12 of the total; a half-padded grid keeps the large-K
-    # sweeps cheap.
-    return _even_pad((N + 1) * K + 1 if K <= 24 else 2 * K + 2)
+def _spi_pad(Q, N, K):
+    # Above K = 24, for strongly smoothing symbols (eps > 0) the aliased
+    # tuples carry weights below 1e-12 of the total; a half-padded grid keeps
+    # the large-K sweeps cheap.  The eps = 0 Laplacian keeps the alias-free pad.
+    return _even_pad((N + 1) * K + 1 if K <= 24 or Q.eps == 0 else 2 * K + 2)
 
 
 def stationary_pair_integral(Q, N, K, method="auto", pad=None):
@@ -226,14 +255,18 @@ def stationary_pair_integral(Q, N, K, method="auto", pad=None):
         method = "direct" if (grid.n**3) ** N <= 2e7 else "fft"
     if method == "direct":
         return _spi_direct(Q, grid, bsq, N)
-    octant = EvenOctant(grid, pad or _spi_pad(N, K))
+    octant = EvenOctant(grid, pad or _spi_pad(Q, N, K))
     b = bsq[: K + 1, : K + 1, : K + 1]  # radial: this block fixes the cube
     nodes, weights = _s_quadrature(N)
     total = 0.0
     pref = math.factorial(N) / 2.0**N
     for s, w in zip(nodes, weights):
         h = np.exp(-s * b)
-        total += w * octant.mean(octant.samples(h) * octant.samples(h / b) ** N)
+        x, y = octant.samples(np.stack([h, h / b]))
+        yN = y
+        for _ in range(N - 1):
+            yN = yN * y
+        total += w * octant.mean(x * yN)
     return pref * total
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from phi4sim.errors import GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical)
-from phi4sim.renorm import (EvenOctant, Potential, a_coeffs, build_renorm, c1,
+from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _spi_pad,
+                            a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
                             coupling_lambda, sigma2_eps, sigma2_limit,
                             standard_constants,
@@ -173,6 +175,49 @@ def test_even_octant_matches_full_grid(K, extra, seed):
         <= 1e-13 * np.max(np.abs(want))
 
 
+def _octant_pads(K):
+    # the minimum pad and the pair-integral pads of both branches of _spi_pad
+    Q, Q0 = DispersionQ.quartic(0.25, nu=1.0), DispersionQ.laplacian(0.0)
+    return sorted({2 * K + 2, _spi_pad(Q, 2, K), _spi_pad(Q0, 2, K)})
+
+
+@pytest.mark.parametrize("K,P", [(K, P) for K in (0, 1, 8, 40) for P in _octant_pads(K)])
+def test_octant_products_match_the_type1_dct(K, P):
+    grid = FrequencyLattice(K)
+    octant = EvenOctant(grid, P)
+    M = P // 2 + 1
+    rng = np.random.default_rng(K * 1000 + P)
+    block = rng.uniform(-1.0, 1.0, (K + 1,) * 3)
+    want = block
+    for axis in (-1, -2, -3):
+        want = scipy.fft.dct(want, type=1, n=M, axis=axis)
+    assert np.max(np.abs(octant.samples(block) - want)) <= 1e-14 * np.max(np.abs(want))
+    phys = rng.uniform(-1.0, 1.0, (M,) * 3)
+    a = np.abs(grid.freqs)
+    want = (scipy.fft.dctn(phys, type=1) / P**3)[np.ix_(a, a, a)]
+    assert np.max(np.abs(octant.spectrum(phys) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("K,P", [(8, 18), (40, 90)])
+def test_octant_batch_gives_each_slice_bit_for_bit(K, P):
+    octant = EvenOctant(FrequencyLattice(K), P)
+    u, v = np.random.default_rng(K).uniform(-1.0, 1.0, (2,) + (K + 1,) * 3)
+    both = octant.samples(np.stack([u, v]))
+    assert np.array_equal(both[0], octant.samples(u))
+    assert np.array_equal(both[1], octant.samples(v))
+
+
+def test_octant_sums_make_no_scipy_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("renorm called a scipy.fft transform")
+    for name in ("dct", "dctn"):
+        monkeypatch.setattr(scipy.fft, name, refuse)
+    Q = DispersionQ.quartic(0.25, nu=1.0)
+    assert stationary_pair_integral(Q, 2, 3, method="fft") > 0
+    assert np.all(np.isfinite(chaos_convolution_power(Q, 2, 2)))
+    assert np.all(np.isfinite(time_integrated_chaos_moment(Q, 2, 1)))
+
+
 def test_pair_integral_reduced_padding_agrees():
     # the half-padded grid used for large K drops only ~1e-12 of the mass
     Q = DispersionQ.quartic(0.25, nu=1.0)
@@ -271,3 +316,12 @@ def test_standard_constants_closed_forms():
     want2 = 0.5 * stationary_pair_integral(Q0, 2, R)
     assert abs(c1_std - want1) < 1e-13
     assert abs(c2_std - want2) < 1e-13
+
+
+def test_standard_c2_keeps_the_alias_free_pad_above_k24():
+    # the reduced pad holds only for eps > 0; at K = 25 it would move c2_std
+    # by about 5e-4 relative
+    K = 25
+    Q0 = DispersionQ.laplacian(0.0)
+    want = 0.5 * stationary_pair_integral(Q0, 2, K, pad=_even_pad(3 * K + 1))
+    assert abs(standard_constants(K)[1] - want) <= 1e-12 * want

@@ -35,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridError, SymbolError
 
@@ -109,7 +108,22 @@ class FrequencyLattice:
     def pad_size(self, degree):
         """Smallest fast FFT length alias-free for products of total degree `degree`."""
         need = max((int(degree) + 1) * self.K + 1, self.n)
-        return scipy.fft.next_fast_len(need, real=False)
+        return fast_len(need)
+
+
+def fast_len(n, primes=(2, 3, 5, 7, 11)):
+    """Smallest m >= n whose prime factors all lie in `primes`: the lengths
+    scipy.fft.next_fast_len returns for complex (2..11) and, with primes
+    (2, 3, 5), real transforms."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in primes:
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 @dataclass

@@ -30,21 +30,41 @@ def _stream(seed, sample, tag, step):
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
+_minus_k_index = {}
+
+
+def _minus_k(n):
+    """Flat index into an (n, n, n) cube (FFT order) of -k, for each k of its
+    k3 >= 0 half; built once per n."""
+    if n not in _minus_k_index:
+        neg = -np.arange(n) % n  # the index of -k along an axis
+        _minus_k_index[n] = (neg[:, None, None] * n + neg[:, None]) * n + neg[: n // 2 + 1]
+    return _minus_k_index[n]
+
+
 def unit_hermitian_normals(seed, grid, sample, tag, step):
     """Complex normals Z on the lattice with Z(-k) = conj(Z(k)), E|Z(k)|^2 = 1.
 
     The k3 >= 0 half of the hermitian symmetrization (z(k) + conj z(-k)) / sqrt 2
     of an i.i.d. complex Gaussian cube z = (a + i b) / sqrt 2, drawn over the
     whole cube; the draws at -k are read directly, so only the half is formed.
-    k = 0 is the only self-conjugate mode (real, variance 1).
+    k = 0 is the only self-conjugate mode (real, variance 1).  Each division
+    by sqrt 2 is a product with 1/sqrt 2, as numpy divides complex by real.
     """
     rng = _stream(seed, sample, tag, step)
     ab = rng.standard_normal((2,) + (grid.n,) * 3)
-    neg = -np.arange(grid.n) % grid.n  # the index of -k along an axis
-    minus_k = ab.take(neg[: grid.K + 1], axis=3).take(neg, axis=1).take(neg, axis=2)
-    z, at_minus_k = ((a[0] + 1j * a[1]) / np.sqrt(2.0)
-                     for a in (ab[..., : grid.K + 1], minus_k))
-    return (z + np.conj(at_minus_k)) / np.sqrt(2.0)
+    a_minus, b_minus = ab.reshape(2, -1).take(_minus_k(grid.n), axis=1)
+    a, b = ab[..., : grid.K + 1]
+    s = 1.0 / np.sqrt(2.0)
+    out = np.empty(grid.shape, dtype=np.complex128)
+    re, im = out.real, out.imag  # float views of the output
+    np.multiply(a, s, out=re)
+    re += np.multiply(a_minus, s, out=a_minus)
+    re *= s
+    np.multiply(b, s, out=im)
+    im -= np.multiply(b_minus, s, out=b_minus)
+    im *= s
+    return out
 
 
 @dataclass

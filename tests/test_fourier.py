@@ -96,6 +96,13 @@ def test_pad_size_covers_degree():
     assert g.pad_size(4) >= 5 * 8 + 1
 
 
+def test_fast_len_is_scipys_next_fast_len():
+    # the pad sizes fix the outputs, so they are scipy's, value for value
+    for n in range(1, 2049):
+        assert fourier.fast_len(n) == scipy.fft.next_fast_len(n, real=False)
+        assert fourier.fast_len(n, (2, 3, 5)) == scipy.fft.next_fast_len(n, real=True)
+
+
 # ---------------------------------------------------------------------------
 # the pruned real pair against full-grid transforms
 

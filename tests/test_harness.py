@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -172,6 +175,26 @@ def test_cli_constants_writes_schema_and_is_deterministic(tmp_path, capsys):
     assert lines[3] == "# seed=7"
     assert lines[4].split(",")[0] == "eps"
     assert len([ln for ln in lines if ln and not ln.startswith("#")]) == 2
+
+
+_NO_SCIPY_RUN = """
+import sys
+import phi4sim, phi4sim.cli
+assert phi4sim.cli.main(["constants", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_the_package_and_a_constants_run_load_no_scipy(tmp_path):
+    import phi4sim
+
+    path = _write_cfg(tmp_path)
+    src = os.path.dirname(os.path.dirname(phi4sim.__file__))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(path),
+                          str(tmp_path / "o")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_cli_seed_and_eps_overrides(tmp_path):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_legendre
 
-from phi4sim.errors import GrowthViolationError
+from phi4sim.errors import FeasibilityError, GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
-                             to_physical)
-from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _spi_pad,
-                            a_coeffs, build_renorm, c1,
+                             to_physical, validate_symbol)
+from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _s_quadrature,
+                            _spi_pad, a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
                             coupling_lambda, sigma2_eps, sigma2_limit,
                             standard_constants,
@@ -51,6 +52,45 @@ def test_sigma2_limit_closed_form(nu):
 def test_sigma2_limit_rejects_insufficient_growth():
     with pytest.raises(GrowthViolationError):
         sigma2_limit(DispersionQ.laplacian(0.1))
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.25, 1.0, 4.0, 100.0])
+def test_sigma2_limit_quartic_family_to_rounding(nu):
+    want = 1.0 / (8.0 * np.pi * np.sqrt(nu))
+    assert abs(sigma2_limit(DispersionQ.quartic(0.1, nu=nu)) - want) / want <= 1e-14
+
+
+def test_sigma2_limit_sextic_symbol_to_rounding():
+    # Q = z^2 + z^6: 2 pi int r^2 / Q(2 pi r) dr = (1/4 pi^2) int du / (1 + u^4)
+    # = 1 / (8 sqrt(2) pi)
+    Q = DispersionQ(lambda z: z**2 + z**6, 0.1)
+    want = 1.0 / (8.0 * np.sqrt(2.0) * np.pi)
+    assert abs(sigma2_limit(Q) - want) / want <= 1e-14
+
+
+def test_sigma2_limit_raises_when_the_tail_is_too_slow_to_integrate():
+    # growth z^3.1 passes the growth check (eta ~ 0.03), but its r^-1.1 tail
+    # keeps the integrand unbounded at t = pi/2: an error, not a rough number
+    Q = DispersionQ(lambda z: z**2 + np.abs(z)**3.1, 0.1)
+    assert validate_symbol(Q).items["growth"]
+    with pytest.raises(FeasibilityError):
+        sigma2_limit(Q)
+
+
+def test_s_quadrature_rule_is_scipys_gauss_legendre():
+    # the panels carry numpy's 8-point Gauss-Legendre rule; scipy's agrees to
+    # rounding (each lies within 8e-16 of the exact weights)
+    x, w = np.polynomial.legendre.leggauss(8)
+    xs, ws = roots_legendre(8)
+    assert np.max(np.abs(x - xs)) <= 1e-15
+    assert np.max(np.abs(w - ws)) <= 2e-15
+    for N in (2, 3, 4):
+        nodes, weights = _s_quadrature(N)
+        smax = 40.0 / (N + 1.0)
+        assert np.all((nodes > 0) & (nodes < smax))
+        for p in (0, 7, 15):  # the rule is exact to degree 15 on each panel
+            want = smax ** (p + 1) / (p + 1)
+            assert abs(weights @ nodes**p - want) / want <= 1e-14
 
 
 def test_sigma2_eps_is_the_plain_lattice_sum():

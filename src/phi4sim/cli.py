@@ -159,14 +159,15 @@ def _time_grid(dt, T):
 
 
 def _run_one(cfg, noise, eps, K, lam, V):
+    """One solve.  At eps > 0 the coupling is the RenormSet's, the one the
+    noise build scales c0..c3 by; `lam` (1 if None) sets the limit run's."""
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
     sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
     t_grid = _time_grid(sc.dt, sc.T)
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
-        if lam is None:
-            sc.lam = rs.lam
+        sc.lam = rs.lam
         U = build_upsilon(noise, grid, Q, V, eps, t_grid, rs)
     else:
         U = build_limit_upsilon(noise, grid, t_grid)

@@ -17,7 +17,9 @@ below:
     samples:   Monte Carlo replicas (integer >= 0)
     solver:    {dt, T: 0 < dt <= T, lam: null|float, kappa: > 0,
                 mode: sequential|picard, picard_iters: integer >= 1}
-               kappa sets the Y-norm of the distances that converge reports
+               kappa sets the Y-norm of the distances that converge reports;
+               lam sets only the eps = 0 run's coupling: an eps > 0 run
+               takes lambda from its renormalization constants
     out_dir:   output directory
 
 `dump_config(load_config(p))` reproduces the document byte-identically up to

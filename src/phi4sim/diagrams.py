@@ -1,4 +1,4 @@
-"""Construction of the enhanced noise (six component trajectories and one
+"""Construction of the enhanced noise (five component trajectories and one
 counterterm), the standard objects of the eps = 0 limit, analytic
 second-moment oracles via Wick contractions, and Monte Carlo moment audits.
 
@@ -12,15 +12,15 @@ Component tags (in chaos order):
     c1  : V'''(sqrt(eps) X) / (6 lambda sqrt(eps))
     c2  : V''(sqrt(eps) X) / (3 lambda eps) - C1
     c30 : stationary Duhamel integral of the centered cubic noise
-    c32 : resonance(c30, c2) - k32 X
-plus the scalar k32 = 3 C2 + 2 C3 (6 c2_std in the limit).  The paper's
-other two resonances, c31 = c30 o c1 - C3 and c22 = c20 o c2 - C2, enter the
-remainder step only in combinations that collapse exactly at a fixed cutoff
-(see `solver`), so neither they nor the integrated Wick square c20 are
-built.  The stationary integral starts at t = -burn_in on a graded mesh
-whose step coarsens geometrically away from t = 0 (run resolution adjacent to
-the main window), so the discrete Duhamel recursion on t >= 0 is at the run
-resolution at logarithmic burn-in cost.
+plus the scalar k32 = 3 C2 + 2 C3 (6 c2_std in the limit) of the remainder
+step's mass term.  The paper's resonances c31 = c30 o c1 - C3,
+c22 = c20 o c2 - C2 and c32 = c30 o c2 - k32 X enter the remainder step only
+in combinations that collapse exactly at a fixed cutoff (see `solver`), so
+neither they nor the integrated Wick square c20 are built, and the build
+makes no block decomposition.  The stationary integral starts at
+t = -burn_in on a graded mesh whose step coarsens geometrically away from
+t = 0 (run resolution adjacent to the main window), so the discrete Duhamel
+recursion on t >= 0 is at the run resolution at logarithmic burn-in cost.
 
 Each noise field is worked once per step: c0..c3 are polynomials in the free
 field X.  Their terms of degree <= 1 (all of c0 and c1 at the quartic, -C1 in
@@ -29,8 +29,7 @@ share one inverse transform of X and its powers, and each noise sums them in
 place on the padded grid before its one forward transform, in arrays the
 evaluator makes at their first use, so a burn-in step allocates no
 padded-grid array.  The burn-in evaluates c3 alone, one forward transform per
-step.  The main loop decomposes c30 and c2 into Littlewood-Paley blocks once
-per slice for the resonance c30 o c2.
+step.
 """
 
 import math
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import besov, renorm
+from . import renorm
 from .errors import GridError
 from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                       from_physical, to_physical)
@@ -47,7 +46,7 @@ from .gaussian import advance, hermite, ou_transition, sample_stationary
 @dataclass
 class EnhancedNoise:
     """Time-indexed component fields of one enhanced-noise realization and
-    the counterterm k32 that c32 subtracts."""
+    the counterterm k32 of the remainder step's mass term."""
 
     grid: object
     Q: object
@@ -101,10 +100,6 @@ class _NoiseEvaluator:
         if (batch, name) not in self._buffers:
             self._buffers[batch, name] = np.empty(batch + (self.P,) * 3)
         return self._buffers[batch, name]
-
-    def release(self):
-        """Free the work arrays; the next call makes them again."""
-        self._buffers.clear()
 
     @classmethod
     def potential(cls, grid, V, eps, lam, C1):
@@ -182,9 +177,9 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
 
 
 def _build_common(seed, grid, Q, evaluator, t_grid, sample,
-                  burn_in, coarse_dt, fine_window, k32):
+                  burn_in, coarse_dt, fine_window):
     """Shared burn-in and main loop; returns the components and the OU path
-    offset.  The counterterm `k32` is subtracted as c32 = c30 o c2 - k32 X."""
+    offset."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
@@ -201,21 +196,17 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
     step_offset = ens.step
 
     T = nsteps + 1
-    one, n0, n1, n2, c30, c32 = (
-        np.empty((T,) + shape, dtype=np.complex128) for _ in range(6))
+    one, n0, n1, n2, c30 = (
+        np.empty((T,) + shape, dtype=np.complex128) for _ in range(5))
     quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
     for i in range(T):
         one[i] = ens.coeffs
         n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
-        evaluator.release()  # the resonance pass below sets the peak memory
         c30[i] = I3
-        c32[i] = besov.combine(besov.physical_blocks(I3, grid),
-                               besov.physical_blocks(n2[i], grid), grid, "res")
         if i < nsteps:
             I3 = quad.advance(I3, a3)
             ens = advance(ens, dt, ou_step)
-    c32 -= k32 * one
-    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30, c32=c32), step_offset
+    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30), step_offset
 
 
 def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
@@ -224,14 +215,13 @@ def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
-    k32 = 3.0 * renorm_set.C2 + 2.0 * renorm_set.C3
     comps, step_offset = _build_common(
-        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window, k32)
+        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
     return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
-                         comps, k32, prov)
+                         comps, 3.0 * renorm_set.C2 + 2.0 * renorm_set.C3, prov)
 
 
 def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
@@ -242,14 +232,13 @@ def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
-    k32 = 6.0 * c2_std
     comps, step_offset = _build_common(
-        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window, k32)
+        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
     return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
-                         comps, k32, prov)
+                         comps, 6.0 * c2_std, prov)
 
 
 # ---------------------------------------------------------------------------

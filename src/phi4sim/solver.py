@@ -2,43 +2,55 @@
 exponential-Euler / Picard integration, Y-norms, and the reconstruction of
 the full solution against a brute-force reference.
 
-The discrete scheme keeps the Duhamel structure exact: every integral is
-advanced by the exponential left-endpoint rule, and the running accumulator
-A(t) = I(f < c2), with f = v + w - lam*c30, satisfies the same recursion as
-v itself.  The paper's split of the resonance, Com(f; I(c2); c2)
-+ c2 o (A - f < I(c2)) - f (c2 o e^{t(L-1)} c20(0)), equals
-c2 o A - f (c2 o c20) in exact arithmetic, because the resonance sums the
-symmetric set of block pairs |i - j| <= 1.
-
 The paper's step is written with the renormalised resonances
-c31 = c30 o c1 - k31 and c22 = c20 o c2 - k22, which it needs as eps -> 0.
-At a fixed cutoff three identities hold in exact arithmetic on the
-alias-free grids:
+c31 = c30 o c1 - k31, c22 = c20 o c2 - k22 and c32 = c30 o c2 - k32 X, which
+it needs as eps -> 0.  With u = v + w, f = u - lam*c30 and the accumulator
+A = I(f < c2) it integrates
+
+    v = e^{t(L-1)} v(0) + I(-3 lam f < c2),
+    w = e^{t(L-1)} w(0) + I(-3 lam c2 o (e^{t(L-1)} v(0) + w) + G),
+    G = sum_j F_j u^j - 3 lam c2 < f + 9 lam^2 (c2 o A - f (c2 o c20)),
+
+where c2 o A - f (c2 o c20) is the paper's split Com(f; I(c2); c2)
++ c2 o (A - f < I(c2)) - f (c2 o e^{t(L-1)} c20(0)) summed, exact because
+the resonance sums the symmetric set of block pairs |i - j| <= 1.  At a
+fixed cutoff five identities hold in exact arithmetic on the alias-free
+grids:
     (a) Bony: f < g + g < f + f o g = P(fg), and blocks are linear, so
         c30^2 = 2 (c30 < c30) + c30 o c30;
     (b) c31 = c30 o c1 - k31;
     (c) c20 = I(c2) + e^{t(L-1)} c20(0) is the noise build's integrated Wick
-        square, so c2 o c20 = c22 + k22.
+        square, so c2 o c20 = c22 + k22;
+    (d) A and e^{t(L-1)} v(0) follow v's own recursion with v's own
+        integrand, and the exponential rule is linear, so
+        v = e^{t(L-1)} v(0) - 3 lam A and the two resonances of w combine:
+        -3 lam c2 o (e^{t(L-1)} v(0) + w) + 9 lam^2 c2 o A = -3 lam c2 o u;
+    (e) c2 o u = c2 o f + lam c2 o c30, with c2 o c30 = c32 + k32 X.
 By (a) and (b) the paraproducts, the resonances and the commutator
 Com(c30; c30; c1) in F are projected products P(.); by (c) every c22 term of
-F cancels against the step's -9 lam^2 f (c2 o c20).  What is left of k31 and
+F cancels against G's -9 lam^2 f (c2 o c20).  What is left of k31 and
 k22 is one mass term, -lam^2 (6 k31 + 9 k22) f = -3 lam^2 k32 f, where k32
-(3 C2 + 2 C3, or 6 c2_std in the limit) is the counterterm c32 subtracts.
-With sq = P(c30^2),
+is 3 C2 + 2 C3, or 6 c2_std in the limit.  By (d), (e) and (a) the resonance
+of w is -3 lam P(c2 f) + 3 lam (c2 < f + f < c2) - 3 lam^2 (c32 + k32 X):
+its c2 < f cancels G's -3 lam c2 < f, and -3 lam^2 c32 cancels the
++3 lam^2 c32 of the paper's F0, so c32 is never formed.  With
+sq = P(c30^2),
 
     F3 = -lam c0
     F2 = 3 lam^2 P(c0 c30) - 3 lam c1
     F1 = -3 lam^3 P(c0 sq) + 6 lam^2 P(c30 c1)
-    F0 = lam^4 P(c0 P(sq c30)) - 3 lam^3 P(sq c1) + 3 lam^2 c32
+    F0 = lam^4 P(c0 P(sq c30)) - 3 lam^3 P(sq c1)
 
 and the march integrates
 
     v = e^{t(L-1)} v(0) + I(-3 lam f < c2),
-    w = e^{t(L-1)} w(0) + I(-3 lam c2 o (e^{t(L-1)} v(0) + w) + G),
-    G = sum_j F_j u^j - 3 lam c2 < f + 9 lam^2 c2 o A - 3 lam^2 k32 f,
+    w = e^{t(L-1)} w(0) + I(sum_j F_j u^j - 3 lam P(c2 f) + 3 lam f < c2
+                             - 3 lam^2 k32 (X + f)),
 
-with u = v + w and, for V of degree > 4, the Taylor remainder of V' in G.
-A step decomposes f, c2, e^{t(L-1)} v(0) + w and A and combines four times.
+plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
+(in G of the paper's step too).  A step decomposes f and c2 and combines
+once, for f < c2; P(c2 f) joins the polynomial pass on the degree-4 grid.
+A Picard sweep's integrands read only the source iterate.
 """
 
 from dataclasses import dataclass, field
@@ -96,16 +108,15 @@ def taylor_remainder(V, x, y):
 def coeffs_F(lam, U, i):
     """The four coefficient fields (F0, F1, F2, F3) at time index i, or
     batched over time when i is a slice: projected products of c0, c1 and
-    c30, and c32 (the module docstring derives them from the paper's form)."""
-    c0, c1, c30, c32 = (U.field(t, i) for t in ("c0", "c1", "c30", "c32"))
+    c30 (the module docstring derives them from the paper's form)."""
+    c0, c1, c30 = (U.field(t, i) for t in ("c0", "c1", "c30"))
     sq30 = product(c30, c30, 2)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
         + 6.0 * lam**2 * product(c30, c1, 2)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * product(sq30, c1, 2) \
-        + 3.0 * lam**2 * c32
+        - 3.0 * lam**3 * product(sq30, c1, 2)
     return F0, F1, F2, F3
 
 
@@ -145,8 +156,6 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
     P4 = g.pad_size(4)
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
-    A = np.zeros(g.shape, dtype=np.complex128)
-    ev0 = v.copy()
     v_traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
     w_traj = np.empty_like(v_traj)
     v_traj[0], w_traj[0] = v, w
@@ -160,17 +169,16 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
         f = u - lam * U.traj("c30")[i]
         F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
             else tuple(c[i] for c in F_traj)
-        Bf = physical_blocks(f, g)
-        Bc2 = physical_blocks(c2, g)
-        para = combine(Bf, Bc2, g, "lt")  # f < c2
-        res = combine(Bc2, physical_blocks(ev0 + wi, g), g, "res")
-        # G: the polynomial part sum_j F_j u^j on one shared alias-free grid
+        para = combine(physical_blocks(f, g), physical_blocks(c2, g), g, "lt")
+        # sum_j F_j u^j - 3 lam c2 f on one shared alias-free grid
         ux = to_physical(u, g, P4)
         poly, uj = to_physical(F[0], g, P4), 1.0
         for j in (1, 2, 3):
             uj = uj * ux
             poly += to_physical(F[j], g, P4) * uj
-        G = from_physical(poly, g, P4) - 3.0 * lam * combine(Bc2, Bf, g, "lt")
+        poly -= 3.0 * lam * to_physical(c2, g, P4) * to_physical(f, g, P4)
+        G = from_physical(poly, g, P4) + 3.0 * lam * para \
+            - 3.0 * lam**2 * U.k32 * (U.traj("one")[i] + f)
         if eps > 0 and V is not None and V.n > 2:
             # Taylor remainder of V' around sqrt(eps) * (free field); exactly
             # zero for quartic V
@@ -178,13 +186,8 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
             psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
             y = to_physical(f, g, Pr) * np.sqrt(eps)
             G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
-        # c2 o I(f < c2) and the mass term of the renormalised resonances
-        G = G + 9.0 * lam**2 * combine(Bc2, physical_blocks(A, g), g, "res") \
-            - 3.0 * lam**2 * U.k32 * f
         v = quad.advance(v, -3.0 * lam * para)
-        w = quad.advance(w, -3.0 * lam * res + G)
-        A = quad.advance(A, para)
-        ev0 = quad.decay * ev0
+        w = quad.advance(w, G)
         if not (np.all(np.isfinite(v.view(np.float64)))
                 and np.all(np.isfinite(w.view(np.float64)))):
             raise BlowUpSignal(U.t_grid[i + 1], last_state=tuple(

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phi4sim import besov, diagrams
+from phi4sim import diagrams
 from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.errors import GridError
-from phi4sim.fourier import (DispersionQ, FourierField, FrequencyLattice,
-                             from_physical, to_physical)
+from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
+                             to_physical)
 from phi4sim.gaussian import NoiseSeed, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
 from conftest import cube_bsq, cube_modes
@@ -72,7 +72,7 @@ def test_build_is_deterministic_and_sample_indexed():
 def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
-    assert sorted(U.components) == ["c0", "c1", "c2", "c30", "c32", "one"]
+    assert sorted(U.components) == ["c0", "c1", "c2", "c30", "one"]
     for tag in U.components:
         assert U.components[tag].shape == (T, 5, 5, 3)
     assert U.k32 == 3.0 * rs.C2 + 2.0 * rs.C3
@@ -120,6 +120,7 @@ def test_limit_build_wick_identities():
     U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.1,
                             coarse_dt=0.02, fine_window=0.05)
     assert U.eps == 0.0
+    assert U.k32 == 6.0 * U.provenance["c2_std"]  # the eps = 0 counterterm
     nu = U.provenance["c1_std"]
     P = g.pad_size(2)
     for i in range(len(t_grid)):
@@ -200,49 +201,6 @@ def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in again) < 8 * ev.P**3
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-
-
-def _both_builds(build):
-    if build == "eps":
-        return _small_build()[0]
-    return build_limit_upsilon(NoiseSeed(3), FrequencyLattice(KCUT),
-                               np.arange(5) * 0.005, burn_in=0.1,
-                               coarse_dt=0.02, fine_window=0.05)
-
-
-def _k32(U):
-    """The counterterm that c32 subtracts: 3 C2 + 2 C3, or 6 c2_std in the
-    limit."""
-    if "renorm" in U.provenance:
-        rs = U.provenance["renorm"]
-        return 3.0 * rs.C2 + 2.0 * rs.C3
-    return 6.0 * U.provenance["c2_std"]
-
-
-@pytest.mark.parametrize("build", ["eps", "limit"])
-def test_resonance_pass_matches_besov_resonance_bit_for_bit(build):
-    U = _both_builds(build)
-    assert U.k32 == _k32(U)
-    c30, c2, one = (U.traj(t) for t in ("c30", "c2", "one"))
-    for i in range(len(U.t_grid)):
-        res = besov.resonance(FourierField(U.grid, c30[i]),
-                              FourierField(U.grid, c2[i])).coeffs
-        assert np.array_equal(U.traj("c32")[i], res - U.k32 * one[i])
-
-
-@pytest.mark.parametrize("build", ["eps", "limit"])
-def test_resonance_pass_decomposes_each_field_once(build, monkeypatch):
-    calls = []
-    real = besov.physical_blocks
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(besov, "physical_blocks", counted)
-    U = _both_builds(build)
-    # c30 and c2, once per time slice
-    assert len(calls) == 2 * len(U.t_grid)
 
 
 def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):

@@ -12,6 +12,7 @@ from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
 from phi4sim.fourier import load_field
 from phi4sim.gaussian import NoiseSeed
+from phi4sim.renorm import build_renorm
 from phi4sim.solver import y_distance
 from conftest import delta_field
 
@@ -309,14 +310,34 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
     assert load_config(out / "config.yaml") is not None
 
 
+def test_cli_solve_takes_lambda_from_the_constants_at_positive_eps(tmp_path):
+    # the noise build scales c0..c3 by rs.lam; the remainder system is the
+    # equation only at that coupling, whatever the config's lam
+    path = _write_cfg(tmp_path, potential=[0.0, 0.0, 1.0], eps=[0.3],
+                      k_rule={"kind": "fixed", "K": 4},
+                      solver={"dt": 1e-3, "T": 0.005, "lam": 1.0})
+    out = tmp_path / "s"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
+    cfg = load_config(path)
+    rs = build_renorm(cfg.make_symbol(0.3), cfg.make_potential(), K=4)
+    assert abs(rs.lam - 2.387) < 1e-3  # 6 times sextic(1.0)'s 0.398
+    assert run["status"] == "ok" and run["lam"] == rs.lam
+
+
+# lambda = 4 * 2.5e7 = 1e8 blows the runs up
+BLOWUP_V = [0.0, 2.5e7]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("solver, status", [
     ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1},
      "not_converged"),
-    ({"dt": 1e-3, "T": 0.004, "lam": 1e8}, "blowup"),
+    ({"dt": 1e-3, "T": 0.004}, "blowup"),
 ])
 def test_cli_solve_failed_run_exits_nonzero(tmp_path, capsys, solver, status):
-    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2}, solver=solver)
+    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2}, solver=solver,
+                      potential=BLOWUP_V if status == "blowup" else [0.0, 0.25])
     out = tmp_path / "s"
     _expect_exit(["solve", "--config", str(path), "--out", str(out)],
                  cli.EXIT_RUN_FAILED, capsys)
@@ -343,12 +364,14 @@ def test_cli_converge_tiny_run(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solver, rows", [
-    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1}, 2),
-    ({"dt": 1e-3, "T": 0.004, "lam": 1e8}, 0),
+@pytest.mark.parametrize("solver, potential, rows", [
+    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1},
+     [0.0, 0.25], 2),
+    ({"dt": 1e-3, "T": 0.004}, BLOWUP_V, 0),
 ], ids=["not_converged", "blowup"])
-def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys, solver, rows):
-    path = _write_cfg(tmp_path, eps=[0.5, 0.4],
+def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys, solver,
+                                               potential, rows):
+    path = _write_cfg(tmp_path, eps=[0.5, 0.4], potential=potential,
                       k_rule={"kind": "fixed", "K": 2}, solver=solver)
     out = tmp_path / "c"
     err = _expect_exit(["converge", "--config", str(path), "--out", str(out)],

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -7,11 +9,14 @@ import numpy as np
 import pytest
 
 from phi4sim import besov, solver
-from phi4sim.besov import commutator_com, para_lt, resonance
-from phi4sim.diagrams import build_upsilon
+from phi4sim.besov import (combine, commutator_com, para_lt, physical_blocks,
+                           resonance)
+from phi4sim.config import load_config
+from phi4sim.diagrams import build_limit_upsilon, build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
-                             FrequencyLattice, _mirror, product)
+                             FrequencyLattice, _mirror, from_physical, product,
+                             to_physical)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
@@ -89,12 +94,19 @@ def _plus_constant(F, c):
     return out
 
 
+def _c32(U, i):
+    """The paper's renormalised resonance c32 = c30 o c2 - k32 X."""
+    return resonance(U.field("c30", i), U.field("c2", i)) \
+        - U.k32 * U.field("one", i)
+
+
 def _coeffs_F_paper(lam, U, i, k31):
     """The coefficient fields in the paper's paraproduct form, with the
-    renormalised resonance c31 = c30 o c1 - k31 formed here.  The c22 terms
-    of that form are left out: they cancel exactly against the step's
-    -9 lam^2 f (c2 o c20), which the reconstruction tests check end to end."""
-    c0, c1, c30, c32 = (U.field(t, i) for t in ("c0", "c1", "c30", "c32"))
+    renormalised resonances c31 = c30 o c1 - k31 and c32 formed here.  The
+    c22 terms of that form are left out: they cancel exactly against the
+    step's -9 lam^2 f (c2 o c20), which the reconstruction tests check end to
+    end."""
+    c0, c1, c30 = (U.field(t, i) for t in ("c0", "c1", "c30"))
     c31 = _plus_constant(resonance(c30, c1), -k31)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
@@ -106,7 +118,7 @@ def _coeffs_F_paper(lam, U, i, k31):
                           + resonance(resonance(c30, c30), c1)
                           + 2.0 * product(c31, c30, 2)
                           + 2.0 * commutator_com(c30, c30, c1)) \
-        + 3.0 * lam**2 * c32
+        + 3.0 * lam**2 * _c32(U, i)
     return F0, F1, F2, F3
 
 
@@ -116,6 +128,8 @@ def test_coefficient_fields_match_the_paraproduct_form():
     # what is left of k31 is the k31 part -6 lam^2 k31 f of the step's mass
     # term, f = u - lam c30: -6 lam^2 k31 in F1, 6 lam^3 k31 c30 in F0.
     # k31 = C3 is zero for the quartic potential, not for the sextic one.
+    # The paper's +3 lam^2 c32 in F0 cancels out of the step (see
+    # test_solve_matches_the_paper_step), so it is added to the collapsed F0.
     Q = DispersionQ.quartic(EPS, nu=1.0)
     g = FrequencyLattice(K)
     for V in (Potential.quartic(0.25), Potential.sextic(1.0)):
@@ -125,7 +139,8 @@ def test_coefficient_fields_match_the_paraproduct_form():
         lam, k31 = rs.lam, rs.C3
         for i in (0, len(U.t_grid) - 1, slice(2, 5)):
             F0, F1, F2, F3 = coeffs_F(lam, U, i)
-            with_mass = (F0 + 6.0 * lam**3 * k31 * U.field("c30", i),
+            with_mass = (F0 + 6.0 * lam**3 * k31 * U.field("c30", i)
+                         + 3.0 * lam**2 * _c32(U, i),
                          _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
             for got, want in zip(with_mass, _coeffs_F_paper(lam, U, i, k31)):
                 scale = np.max(np.abs(want.coeffs))
@@ -205,11 +220,8 @@ def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
     assert np.array_equal(P.w_traj, _mirror(w, g))
 
 
-def test_march_step_decomposes_four_fields_and_combines_four_times(
-        monkeypatch):
-    # f, c2, ev0 + w and A, and f < c2, c2 o (ev0 + w), c2 > f and c2 o A;
-    # coeffs_F makes none
-    _, V, rs, g, U, cfg = _setup()
+def test_march_step_decomposes_two_fields_and_combines_once(monkeypatch):
+    # f and c2, and f < c2; the noise build and coeffs_F make none
     calls = {"physical_blocks": 0, "combine": 0}
     for name in calls:
         real = getattr(besov, name)
@@ -218,11 +230,86 @@ def test_march_step_decomposes_four_fields_and_combines_four_times(
             calls[_name] += 1
             return _real(*args, **kwargs)
 
+        monkeypatch.setattr(besov, name, counted)
         monkeypatch.setattr(solver, name, counted)
+    _, V, rs, g, U, cfg = _setup()
+    assert calls == {"physical_blocks": 0, "combine": 0}
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(cfg, U, z, z, V=V)
     nsteps = len(U.t_grid) - 1
-    assert calls == {"physical_blocks": 4 * nsteps, "combine": 4 * nsteps}
+    assert calls == {"physical_blocks": 2 * nsteps, "combine": nsteps}
+
+
+def _march_paper(cfg, U, v0, w0, V):
+    """The paper's step on half spectra, sequential: the accumulator
+    A = I(f < c2) and e^{t(L-1)} v(0) advanced beside v, the resonances
+    c2 o (e^{t(L-1)} v(0) + w) and c2 o A, and F0 with its +3 lam^2 c32."""
+    g, lam, eps = U.grid, cfg.lam, cfg.eps
+    quad = ExponentialQuadrature(g, U.Q, cfg.dt)
+    P4 = g.pad_size(4)
+    v, w = v0.copy(), w0.copy()
+    A, ev0 = np.zeros_like(v), v.copy()
+    vs, ws = [v], [w]
+    for i in range(int(round(cfg.T / cfg.dt))):
+        c2 = U.traj("c2")[i]
+        u = v + w
+        f = u - lam * U.traj("c30")[i]
+        F0, F1, F2, F3 = coeffs_F(lam, U, i)
+        F = (F0 + 3.0 * lam**2 * _c32(U, i), F1, F2, F3)
+        ux = to_physical(u, g, P4)
+        G = from_physical(sum(to_physical(F[j].coeffs, g, P4) * ux**j
+                              for j in range(4)), g, P4)
+        Bf, Bc2 = physical_blocks(f, g), physical_blocks(c2, g)
+        para = combine(Bf, Bc2, g, "lt")
+        res = combine(Bc2, physical_blocks(ev0 + w, g), g, "res")
+        G = G - 3.0 * lam * combine(Bc2, Bf, g, "lt") \
+            + 9.0 * lam**2 * combine(Bc2, physical_blocks(A, g), g, "res") \
+            - 3.0 * lam**2 * U.k32 * f
+        if eps > 0 and V.n > 2:
+            Pr = g.pad_size(2 * V.n - 1)
+            psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
+            y = to_physical(f, g, Pr) * np.sqrt(eps)
+            G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
+        v = quad.advance(v, -3.0 * lam * para)
+        w = quad.advance(w, -3.0 * lam * res + G)
+        A = quad.advance(A, para)
+        ev0 = quad.decay * ev0
+        vs.append(v)
+        ws.append(w)
+    return np.array(vs), np.array(ws)
+
+
+@pytest.mark.parametrize("case", ["quartic", "sextic-v0", "off-lambda", "limit"])
+def test_solve_matches_the_paper_step(case, rng):
+    # A and e^{t(L-1)} v(0) follow v's recursion, so
+    # v = e^{t(L-1)} v(0) - 3 lam A and the resonances combine to
+    # -3 lam c2 o u; Bony and c2 o c30 = c32 + k32 X then cancel F0's c32
+    # (see the solver docstring)
+    sextic = case == "sextic-v0"
+    eps, K, dt, n = 0.3, 6 if sextic else 4, 1e-3, 8
+    Q = DispersionQ.quartic(eps, nu=1.0)
+    V = Potential.sextic(1.0) if sextic else Potential.quartic(0.25)
+    g = FrequencyLattice(K)
+    t_grid = np.arange(n + 1) * dt
+    kw = dict(burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+    if case == "limit":
+        eps, lam = 0.0, 1.0
+        U = build_limit_upsilon(NoiseSeed(3), g, t_grid, **kw)
+    else:
+        rs = build_renorm(Q, V, K=K)
+        lam = 1.3 * rs.lam if case == "off-lambda" else rs.lam
+        U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs, **kw)
+    cfg = SolverConfig(eps=eps, lam=lam, dt=dt, T=n * dt, K=K)
+    v0 = w0 = np.zeros(g.shape, dtype=np.complex128)
+    if sextic:
+        v0 = random_hermitian_field(g, rng, 0.5).coeffs
+        w0 = random_hermitian_field(g, rng, 0.1).coeffs
+    P = solve(cfg, U, _mirror(v0, g), _mirror(w0, g), V=V)
+    v, w = _march_paper(cfg, U, v0, w0, V)
+    for got, want in ((P.v_traj, v), (P.w_traj, w)):
+        assert np.max(np.abs(got[..., : K + 1] - want)) \
+            <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(v)) > 0 and np.max(np.abs(w)) > 0
 
 
 def test_solve_rejects_initial_data_of_no_real_field(rng):
@@ -402,6 +489,30 @@ def test_sextic_reconstruction_matches_brute_force(mode):
     ref = brute_force_reference(NoiseSeed(5), cfg, V, Q, rs, U)
     err = np.sqrt(np.mean(np.abs(phi - ref) ** 2) / np.mean(np.abs(ref) ** 2))
     assert err < 1e-8
+
+
+def test_reconstruct_workload_matches_its_pinned_outputs(tmp_path):
+    # the benchmark's seed-0 reconstruct outputs are pinned to 1e-12 relative;
+    # run in process, through its own configs, body, summary and checks
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl, seed = workloads.Reconstruct, workloads.DEFAULT_SEED
+    paths = {}
+    for key, doc in wl.configs(seed).items():
+        paths[key] = str(tmp_path / f"{key}.yaml")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    cfgs = {key: load_config(path) for key, path in paths.items()}
+    out_dir = str(tmp_path / "out")
+    out = wl.summarize(wl.body(cfgs, paths, out_dir), paths, out_dir)
+    with open(os.path.join(bench, "pinned.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)["reconstruct"]
+    assert workloads.pinned_mismatches(out, pinned) == []
+    assert wl.check(out, seed, False) == []
 
 
 def test_counterterm_matters_in_the_reference():

@@ -101,12 +101,15 @@ def besov_norm(f, alpha):
 
 def physical_blocks(coeffs, grid):
     """Real samples of every block of a field, given by its coefficient array
-    (batch dims allowed), on the pad_size(2) grid: shape (..., nblocks, P, P, P).
-    Computing this once and feeding it to `combine` lets several
-    paraproducts share one decomposition.
+    (batch dims allowed), on the pad_size(2) grid: shape (..., nblocks, P, P, P),
+    transformed one block at a time.  Computing this once and feeding it to
+    `combine` lets several paraproducts share one decomposition.
     """
-    return to_physical(coeffs[..., None, :, :, :] * _partition(grid).weights(grid),
-                       grid, grid.pad_size(2))
+    W, P = _partition(grid).weights(grid), grid.pad_size(2)
+    out = np.empty(coeffs.shape[:-3] + (len(W), P, P, P))
+    for a in range(len(W)):
+        to_physical(coeffs * W[a], grid, P, out=out[..., a, :, :, :])
+    return out
 
 
 def combine(Bf, Bg, grid, mode):

@@ -76,20 +76,19 @@ def _write_csv(path, cfg, seed, columns, rows, trailer=None):
 
 
 def cmd_validate(cfg, out_dir, seed):
-    eps_list = cfg.eps or [0.1]
     rows = []
-    for eps in eps_list:
+    for eps in cfg.eps or [0.1]:
         rep = validate_symbol(cfg.make_symbol(eps))
         rows.append((eps, rep.items["normalization"], rep.items["positivity"],
                      rep.items["growth"], rep.eta_hat, rep.passed))
         if not rep.items["growth"]:
-            _write_csv(os.path.join(out_dir, "validate.csv"), cfg, seed,
-                       ["eps", "normalization", "positivity", "growth",
-                        "eta_hat", "passed"], rows)
-            _fail(EXIT_VALIDATION, "growth violation")
-    return _write_csv(os.path.join(out_dir, "validate.csv"), cfg, seed,
+            break
+    path = _write_csv(os.path.join(out_dir, "validate.csv"), cfg, seed,
                       ["eps", "normalization", "positivity", "growth",
                        "eta_hat", "passed"], rows)
+    if not rep.items["growth"]:
+        _fail(EXIT_VALIDATION, "growth violation")
+    return path
 
 
 def _require_positive_eps(cfg):
@@ -153,18 +152,13 @@ def _solver_config(cfg, eps, K, lam):
                         picard_iters=int(s["picard_iters"]))
 
 
-def _time_grid(dt, T):
-    n = int(round(T / dt))
-    return np.arange(n + 1) * dt
-
-
 def _run_one(cfg, noise, eps, K, lam, V):
     """One solve.  At eps > 0 the coupling is the RenormSet's, the one the
     noise build scales c0..c3 by; `lam` (1 if None) sets the limit run's."""
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
     sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
-    t_grid = _time_grid(sc.dt, sc.T)
+    t_grid = np.arange(int(round(sc.T / sc.dt)) + 1) * sc.dt
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
         sc.lam = rs.lam
@@ -190,11 +184,9 @@ def cmd_solve(cfg, out_dir, seed):
         entry = {"eps": float(eps), "K": int(K)}
         try:
             grid, sc, U, pair = _run_one(cfg, noise, eps, K, lam, V)
-            entry["lam"] = float(sc.lam)
-            entry["t_final"] = float(pair.t_grid[-1])
-            entry["status"] = "ok"
+            entry.update(lam=float(sc.lam), t_final=float(pair.t_grid[-1]), status="ok")
             if sc.mode == "picard":
-                for key in ("converged", "sweeps", "final_distance"):
+                for key in ("converged", "sweeps", "final_distance", "distances"):
                     entry[key] = pair.info[key]
                 if not pair.info["converged"]:
                     entry["status"] = "not_converged"

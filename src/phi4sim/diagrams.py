@@ -266,15 +266,15 @@ def _oracle_cube(symbol, t_pair, Q, eps, K, V=None, renorm_set=None):
         Q = Q.with_eps(eps)
     s, t = (t_pair if isinstance(t_pair, (tuple, list)) else (t_pair, t_pair))
     tau = abs(t - s)
-    _, bsq = renorm._cube_bsq(Q, K)
     if symbol == "one":
-        return np.exp(-tau * bsq) * 0.5 / bsq
+        b = renorm._octant_bsq(Q, K)
+        return renorm._unfold(np.exp(-tau * b) * 0.5 / b)
     if isinstance(symbol, tuple) and symbol[0] == "wick":
         n = int(symbol[1])
         return math.factorial(n) * renorm.chaos_convolution_power(Q, n, K, tau)
+    if symbol in ("c1", "c2", "c30") and (V is None or renorm_set is None):
+        raise ValueError("polynomial-noise oracles need V and renorm_set")
     if symbol in ("c1", "c2"):
-        if V is None or renorm_set is None:
-            raise ValueError("polynomial-noise oracles need V and renorm_set")
         a = renorm_set.a_m
         total = 0.0
         for m in range(1, V.n):
@@ -288,8 +288,6 @@ def _oracle_cube(symbol, t_pair, Q, eps, K, V=None, renorm_set=None):
     if symbol == "c30":
         if tau > 1e-12:
             raise ValueError("the integrated-cubic oracle is equal-time only")
-        if V is None or renorm_set is None:
-            raise ValueError("needs V and renorm_set")
         a = renorm_set.a_m
         total = 0.0
         for m in range(1, V.n):

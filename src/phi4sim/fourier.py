@@ -5,8 +5,7 @@ fhat(-k) = conj(fhat(k)).  Fields are stored as the k3 >= 0 half of the mode
 cube {-K..K}^3, arrays (..., n, n, K+1) with n = 2K+1 in FFT frequency order
 (non-negative frequencies first).  Full (n, n, n) cubes appear only at the
 boundaries: solve's initial data and results, the reconstructed and reference
-solutions, and snapshot files; renorm's lattice sums run over the full cube.
-The Fourier convention is
+solutions, snapshot files and renorm's oracle arrays.  The Fourier convention is
 
     f(x) = sum_k fhat(k) exp(2 pi i k.x),    fhat(k) = int f(x) exp(-2 pi i k.x) dx,
 

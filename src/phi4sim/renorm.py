@@ -14,9 +14,9 @@ convolution power; the s-integral is done with panel-wise Gauss-Legendre on
 log-spaced panels.  The spectra involved are radial, hence even in every
 axis, so the convolution powers are evaluated on the non-negative octant of
 a padded grid (symmetric convolution; Martucci, IEEE Trans. Signal Process.
-42(5), 1994).  There the size-P DFT is a type-I DCT, which runs as pruned
-products with cosine matrices cached per (K, P): each pass contracts an axis
-that holds only the K+1 non-negative frequencies.
+42(5), 1994) from the bracket on {0..K}^3, never on the (2K+1)^3 cube.  There
+the size-P DFT is a type-I DCT, run as pruned products with cosine matrices
+cached per (K, P): each pass contracts an axis of K+1 non-negative frequencies.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError, GrowthViolationError
-from .fourier import DispersionQ, FrequencyLattice, fast_len, validate_symbol
+from .fourier import DispersionQ, fast_len, validate_symbol
 from .gaussian import gaussian_expectation, polyder
 
 
@@ -145,19 +145,23 @@ def sigma2_limit(Q, tol=1e-10):
     return _gauss_kronrod(f, 0.0, 0.5 * np.pi, tol)
 
 
-def _cube_bsq(Q, K):
-    # over the full cube: the lattice holds only the k3 >= 0 half
-    grid = FrequencyLattice(K)
-    k1, k2, k3 = np.meshgrid(*[grid.freqs] * 3, indexing="ij", sparse=True)
-    return grid, Q.bracket_sq(np.sqrt((k1**2 + k2**2 + k3**2).astype(np.float64)))
+def _octant_bsq(Q, K):
+    """bracket(k)^2 on {0..K}^3: it is radial, so this block holds the cube's values."""
+    k = np.arange(K + 1)
+    return Q.bracket_sq(np.sqrt((k[:, None, None]**2 + k[:, None]**2 + k**2).astype(np.float64)))
+
+
+def _unfold(block):
+    """Cube array (FFT order) of a radial spectrum given on its block {0..K}^3."""
+    a = np.r_[0:len(block), len(block) - 1:0:-1]
+    return block[np.ix_(a, a, a)]
 
 
 def point_variance(Q, K):
     """E X(x)^2 = sum_{|k|_inf <= K} 1/(2 bracket(k)^2), the variance of the
     free field at a point, summed over the octant with multiplicities 1, 2, 2,
     .. per axis (the sum is radial)."""
-    k = np.arange(K + 1.0)
-    inv = 1.0 / Q.bracket_sq(np.sqrt(k[:, None, None] ** 2 + k[:, None] ** 2 + k**2))
+    inv = 1.0 / _octant_bsq(Q, K)
     m = np.r_[1.0, np.full(K, 2.0)]
     return 0.5 * float(m @ (m @ (inv @ m)))
 
@@ -166,9 +170,7 @@ def sigma2_eps(Q, eps, K):
     """(eps/2) sum_{|k|_inf <= K} bracket(k)^-2 over the mode cube."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if Q.eps != eps:
-        Q = Q.with_eps(eps)
-    return eps * point_variance(Q, K)
+    return eps * point_variance(Q.with_eps(eps), K)
 
 
 def coupling_lambda(V, sigma2):
@@ -206,11 +208,8 @@ def _s_quadrature(N, npanels=20, order=8):
     smax = 40.0 / (N + 1.0)
     edges = np.concatenate([[0.0], np.geomspace(1e-4, smax, npanels)])
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 _octant_matrices = {}
@@ -242,40 +241,49 @@ class EvenOctant:
     _cosines, one per axis.
     """
 
-    def __init__(self, grid, P):
-        if P % 2 or P < grid.n:
-            raise ValueError(f"octant transforms need an even pad >= {grid.n}, got {P}")
-        self.grid = grid
-        self.P = P
-        self.D, self.S = _cosines(grid.K, P)
-        # multiplicity of each octant index in the full grid (j and P - j)
-        # over P: the k = 0 row of S
+    def __init__(self, K, P):
+        if P % 2 or P < 2 * K + 1:
+            raise ValueError(f"octant transforms need an even pad >= {2 * K + 1}, got {P}")
+        self.K, self.P = K, P
+        self.D, self.S = _cosines(K, P)
+        # multiplicity of each octant index in the grid (j, P - j) over P: row 0 of S
         self.w = self.S[0]
+        # the first two passes' products per batch shape, reused by every call
+        self._passes = {}
 
-    def samples(self, spec):
+    def samples(self, spec, out=None):
         """Octant samples of the field whose even, real cube spectrum has the
         non-negative-frequency block spec[..., :K+1, :K+1, :K+1] (a cube or
-        just that block; batch dims allowed, each slice gets its own bits)."""
-        K, M, D = self.grid.K, self.P // 2 + 1, self.D
+        just that block; batch dims allowed, each slice gets its own bits),
+        written into `out` (C-contiguous) when given."""
+        K, M, D = self.K, self.P // 2 + 1, self.D
         x = spec[..., : K + 1, : K + 1, : K + 1]
+        batch = x.shape[:-3]
+        if batch not in self._passes:
+            self._passes[batch] = (np.empty(batch + ((K + 1) ** 2, M)),
+                                   np.empty(batch + (K + 1, M, M)))
+        x1, x2 = self._passes[batch]
         # axis -1, then -2, then -3: each pass contracts K+1 nonzeros
-        x = x.reshape(x.shape[:-3] + ((K + 1) ** 2, K + 1)) @ D.T
-        x = D @ x.reshape(x.shape[:-2] + (K + 1, K + 1, M))
-        x = D @ x.reshape(x.shape[:-3] + (K + 1, M * M))
-        return x.reshape(x.shape[:-2] + (M, M, M))
+        np.matmul(x.reshape(batch + ((K + 1) ** 2, K + 1)), D.T, out=x1)
+        np.matmul(D, x1.reshape(batch + (K + 1, K + 1, M)), out=x2)
+        out = np.empty(batch + (M, M, M)) if out is None else out
+        np.matmul(D, x2.reshape(batch + (K + 1, M * M)), out=out.reshape(batch + (M, M * M)))
+        return out
 
     def mean(self, phys):
         """Full-grid mean of an even field from its octant samples."""
         return float(self.w @ (self.w @ (phys @ self.w)))
 
-    def spectrum(self, phys):
-        """Cube spectrum (real, FFT order) of an even field from its octant samples."""
-        K, M, S = self.grid.K, self.P // 2 + 1, self.S
+    def block(self, phys):
+        """Block {0..K}^3 of the cube spectrum of an even field from its octant samples."""
+        K, M, S = self.K, self.P // 2 + 1, self.S
         x = S @ phys.reshape(M, M * M)
         x = S @ x.reshape(K + 1, M, M)
-        x = (x.reshape((K + 1) ** 2, M) @ S.T).reshape((K + 1,) * 3)
-        a = np.abs(self.grid.freqs)
-        return x[np.ix_(a, a, a)]
+        return (x.reshape((K + 1) ** 2, M) @ S.T).reshape((K + 1,) * 3)
+
+    def spectrum(self, phys):
+        """Cube spectrum (real, FFT order) of an even field from its octant samples."""
+        return _unfold(self.block(phys))
 
 
 def _even_pad(need):
@@ -299,33 +307,36 @@ def stationary_pair_integral(Q, N, K, method="auto", pad=None):
     stays in the cube (matching cube-projected field products).  `method`
     "direct" sums the tuples, "fft" convolves on the octant of a `pad` grid.
     """
-    grid, bsq = _cube_bsq(Q, K)
     if method == "auto":
-        method = "direct" if (grid.n**3) ** N <= 2e7 else "fft"
+        method = "direct" if (2 * K + 1) ** (3 * N) <= 2e7 else "fft"
     if method == "direct":
-        return _spi_direct(Q, grid, bsq, N)
-    octant = EvenOctant(grid, pad or _spi_pad(Q, N, K))
-    b = bsq[: K + 1, : K + 1, : K + 1]  # radial: this block fixes the cube
+        return _spi_direct(Q, K, N)
+    octant = EvenOctant(K, pad or _spi_pad(Q, N, K))
+    b = _octant_bsq(Q, K)
     nodes, weights = _s_quadrature(N)
     total = 0.0
     pref = math.factorial(N) / 2.0**N
+    # every s-node reuses these arrays: the loop allocates nothing large
+    h, hb = np.empty_like(b), np.empty_like(b)
+    x, y, yy = (np.empty((octant.P // 2 + 1,) * 3) for _ in range(3))
     for s, w in zip(nodes, weights):
-        h = np.exp(-s * b)
-        x, y = octant.samples(np.stack([h, h / b]))
-        yN = y
-        for _ in range(N - 1):
-            yN = yN * y
-        total += w * octant.mean(x * yN)
+        np.exp(np.multiply(-s, b, out=h), out=h)
+        octant.samples(np.divide(h, b, out=hb), out=y)
+        yN = y if N == 1 else np.multiply(y, y, out=yy)
+        for _ in range(N - 2):
+            yN *= y
+        yN *= octant.samples(h, out=x)
+        total += w * octant.mean(yN)
     return pref * total
 
 
-def _spi_direct(Q, grid, bsq, N):
+def _spi_direct(Q, K, N):
     """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only.  The
     first N-1 legs run in chunks, the last stays a vectorized axis."""
-    kv = np.stack(np.meshgrid(*[grid.freqs] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-    b = bsq.ravel()
+    kv = np.stack(np.meshgrid(*[np.r_[0:K + 1, -K:0]] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    b = Q.bracket_sq(np.sqrt(np.sum(kv**2, axis=-1).astype(np.float64)))
     if b.size**N > 5e8:
-        raise FeasibilityError(f"direct sum infeasible for N={N}, K={grid.K}")
+        raise FeasibilityError(f"direct sum infeasible for N={N}, K={K}")
     pref = math.factorial(N) / 2.0**N
     total = 0.0
     shape = (b.size,) * (N - 1)
@@ -341,7 +352,7 @@ def _spi_direct(Q, grid, bsq, N):
             bsum += b[lead]
             wprod *= 1.0 / b[lead]
         ktot = ksum[:, None, :] + kv[None, :, :]
-        ok = np.all(np.abs(ktot) <= grid.K, axis=-1)
+        ok = np.all(np.abs(ktot) <= K, axis=-1)
         btot = Q.bracket_sq(np.sqrt(np.sum(ktot**2, axis=-1)))
         denom = btot + bsum[:, None] + b[None, :]
         term = (wprod[:, None] / b[None, :]) / denom
@@ -351,8 +362,7 @@ def _spi_direct(Q, grid, bsq, N):
 
 def c2(Q, V, eps, lam, K):
     """C2 = sum_m (a_m/m)^2 eps^(2m-2) E[I(X^{<>2m}) o X^{<>2m}]."""
-    if Q.eps != eps:
-        Q = Q.with_eps(eps)
+    Q = Q.with_eps(eps)
     a = a_coeffs(V, eps, lam, sigma2_eps(Q, eps, K))
     total = 0.0
     for m in range(1, V.n):
@@ -369,8 +379,7 @@ def c3(Q, V, eps, lam, K):
 
     Empty (exactly zero) for quartic V (n = 2).
     """
-    if Q.eps != eps:
-        Q = Q.with_eps(eps)
+    Q = Q.with_eps(eps)
     a = a_coeffs(V, eps, lam, sigma2_eps(Q, eps, K))
     total = 0.0
     for m in range(1, V.n - 1):
@@ -393,9 +402,9 @@ def c_total(lam, C1, C2, C3):
 
 def chaos_convolution_power(Q, n, K, tau=0.0):
     """Cube array of sum_{l_1+..+l_n = k, l_j in cube} prod_j e^{-tau b_j}/(2 b_j)."""
-    grid, bsq = _cube_bsq(Q, K)
-    octant = EvenOctant(grid, _even_pad((n + 1) * K + 1))
-    return octant.spectrum(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq) ** n)
+    b = _octant_bsq(Q, K)
+    octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
+    return octant.spectrum(octant.samples(np.exp(-tau * b) * 0.5 / b) ** n)
 
 
 def time_integrated_chaos_moment(Q, n, K):
@@ -403,14 +412,14 @@ def time_integrated_chaos_moment(Q, n, K):
 
         n! b(k)^-1 sum_{P(n,k)} prod_j (2 b_j)^-1 (b(k) + sum_j b_j)^-1.
     """
-    grid, bsq = _cube_bsq(Q, K)
-    octant = EvenOctant(grid, _even_pad((n + 1) * K + 1))
+    b = _octant_bsq(Q, K)
+    octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
     nodes, weights = _s_quadrature(n)
-    acc = np.zeros((grid.n,) * 3)
+    acc = np.zeros((K + 1,) * 3)
     for s, w in zip(nodes, weights):
-        h = np.exp(-s * bsq)
-        acc += w * h * octant.spectrum(octant.samples(h / bsq) ** n)
-    return math.factorial(n) / 2.0**n * acc / bsq
+        h = np.exp(-s * b)
+        acc += w * h * octant.block(octant.samples(h / b) ** n)
+    return _unfold(math.factorial(n) / 2.0**n * acc / b)
 
 
 # ---------------------------------------------------------------------------

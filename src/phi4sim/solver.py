@@ -229,8 +229,7 @@ def solve(config, U, v0, w0, V=None):
             if len(dists) >= 3 and dists[-1] > dists[-2] > dists[-3]:
                 info["non_contraction"] = True
                 break
-        info["sweeps"] = len(dists)
-        info["final_distance"] = dists[-1]
+        info.update(sweeps=len(dists), final_distance=dists[-1], distances=dists)
         v_traj, w_traj = v_prev, w_prev
     t_grid = U.t_grid[: v_traj.shape[0]].copy()
     return RemainderPair(t_grid=t_grid, v_traj=_mirror(v_traj, g),

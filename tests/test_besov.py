@@ -45,6 +45,20 @@ def test_blocks_reassemble_field(rng):
     assert np.max(np.abs(B.sum(axis=0) - want)) < 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("K", [3, 8])
+def test_blocks_equal_the_batched_transform_bit_for_bit(rng, K):
+    # one block at a time gives the bits of transforming every weighted
+    # spectrum of a (2, 3) batch at once
+    g = FrequencyLattice(K)
+    f = random_hermitian_field(g, rng)
+    coeffs = np.stack([f.coeffs * c for c in rng.standard_normal(6)]).reshape((2, 3) + g.shape)
+    W = DyadicPartition(K).weights(g)
+    want = to_physical(coeffs[..., None, :, :, :] * W, g, g.pad_size(2))
+    got = physical_blocks(coeffs, g)
+    assert got.shape == (2, 3, len(W)) + (g.pad_size(2),) * 3
+    assert np.array_equal(got, want)
+
+
 def test_single_mode_besov_norm_scales_with_alpha():
     g = FrequencyLattice(8)
     f = delta_field(g, (5, 0, 0))

@@ -348,6 +348,18 @@ def test_cli_solve_failed_run_exits_nonzero(tmp_path, capsys, solver, status):
         assert run["final_distance"] > 0
 
 
+def test_cli_solve_records_the_picard_distance_history(tmp_path):
+    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2},
+                      solver={"dt": 1e-3, "T": 0.004, "mode": "picard"})
+    out = tmp_path / "s"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
+    assert run["converged"] is True and run["sweeps"] > 1
+    assert len(run["distances"]) == run["sweeps"]
+    assert run["distances"][-1] == run["final_distance"] < 1e-8
+    assert all(d > 0 for d in run["distances"])
+
+
 def test_cli_converge_tiny_run(tmp_path):
     path = _write_cfg(tmp_path, eps=[0.5, 0.4],
                       k_rule={"kind": "fixed", "K": 2},

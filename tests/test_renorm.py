@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_even_octant_matches_full_grid(K, extra, seed):
     a = np.abs(grid.freqs)
     spec = np.random.default_rng(seed).uniform(-1.0, 1.0, (K + 1,) * 3)[np.ix_(a, a, a)]
     full = to_physical(spec[..., : K + 1], grid, P)
-    octant = EvenOctant(grid, P)
+    octant = EvenOctant(K, P)
     phys = octant.samples(spec)
     h = P // 2 + 1
     assert np.max(np.abs(phys - full[:h, :h, :h])) <= 1e-13 * np.max(np.abs(full))
@@ -224,7 +225,7 @@ def _octant_pads(K):
 @pytest.mark.parametrize("K,P", [(K, P) for K in (0, 1, 8, 40) for P in _octant_pads(K)])
 def test_octant_products_match_the_type1_dct(K, P):
     grid = FrequencyLattice(K)
-    octant = EvenOctant(grid, P)
+    octant = EvenOctant(K, P)
     M = P // 2 + 1
     rng = np.random.default_rng(K * 1000 + P)
     block = rng.uniform(-1.0, 1.0, (K + 1,) * 3)
@@ -240,7 +241,7 @@ def test_octant_products_match_the_type1_dct(K, P):
 
 @pytest.mark.parametrize("K,P", [(8, 18), (40, 90)])
 def test_octant_batch_gives_each_slice_bit_for_bit(K, P):
-    octant = EvenOctant(FrequencyLattice(K), P)
+    octant = EvenOctant(K, P)
     u, v = np.random.default_rng(K).uniform(-1.0, 1.0, (2,) + (K + 1,) * 3)
     both = octant.samples(np.stack([u, v]))
     assert np.array_equal(both[0], octant.samples(u))
@@ -256,6 +257,69 @@ def test_octant_sums_make_no_scipy_transform(monkeypatch):
     assert stationary_pair_integral(Q, 2, 3, method="fft") > 0
     assert np.all(np.isfinite(chaos_convolution_power(Q, 2, 2)))
     assert np.all(np.isfinite(time_integrated_chaos_moment(Q, 2, 1)))
+
+
+def _pair_integral_on_the_cube(Q, N, K):
+    """The fft pair integral from the bracket over the full mode cube, both
+    fields of an s-node transformed as one stacked batch."""
+    b = cube_bsq(Q, FrequencyLattice(K))[: K + 1, : K + 1, : K + 1]
+    octant = EvenOctant(K, _spi_pad(Q, N, K))
+    nodes, weights = _s_quadrature(N)
+    total = 0.0
+    for s, w in zip(nodes, weights):
+        h = np.exp(-s * b)
+        x, y = octant.samples(np.stack([h, h / b]))
+        yN = y
+        for _ in range(N - 1):
+            yN = yN * y
+        total += w * octant.mean(x * yN)
+    return math.factorial(N) / 2.0**N * total
+
+
+@pytest.mark.parametrize("N,K,eps", [(2, 3, 0.1), (2, 8, 0.1), (2, 25, 0.1), (2, 40, 0.1),
+                                     (1, 5, 0.4), (3, 5, 0.4), (4, 5, 0.4)])
+def test_pair_integral_equals_the_full_cube_form_bit_for_bit(N, K, eps):
+    # K = 25 and 40 take the half pad of _spi_pad, K <= 8 the full one
+    Q = DispersionQ.quartic(eps, nu=0.25)
+    assert stationary_pair_integral(Q, N, K, method="fft") \
+        == _pair_integral_on_the_cube(Q, N, K)
+
+
+@pytest.mark.parametrize("K", [12, 25])
+def test_standard_constants_equal_the_full_cube_form_bit_for_bit(K):
+    Q0 = DispersionQ.laplacian(0.0)
+    c1_std, c2_std = standard_constants(K)
+    inv = 1.0 / cube_bsq(Q0, FrequencyLattice(K))[: K + 1, : K + 1, : K + 1]
+    m = np.r_[1.0, np.full(K, 2.0)]
+    assert c1_std == 0.5 * float(m @ (m @ (inv @ m)))
+    assert c2_std == 0.5 * _pair_integral_on_the_cube(Q0, 2, K)
+
+
+def test_chaos_oracles_equal_the_full_cube_form_bit_for_bit():
+    Q, K, n, tau = DispersionQ.quartic(0.3, nu=1.0), 4, 3, 0.2
+    bsq = cube_bsq(Q, FrequencyLattice(K))
+    octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
+    want = octant.spectrum(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq) ** n)
+    assert np.array_equal(chaos_convolution_power(Q, n, K, tau), want)
+    nodes, weights = _s_quadrature(n)
+    acc = np.zeros(bsq.shape)
+    for s, w in zip(nodes, weights):
+        h = np.exp(-s * bsq)
+        acc += w * h * octant.spectrum(octant.samples(h / bsq) ** n)
+    want = math.factorial(n) / 2.0**n * acc / bsq
+    assert np.array_equal(time_integrated_chaos_moment(Q, n, K), want)
+
+
+def test_pair_integral_holds_octant_memory_only():
+    # the full (2K+1)^3 bracket cube and lattice alone held 26.5 MiB at K = 40
+    Q = DispersionQ.quartic(0.1, nu=0.25)
+    tracemalloc.start()
+    try:
+        stationary_pair_integral(Q, 2, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_pair_integral_reduced_padding_agrees():

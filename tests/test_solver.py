@@ -367,6 +367,8 @@ def test_picard_agrees_with_sequential():
     cfg_p = SolverConfig(eps=EPS, lam=cfg.lam, dt=DT, T=T, K=K, mode="picard")
     Ppic = solve(cfg_p, U, z, z, V=V)
     assert Ppic.info["converged"]
+    assert len(Ppic.info["distances"]) == Ppic.info["sweeps"]
+    assert Ppic.info["distances"][-1] == Ppic.info["final_distance"]
     assert np.max(np.abs(Ppic.v_traj - Pseq.v_traj)) < 1e-7
     assert np.max(np.abs(Ppic.w_traj - Pseq.w_traj)) < 1e-7
 

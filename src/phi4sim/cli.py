@@ -20,7 +20,9 @@ the limit run) and exits 4.
 
 import argparse
 import json
+import math
 import os
+import platform
 import sys
 from dataclasses import replace
 
@@ -29,14 +31,14 @@ import yaml
 
 from . import __version__
 from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
-from .diagrams import build_limit_upsilon, build_upsilon, mc_moment
+from .diagrams import mc_moment, stream_limit_upsilon, stream_upsilon
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
-from .fourier import (FourierField, FrequencyLattice, _atomic_open, save_field,
-                      set_threads, validate_symbol)
+from .fourier import (FourierField, FrequencyLattice, _atomic_open, get_threads,
+                      save_field, set_threads, validate_symbol)
 from .renorm import build_renorm, coupling_lambda, sigma2_limit
 from .gaussian import NoiseSeed
-from .solver import SolverConfig, solve, y_distance
+from .solver import SolverConfig, solve, solve_final, y_distance
 
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
@@ -152,9 +154,10 @@ def _solver_config(cfg, eps, K, lam):
                         picard_iters=int(s["picard_iters"]))
 
 
-def _run_one(cfg, noise, eps, K, lam, V):
-    """One solve.  At eps > 0 the coupling is the RenormSet's, the one the
-    noise build scales c0..c3 by; `lam` (1 if None) sets the limit run's."""
+def _stream_one(cfg, noise, eps, K, lam, V):
+    """The grid, solver config and streamed noise build of one run.  At
+    eps > 0 the coupling is the RenormSet's, the one the noise build scales
+    c0..c3 by; `lam` (1 if None) sets the limit run's."""
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
     sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
@@ -162,12 +165,24 @@ def _run_one(cfg, noise, eps, K, lam, V):
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
         sc.lam = rs.lam
-        U = build_upsilon(noise, grid, Q, V, eps, t_grid, rs)
+        U, slices = stream_upsilon(noise, grid, Q, V, eps, t_grid, rs)
     else:
-        U = build_limit_upsilon(noise, grid, t_grid)
+        U, slices = stream_limit_upsilon(noise, grid, t_grid)
+    return grid, sc, U, slices
+
+
+def _run_one(cfg, noise, eps, K, lam, V):
+    """One solve on the collected build, whole trajectories out."""
+    grid, sc, U, slices = _stream_one(cfg, noise, eps, K, lam, V)
     z = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    pair = solve(sc, U, z, z, V=V)
+    pair = solve(sc, U.collect(slices), z, z, V=V)
     return grid, sc, U, pair
+
+
+def _l2(c):
+    """The L2 norm of a cube's coefficients; hypot keeps it finite for a
+    state near overflow, as a blown-up run's last one can be."""
+    return math.hypot(*np.abs(c).ravel())
 
 
 def cmd_solve(cfg, out_dir, seed):
@@ -177,26 +192,33 @@ def cmd_solve(cfg, out_dir, seed):
     noise = NoiseSeed(seed)
     lam = cfg.solver.get("lam")
     manifest = {"version": __version__, "config": config_hash(cfg),
-                "seed": int(seed), "runs": []}
+                "seed": int(seed), "runs": [],
+                "environment": {"python": platform.python_version(),
+                                "numpy": np.__version__,
+                                "threads": int(get_threads())}}
     os.makedirs(out_dir, exist_ok=True)
     for eps in cfg.eps:
         K = cfg.cutoff_for(eps)
         entry = {"eps": float(eps), "K": int(K)}
         try:
-            grid, sc, U, pair = _run_one(cfg, noise, eps, K, lam, V)
-            entry.update(lam=float(sc.lam), t_final=float(pair.t_grid[-1]), status="ok")
+            grid, sc, U, slices = _stream_one(cfg, noise, eps, K, lam, V)
+            z = np.zeros((grid.n,) * 3, dtype=np.complex128)
+            v, w, info = solve_final(sc, U, slices, z, z, V=V)
+            entry.update(lam=float(sc.lam), t_final=float(U.t_grid[-1]), status="ok")
             if sc.mode == "picard":
                 for key in ("converged", "sweeps", "final_distance", "distances"):
-                    entry[key] = pair.info[key]
-                if not pair.info["converged"]:
+                    entry[key] = info[key]
+                if not info["converged"]:
                     entry["status"] = "not_converged"
-            for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
+            for tag, final in (("v", v), ("w", w)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
-                save_field(path, FourierField(grid, traj[-1][..., : K + 1]))
+                save_field(path, FourierField(grid, final[..., : K + 1]))
                 entry[f"{tag}_snapshot"] = os.path.basename(path)
         except BlowUpSignal as sig:
-            entry["status"] = "blowup"
-            entry["blowup_time"] = float(sig.t)
+            entry.update(status="blowup", blowup_time=float(sig.t),
+                         blowup_step=int(sig.step),
+                         blowup_v_l2=_l2(sig.last_state[0]),
+                         blowup_w_l2=_l2(sig.last_state[1]))
         manifest["runs"].append(entry)
     path = os.path.join(out_dir, "manifest.yaml")
     with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,4 +1,4 @@
-"""Construction of the enhanced noise (five component trajectories and one
+"""Construction of the enhanced noise (the component fields and one
 counterterm), the standard objects of the eps = 0 limit, analytic
 second-moment oracles via Wick contractions, and Monte Carlo moment audits.
 
@@ -22,14 +22,22 @@ t = -burn_in on a graded mesh whose step coarsens geometrically away from
 t = 0 (run resolution adjacent to the main window), so the discrete Duhamel
 recursion on t >= 0 is at the run resolution at logarithmic burn-in cost.
 
+The main loop yields one slice per time of the grid: `one`, c30 and the
+noises of degree >= 2 in X.  A noise of degree <= 1 (c0 and c1 at the quartic
+and in the limit) is stored nowhere; `EnhancedNoise` forms it on read from
+`one`.  `build_upsilon` and `build_limit_upsilon` collect the slices into
+trajectories; `stream_upsilon` and `stream_limit_upsilon` hand them out one
+at a time, so a sequential solve can consume the build and keep no
+trajectory.
+
 Each noise field is worked once per step: c0..c3 are polynomials in the free
-field X.  Their terms of degree <= 1 (all of c0 and c1 at the quartic, -C1 in
-c2, -3 C1 X in c3) are formed in spectral space.  The monomials of degree >= 2
-share one inverse transform of X and its powers, and each noise sums them in
-place on the padded grid before its one forward transform, in arrays the
-evaluator makes at their first use, so a burn-in step allocates no
-padded-grid array.  The burn-in evaluates c3 alone, one forward transform per
-step.
+field X.  Their terms of degree <= 1 (-C1 in c2, -3 C1 X in c3, and all of a
+noise of degree <= 1, when it is read) are formed in spectral space.  The
+monomials of degree >= 2 share one inverse transform of X and its powers, and
+each noise sums them in place on the padded grid before its one forward
+transform, in arrays the evaluator makes at their first use, so a burn-in
+step allocates no padded-grid array.  The burn-in evaluates c3 alone, one
+forward transform per step.
 """
 
 import math
@@ -46,7 +54,12 @@ from .gaussian import advance, hermite, ou_transition, sample_stationary
 @dataclass
 class EnhancedNoise:
     """Time-indexed component fields of one enhanced-noise realization and
-    the counterterm k32 of the remainder step's mass term."""
+    the counterterm k32 of the remainder step's mass term.
+
+    `components` holds the trajectories of `one`, c30 and the noises of
+    degree >= 2 in the free field (empty while the build is streamed).  A
+    noise of degree <= 1 is read as linear[tag][1] * one + linear[tag][0],
+    formed with `all_noises`' operations."""
 
     grid: object
     Q: object
@@ -54,13 +67,34 @@ class EnhancedNoise:
     t_grid: np.ndarray
     components: dict
     k32: float
+    linear: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
+    def read(self, tag, stored):
+        """`tag` from `stored`, the stored trajectories or one slice of them."""
+        if tag in self.linear:
+            return _linear_noise(self.linear[tag], stored["one"])
+        return stored[tag]
+
+    def slice(self, i):
+        return {tag: c[i] for tag, c in self.components.items()}
+
     def field(self, tag, i):
-        return FourierField(self.grid, self.components[tag][i])
+        return FourierField(self.grid, self.read(tag, self.slice(i)))
 
     def traj(self, tag):
-        return self.components[tag]
+        return self.read(tag, self.components)
+
+    def collect(self, slices):
+        """Store the slices of a streamed build, one per time of t_grid, as
+        the component trajectories; returns self."""
+        for i, s in enumerate(slices):
+            if i == 0:
+                self.components = {tag: np.empty((len(self.t_grid),) + c.shape, c.dtype)
+                                   for tag, c in s.items()}
+            for tag, c in s.items():
+                self.components[tag][i] = c
+        return self
 
 
 @dataclass
@@ -82,6 +116,17 @@ def _uniform_dt(t_grid):
     if not np.allclose(np.diff(t_grid), dt, rtol=0, atol=1e-12 + 1e-9 * dt):
         raise GridError("time grid must be uniform")
     return dt
+
+
+def _linear_noise(p, coeffs, high=None):
+    """The spectrum of the noise p[0] + p[1] x (+ high, the spectrum of its
+    terms of degree >= 2) from the spectrum `coeffs` of x."""
+    c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
+    if high is not None:
+        c += high
+    if len(p) and p[0]:
+        c[..., 0, 0, 0] += p[0]
+    return c
 
 
 class _NoiseEvaluator:
@@ -137,16 +182,14 @@ class _NoiseEvaluator:
                 np.multiply(powers[j - 1], powers[1], out=powers[j])
         out = []
         for p in polys:
-            c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
+            high = None
             if len(p) > 2:
                 js = [j for j in range(2, len(p)) if p[j]]
                 work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
                 for j in js[1:]:
                     work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
-                c += from_physical(work, self.grid, self.P)
-            if len(p) and p[0]:
-                c[..., 0, 0, 0] += p[0]
-            out.append(c)
+                high = from_physical(work, self.grid, self.P)
+            out.append(_linear_noise(p, coeffs, high))
         return tuple(out)
 
 
@@ -178,67 +221,84 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
 
 def _build_common(seed, grid, Q, evaluator, t_grid, sample,
                   burn_in, coarse_dt, fine_window):
-    """Shared burn-in and main loop; returns the components and the OU path
-    offset."""
+    """Shared burn-in, then the main loop as a generator.  Returns the OU
+    path offset, the coefficients of the noises of degree <= 1 by tag, and the
+    generator of the slices: one dict per time of t_grid of `one`, c30 and the
+    noises of degree >= 2."""
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
     total_burn = sum(n * h for n, h in phases)
     ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn)
-    shape = grid.shape
-    I3 = np.zeros(shape, dtype=np.complex128)
+    I3 = np.zeros(grid.shape, dtype=np.complex128)
     for n, h in phases:
         quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
         for _ in range(n):
             c, = evaluator.all_noises(ens.coeffs, (3,))
             I3 = quad.advance(I3, c)
             ens = advance(ens, h, ou_step)
-    step_offset = ens.step
+    stored = [m for m in range(3) if len(evaluator.polys[m]) > 2]
+    linear = {f"c{m}": evaluator.polys[m] for m in range(3) if m not in stored}
 
-    T = nsteps + 1
-    one, n0, n1, n2, c30 = (
-        np.empty((T,) + shape, dtype=np.complex128) for _ in range(5))
-    quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
-    for i in range(T):
-        one[i] = ens.coeffs
-        n0[i], n1[i], n2[i], a3 = evaluator.all_noises(ens.coeffs)
-        c30[i] = I3
-        if i < nsteps:
-            I3 = quad.advance(I3, a3)
-            ens = advance(ens, dt, ou_step)
-    return dict(one=one, c0=n0, c1=n1, c2=n2, c30=c30), step_offset
+    def slices(ens, I3):
+        quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
+        for i in range(nsteps + 1):
+            *noises, a3 = evaluator.all_noises(ens.coeffs, stored + [3])
+            yield dict(one=ens.coeffs, c30=I3,
+                       **{f"c{m}": c for m, c in zip(stored, noises)})
+            if i < nsteps:
+                I3 = quad.advance(I3, a3)
+                ens = advance(ens, dt, ou_step)
+
+    return ens.step, linear, slices(ens, I3)
 
 
-def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
-                  burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
-    """Assemble the enhanced noise at eps > 0."""
+def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
+                   burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
+    """The enhanced noise at eps > 0, burnt in: an EnhancedNoise that stores
+    no trajectory and the generator of its slices, one per time of t_grid."""
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
-    comps, step_offset = _build_common(
+    step_offset, linear, slices = _build_common(
         seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
-    return EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64),
-                         comps, 3.0 * renorm_set.C2 + 2.0 * renorm_set.C3, prov)
+    U = EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64), {},
+                      3.0 * renorm_set.C2 + 2.0 * renorm_set.C3, linear, prov)
+    return U, slices
 
 
-def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
-                        coarse_dt=0.02, fine_window=1.0):
+def build_upsilon(*args, **kwargs):
+    """Assemble the enhanced noise at eps > 0 (arguments as stream_upsilon)."""
+    U, slices = stream_upsilon(*args, **kwargs)
+    return U.collect(slices)
+
+
+def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
+                         coarse_dt=0.02, fine_window=1.0):
     """The standard objects of the eps = 0 limit (Q = z^2) on the lattice,
-    with the same noise counters as build_upsilon, so matched seeds give
-    coupled realizations."""
+    with the same noise counters as stream_upsilon, so matched seeds give
+    coupled realizations; streamed as stream_upsilon's."""
     Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
     ev = _NoiseEvaluator.standard(grid, c1_std)
-    comps, step_offset = _build_common(
+    step_offset, linear, slices = _build_common(
         seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
     prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
                 burn_in=burn_in, coarse_dt=coarse_dt,
                 fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
-    return EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64),
-                         comps, 6.0 * c2_std, prov)
+    U = EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64), {},
+                      6.0 * c2_std, linear, prov)
+    return U, slices
+
+
+def build_limit_upsilon(*args, **kwargs):
+    """Assemble the eps = 0 limit's standard objects (arguments as
+    stream_limit_upsilon)."""
+    U, slices = stream_limit_upsilon(*args, **kwargs)
+    return U.collect(slices)
 
 
 # ---------------------------------------------------------------------------

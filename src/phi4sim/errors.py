@@ -28,10 +28,13 @@ class ConfigError(Phi4Error):
 class BlowUpSignal(Phi4Error):
     """Raised when a trajectory develops non-finite values.
 
-    Carries the time stamp of the first bad step and the last finite state.
+    Carries the time stamp and index of the first bad step and the state at
+    the step before it, the last finite one: the remainder pair (v, w) or the
+    reference's Phi, as full cubes.
     """
 
-    def __init__(self, t, last_state=None):
+    def __init__(self, t, last_state=None, step=None):
         super().__init__(f"non-finite field values at t={t:.6g}")
         self.t = t
+        self.step = step
         self.last_state = last_state

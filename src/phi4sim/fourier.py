@@ -259,10 +259,12 @@ def from_physical(f, grid, P):
     return h.reshape(h.shape[:-1] + (n, K + 1))
 
 
-def _mirror(half, grid):
-    """Full (..., n, n, n) cubes from halves: mode k with k3 < 0 is conj at -k."""
+def _mirror(half, grid, out=None):
+    """Full (..., n, n, n) cubes from halves: mode k with k3 < 0 is conj at -k;
+    written into `out` when given."""
     K = grid.K
-    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
     out[..., : K + 1] = half
     out[..., K + 1:] = np.roll(np.conj(half[..., ::-1, ::-1, :0:-1]), 1, axis=(-3, -2))
     return out

@@ -53,6 +53,7 @@ once, for f < c2; P(c2 f) joins the polynomial pass on the degree-4 grid.
 A Picard sweep's integrands read only the source iterate.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,11 @@ class SolverConfig:
     mode: str = "sequential"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if not (math.isfinite(self.dt) and math.isfinite(self.T)
+                and self.dt > 0 and self.T > 0):
+            raise ValueError("dt and T must be finite and positive")
+        if not 0.0 <= self.eps <= 1.0:
+            raise ValueError(f"eps must lie in [0, 1], not {self.eps}")
         if self.mode not in ("sequential", "picard"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.picard_iters < 1:
@@ -106,10 +110,12 @@ def taylor_remainder(V, x, y):
 
 
 def coeffs_F(lam, U, i):
-    """The four coefficient fields (F0, F1, F2, F3) at time index i, or
-    batched over time when i is a slice: projected products of c0, c1 and
-    c30 (the module docstring derives them from the paper's form)."""
-    c0, c1, c30 = (U.field(t, i) for t in ("c0", "c1", "c30"))
+    """The four coefficient fields (F0, F1, F2, F3) at time index i, batched
+    over time when i is a slice, or from the slice i of a streamed build (a
+    dict of stored arrays): projected products of c0, c1 and c30 (the module
+    docstring derives them from the paper's form)."""
+    s = i if isinstance(i, dict) else U.slice(i)
+    c0, c1, c30 = (FourierField(U.grid, U.read(t, s)) for t in ("c0", "c1", "c30"))
     sq30 = product(c30, c30, 2)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
@@ -123,8 +129,9 @@ def coeffs_F(lam, U, i):
 def coeffs_F_traj(lam, U):
     """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
     shape (T, n, n, K+1), from coeffs_F slice by slice."""
-    out = [np.empty_like(U.traj("c0")) for _ in range(4)]
-    for i in range(len(out[0])):
+    shape = (len(U.t_grid),) + U.grid.shape
+    out = [np.empty(shape, dtype=np.complex128) for _ in range(4)]
+    for i in range(shape[0]):
         for dst, F in zip(out, coeffs_F(lam, U, i)):
             dst[i] = F.coeffs
     return tuple(out)
@@ -144,10 +151,15 @@ def _check_grid_match(config, U):
     return nsteps
 
 
-def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
-    """One exponential-Euler sweep on half spectra.  With integrand_source=None
-    the integrands use the running (sequential) state and F each step's
-    coeffs_F; otherwise the supplied previous iterates and F_traj (Picard)."""
+def _march(config, U, slices, v0, w0, V, integrand_source=None, F_traj=None,
+           out=None):
+    """One exponential-Euler sweep on half spectra, reading step i's noise
+    from the i-th of `slices` (U's stored slices, or a streamed build's);
+    returns the final state (v, w).  With out = (v_traj, w_traj), full-cube
+    trajectories, each step's state is mirrored into them as it is made.
+    With integrand_source=None the integrands use the running (sequential)
+    state and F each step's coeffs_F; otherwise the supplied previous iterates
+    (full cubes) and F_traj (Picard)."""
     g = U.grid
     lam = config.lam
     eps = config.eps
@@ -156,18 +168,18 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
     P4 = g.pad_size(4)
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
-    v_traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
-    w_traj = np.empty_like(v_traj)
-    v_traj[0], w_traj[0] = v, w
-    for i in range(nsteps):
+    if out is not None:
+        _mirror(v, g, out=out[0][0])
+        _mirror(w, g, out=out[1][0])
+    for i, s in zip(range(nsteps), slices):
         if integrand_source is None:
             vi, wi = v, w
         else:
-            vi, wi = integrand_source[0][i], integrand_source[1][i]
-        c2 = U.traj("c2")[i]
+            vi, wi = (t[i][..., : g.K + 1] for t in integrand_source)
+        c2 = U.read("c2", s)
         u = vi + wi
-        f = u - lam * U.traj("c30")[i]
-        F = tuple(c.coeffs for c in coeffs_F(lam, U, i)) if F_traj is None \
+        f = u - lam * s["c30"]
+        F = tuple(c.coeffs for c in coeffs_F(lam, U, s)) if F_traj is None \
             else tuple(c[i] for c in F_traj)
         para = combine(physical_blocks(f, g), physical_blocks(c2, g), g, "lt")
         # sum_j F_j u^j - 3 lam c2 f on one shared alias-free grid
@@ -178,49 +190,65 @@ def _march(config, U, v0, w0, V, integrand_source=None, F_traj=None):
             poly += to_physical(F[j], g, P4) * uj
         poly -= 3.0 * lam * to_physical(c2, g, P4) * to_physical(f, g, P4)
         G = from_physical(poly, g, P4) + 3.0 * lam * para \
-            - 3.0 * lam**2 * U.k32 * (U.traj("one")[i] + f)
+            - 3.0 * lam**2 * U.k32 * (s["one"] + f)
         if eps > 0 and V is not None and V.n > 2:
             # Taylor remainder of V' around sqrt(eps) * (free field); exactly
             # zero for quartic V
             Pr = g.pad_size(2 * V.n - 1)
-            psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
+            psi = to_physical(s["one"], g, Pr) * np.sqrt(eps)
             y = to_physical(f, g, Pr) * np.sqrt(eps)
             G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
-        v = quad.advance(v, -3.0 * lam * para)
-        w = quad.advance(w, G)
-        if not (np.all(np.isfinite(v.view(np.float64)))
-                and np.all(np.isfinite(w.view(np.float64)))):
-            raise BlowUpSignal(U.t_grid[i + 1], last_state=tuple(
-                _mirror(t[: i + 1], g) for t in (v_traj, w_traj)))
-        v_traj[i + 1], w_traj[i + 1] = v, w
-    return v_traj, w_traj
+        v_next = quad.advance(v, -3.0 * lam * para)
+        w_next = quad.advance(w, G)
+        if not (np.all(np.isfinite(v_next.view(np.float64)))
+                and np.all(np.isfinite(w_next.view(np.float64)))):
+            raise BlowUpSignal(U.t_grid[i + 1], step=i + 1, last_state=(
+                _mirror(v, g), _mirror(w, g)))
+        v, w = v_next, w_next
+        if out is not None:
+            _mirror(v, g, out=out[0][i + 1])
+            _mirror(w, g, out=out[1][i + 1])
+    return v, w
+
+
+def _full_cubes(nsteps, grid):
+    """Uninitialised (v, w) trajectories of full cubes at steps 0 .. nsteps."""
+    shape = (nsteps + 1,) + (grid.n,) * 3
+    return np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
 
 
 def solve(config, U, v0, w0, V=None):
-    """Integrate the remainder system on [0, T]; full cubes in and out."""
+    """Integrate the remainder system on [0, T]; full cubes in and out.  The
+    trajectories are written as full cubes step by step, so no half
+    trajectory is held beside them."""
     g = U.grid
     v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
+    nsteps = _check_grid_match(config, U)
     if config.mode == "sequential":
-        v_traj, w_traj = _march(config, U, v0h, w0h, V)
+        v_traj, w_traj = _full_cubes(nsteps, g)
+        _march(config, U, map(U.slice, range(nsteps)), v0h, w0h, V,
+               out=(v_traj, w_traj))
         info = {"mode": "sequential"}
     else:
-        nsteps = _check_grid_match(config, U)
-        shape = (nsteps + 1,) + g.shape
-        quad = ExponentialQuadrature(g, U.Q, config.dt)
-        v_prev = np.empty(shape, dtype=np.complex128)
-        w_prev = np.empty_like(v_prev)
-        v_prev[0], w_prev[0] = v0h, w0h
-        for i in range(nsteps):  # zeroth iterate: pure linear evolution
-            v_prev[i + 1] = quad.decay * v_prev[i]
-            w_prev[i + 1] = quad.decay * w_prev[i]
+        decay = ExponentialQuadrature(g, U.Q, config.dt).decay
+        v_prev, w_prev = _full_cubes(nsteps, g)
+        v, w = v0h, w0h
+        for i in range(nsteps + 1):  # zeroth iterate: pure linear evolution
+            if i:
+                v, w = decay * v, decay * w
+            _mirror(v, g, out=v_prev[i])
+            _mirror(w, g, out=w_prev[i])
+        half = np.s_[..., : g.K + 1]
         dists = []
         info = {"mode": "picard", "converged": False, "non_contraction": False}
         F = coeffs_F_traj(config.lam, U)
         for sweep in range(config.picard_iters):
-            v_new, w_new = _march(config, U, v0h, w0h, V,
-                                  integrand_source=(v_prev, w_prev), F_traj=F)
-            dist = max(float(np.max(np.abs(v_new - v_prev))),
-                       float(np.max(np.abs(w_new - w_prev))))
+            v_new, w_new = _full_cubes(nsteps, g)
+            _march(config, U, map(U.slice, range(nsteps)), v0h, w0h, V,
+                   integrand_source=(v_prev, w_prev), F_traj=F,
+                   out=(v_new, w_new))
+            dist = max(float(np.max(np.abs(v_new[half] - v_prev[half]))),
+                       float(np.max(np.abs(w_new[half] - w_prev[half]))))
             dists.append(dist)
             v_prev, w_prev = v_new, w_new
             if dist < 1e-8:
@@ -231,9 +259,22 @@ def solve(config, U, v0, w0, V=None):
                 break
         info.update(sweeps=len(dists), final_distance=dists[-1], distances=dists)
         v_traj, w_traj = v_prev, w_prev
-    t_grid = U.t_grid[: v_traj.shape[0]].copy()
-    return RemainderPair(t_grid=t_grid, v_traj=_mirror(v_traj, g),
-                         w_traj=_mirror(w_traj, g), info=info)
+    t_grid = U.t_grid[: nsteps + 1].copy()
+    return RemainderPair(t_grid=t_grid, v_traj=v_traj, w_traj=w_traj, info=info)
+
+
+def solve_final(config, U, slices, v0, w0, V=None):
+    """The final state (v, w, info) of `solve`, full cubes, from a streamed
+    build (`diagrams.stream_upsilon`): the sequential march reads each slice
+    as the build yields it and keeps only the running (v, w); a Picard solve
+    collects the slices first."""
+    if config.mode != "sequential":
+        pair = solve(config, U.collect(slices), v0, w0, V)
+        return pair.v_traj[-1], pair.w_traj[-1], pair.info
+    g = U.grid
+    v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
+    v, w = _march(config, U, slices, v0h, w0h, V)
+    return _mirror(v, g), _mirror(w, g), {"mode": "sequential"}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +341,10 @@ def y_distance(P1, P2, eps, T, grid, **kw):
 def reconstruct_phi(U, P, lam):
     """Phi = free field - lam * c30 + v + w on the common time grid (full cubes)."""
     n = P.v_traj.shape[0]
-    return _mirror(U.traj("one")[:n] - lam * U.traj("c30")[:n], U.grid) + P.v_traj + P.w_traj
+    phi = _mirror(U.traj("one")[:n] - lam * U.traj("c30")[:n], U.grid)
+    phi += P.v_traj
+    phi += P.w_traj
+    return phi
 
 
 def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
@@ -316,6 +360,8 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     (exponential trapezoidal rule, second order in the drift, for convergence
     studies).
     """
+    if scheme not in ("exponential_euler", "etdrk2"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     g = U.grid
     prov = U.provenance
     if prov.get("master") != seed.master:
@@ -329,13 +375,11 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
     C = renorm_set.C_total
     phi = U.traj("one")[0] - config.lam * U.traj("c30")[0] if phi0 is None \
         else _half(phi0, g, "phi0")
-    traj = np.empty((nsteps + 1,) + g.shape, dtype=np.complex128)
-    traj[0] = phi
+    traj = np.empty((nsteps + 1,) + (g.n,) * 3, dtype=np.complex128)
+    _mirror(phi, g, out=traj[0])
     offset = prov["step_offset"]
     ou_step = ou_transition(g, Q, config.dt)
     Pr = g.pad_size(2 * V.n - 1)
-    if scheme not in ("exponential_euler", "etdrk2"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     bsq = Q.bracket_sq_grid(g)
     # second phi-function for the trapezoidal corrector:
     # (e^{-c dt} - 1 + c dt) / (c^2 dt)
@@ -359,6 +403,7 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
         else:
             phi = pred + inc
         if not np.all(np.isfinite(phi.view(np.float64))):
-            raise BlowUpSignal(U.t_grid[i + 1], last_state=_mirror(traj[: i + 1], g))
-        traj[i + 1] = phi
-    return _mirror(traj, g)
+            raise BlowUpSignal(U.t_grid[i + 1], step=i + 1,
+                               last_state=traj[i].copy())
+        _mirror(phi, g, out=traj[i + 1])
+    return traj

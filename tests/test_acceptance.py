@@ -169,11 +169,11 @@ def test_quartic_potential_collapses_the_noise_hierarchy():
         for i in range(len(t_grid)):
             # quartic coefficient noises: constant 1, the free field itself,
             # and the exact Wick square of the free field
-            c0 = U.components["c0"][i]
+            c0 = U.traj("c0")[i]
             one_hat = np.zeros_like(c0)
             one_hat[0, 0, 0] = 1.0
             assert np.max(np.abs(c0 - one_hat)) < 1e-10
-            assert np.max(np.abs(U.components["c1"][i]
+            assert np.max(np.abs(U.traj("c1")[i]
                                  - U.components["one"][i])) < 1e-10
             x = to_physical(U.components["one"][i], g, P).real
             wick2 = from_physical(hermite(2, x, nu), g, P)

@@ -72,9 +72,9 @@ def test_build_is_deterministic_and_sample_indexed():
 def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
-    assert sorted(U.components) == ["c0", "c1", "c2", "c30", "one"]
-    for tag in U.components:
-        assert U.components[tag].shape == (T, 5, 5, 3)
+    assert sorted(U.components) == ["c2", "c30", "one"]
+    for tag in ("one", "c0", "c1", "c2", "c30"):
+        assert U.traj(tag).shape == (T, 5, 5, 3)
     assert U.k32 == 3.0 * rs.C2 + 2.0 * rs.C3
     assert U.provenance["master"] == 11
     assert U.provenance["lam"] == rs.lam
@@ -88,16 +88,42 @@ def test_quartic_noise_identities():
     U, rs, _ = _small_build()
     g = U.grid
     for i in range(len(U.t_grid)):
-        c0 = U.components["c0"][i]
+        c0 = U.traj("c0")[i]
         want = np.zeros_like(c0)
         want[0, 0, 0] = 1.0
         assert np.max(np.abs(c0 - want)) < 1e-10
-        assert np.max(np.abs(U.components["c1"][i]
+        assert np.max(np.abs(U.traj("c1")[i]
                              - U.components["one"][i])) < 1e-10
         P = g.pad_size(2)
         x = to_physical(U.components["one"][i], g, P).real
         h2 = from_physical(hermite(2, x, rs.C1), g, P)
         assert np.max(np.abs(U.components["c2"][i] - h2)) < 1e-10
+
+
+@pytest.mark.parametrize("build", ["quartic", "limit", "sextic"])
+def test_noises_of_degree_at_most_one_are_formed_on_read(build):
+    # the quartic's c0 = 1 and c1 = X, and the limit's, are stored nowhere;
+    # read, they are all_noises' output bit for bit
+    Q, V, rs, g, t_grid = _small_setup()
+    kw = dict(burn_in=0.2, coarse_dt=0.02, fine_window=0.05)
+    if build == "limit":
+        U = build_limit_upsilon(NoiseSeed(11), g, t_grid, **kw)
+        ev = _NoiseEvaluator.standard(g, U.provenance["c1_std"])
+    else:
+        if build == "sextic":
+            V = Potential.sextic(1.0)
+            rs = build_renorm(Q, V, K=KCUT)
+        U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
+        ev = _NoiseEvaluator.potential(g, V, EPS, rs.lam, rs.C1)
+    stored = ["c0", "c1", "c2", "c30", "one"] if build == "sextic" \
+        else ["c2", "c30", "one"]
+    assert sorted(U.components) == stored
+    for i in range(len(t_grid)):
+        want = ev.all_noises(U.traj("one")[i])
+        for tag, c in zip(("c0", "c1", "c2"), want):
+            assert np.array_equal(U.traj(tag)[i].view(np.int64), c.view(np.int64))
+            assert np.array_equal(U.field(tag, i).coeffs.view(np.int64),
+                                  c.view(np.int64))
 
 
 def test_build_rejects_mismatched_symbol():
@@ -127,7 +153,7 @@ def test_limit_build_wick_identities():
         x = to_physical(U.components["one"][i], g, P).real
         h2 = from_physical(hermite(2, x, nu), g, P)
         assert np.max(np.abs(U.components["c2"][i] - h2)) < 1e-10
-        c0 = U.components["c0"][i]
+        c0 = U.traj("c0")[i]
         assert abs(c0[0, 0, 0] - 1.0) < 1e-14
         assert np.max(np.abs(c0.ravel()[1:])) == 0.0
 
@@ -205,7 +231,8 @@ def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
 
 def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
     # the burn-in integrates c3 alone: one forward transform per step; each
-    # slice of the main loop takes two, for c2 and c3 (c0, c1 have degree <= 1)
+    # slice of the main loop evaluates the stored c2 and c3, two transforms
+    # (c0, c1 have degree <= 1 and are formed on read)
     orders, forward = [], []
     real_noises, real_forward = _NoiseEvaluator.all_noises, diagrams.from_physical
 
@@ -222,7 +249,7 @@ def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
     U = _small_build()[0]
     T = len(U.t_grid)
     nburn = sum(n for n, _ in _burn_phases(0.005, 0.2, 0.02, 0.05))
-    assert orders == [(3,)] * nburn + [(0, 1, 2, 3)] * T
+    assert orders == [(3,)] * nburn + [(2, 3)] * T
     assert len(forward) == nburn + 2 * T
 
 

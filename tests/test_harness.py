@@ -1,16 +1,21 @@
 import json
+import math
 import os
+import platform
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
 from phi4sim import cli, fourier
 from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
-from phi4sim.fourier import load_field
+from phi4sim.errors import BlowUpSignal
+from phi4sim.fourier import FourierField, load_field, save_field
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import build_renorm
 from phi4sim.solver import y_distance
@@ -310,6 +315,51 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
     assert load_config(out / "config.yaml") is not None
 
 
+@pytest.mark.parametrize("eps, solver", [
+    (0.4, {"dt": 1e-3, "T": 0.004}),
+    (0.0, {"dt": 1e-3, "T": 0.004}),
+    (0.4, {"dt": 1e-3, "T": 0.004, "mode": "picard"}),
+], ids=["quartic", "limit", "picard"])
+def test_cli_solve_snapshots_are_the_collected_solve_s_last_slice(tmp_path, eps,
+                                                                 solver):
+    # the sequential CLI run streams the build into the march; the API
+    # collects it first
+    path = _write_cfg(tmp_path, eps=[eps], k_rule={"kind": "fixed", "K": 2},
+                      solver=solver)
+    out = tmp_path / "s"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
+    cfg = load_config(path)
+    grid, _, _, pair = cli._run_one(cfg, NoiseSeed(7), eps, 2, None,
+                                    cfg.make_potential())
+    for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
+        want = tmp_path / f"{tag}.fld"
+        save_field(want, FourierField(grid, traj[-1][..., :3]))
+        assert (out / run[f"{tag}_snapshot"]).read_bytes() == want.read_bytes()
+
+
+def test_cli_solve_memory_does_not_grow_with_the_time_span(tmp_path, monkeypatch):
+    # K = 4: at 4T a run that holds the trajectories holds 12 more slices of
+    # the noise components and of v and w, and its peak rises from about
+    # 0.8 to 1.4 MB; the constants are computed once, outside the trace
+    cfg = load_config(_write_cfg(tmp_path))
+    rs = build_renorm(cfg.make_symbol(0.4), cfg.make_potential(), K=4)
+    monkeypatch.setattr(cli, "build_renorm", lambda *args, **kwargs: rs)
+    peaks = []
+    for T in (0.004, 0.016):
+        path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 4},
+                          solver={"dt": 1e-3, "T": T})
+        argv = ["solve", "--config", str(path), "--out", str(tmp_path / "s")]
+        assert cli.main(argv) == 0  # warm the caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
 def test_cli_solve_takes_lambda_from_the_constants_at_positive_eps(tmp_path):
     # the noise build scales c0..c3 by rs.lam; the remainder system is the
     # equation only at that coupling, whatever the config's lam
@@ -346,6 +396,33 @@ def test_cli_solve_failed_run_exits_nonzero(tmp_path, capsys, solver, status):
     if status == "not_converged":
         assert run["converged"] is False and run["sweeps"] == 1
         assert run["final_distance"] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys):
+    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2},
+                      potential=BLOWUP_V)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        _expect_exit(["solve", "--config", str(path), "--out", str(out)],
+                     cli.EXIT_RUN_FAILED, capsys)
+    text = [(out / "manifest.yaml").read_bytes() for out in outs]
+    assert text[0] == text[1]
+    manifest = yaml.safe_load(text[0])
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "threads": fourier.get_threads()}
+    run = manifest["runs"][0]
+    cfg = load_config(path)
+    with pytest.raises(BlowUpSignal) as exc:  # the collected API path
+        cli._run_one(cfg, NoiseSeed(7), 0.4, 2, None, cfg.make_potential())
+    sig = exc.value
+    assert run["blowup_step"] == sig.step and run["blowup_time"] == sig.t
+    for tag, state in zip("vw", sig.last_state):
+        scale = float(np.max(np.abs(state)))  # |w| reaches 1e253 here
+        want = scale * math.sqrt(float(np.sum((np.abs(state) / scale) ** 2)))
+        assert math.isfinite(run[f"blowup_{tag}_l2"])
+        assert run[f"blowup_{tag}_l2"] == pytest.approx(want, rel=1e-12)
 
 
 def test_cli_solve_records_the_picard_distance_history(tmp_path):

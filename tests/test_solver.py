@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from phi4sim import besov, solver
 from phi4sim.besov import (combine, commutator_com, para_lt, physical_blocks,
                            resonance)
 from phi4sim.config import load_config
-from phi4sim.diagrams import build_limit_upsilon, build_upsilon
+from phi4sim.diagrams import build_limit_upsilon, build_upsilon, stream_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
                              FrequencyLattice, _mirror, from_physical, product,
@@ -21,7 +22,7 @@ from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
                             coeffs_F, coeffs_F_traj, reconstruct_phi, solve,
-                            taylor_remainder, y_distance, y_norm)
+                            solve_final, taylor_remainder, y_distance, y_norm)
 from conftest import hermitian_defect, random_hermitian_field
 
 EPS = 0.3
@@ -30,15 +31,15 @@ DT = 1e-3
 T = 0.01
 
 
-def _setup(lam=None, seed=11, nsteps=None, mode="sequential"):
+def _setup(lam=None, seed=11, nsteps=None, mode="sequential", build=build_upsilon):
     Q = DispersionQ.quartic(EPS, nu=1.0)
     V = Potential.quartic(0.25)
     rs = build_renorm(Q, V, K=K)
     g = FrequencyLattice(K)
     n = nsteps if nsteps is not None else int(round(T / DT))
     t_grid = np.arange(n + 1) * DT
-    U = build_upsilon(NoiseSeed(seed), g, Q, V, EPS, t_grid, rs,
-                      burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
+    U = build(NoiseSeed(seed), g, Q, V, EPS, t_grid, rs,
+              burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
     cfg = SolverConfig(eps=EPS, lam=rs.lam if lam is None else lam, dt=DT,
                        T=n * DT, K=K, mode=mode)
     return Q, V, rs, g, U, cfg
@@ -59,6 +60,19 @@ def test_config_validation():
         SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2, picard_iters=0)
     cfg = SolverConfig(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2)
     assert cfg.mode == "sequential" and cfg.picard_iters == 40
+
+
+@pytest.mark.parametrize("bad", [
+    {"dt": float("nan")}, {"dt": float("inf")}, {"T": float("nan")},
+    {"T": float("inf")}, {"eps": -0.5}, {"eps": 2.0}, {"eps": float("nan")},
+], ids=["dt-nan", "dt-inf", "T-nan", "T-inf", "eps-negative", "eps-above-1",
+        "eps-nan"])
+def test_config_rejects_non_finite_steps_and_eps_outside_the_unit_interval(bad):
+    ok = dict(eps=0.1, lam=1.0, dt=1e-3, T=0.1, K=2)
+    SolverConfig(**{**ok, "eps": 0.0})
+    SolverConfig(**{**ok, "eps": 1.0})
+    with pytest.raises(ValueError):
+        SolverConfig(**{**ok, **bad})
 
 
 def test_taylor_remainder_vanishes_for_quartic(rng):
@@ -215,9 +229,12 @@ def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
     h = z[..., : g.K + 1]
-    v, w = solver._march(cfg, U, h, h, V, F_traj=coeffs_F_traj(cfg.lam, U))
-    assert np.array_equal(P.v_traj, _mirror(v, g))
-    assert np.array_equal(P.w_traj, _mirror(w, g))
+    nsteps = len(U.t_grid) - 1
+    v, w = np.empty_like(P.v_traj), np.empty_like(P.w_traj)
+    solver._march(cfg, U, map(U.slice, range(nsteps)), h, h, V,
+                  F_traj=coeffs_F_traj(cfg.lam, U), out=(v, w))
+    assert np.array_equal(P.v_traj, v)
+    assert np.array_equal(P.w_traj, w)
 
 
 def test_march_step_decomposes_two_fields_and_combines_once(monkeypatch):
@@ -375,13 +392,28 @@ def test_picard_agrees_with_sequential():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_is_reported_with_time_and_partial_state():
+    # last_state is (v, w) at the last finite step, as full cubes, the same
+    # whether the march reads a collected or a streamed build
     _, V, rs, g, U, _ = _setup()
     cfg = SolverConfig(eps=EPS, lam=1e8, dt=DT, T=T, K=K)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     with pytest.raises(BlowUpSignal) as exc:
         solve(cfg, U, z, z, V=V)
-    assert exc.value.t > 0
-    assert exc.value.last_state[0].shape[1:] == (g.n,) * 3
+    sig = exc.value
+    assert sig.step >= 1 and sig.t == U.t_grid[sig.step] > 0
+    v, w = sig.last_state
+    assert v.shape == w.shape == (g.n,) * 3
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(w))
+    if sig.step > 1:  # the state a solve stopping one step earlier ends at
+        done = solve(dataclasses.replace(cfg, T=(sig.step - 1) * DT), U, z, z, V=V)
+        assert np.array_equal(done.v_traj[-1], v)
+        assert np.array_equal(done.w_traj[-1], w)
+    *_, (Us, slices), _ = _setup(build=stream_upsilon)
+    with pytest.raises(BlowUpSignal) as streamed:
+        solve_final(cfg, Us, slices, z, z, V=V)
+    assert (streamed.value.step, streamed.value.t) == (sig.step, sig.t)
+    for a, b in zip(streamed.value.last_state, sig.last_state):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_solve_rejects_bad_initial_shape():
@@ -563,3 +595,39 @@ def test_reference_rejects_a_symbol_or_constants_of_another_eps(which):
     with pytest.raises(GridError, match="do not match the enhanced noise"):
         brute_force_reference(NoiseSeed(11), cfg, V, args["Q"],
                               args["renorm_set"], U)
+
+
+def test_reference_checks_the_scheme_before_it_allocates():
+    Q, V, rs, g, U, cfg = _setup()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unknown scheme"):
+            brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U, scheme="rk4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the returned trajectory alone would be 11 * 5**3 * 16 = 22000 bytes
+    assert peak < 4096
+
+
+def test_warm_solve_holds_no_trajectory_beside_its_result():
+    # K = 8, 100 steps: the returned pair is 15.9 MB; half trajectories
+    # beside it would add 8.4 MB, and one step's transients are about 4 MB
+    Q = DispersionQ.quartic(0.2, nu=1.0)
+    V = Potential.quartic(0.25)
+    rs = build_renorm(Q, V, K=8)
+    g = FrequencyLattice(8)
+    n, dt = 100, 1e-4
+    U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * dt, rs,
+                      burn_in=0.002, coarse_dt=0.02, fine_window=0.002)
+    cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=dt, T=n * dt, K=8)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    solve(dataclasses.replace(cfg, T=2 * dt), U, z, z, V=V)  # warm the caches
+    tracemalloc.start()
+    try:
+        P = solve(cfg, U, z, z, V=V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    excess = peak - (P.v_traj.nbytes + P.w_traj.nbytes)
+    assert excess < 6 * 2**20

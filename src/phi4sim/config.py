@@ -9,8 +9,9 @@ below:
     name:      experiment label (string)
     symbol:    {family: quartic|laplacian, nu: <float>}        # quartic needs nu
     potential: [v2, v4, v6, ...]   ascending even coefficients of V (>= 2 numbers)
-    eps:       [0.2, 0.1, ...]     epsilon sweep in [0, 1] (may be empty only for solve;
-                                   0, the limit run of solve, needs a fixed k_rule)
+    eps:       [0.2, 0.1, ...]     epsilon sweep in [0, 1] (may be empty only for validate,
+                                   which then checks eps 0.1; 0, the limit run of
+                                   solve, needs a fixed k_rule)
     k_rule:    {kind: inverse, factor: 4.0}  ->  K = ceil(factor / eps), factor > 0
                {kind: fixed,   K: 8}         ->  integer K >= 1
     seed:      master seed (integer >= 0)

@@ -11,12 +11,13 @@ with l = l_1 + .. + l_N (restricted to the cube when matching the truncated
 field products).  The coupled denominator is opened with
 (A+B)^-1 = int_0^inf exp(-s(A+B)) ds, which turns each s-node into a
 convolution power; the s-integral is done with panel-wise Gauss-Legendre on
-log-spaced panels.  The spectra involved are radial, hence even in every
-axis, so the convolution powers are evaluated on the non-negative octant of
-a padded grid (symmetric convolution; Martucci, IEEE Trans. Signal Process.
-42(5), 1994) from the bracket on {0..K}^3, never on the (2K+1)^3 cube.  There
-the size-P DFT is a type-I DCT, run as pruned products with cosine matrices
-cached per (K, P): each pass contracts an axis of K+1 non-negative frequencies.
+log-spaced panels.  One kernel, _resonance_block, forms every such sum: the
+spectra involved are radial, hence even in every axis, so the convolution
+powers are evaluated on the non-negative octant of a padded grid (symmetric
+convolution; Martucci, IEEE Trans. Signal Process. 42(5), 1994) from the
+bracket on {0..K}^3, never on the (2K+1)^3 cube.  There the size-P DFT is a
+type-I DCT, run as pruned products with cosine matrices cached per (K, P):
+each pass contracts an axis of K+1 non-negative frequencies.
 """
 
 import math
@@ -157,13 +158,17 @@ def _unfold(block):
     return block[np.ix_(a, a, a)]
 
 
+def _octant_sum(block):
+    """Sum over the cube of a radial spectrum given on its block {0..K}^3:
+    the octant with multiplicities 1, 2, 2, .. per axis."""
+    m = np.r_[1.0, np.full(len(block) - 1, 2.0)]
+    return float(m @ (m @ (block @ m)))
+
+
 def point_variance(Q, K):
     """E X(x)^2 = sum_{|k|_inf <= K} 1/(2 bracket(k)^2), the variance of the
-    free field at a point, summed over the octant with multiplicities 1, 2, 2,
-    .. per axis (the sum is radial)."""
-    inv = 1.0 / _octant_bsq(Q, K)
-    m = np.r_[1.0, np.full(K, 2.0)]
-    return 0.5 * float(m @ (m @ (inv @ m)))
+    free field at a point."""
+    return 0.5 * _octant_sum(1.0 / _octant_bsq(Q, K))
 
 
 def sigma2_eps(Q, eps, K):
@@ -178,7 +183,7 @@ def coupling_lambda(V, sigma2):
     return gaussian_expectation(V.derivative(4), sigma2) / 6.0
 
 
-def a_coeffs(V, eps, lam, sigma2_eps_val):
+def a_coeffs(V, lam, sigma2_eps_val):
     """Chaos coefficients a_m = E V^(2m+2)(N(0, sigma_eps^2)) / (6 lambda (2m-1)!)."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
@@ -246,10 +251,16 @@ class EvenOctant:
             raise ValueError(f"octant transforms need an even pad >= {2 * K + 1}, got {P}")
         self.K, self.P = K, P
         self.D, self.S = _cosines(K, P)
-        # multiplicity of each octant index in the grid (j, P - j) over P: row 0 of S
-        self.w = self.S[0]
-        # the first two passes' products per batch shape, reused by every call
         self._passes = {}
+
+    def _pass_arrays(self, batch=()):
+        """The first two passes' products per batch shape, reused by every
+        call; samples and block (which runs the passes in reverse) share them."""
+        if batch not in self._passes:
+            K, M = self.K, self.P // 2 + 1
+            self._passes[batch] = (np.empty(batch + ((K + 1) ** 2, M)),
+                                   np.empty(batch + (K + 1, M, M)))
+        return self._passes[batch]
 
     def samples(self, spec, out=None):
         """Octant samples of the field whose even, real cube spectrum has the
@@ -259,10 +270,7 @@ class EvenOctant:
         K, M, D = self.K, self.P // 2 + 1, self.D
         x = spec[..., : K + 1, : K + 1, : K + 1]
         batch = x.shape[:-3]
-        if batch not in self._passes:
-            self._passes[batch] = (np.empty(batch + ((K + 1) ** 2, M)),
-                                   np.empty(batch + (K + 1, M, M)))
-        x1, x2 = self._passes[batch]
+        x1, x2 = self._pass_arrays(batch)
         # axis -1, then -2, then -3: each pass contracts K+1 nonzeros
         np.matmul(x.reshape(batch + ((K + 1) ** 2, K + 1)), D.T, out=x1)
         np.matmul(D, x1.reshape(batch + (K + 1, K + 1, M)), out=x2)
@@ -270,20 +278,23 @@ class EvenOctant:
         np.matmul(D, x2.reshape(batch + (K + 1, M * M)), out=out.reshape(batch + (M, M * M)))
         return out
 
-    def mean(self, phys):
-        """Full-grid mean of an even field from its octant samples."""
-        return float(self.w @ (self.w @ (phys @ self.w)))
-
-    def block(self, phys):
-        """Block {0..K}^3 of the cube spectrum of an even field from its octant samples."""
+    def block(self, phys, out=None):
+        """Block {0..K}^3 of the cube spectrum of an even field from its octant
+        samples, written into `out` (C-contiguous) when given."""
         K, M, S = self.K, self.P // 2 + 1, self.S
-        x = S @ phys.reshape(M, M * M)
-        x = S @ x.reshape(K + 1, M, M)
-        return (x.reshape((K + 1) ** 2, M) @ S.T).reshape((K + 1,) * 3)
+        x2, x1 = self._pass_arrays()
+        np.matmul(S, phys.reshape(M, M * M), out=x1.reshape(K + 1, M * M))
+        np.matmul(S, x1, out=x2.reshape(K + 1, K + 1, M))
+        out = np.empty((K + 1,) * 3) if out is None else out
+        np.matmul(x2, S.T, out=out.reshape((K + 1) ** 2, K + 1))
+        return out
 
-    def spectrum(self, phys):
-        """Cube spectrum (real, FFT order) of an even field from its octant samples."""
-        return _unfold(self.block(phys))
+    def power_block(self, y, N, yN, out=None):
+        """Block {0..K}^3 of the spectrum of y^N, the power formed in yN."""
+        np.copyto(yN, y)
+        for _ in range(N - 1):
+            yN *= y
+        return self.block(yN, out)
 
 
 def _even_pad(need):
@@ -298,96 +309,64 @@ def _spi_pad(Q, N, K):
     return _even_pad((N + 1) * K + 1 if K <= 24 or Q.eps == 0 else 2 * K + 2)
 
 
-def stationary_pair_integral(Q, N, K, method="auto", pad=None):
+def _resonance_block(Q, N, K, P):
+    """Block {0..K}^3 of the time-integrated resonance on the octant of a
+    size-P grid,
+
+        (N!/2^N) sum_s w_s e^{-s b} block((e^{-s b}/b)^{*N}),
+
+    the one s-node loop behind every resonance sum; each node reuses its arrays."""
+    octant = EvenOctant(K, P)
+    b = _octant_bsq(Q, K)
+    nodes, weights = _s_quadrature(N)
+    h, hb, acc = np.empty_like(b), np.empty_like(b), np.zeros_like(b)
+    y, yN = (np.empty((P // 2 + 1,) * 3) for _ in range(2))
+    for s, w in zip(nodes, weights):
+        np.exp(np.multiply(-s, b, out=h), out=h)
+        octant.samples(np.divide(h, b, out=hb), out=y)
+        h *= w
+        h *= octant.power_block(y, N, yN, out=hb)
+        acc += h
+    acc *= math.factorial(N) / 2.0**N
+    return acc
+
+
+def stationary_pair_integral(Q, N, K):
     """E of the resonance of the time-integrated Wick power with itself:
 
         (N!/2^N) sum_{l_1..l_N in cube} prod_j b_j^-1 / (b(l) + sum_j b_j),
 
     with b(k) = bracket(k)^2 and l = sum_j l_j, over the tuples whose total l
-    stays in the cube (matching cube-projected field products).  `method`
-    "direct" sums the tuples, "fft" convolves on the octant of a `pad` grid.
+    stays in the cube (matching cube-projected field products): the cube sum
+    of the resonance block on the octant of the _spi_pad grid.
     """
-    if method == "auto":
-        method = "direct" if (2 * K + 1) ** (3 * N) <= 2e7 else "fft"
-    if method == "direct":
-        return _spi_direct(Q, K, N)
-    octant = EvenOctant(K, pad or _spi_pad(Q, N, K))
-    b = _octant_bsq(Q, K)
-    nodes, weights = _s_quadrature(N)
+    return _octant_sum(_resonance_block(Q, N, K, _spi_pad(Q, N, K)))
+
+
+def c2(Q, a, K):
+    """C2 = sum_m (a_m/m)^2 eps^(2m-2) E[I(X^{<>2m}) o X^{<>2m}], from the
+    chaos coefficients a = (a_1, a_2, ..) at the symbol's eps."""
     total = 0.0
-    pref = math.factorial(N) / 2.0**N
-    # every s-node reuses these arrays: the loop allocates nothing large
-    h, hb = np.empty_like(b), np.empty_like(b)
-    x, y, yy = (np.empty((octant.P // 2 + 1,) * 3) for _ in range(3))
-    for s, w in zip(nodes, weights):
-        np.exp(np.multiply(-s, b, out=h), out=h)
-        octant.samples(np.divide(h, b, out=hb), out=y)
-        yN = y if N == 1 else np.multiply(y, y, out=yy)
-        for _ in range(N - 2):
-            yN *= y
-        yN *= octant.samples(h, out=x)
-        total += w * octant.mean(yN)
-    return pref * total
-
-
-def _spi_direct(Q, K, N):
-    """Direct vectorized tuple sum; feasible for small (2K+1)^(3N) only.  The
-    first N-1 legs run in chunks, the last stays a vectorized axis."""
-    kv = np.stack(np.meshgrid(*[np.r_[0:K + 1, -K:0]] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-    b = Q.bracket_sq(np.sqrt(np.sum(kv**2, axis=-1).astype(np.float64)))
-    if b.size**N > 5e8:
-        raise FeasibilityError(f"direct sum infeasible for N={N}, K={K}")
-    pref = math.factorial(N) / 2.0**N
-    total = 0.0
-    shape = (b.size,) * (N - 1)
-    chunk = max(1, int(2e6 // b.size))
-    flat_count = b.size ** (N - 1)
-    for start in range(0, flat_count, chunk):
-        stop = min(start + chunk, flat_count)
-        ksum = np.zeros((stop - start, 3))
-        bsum = np.zeros(stop - start)
-        wprod = np.ones(stop - start)
-        for lead in np.unravel_index(np.arange(start, stop), shape):
-            ksum += kv[lead]
-            bsum += b[lead]
-            wprod *= 1.0 / b[lead]
-        ktot = ksum[:, None, :] + kv[None, :, :]
-        ok = np.all(np.abs(ktot) <= K, axis=-1)
-        btot = Q.bracket_sq(np.sqrt(np.sum(ktot**2, axis=-1)))
-        denom = btot + bsum[:, None] + b[None, :]
-        term = (wprod[:, None] / b[None, :]) / denom
-        total += float(np.sum(term * ok))
-    return pref * total
-
-
-def c2(Q, V, eps, lam, K):
-    """C2 = sum_m (a_m/m)^2 eps^(2m-2) E[I(X^{<>2m}) o X^{<>2m}]."""
-    Q = Q.with_eps(eps)
-    a = a_coeffs(V, eps, lam, sigma2_eps(Q, eps, K))
-    total = 0.0
-    for m in range(1, V.n):
-        am = a[m - 1]
+    for m, am in enumerate(a, start=1):
         if am == 0.0:
             continue
         spi = stationary_pair_integral(Q, 2 * m, K)
-        total += (am / m) ** 2 * eps ** (2 * m - 2) * spi
+        total += (am / m) ** 2 * Q.eps ** (2 * m - 2) * spi
     return total
 
 
-def c3(Q, V, eps, lam, K):
+def c3(Q, a, K):
     """C3 = sum_m 3 a_m a_{m+1}/(m(2m+1)) eps^(2m-1) E[I(X^{<>2m+1}) o X^{<>2m+1}].
 
-    Empty (exactly zero) for quartic V (n = 2).
+    Empty (exactly zero) for quartic V (a single coefficient).
     """
-    Q = Q.with_eps(eps)
-    a = a_coeffs(V, eps, lam, sigma2_eps(Q, eps, K))
     total = 0.0
-    for m in range(1, V.n - 1):
+    for m in range(1, len(a)):
         coeff = 3.0 * a[m - 1] * a[m] / (m * (2 * m + 1))
         if coeff == 0.0:
             continue
         spi = stationary_pair_integral(Q, 2 * m + 1, K)
-        total += coeff * eps ** (2 * m - 1) * spi
+        total += coeff * Q.eps ** (2 * m - 1) * spi
     return total
 
 
@@ -404,7 +383,8 @@ def chaos_convolution_power(Q, n, K, tau=0.0):
     """Cube array of sum_{l_1+..+l_n = k, l_j in cube} prod_j e^{-tau b_j}/(2 b_j)."""
     b = _octant_bsq(Q, K)
     octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
-    return octant.spectrum(octant.samples(np.exp(-tau * b) * 0.5 / b) ** n)
+    y = octant.samples(np.exp(-tau * b) * 0.5 / b)
+    return _unfold(octant.power_block(y, n, np.empty_like(y)))
 
 
 def time_integrated_chaos_moment(Q, n, K):
@@ -412,14 +392,8 @@ def time_integrated_chaos_moment(Q, n, K):
 
         n! b(k)^-1 sum_{P(n,k)} prod_j (2 b_j)^-1 (b(k) + sum_j b_j)^-1.
     """
-    b = _octant_bsq(Q, K)
-    octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
-    nodes, weights = _s_quadrature(n)
-    acc = np.zeros((K + 1,) * 3)
-    for s, w in zip(nodes, weights):
-        h = np.exp(-s * b)
-        acc += w * h * octant.block(octant.samples(h / b) ** n)
-    return _unfold(math.factorial(n) / 2.0**n * acc / b)
+    block = _resonance_block(Q, n, K, _even_pad((n + 1) * K + 1))
+    return _unfold(block / _octant_bsq(Q, K))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +430,10 @@ def build_renorm(Q, V, K=None):
     s2 = sigma2_limit(Q)
     lam = coupling_lambda(V, s2)
     s2e = sigma2_eps(Q, eps, K)
-    a = a_coeffs(V, eps, lam, s2e)
+    a = a_coeffs(V, lam, s2e)
     C1 = c1(V, eps, lam, s2e)
-    C2 = c2(Q, V, eps, lam, K)
-    C3 = c3(Q, V, eps, lam, K)
+    C2 = c2(Q, a, K)
+    C3 = c3(Q, a, K)
     return RenormSet(eps=eps, K=K, sigma2=s2, sigma2_eps=s2e, lam=lam, a_m=a,
                      C1=C1, C2=C2, C3=C3)
 

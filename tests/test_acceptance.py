@@ -115,7 +115,7 @@ def test_quadratic_counterterm_log_divergence_and_variance_convergence():
             c2_vals.append(rs.C2)
             s2_errs.append(abs(rs.sigma2_eps - s2))
             assert rs.C3 == 0.0  # no odd-chaos counterterm for quartic V
-            assert c3(Q, V, eps, rs.lam, 1) == 0.0
+            assert c3(Q, rs.a_m, 1) == 0.0
         # C2 grows like log(1/eps): affine fit quality
         x = np.log(1.0 / np.array(eps_list))
         y = np.array(c2_vals)

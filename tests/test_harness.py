@@ -213,9 +213,11 @@ def test_cli_seed_and_eps_overrides(tmp_path):
     assert lines[5].startswith("0.5,")
 
 
-def test_cli_constants_empty_eps_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["constants", "moments", "solve", "converge"])
+def test_cli_constants_empty_eps_is_usage_error(tmp_path, capsys, command):
+    # validate is the one command that runs on an empty list (at eps 0.1)
     path = _write_cfg(tmp_path, eps=[])
-    err = _expect_exit(["constants", "--config", str(path)], cli.EXIT_USAGE,
+    err = _expect_exit([command, "--config", str(path)], cli.EXIT_USAGE,
                        capsys)
     assert err["error"] == "empty eps list"
 
@@ -338,13 +340,10 @@ def test_cli_solve_snapshots_are_the_collected_solve_s_last_slice(tmp_path, eps,
         assert (out / run[f"{tag}_snapshot"]).read_bytes() == want.read_bytes()
 
 
-def test_cli_solve_memory_does_not_grow_with_the_time_span(tmp_path, monkeypatch):
+def test_cli_solve_memory_does_not_grow_with_the_time_span(tmp_path):
     # K = 4: at 4T a run that holds the trajectories holds 12 more slices of
     # the noise components and of v and w, and its peak rises from about
-    # 0.8 to 1.4 MB; the constants are computed once, outside the trace
-    cfg = load_config(_write_cfg(tmp_path))
-    rs = build_renorm(cfg.make_symbol(0.4), cfg.make_potential(), K=4)
-    monkeypatch.setattr(cli, "build_renorm", lambda *args, **kwargs: rs)
+    # 0.8 to 1.4 MB; the traced command computes its constants too
     peaks = []
     for T in (0.004, 0.016):
         path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 4},

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,8 +11,9 @@ from scipy.special import roots_legendre
 from phi4sim.errors import FeasibilityError, GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical, validate_symbol)
-from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _s_quadrature,
-                            _spi_pad, a_coeffs, build_renorm, c1,
+from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _octant_sum,
+                            _resonance_block, _s_quadrature, _spi_pad, _unfold,
+                            a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
                             coupling_lambda, sigma2_eps, sigma2_limit,
                             standard_constants,
@@ -126,9 +128,22 @@ def test_coupling_lambda_sextic_closed_form():
         assert abs(lam - want) / want < 1e-8
 
 
+def test_sextic_coupling_approaches_the_limit_at_first_order_in_eps():
+    # for V of degree 6 a run at (eps, K) behaves like Phi^4_3 with the
+    # coupling at the lattice variance; sigma2_eps reaches sigma2_limit only
+    # linearly in eps, so lambda_eff / lambda* - 1 halves with each halving
+    # of eps (2.014, 0.961, 0.464 at eps 0.2, 0.1, 0.05)
+    V, Q = Potential.sextic(1.0), DispersionQ.quartic(0.1, nu=1.0)
+    lam = coupling_lambda(V, sigma2_limit(Q))
+    excess = [coupling_lambda(V, sigma2_eps(Q, eps, math.ceil(4.0 / eps))) / lam - 1.0
+              for eps in (0.2, 0.1, 0.05)]
+    for coarse, fine in zip(excess, excess[1:]):
+        assert 0.4 <= fine / coarse <= 0.55, excess
+
+
 def test_a1_is_one_for_quartic():
     V = Potential.quartic(0.25)
-    a = a_coeffs(V, 0.2, 1.0, sigma2_eps(DispersionQ.quartic(0.2), 0.2, 4))
+    a = a_coeffs(V, 1.0, sigma2_eps(DispersionQ.quartic(0.2), 0.2, 4))
     assert len(a) == 1 and abs(a[0] - 1.0) < 1e-14
 
 
@@ -146,20 +161,18 @@ def test_c1_quartic_closed_form():
 
 
 def _spi_bruteforce(Q, N, K):
-    """Independent tuple sum, restricted to the cube, no clever chunking."""
+    """Independent tuple sum, restricted to the cube, no clever chunking: a
+    loop over the first N-1 legs, the last one a vector over the cube."""
     g = FrequencyLattice(K)
-    bsq = cube_bsq(Q, g)
     kv = np.stack([k.ravel() for k in cube_modes(g)], axis=-1)
-    b = bsq.ravel()
+    b = cube_bsq(Q, g).ravel()
     total = 0.0
-    idx = np.arange(b.size)
-    import itertools
-    for tup in itertools.product(idx, repeat=N):
-        ks = sum(kv[i] for i in tup)
-        if np.max(np.abs(ks)) > K:
-            continue
-        btot = Q.bracket_sq(np.sqrt(float(ks @ ks)))
-        total += np.prod([1.0 / b[i] for i in tup]) / (btot + sum(b[i] for i in tup))
+    for tup in itertools.product(range(b.size), repeat=N - 1):
+        lead = list(tup)
+        ks = kv[lead].sum(axis=0) + kv
+        ok = np.max(np.abs(ks), axis=1) <= K
+        btot = Q.bracket_sq(np.sqrt(np.sum(ks[ok] ** 2, axis=1).astype(np.float64)))
+        total += np.sum(np.prod(1.0 / b[lead]) / b[ok] / (btot + b[lead].sum() + b[ok]))
     return math.factorial(N) / 2.0**N * total
 
 
@@ -175,23 +188,22 @@ def test_pair_integral_k0_closed_form():
 def test_pair_integral_matches_bruteforce_small():
     Q = DispersionQ.quartic(0.3, nu=1.0)
     want = _spi_bruteforce(Q, 2, 1)
-    got = stationary_pair_integral(Q, 2, 1, method="direct")
+    got = stationary_pair_integral(Q, 2, 1)
     assert abs(got - want) / want < 1e-12
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_pair_integral_fft_matches_direct(N):
+@pytest.mark.parametrize("N,K", [(2, 3), (3, 2), (4, 1)])
+def test_pair_integral_matches_the_tuple_sum(N, K):
+    # the tuple sum grows like (2K+1)^(3N)
     Q = DispersionQ.quartic(0.25, nu=1.0)
-    K = 1 if N == 4 else 3  # the direct sum grows like (2K+1)^(3N)
-    d = stationary_pair_integral(Q, N, K, method="direct")
-    f = stationary_pair_integral(Q, N, K, method="fft")
-    assert abs(f - d) / d < 1e-7
+    want = _spi_bruteforce(Q, N, K)
+    assert abs(stationary_pair_integral(Q, N, K) - want) / want < 1e-7
 
 
 def test_pair_integral_rejects_odd_pad():
     Q = DispersionQ.quartic(0.25, nu=1.0)
     with pytest.raises(ValueError):
-        stationary_pair_integral(Q, 2, 3, method="fft", pad=45)
+        _resonance_block(Q, 2, 3, 45)
 
 
 @given(K=st.integers(0, 12), extra=st.integers(0, 6),
@@ -208,12 +220,12 @@ def test_even_octant_matches_full_grid(K, extra, seed):
     phys = octant.samples(spec)
     h = P // 2 + 1
     assert np.max(np.abs(phys - full[:h, :h, :h])) <= 1e-13 * np.max(np.abs(full))
-    assert abs(octant.mean(phys**2) - np.mean(full**2)) <= 1e-13 * np.mean(full**2)
-    assert np.max(np.abs(octant.spectrum(phys) - spec)) <= 1e-13
+    square = _unfold(octant.block(phys**2))
+    assert abs(square[0, 0, 0] - np.mean(full**2)) <= 1e-13 * np.mean(full**2)
+    assert np.max(np.abs(_unfold(octant.block(phys)) - spec)) <= 1e-13
     # on a product the forward step aliases exactly like the full-grid DFT
     want = from_physical(full**2, grid, P)
-    assert np.max(np.abs(octant.spectrum(phys**2)[..., : K + 1] - want)) \
-        <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(square[..., : K + 1] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _octant_pads(K):
@@ -236,7 +248,7 @@ def test_octant_products_match_the_type1_dct(K, P):
     phys = rng.uniform(-1.0, 1.0, (M,) * 3)
     a = np.abs(grid.freqs)
     want = (scipy.fft.dctn(phys, type=1) / P**3)[np.ix_(a, a, a)]
-    assert np.max(np.abs(octant.spectrum(phys) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(_unfold(octant.block(phys)) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("K,P", [(8, 18), (40, 90)])
@@ -254,26 +266,31 @@ def test_octant_sums_make_no_scipy_transform(monkeypatch):
     for name in ("dct", "dctn"):
         monkeypatch.setattr(scipy.fft, name, refuse)
     Q = DispersionQ.quartic(0.25, nu=1.0)
-    assert stationary_pair_integral(Q, 2, 3, method="fft") > 0
+    assert stationary_pair_integral(Q, 2, 3) > 0
     assert np.all(np.isfinite(chaos_convolution_power(Q, 2, 2)))
     assert np.all(np.isfinite(time_integrated_chaos_moment(Q, 2, 1)))
 
 
+def _power(y, N):
+    yN = y
+    for _ in range(N - 1):
+        yN = yN * y
+    return yN
+
+
 def _pair_integral_on_the_cube(Q, N, K):
-    """The fft pair integral from the bracket over the full mode cube, both
-    fields of an s-node transformed as one stacked batch."""
-    b = cube_bsq(Q, FrequencyLattice(K))[: K + 1, : K + 1, : K + 1]
+    """The pair integral from the bracket over the full mode cube: each
+    s-node's block is unfolded onto the cube, the sum taken on its octant."""
+    bsq = cube_bsq(Q, FrequencyLattice(K))
     octant = EvenOctant(K, _spi_pad(Q, N, K))
     nodes, weights = _s_quadrature(N)
-    total = 0.0
+    acc = np.zeros(bsq.shape)
     for s, w in zip(nodes, weights):
-        h = np.exp(-s * b)
-        x, y = octant.samples(np.stack([h, h / b]))
-        yN = y
-        for _ in range(N - 1):
-            yN = yN * y
-        total += w * octant.mean(x * yN)
-    return math.factorial(N) / 2.0**N * total
+        h = np.exp(-s * bsq)
+        acc = acc + w * h * _unfold(octant.block(_power(octant.samples(h / bsq), N)))
+    m = np.r_[1.0, np.full(K, 2.0)]
+    x = (math.factorial(N) / 2.0**N * acc)[: K + 1, : K + 1, : K + 1]
+    return float(m @ (m @ (x @ m)))
 
 
 @pytest.mark.parametrize("N,K,eps", [(2, 3, 0.1), (2, 8, 0.1), (2, 25, 0.1), (2, 40, 0.1),
@@ -281,8 +298,7 @@ def _pair_integral_on_the_cube(Q, N, K):
 def test_pair_integral_equals_the_full_cube_form_bit_for_bit(N, K, eps):
     # K = 25 and 40 take the half pad of _spi_pad, K <= 8 the full one
     Q = DispersionQ.quartic(eps, nu=0.25)
-    assert stationary_pair_integral(Q, N, K, method="fft") \
-        == _pair_integral_on_the_cube(Q, N, K)
+    assert stationary_pair_integral(Q, N, K) == _pair_integral_on_the_cube(Q, N, K)
 
 
 @pytest.mark.parametrize("K", [12, 25])
@@ -299,13 +315,13 @@ def test_chaos_oracles_equal_the_full_cube_form_bit_for_bit():
     Q, K, n, tau = DispersionQ.quartic(0.3, nu=1.0), 4, 3, 0.2
     bsq = cube_bsq(Q, FrequencyLattice(K))
     octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
-    want = octant.spectrum(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq) ** n)
+    want = _unfold(octant.block(_power(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq), n)))
     assert np.array_equal(chaos_convolution_power(Q, n, K, tau), want)
     nodes, weights = _s_quadrature(n)
     acc = np.zeros(bsq.shape)
     for s, w in zip(nodes, weights):
         h = np.exp(-s * bsq)
-        acc += w * h * octant.spectrum(octant.samples(h / bsq) ** n)
+        acc += w * h * _unfold(octant.block(_power(octant.samples(h / bsq), n)))
     want = math.factorial(n) / 2.0**n * acc / bsq
     assert np.array_equal(time_integrated_chaos_moment(Q, n, K), want)
 
@@ -325,11 +341,8 @@ def test_pair_integral_holds_octant_memory_only():
 def test_pair_integral_reduced_padding_agrees():
     # the half-padded grid used for large K drops only ~1e-12 of the mass
     Q = DispersionQ.quartic(0.25, nu=1.0)
-    import scipy.fft
-    full = stationary_pair_integral(Q, 2, 16, method="fft",
-                                    pad=scipy.fft.next_fast_len(3 * 16 + 1, real=True))
-    red = stationary_pair_integral(Q, 2, 16, method="fft",
-                                   pad=scipy.fft.next_fast_len(2 * 16 + 2, real=True))
+    full, red = (_octant_sum(_resonance_block(Q, 2, 16, scipy.fft.next_fast_len(n, real=True)))
+                 for n in (3 * 16 + 1, 2 * 16 + 2))
     assert abs(full - red) / full < 1e-9
 
 
@@ -378,15 +391,17 @@ def test_c2_quartic_reduces_to_single_pair_integral():
     Q = DispersionQ.quartic(eps, nu=1.0)
     V = Potential.quartic(0.25)
     want = stationary_pair_integral(Q, 2, K)  # a_1 = 1, m = 1
-    assert abs(c2(Q, V, eps, 1.0, K) - want) / want < 1e-10
+    a = a_coeffs(V, 1.0, sigma2_eps(Q, eps, K))
+    assert abs(c2(Q, a, K) - want) / want < 1e-10
 
 
 def test_c3_vanishes_for_quartic_and_not_for_sextic():
     eps, K = 0.3, 1
     Qq = DispersionQ.quartic(eps, nu=1.0)
-    assert c3(Qq, Potential.quartic(0.25), eps, 1.0, K) == 0.0
+    s2e = sigma2_eps(Qq, eps, K)
+    assert c3(Qq, a_coeffs(Potential.quartic(0.25), 1.0, s2e), K) == 0.0
     lam = coupling_lambda(Potential.sextic(1.0), sigma2_limit(Qq))
-    assert c3(Qq, Potential.sextic(1.0), eps, lam, K) > 0.0
+    assert c3(Qq, a_coeffs(Potential.sextic(1.0), lam, s2e), K) > 0.0
 
 
 def test_c_total_formula():
@@ -411,6 +426,19 @@ def test_build_renorm_default_cutoff():
     assert rs.K == 8  # ceil(4 / eps)
 
 
+def test_build_renorm_at_small_cutoff_holds_octant_memory_only():
+    # a tuple sum over the (2K+1)^3 cube held 29.0 MiB at K = 4
+    Q, V = DispersionQ.quartic(0.4), Potential.quartic(0.25)
+    build_renorm(Q, V, K=4)  # warm the cosine-matrix cache
+    tracemalloc.start()
+    try:
+        build_renorm(Q, V, K=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_standard_constants_closed_forms():
     R = 3
     c1_std, c2_std = standard_constants(R)
@@ -427,5 +455,5 @@ def test_standard_c2_keeps_the_alias_free_pad_above_k24():
     # by about 5e-4 relative
     K = 25
     Q0 = DispersionQ.laplacian(0.0)
-    want = 0.5 * stationary_pair_integral(Q0, 2, K, pad=_even_pad(3 * K + 1))
+    want = 0.5 * _octant_sum(_resonance_block(Q0, 2, K, _even_pad(3 * K + 1)))
     assert abs(standard_constants(K)[1] - want) <= 1e-12 * want

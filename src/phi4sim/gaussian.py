@@ -1,5 +1,5 @@
 """Stationary free fields via exact per-mode Ornstein-Uhlenbeck updates,
-Hermite polynomials, and Gaussian chaos coefficients.
+Hermite polynomials, and Gaussian expectations of polynomials.
 
 The one driving noise is space-time white noise on the full mode lattice
 |k|_inf <= K, the lattice cutoff being its only truncation.  Randomness comes
@@ -174,19 +174,3 @@ def gaussian_expectation(f, sigma2):
 def polyder(c, order=1):
     return np.polynomial.polynomial.polyder(np.asarray(c, dtype=np.float64), order)
 
-
-def chaos_coefficients(f, nu):
-    """Hermite-chaos coefficients c_k = E[f^(k)(X)]/k! for X ~ N(0, nu).
-
-    Returns the list (c_0, .., c_deg) with f(x) = sum_k c_k H_k(x; nu)
-    exactly as polynomials.
-    """
-    c = _poly_coeffs(f)
-    deg = len(c) - 1
-    out = []
-    fact = 1.0
-    for k in range(deg + 1):
-        if k > 0:
-            fact *= k
-        out.append(gaussian_expectation(polyder(c, k) if k else c, nu) / fact)
-    return out

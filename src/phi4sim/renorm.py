@@ -16,8 +16,18 @@ spectra involved are radial, hence even in every axis, so the convolution
 powers are evaluated on the non-negative octant of a padded grid (symmetric
 convolution; Martucci, IEEE Trans. Signal Process. 42(5), 1994) from the
 bracket on {0..K}^3, never on the (2K+1)^3 cube.  There the size-P DFT is a
-type-I DCT, run as pruned products with cosine matrices cached per (K, P):
+type-I DCT, run as pruned products with cosine matrices cached per P:
 each pass contracts an axis of K+1 non-negative frequencies.
+
+At a node s, e^{-s b} underflows to exactly 0 beyond some slab, the sooner
+the larger s.  So each node runs on its support {0..K_s}^3, K_s the last slab
+of the block holding a nonzero (the bracket need not be monotone, so every
+slab is checked), at the smallest even 5-smooth pad >= (N+1) K_s + 1, which
+is alias-free on the support, or at the call's pad P where that is smaller.
+The dropped modes only ever added 0, so a node gives the full block's number
+up to rounding.  The pair integrals take P alias-free, (N+1) K + 1, up to
+K = 24 and for the eps = 0 Laplacian; above K = 24 with eps > 0 they take the
+half pad 2K + 2, where the aliased tuples weigh below 1e-12 of the total.
 """
 
 import math
@@ -220,20 +230,26 @@ def _s_quadrature(N, npanels=20, order=8):
 _octant_matrices = {}
 
 
-def _cosines(K, P):
-    """The octant's cosine matrices at (K, P), built once, with M = P/2+1 and
-    each phase reduced mod P = 2(M-1): D[j, k] = c_k cos(pi jk/(M-1)) with
-    c_0 = 1, c_k = 2 (samples from the K+1 non-negative frequencies), and
+def _cosines(P):
+    """The cosine matrices of a size-P grid, built once per P, with M = P/2+1
+    and each phase reduced mod P = 2(M-1): D[j, k] = c_k cos(pi jk/(M-1)) with
+    c_0 = 1, c_k = 2 (samples from the non-negative frequencies), and
     S[k, j] = w_j cos(pi jk/(M-1)) / P with endpoint weights 1, 2, .., 2, 1
-    (the kept frequencies from the octant samples)."""
-    if (K, P) not in _octant_matrices:
+    (the frequencies from the octant samples).  They hold every frequency up
+    to P/2; an octant at K takes the first K+1 columns of D and rows of S."""
+    if P not in _octant_matrices:
         M = P // 2 + 1
-        cos = np.cos(2 * np.pi * (np.outer(np.arange(M), np.arange(K + 1)) % P) / P)
+        cos = np.cos(2 * np.pi * (np.outer(np.arange(M), np.arange(M)) % P) / P)
         w = np.full(M, 2.0 / P)
         w[[0, -1]] = 1.0 / P
-        D = cos * np.r_[1.0, np.full(K, 2.0)]
-        _octant_matrices[K, P] = (D, np.ascontiguousarray(cos.T * w))
-    return _octant_matrices[K, P]
+        D = cos * np.r_[1.0, np.full(M - 1, 2.0)]
+        _octant_matrices[P] = (D, np.ascontiguousarray(cos.T * w))
+    return _octant_matrices[P]
+
+
+def _view(buf, shape):
+    """C-contiguous view of shape on the leading entries of a flat array."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 class EvenOctant:
@@ -243,23 +259,29 @@ class EvenOctant:
     Such a field is even in every physical axis too, so the octant fixes it,
     and the size-P DFT restricted to even data is a type-I DCT of length P/2+1.
     Both directions run as three products with the cosine matrices of
-    _cosines, one per axis.
+    _cosines, one per axis.  `work`, two flat arrays, holds the unbatched
+    pass arrays when given (a caller's storage, reused across octants).
     """
 
-    def __init__(self, K, P):
+    def __init__(self, K, P, work=None):
         if P % 2 or P < 2 * K + 1:
             raise ValueError(f"octant transforms need an even pad >= {2 * K + 1}, got {P}")
         self.K, self.P = K, P
-        self.D, self.S = _cosines(K, P)
+        D, S = _cosines(P)
+        self.D, self.S = D[:, : K + 1], S[: K + 1]
         self._passes = {}
+        if work is not None:
+            self._passes[()] = tuple(map(_view, work, self._pass_shapes()))
+
+    def _pass_shapes(self, batch=()):
+        K, M = self.K, self.P // 2 + 1
+        return batch + ((K + 1) ** 2, M), batch + (K + 1, M, M)
 
     def _pass_arrays(self, batch=()):
         """The first two passes' products per batch shape, reused by every
         call; samples and block (which runs the passes in reverse) share them."""
         if batch not in self._passes:
-            K, M = self.K, self.P // 2 + 1
-            self._passes[batch] = (np.empty(batch + ((K + 1) ** 2, M)),
-                                   np.empty(batch + (K + 1, M, M)))
+            self._passes[batch] = tuple(map(np.empty, self._pass_shapes(batch)))
         return self._passes[batch]
 
     def samples(self, spec, out=None):
@@ -303,9 +325,9 @@ def _even_pad(need):
 
 
 def _spi_pad(Q, N, K):
-    # Above K = 24, for strongly smoothing symbols (eps > 0) the aliased
-    # tuples carry weights below 1e-12 of the total; a half-padded grid keeps
-    # the large-K sweeps cheap.  The eps = 0 Laplacian keeps the alias-free pad.
+    # The call's widest pad (module docstring): alias-free up to K = 24 and for
+    # the eps = 0 Laplacian, else the half pad.  _resonance_block narrows it
+    # per s-node to the alias-free pad of the node's support where smaller.
     return _even_pad((N + 1) * K + 1 if K <= 24 or Q.eps == 0 else 2 * K + 2)
 
 
@@ -315,18 +337,32 @@ def _resonance_block(Q, N, K, P):
 
         (N!/2^N) sum_s w_s e^{-s b} block((e^{-s b}/b)^{*N}),
 
-    the one s-node loop behind every resonance sum; each node reuses its arrays."""
-    octant = EvenOctant(K, P)
+    the one s-node loop behind every resonance sum.  Each node runs on the
+    support of e^{-s b} (module docstring), evaluated on the previous node's:
+    the nodes run in increasing s, so the support only shrinks.  Every array
+    is made once per call and viewed at each node's shape."""
     b = _octant_bsq(Q, K)
     nodes, weights = _s_quadrature(N)
-    h, hb, acc = np.empty_like(b), np.empty_like(b), np.zeros_like(b)
-    y, yN = (np.empty((P // 2 + 1,) * 3) for _ in range(2))
+    acc = np.zeros_like(b)
+    h = np.empty(b.size)
+    y, yN = (np.empty((P // 2 + 1) ** 3) for _ in range(2))
+    work = [a.ravel() for a in EvenOctant(K, P)._pass_arrays()]  # checks P, too
+    Ks = K
     for s, w in zip(nodes, weights):
-        np.exp(np.multiply(-s, b, out=h), out=h)
-        octant.samples(np.divide(h, b, out=hb), out=y)
-        h *= w
-        h *= octant.power_block(y, N, yN, out=hb)
-        acc += h
+        n = Ks + 1
+        hs = _view(h, (n,) * 3)
+        np.exp(np.multiply(-s, b[:n, :n, :n], out=hs), out=hs)
+        Ks = int(np.flatnonzero(hs.reshape(n, -1).any(axis=1))[-1])  # h[0] holds e^{-s}
+        n, Ps = Ks + 1, min(P, _even_pad((N + 1) * Ks + 1))
+        octant, m = EvenOctant(Ks, Ps, work), (Ps // 2 + 1,) * 3
+        # h/b and the node's block live in the second pass array: samples
+        # reads h/b in its first pass only, and block writes its result in
+        # its last pass, which reads the first pass array only
+        hs, blk = hs[:n, :n, :n], _view(work[1], (n,) * 3)
+        ys = octant.samples(np.divide(hs, b[:n, :n, :n], out=blk), out=_view(y, m))
+        hs *= w
+        hs *= octant.power_block(ys, N, _view(yN, m), out=blk)
+        acc[:n, :n, :n] += hs
     acc *= math.factorial(N) / 2.0**N
     return acc
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from phi4sim.fourier import (FourierField, FrequencyLattice, from_physical,
                              get_threads, set_threads)
+from phi4sim.gaussian import gaussian_expectation, polyder
 
 
 def random_hermitian_field(grid, rng, scale=1.0):
@@ -38,6 +41,13 @@ def cube_modes(grid):
 def cube_bsq(Q, grid):
     """bracket(k)^2 over the full mode cube."""
     return Q.bracket_sq(np.sqrt(sum(k.astype(float)**2 for k in cube_modes(grid))))
+
+
+def chaos_coefficients(f, nu):
+    """Hermite-chaos coefficients c_k = E[f^(k)(X)]/k! for X ~ N(0, nu) of an
+    ascending coefficient array f, so that f(x) = sum_k c_k H_k(x; nu)."""
+    c = np.asarray(f, dtype=np.float64)
+    return [gaussian_expectation(polyder(c, k), nu) / math.factorial(k) for k in range(len(c))]
 
 
 @pytest.fixture

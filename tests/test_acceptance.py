@@ -15,12 +15,12 @@ from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
                              FrequencyLattice, _mirror, apply_semigroup,
                              from_physical, to_physical)
-from phi4sim.gaussian import NoiseSeed, chaos_coefficients, hermite
+from phi4sim.gaussian import NoiseSeed, hermite
 from phi4sim.renorm import (Potential, build_renorm, c3, coupling_lambda,
                             sigma2_eps, sigma2_limit)
 from phi4sim.solver import (SolverConfig, brute_force_reference,
                             reconstruct_phi, solve, y_distance)
-from conftest import random_hermitian_field
+from conftest import chaos_coefficients, random_hermitian_field
 
 
 class Budget:

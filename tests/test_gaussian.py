@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from phi4sim.fourier import DispersionQ, FrequencyLattice, _mirror
 from phi4sim.gaussian import (NoiseSeed, TAG_INIT, TAG_OU, advance,
-                              chaos_coefficients, gaussian_expectation,
-                              hermite, ou_increment, ou_transition,
-                              sample_stationary, unit_hermitian_normals)
-from conftest import hermitian_defect, reflected
+                              gaussian_expectation, hermite, ou_increment,
+                              ou_transition, sample_stationary,
+                              unit_hermitian_normals)
+from conftest import chaos_coefficients, hermitian_defect, reflected
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from scipy.special import roots_legendre
 from phi4sim.errors import FeasibilityError, GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical, validate_symbol)
-from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _octant_sum,
-                            _resonance_block, _s_quadrature, _spi_pad, _unfold,
-                            a_coeffs, build_renorm, c1,
+from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _octant_bsq,
+                            _octant_sum, _resonance_block, _s_quadrature,
+                            _spi_pad, _unfold, a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
                             coupling_lambda, sigma2_eps, sigma2_limit,
                             standard_constants,
@@ -94,6 +94,13 @@ def test_s_quadrature_rule_is_scipys_gauss_legendre():
         for p in (0, 7, 15):  # the rule is exact to degree 15 on each panel
             want = smax ** (p + 1) / (p + 1)
             assert abs(weights @ nodes**p - want) / want <= 1e-14
+
+
+def test_s_quadrature_nodes_strictly_increase():
+    # the resonance kernel shrinks its support from node to node, which holds
+    # only if s increases along the nodes
+    for N in (1, 2, 3, 4):
+        assert np.all(np.diff(_s_quadrature(N)[0]) > 0)
 
 
 def test_sigma2_eps_is_the_plain_lattice_sum():
@@ -278,18 +285,32 @@ def _power(y, N):
     return yN
 
 
-def _pair_integral_on_the_cube(Q, N, K):
-    """The pair integral from the bracket over the full mode cube: each
-    s-node's block is unfolded onto the cube, the sum taken on its octant."""
+def _node_octant(h, N, K, P):
+    """The octant an s-node of the kernel runs on: K_s the last slab h[i] of
+    the non-negative block {0..K}^3 holding a nonzero, found over the whole
+    block, and the alias-free pad for K_s, capped at P."""
+    Ks = max(i for i in range(K + 1) if np.any(h[i, : K + 1, : K + 1]))
+    return EvenOctant(Ks, min(P, _even_pad((N + 1) * Ks + 1)))
+
+
+def _resonance_on_the_cube(Q, N, K, P):
+    """Block {0..K}^3 of the time-integrated resonance from the bracket over
+    the full mode cube: each s-node takes e^{-s b} on the cube and runs on
+    the octant of _node_octant."""
     bsq = cube_bsq(Q, FrequencyLattice(K))
-    octant = EvenOctant(K, _spi_pad(Q, N, K))
-    nodes, weights = _s_quadrature(N)
-    acc = np.zeros(bsq.shape)
-    for s, w in zip(nodes, weights):
+    acc = np.zeros((K + 1,) * 3)
+    for s, w in zip(*_s_quadrature(N)):
         h = np.exp(-s * bsq)
-        acc = acc + w * h * _unfold(octant.block(_power(octant.samples(h / bsq), N)))
+        octant = _node_octant(h, N, K, P)
+        n = octant.K + 1
+        node = octant.block(_power(octant.samples(h / bsq), N))
+        acc[:n, :n, :n] = acc[:n, :n, :n] + w * h[:n, :n, :n] * node
+    return math.factorial(N) / 2.0**N * acc
+
+
+def _pair_integral_on_the_cube(Q, N, K):
     m = np.r_[1.0, np.full(K, 2.0)]
-    x = (math.factorial(N) / 2.0**N * acc)[: K + 1, : K + 1, : K + 1]
+    x = _resonance_on_the_cube(Q, N, K, _spi_pad(Q, N, K))
     return float(m @ (m @ (x @ m)))
 
 
@@ -314,16 +335,70 @@ def test_standard_constants_equal_the_full_cube_form_bit_for_bit(K):
 def test_chaos_oracles_equal_the_full_cube_form_bit_for_bit():
     Q, K, n, tau = DispersionQ.quartic(0.3, nu=1.0), 4, 3, 0.2
     bsq = cube_bsq(Q, FrequencyLattice(K))
-    octant = EvenOctant(K, _even_pad((n + 1) * K + 1))
+    P = _even_pad((n + 1) * K + 1)
+    octant = EvenOctant(K, P)
     want = _unfold(octant.block(_power(octant.samples(np.exp(-tau * bsq) * 0.5 / bsq), n)))
     assert np.array_equal(chaos_convolution_power(Q, n, K, tau), want)
-    nodes, weights = _s_quadrature(n)
-    acc = np.zeros(bsq.shape)
-    for s, w in zip(nodes, weights):
-        h = np.exp(-s * bsq)
-        acc += w * h * _unfold(octant.block(_power(octant.samples(h / bsq), n)))
-    want = math.factorial(n) / 2.0**n * acc / bsq
+    want = _unfold(_resonance_on_the_cube(Q, n, K, P)) / bsq
     assert np.array_equal(time_integrated_chaos_moment(Q, n, K), want)
+
+
+def _resonance_block_unpruned(Q, N, K, P):
+    """The kernel with every s-node on the whole block {0..K}^3 at pad P."""
+    octant = EvenOctant(K, P)
+    b = _octant_bsq(Q, K)
+    nodes, weights = _s_quadrature(N)
+    h, hb, acc = np.empty_like(b), np.empty_like(b), np.zeros_like(b)
+    y, yN = (np.empty((P // 2 + 1,) * 3) for _ in range(2))
+    for s, w in zip(nodes, weights):
+        np.exp(np.multiply(-s, b, out=h), out=h)
+        octant.samples(np.divide(h, b, out=hb), out=y)
+        h *= w
+        h *= octant.power_block(y, N, yN, out=hb)
+        acc += h
+    acc *= math.factorial(N) / 2.0**N
+    return acc
+
+
+@pytest.mark.parametrize("Q,N,K", [(DispersionQ.quartic(0.1, nu=0.25), 2, 8),
+                                   (DispersionQ.quartic(0.1, nu=0.25), 2, 25),
+                                   (DispersionQ.quartic(0.1, nu=0.25), 2, 40),
+                                   (DispersionQ.quartic(0.4, nu=1.0), 3, 10),
+                                   (DispersionQ.quartic(0.4, nu=1.0), 4, 10),
+                                   (DispersionQ.laplacian(0.0), 2, 25)])
+def test_pair_integral_agrees_with_the_unpruned_kernel(Q, N, K):
+    # dropping the modes where e^{-sb} is 0 and narrowing the pad moves
+    # only rounding (at most 3.3e-16 measured)
+    P = _spi_pad(Q, N, K)
+    want = _octant_sum(_resonance_block_unpruned(Q, N, K, P))
+    assert abs(_octant_sum(_resonance_block(Q, N, K, P)) - want) <= 1e-14 * want
+
+
+def test_chaos_moment_agrees_with_the_unpruned_kernel():
+    Q, K, n = DispersionQ.quartic(0.3, nu=1.0), 4, 3
+    want = _unfold(_resonance_block_unpruned(Q, n, K, _even_pad((n + 1) * K + 1))
+                   / _octant_bsq(Q, K))
+    got = time_integrated_chaos_moment(Q, n, K)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_pruned_kernel_finds_the_support_slab_by_slab():
+    # bracket^2 = 1 + 4 pi^2 |k|^2 inside |k|^2 < 80.5, 1 + 1e5 on the shell
+    # 80.5 < |k|^2 < 288.5 and 1 beyond: at K = 10 the slab h[9] (81 <= |k|^2
+    # <= 281) lies on the shell, while h[10] holds the corner (10, 10, 10)
+    def shell(z):
+        k2 = (z / (2.0 * np.pi)) ** 2
+        return np.where(k2 < 80.5, z**2, np.where(k2 < 288.5, 1e5, 0.0))
+    Q, N, K = DispersionQ(shell, 1.0), 2, 10
+    b = _octant_bsq(Q, K)
+    nodes = _s_quadrature(N)[0]
+    # some node has e^{-sb} = 0 on all of h[9] and e^{-sb} = e^{-s} at the corner
+    assert any(not np.exp(-s * b[9]).any() and np.exp(-s * b[10]).any() for s in nodes)
+    P = _spi_pad(Q, N, K)
+    want = _resonance_block_unpruned(Q, N, K, P)
+    got = _resonance_block(Q, N, K, P)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    assert abs(_octant_sum(got) - _octant_sum(want)) <= 1e-14 * _octant_sum(want)
 
 
 def test_pair_integral_holds_octant_memory_only():

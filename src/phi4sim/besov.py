@@ -1,4 +1,4 @@
-"""Littlewood-Paley blocks, Besov norms, paraproducts, and the commutator.
+"""Littlewood-Paley blocks, Besov norms and the low-high paraproduct.
 
 The dyadic partition uses two C^2 piecewise-polynomial radial bumps:
 chi_tilde supported in the ball of radius 4/3 and chi supported in the
@@ -7,11 +7,12 @@ annulus [3/4, 8/3], with
     chi_tilde(xi) + sum_{j>=0} chi(xi / 2^j) = 1
 
 for all |xi| below the covered band.  Blocks are indexed j = -1, 0, .., jmax
-with chi_{-1} = chi_tilde.  This module owns the block grid: physical_blocks
-samples every block on the degree-2 alias-free padded grid (pad_size(2), the
-default grid of fourier.product), and combine multiplies blocks pointwise
-there, so the Bony decomposition f g = (f<g) + (g<f) + (f o g) is exact up to
-rounding.  Blocks are real samples from the real transform pair of fourier.
+with chi_{-1} = chi_tilde.  This module owns the block grid: every block is
+sampled on the degree-2 alias-free padded grid (pad_size(2), the default grid
+of fourier.product) by the real transform pair of fourier, one block at a
+time, and para_lt multiplies blocks pointwise there, so the Bony
+decomposition f g = (f<g) + (g<f) + (f o g) is exact up to rounding.  No
+block stack is formed: besov_profile and para_lt each reuse one block array.
 """
 
 import math
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (FourierField, _check_same_grid, from_physical, product,
-                      to_physical)
+from .fourier import from_physical, to_physical
 
 
 def _smoothstep(u):
@@ -89,9 +89,14 @@ class BesovProfile:
 
 
 def besov_profile(f):
-    part = _partition(f.grid)
-    b = np.max(np.abs(physical_blocks(f.coeffs, f.grid)), axis=(-3, -2, -1))
-    return BesovProfile(j=np.arange(-1, part.jmax + 1), b=b)
+    """The sup norm of every block of f, each block transformed into one
+    reused array on the pad_size(2) grid."""
+    grid = f.grid
+    W, P = _partition(grid).weights(grid), grid.pad_size(2)
+    block = np.empty(f.coeffs.shape[:-3] + (P, P, P))
+    b = [np.max(np.abs(to_physical(f.coeffs * w, grid, P, out=block), out=block),
+                axis=(-3, -2, -1)) for w in W]
+    return BesovProfile(j=np.arange(-1, len(W) - 1), b=np.stack(b, axis=-1))
 
 
 def besov_norm(f, alpha):
@@ -99,62 +104,23 @@ def besov_norm(f, alpha):
     return besov_profile(f).norm(alpha)
 
 
-def physical_blocks(coeffs, grid):
-    """Real samples of every block of a field, given by its coefficient array
-    (batch dims allowed), on the pad_size(2) grid: shape (..., nblocks, P, P, P),
-    transformed one block at a time.  Computing this once and feeding it to
-    `combine` lets several paraproducts share one decomposition.
-    """
+def para_lt(f, g, grid):
+    """Low-high paraproduct f < g = sum_j S_{j-1} f * Delta_j g of two half
+    spectra of one shape (batch dims allowed), as a half spectrum.
+
+    S_{j-1} f = sum_{i<=j-2} Delta_i f is kept as a running low sum, and
+    each Delta_j g is transformed when its term is added, so the sum holds
+    three (P, P, P) arrays and transforms only the blocks it reads: f's up
+    to jmax - 2 and g's from 1 on."""
     W, P = _partition(grid).weights(grid), grid.pad_size(2)
-    out = np.empty(coeffs.shape[:-3] + (len(W), P, P, P))
-    for a in range(len(W)):
-        to_physical(coeffs * W[a], grid, P, out=out[..., a, :, :, :])
-    return out
-
-
-def combine(Bf, Bg, grid, mode):
-    """Paraproduct assembly from the physical blocks of `physical_blocks`.
-
-    mode "lt": sum_j S_{j-1} f * Delta_j g with S_{j-1} = sum_{i<=j-2} Delta_i;
-    mode "res": sum_{|i-j|<=1} Delta_i f * Delta_j g.  Returns half spectra.
-    """
-    J, P = Bf.shape[-4], Bf.shape[-1]
-    acc = np.zeros(np.broadcast_shapes(Bf.shape[:-4], Bg.shape[:-4])
-                   + (P, P, P))
-    if mode == "lt":
-        low = Bf[..., 0, :, :, :]  # S_{j-1} f, j = a - 1, as a running sum
-        for a in range(2, J):
-            if a > 2:
-                low = low + Bf[..., a - 2, :, :, :]
-            acc += low * Bg[..., a, :, :, :]
-    elif mode == "res":
-        for a in range(J):
-            near = Bf[..., max(a - 1, 0):min(a + 2, J), :, :, :].sum(axis=-4)
-            acc += near * Bg[..., a, :, :, :]
-    else:
-        raise ValueError(mode)
+    if len(W) < 3:  # no block of g has a low sum below it
+        return np.zeros(f.shape, dtype=np.complex128)
+    low = to_physical(f * W[0], grid, P)
+    acc, block = np.zeros_like(low), np.empty_like(low)
+    for a in range(2, len(W)):
+        if a > 2:
+            low += to_physical(f * W[a - 2], grid, P, out=block)
+        to_physical(g * W[a], grid, P, out=block)
+        block *= low
+        acc += block
     return from_physical(acc, grid, P)
-
-
-def _paraproduct(f, g, mode):
-    """f < g (mode "lt") or f o g (mode "res") as a field (batch dims allowed)."""
-    _check_same_grid(f, g)
-    grid = f.grid
-    return FourierField(grid, combine(physical_blocks(f.coeffs, grid),
-                                      physical_blocks(g.coeffs, grid), grid, mode))
-
-
-def para_lt(f, g):
-    """Low-high paraproduct f < g."""
-    return _paraproduct(f, g, "lt")
-
-
-def resonance(f, g):
-    """Resonance product f o g = sum_{|i-j|<=1} Delta_i f Delta_j g."""
-    return _paraproduct(f, g, "res")
-
-
-def commutator_com(f, g, h):
-    """Com(f; g; h) = (f < g) o h - f (g o h)."""
-    _check_same_grid(f, g, h)
-    return resonance(para_lt(f, g), h) - product(f, resonance(g, h), 2)

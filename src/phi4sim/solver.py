@@ -48,9 +48,11 @@ and the march integrates
                              - 3 lam^2 k32 (X + f)),
 
 plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
-(in G of the paper's step too).  A step decomposes f and c2 and combines
-once, for f < c2; P(c2 f) joins the polynomial pass on the degree-4 grid.
-A Picard sweep's integrands read only the source iterate.
+(in G of the paper's step too).  A step forms one paraproduct, f < c2
+(besov.para_lt); P(c2 f) joins the polynomial pass on the degree-4 grid.
+The march reads each step's noise slice with its F: the sequential march
+forms F as it reads the slice, and Picard forms the list of them once per
+solve.  A Picard sweep's integrands read only the source iterate.
 """
 
 import math
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import besov_norm, besov_profile, combine, physical_blocks
+from .besov import besov_norm, besov_profile, para_lt
 from .errors import BlowUpSignal, GridError
 from .fourier import (ExponentialQuadrature, FourierField, _half, _mirror,
                       from_physical, product, to_physical)
@@ -109,12 +111,11 @@ def taylor_remainder(V, x, y):
     return out
 
 
-def coeffs_F(lam, U, i):
-    """The four coefficient fields (F0, F1, F2, F3) at time index i, batched
-    over time when i is a slice, or from the slice i of a streamed build (a
-    dict of stored arrays): projected products of c0, c1 and c30 (the module
-    docstring derives them from the paper's form)."""
-    s = i if isinstance(i, dict) else U.slice(i)
+def coeffs_F(lam, U, s):
+    """The four coefficient fields (F0, F1, F2, F3) as half spectra, from s,
+    one slice of U's stored noise (U.slice or a streamed build's): projected
+    products of c0, c1 and c30 (the module docstring derives them from the
+    paper's form)."""
     c0, c1, c30 = (FourierField(U.grid, U.read(t, s)) for t in ("c0", "c1", "c30"))
     sq30 = product(c30, c30, 2)
     F3 = -lam * c0
@@ -123,18 +124,12 @@ def coeffs_F(lam, U, i):
         + 6.0 * lam**2 * product(c30, c1, 2)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
         - 3.0 * lam**3 * product(sq30, c1, 2)
-    return F0, F1, F2, F3
+    return F0.coeffs, F1.coeffs, F2.coeffs, F3.coeffs
 
 
-def coeffs_F_traj(lam, U):
-    """All four coefficient-field trajectories as arrays (F0, F1, F2, F3) of
-    shape (T, n, n, K+1), from coeffs_F slice by slice."""
-    shape = (len(U.t_grid),) + U.grid.shape
-    out = [np.empty(shape, dtype=np.complex128) for _ in range(4)]
-    for i in range(shape[0]):
-        for dst, F in zip(out, coeffs_F(lam, U, i)):
-            dst[i] = F.coeffs
-    return tuple(out)
+def _with_F(lam, U, slices):
+    """(slice, coeffs_F of it) for each of `slices`, formed as it is read."""
+    return ((s, coeffs_F(lam, U, s)) for s in slices)
 
 
 def _check_grid_match(config, U):
@@ -151,15 +146,13 @@ def _check_grid_match(config, U):
     return nsteps
 
 
-def _march(config, U, slices, v0, w0, V, integrand_source=None, F_traj=None,
-           out=None):
+def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
     """One exponential-Euler sweep on half spectra, reading step i's noise
-    from the i-th of `slices` (U's stored slices, or a streamed build's);
+    slice and coefficient fields from the i-th (slice, F) pair of `steps`;
     returns the final state (v, w).  With out = (v_traj, w_traj), full-cube
     trajectories, each step's state is mirrored into them as it is made.
     With integrand_source=None the integrands use the running (sequential)
-    state and F each step's coeffs_F; otherwise the supplied previous iterates
-    (full cubes) and F_traj (Picard)."""
+    state; otherwise the supplied previous iterates (full cubes, Picard)."""
     g = U.grid
     lam = config.lam
     eps = config.eps
@@ -171,7 +164,7 @@ def _march(config, U, slices, v0, w0, V, integrand_source=None, F_traj=None,
     if out is not None:
         _mirror(v, g, out=out[0][0])
         _mirror(w, g, out=out[1][0])
-    for i, s in zip(range(nsteps), slices):
+    for i, (s, F) in zip(range(nsteps), steps):
         if integrand_source is None:
             vi, wi = v, w
         else:
@@ -179,9 +172,7 @@ def _march(config, U, slices, v0, w0, V, integrand_source=None, F_traj=None,
         c2 = U.read("c2", s)
         u = vi + wi
         f = u - lam * s["c30"]
-        F = tuple(c.coeffs for c in coeffs_F(lam, U, s)) if F_traj is None \
-            else tuple(c[i] for c in F_traj)
-        para = combine(physical_blocks(f, g), physical_blocks(c2, g), g, "lt")
+        para = para_lt(f, c2, g)
         # sum_j F_j u^j - 3 lam c2 f on one shared alias-free grid
         ux = to_physical(u, g, P4)
         poly, uj = to_physical(F[0], g, P4), 1.0
@@ -226,8 +217,8 @@ def solve(config, U, v0, w0, V=None):
     nsteps = _check_grid_match(config, U)
     if config.mode == "sequential":
         v_traj, w_traj = _full_cubes(nsteps, g)
-        _march(config, U, map(U.slice, range(nsteps)), v0h, w0h, V,
-               out=(v_traj, w_traj))
+        _march(config, U, _with_F(config.lam, U, map(U.slice, range(nsteps))),
+               v0h, w0h, V, out=(v_traj, w_traj))
         info = {"mode": "sequential"}
     else:
         decay = ExponentialQuadrature(g, U.Q, config.dt).decay
@@ -241,12 +232,11 @@ def solve(config, U, v0, w0, V=None):
         half = np.s_[..., : g.K + 1]
         dists = []
         info = {"mode": "picard", "converged": False, "non_contraction": False}
-        F = coeffs_F_traj(config.lam, U)
+        steps = list(_with_F(config.lam, U, map(U.slice, range(nsteps))))
         for sweep in range(config.picard_iters):
             v_new, w_new = _full_cubes(nsteps, g)
-            _march(config, U, map(U.slice, range(nsteps)), v0h, w0h, V,
-                   integrand_source=(v_prev, w_prev), F_traj=F,
-                   out=(v_new, w_new))
+            _march(config, U, steps, v0h, w0h, V,
+                   integrand_source=(v_prev, w_prev), out=(v_new, w_new))
             dist = max(float(np.max(np.abs(v_new[half] - v_prev[half]))),
                        float(np.max(np.abs(w_new[half] - w_prev[half]))))
             dists.append(dist)
@@ -273,7 +263,7 @@ def solve_final(config, U, slices, v0, w0, V=None):
         return pair.v_traj[-1], pair.w_traj[-1], pair.info
     g = U.grid
     v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
-    v, w = _march(config, U, slices, v0h, w0h, V)
+    v, w = _march(config, U, _with_F(config.lam, U, slices), v0h, w0h, V)
     return _mirror(v, g), _mirror(w, g), {"mode": "sequential"}
 
 

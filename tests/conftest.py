@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from phi4sim.fourier import (FourierField, FrequencyLattice, from_physical,
-                             get_threads, set_threads)
+from phi4sim.besov import _partition
+from phi4sim.fourier import (FourierField, FrequencyLattice, _check_same_grid,
+                             from_physical, get_threads, product, set_threads,
+                             to_physical)
 from phi4sim.gaussian import gaussian_expectation, polyder
 
 
@@ -48,6 +50,69 @@ def chaos_coefficients(f, nu):
     ascending coefficient array f, so that f(x) = sum_k c_k H_k(x; nu)."""
     c = np.asarray(f, dtype=np.float64)
     return [gaussian_expectation(polyder(c, k), nu) / math.factorial(k) for k in range(len(c))]
+
+
+# ---------------------------------------------------------------------------
+# the paper-form paraproduct calculus on block stacks: the reference that
+# besov.para_lt and the solver's collapsed step are checked against
+
+
+def physical_blocks(coeffs, grid):
+    """Real samples of every block of a field, given by its coefficient array
+    (batch dims allowed), on the pad_size(2) grid: shape (..., nblocks, P, P, P),
+    transformed one block at a time."""
+    W, P = _partition(grid).weights(grid), grid.pad_size(2)
+    out = np.empty(coeffs.shape[:-3] + (len(W), P, P, P))
+    for a in range(len(W)):
+        to_physical(coeffs * W[a], grid, P, out=out[..., a, :, :, :])
+    return out
+
+
+def combine(Bf, Bg, grid, mode):
+    """Paraproduct assembly from the physical blocks of `physical_blocks`.
+
+    mode "lt": sum_j S_{j-1} f * Delta_j g with S_{j-1} = sum_{i<=j-2} Delta_i;
+    mode "res": sum_{|i-j|<=1} Delta_i f * Delta_j g.  Returns half spectra.
+    """
+    J, P = Bf.shape[-4], Bf.shape[-1]
+    acc = np.zeros(np.broadcast_shapes(Bf.shape[:-4], Bg.shape[:-4])
+                   + (P, P, P))
+    if mode == "lt":
+        low = Bf[..., 0, :, :, :]  # S_{j-1} f, j = a - 1, as a running sum
+        for a in range(2, J):
+            if a > 2:
+                low = low + Bf[..., a - 2, :, :, :]
+            acc += low * Bg[..., a, :, :, :]
+    elif mode == "res":
+        for a in range(J):
+            near = Bf[..., max(a - 1, 0):min(a + 2, J), :, :, :].sum(axis=-4)
+            acc += near * Bg[..., a, :, :, :]
+    else:
+        raise ValueError(mode)
+    return from_physical(acc, grid, P)
+
+
+def _paraproduct(f, g, mode):
+    _check_same_grid(f, g)
+    grid = f.grid
+    return FourierField(grid, combine(physical_blocks(f.coeffs, grid),
+                                      physical_blocks(g.coeffs, grid), grid, mode))
+
+
+def lt(f, g):
+    """Low-high paraproduct f < g of two fields, from block stacks."""
+    return _paraproduct(f, g, "lt")
+
+
+def resonance(f, g):
+    """Resonance product f o g = sum_{|i-j|<=1} Delta_i f Delta_j g."""
+    return _paraproduct(f, g, "res")
+
+
+def commutator_com(f, g, h):
+    """Com(f; g; h) = (f < g) o h - f (g o h)."""
+    _check_same_grid(f, g, h)
+    return resonance(lt(f, g), h) - product(f, resonance(g, h), 2)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy import integrate
 
-from phi4sim.besov import besov_norm, combine, physical_blocks
+from phi4sim.besov import besov_norm
 from phi4sim.diagrams import (build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
@@ -20,7 +20,8 @@ from phi4sim.renorm import (Potential, build_renorm, c3, coupling_lambda,
                             sigma2_eps, sigma2_limit)
 from phi4sim.solver import (SolverConfig, brute_force_reference,
                             reconstruct_phi, solve, y_distance)
-from conftest import chaos_coefficients, random_hermitian_field
+from conftest import (chaos_coefficients, combine, physical_blocks,
+                      random_hermitian_field)
 
 
 class Budget:

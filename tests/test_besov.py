@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phi4sim.besov import (DyadicPartition, besov_norm, besov_profile, combine,
-                           commutator_com, para_lt, physical_blocks, resonance)
+from phi4sim import besov
+from phi4sim.besov import DyadicPartition, besov_norm, besov_profile, para_lt
 from phi4sim.fourier import FrequencyLattice, from_physical, product, to_physical
-from conftest import delta_field, random_hermitian_field
+from conftest import (combine, delta_field, lt, physical_blocks,
+                      random_hermitian_field, resonance)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +50,8 @@ def test_blocks_reassemble_field(rng):
 
 @pytest.mark.parametrize("K", [3, 8])
 def test_blocks_equal_the_batched_transform_bit_for_bit(rng, K):
-    # one block at a time gives the bits of transforming every weighted
-    # spectrum of a (2, 3) batch at once
+    # the reference block stack, one block at a time, gives the bits of
+    # transforming every weighted spectrum of a (2, 3) batch at once
     g = FrequencyLattice(K)
     f = random_hermitian_field(g, rng)
     coeffs = np.stack([f.coeffs * c for c in rng.standard_normal(6)]).reshape((2, 3) + g.shape)
@@ -57,6 +60,16 @@ def test_blocks_equal_the_batched_transform_bit_for_bit(rng, K):
     got = physical_blocks(coeffs, g)
     assert got.shape == (2, 3, len(W)) + (g.pad_size(2),) * 3
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("K", [3, 8])
+def test_profile_equals_the_block_stack_sup_norms_bit_for_bit(rng, K):
+    g = FrequencyLattice(K)
+    f = random_hermitian_field(g, rng)
+    want = np.max(np.abs(physical_blocks(f.coeffs, g)), axis=(-3, -2, -1))
+    prof = besov_profile(f)
+    assert np.array_equal(prof.b, want)
+    assert np.array_equal(prof.j, np.arange(-1, len(want) - 1))
 
 
 def test_single_mode_besov_norm_scales_with_alpha():
@@ -87,7 +100,7 @@ def test_bony_decomposition_is_exact(seed):
     f = random_hermitian_field(g, rng)
     h = random_hermitian_field(g, rng)
     lhs = product(f, h).coeffs
-    rhs = (para_lt(f, h) + para_lt(h, f) + resonance(f, h)).coeffs
+    rhs = (lt(f, h) + lt(h, f) + resonance(f, h)).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -99,18 +112,7 @@ def test_paraproduct_frequency_localization():
     hi = delta_field(g, (12, 0, 0))
     assert np.max(np.abs(resonance(lo, hi).coeffs)) < 1e-13
     full = product(lo, hi).coeffs
-    assert np.max(np.abs(para_lt(lo, hi).coeffs - full)) < 1e-12
-
-
-def test_block_sharing_matches_direct_calls(rng):
-    g = FrequencyLattice(5)
-    f = random_hermitian_field(g, rng)
-    h = random_hermitian_field(g, rng)
-    Bf = physical_blocks(f.coeffs, g)
-    Bh = physical_blocks(h.coeffs, g)
-    assert np.array_equal(combine(Bf, Bh, g, "lt"), para_lt(f, h).coeffs)
-    assert np.array_equal(combine(Bh, Bf, g, "lt"), para_lt(h, f).coeffs)
-    assert np.array_equal(combine(Bf, Bh, g, "res"), resonance(f, h).coeffs)
+    assert np.max(np.abs(para_lt(lo.coeffs, hi.coeffs, g) - full)) < 1e-12
 
 
 def _lt_by_cumsum(Bf, Bg, g):
@@ -123,21 +125,51 @@ def _lt_by_cumsum(Bf, Bg, g):
     return from_physical(acc, g, P)
 
 
-@pytest.mark.parametrize("batch", [(), (3,)])
-def test_lt_running_sum_matches_cumsum_bit_for_bit(batch):
-    g = FrequencyLattice(6)
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 13])  # nblocks 2, 3, 4, 5, 6
+def test_lt_running_sum_matches_cumsum_bit_for_bit(K):
+    # para_lt, which forms one block at a time, against the block stacks:
+    # the conftest reference (running sum) and a cumulative sum
+    g = FrequencyLattice(K)
+    assert DyadicPartition(K).nblocks == {1: 2, 2: 3, 3: 4, 8: 5, 13: 6}[K]
     rng = np.random.default_rng(8)
-    f, h = (from_physical(rng.standard_normal(batch + (g.n,) * 3), g, g.n)
-            for _ in range(2))
-    Bf, Bh = (physical_blocks(c, g) for c in (f, h))
-    assert np.array_equal(combine(Bf, Bh, g, "lt"), _lt_by_cumsum(Bf, Bh, g))
+    for batch in ((), (3,)):
+        f, h = (from_physical(rng.standard_normal(batch + (g.n,) * 3), g, g.n)
+                for _ in range(2))
+        Bf, Bh = physical_blocks(f, g), physical_blocks(h, g)
+        want = combine(Bf, Bh, g, "lt")
+        assert np.array_equal(want, _lt_by_cumsum(Bf, Bh, g))
+        got = para_lt(f, h, g)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        if K == 1:
+            assert not np.any(got)
 
 
-def test_commutator_definition(rng):
-    g = FrequencyLattice(5)
-    f = random_hermitian_field(g, rng)
-    a = random_hermitian_field(g, rng)
-    b = random_hermitian_field(g, rng)
-    want = resonance(para_lt(f, a), b).coeffs \
-        - product(f, resonance(a, b)).coeffs
-    assert np.max(np.abs(commutator_com(f, a, b).coeffs - want)) < 1e-13
+def test_lt_at_the_smallest_cutoff_makes_no_transform(monkeypatch):
+    # K = 1 has the blocks j = -1, 0 only: no Delta_j g has a low sum below it
+    def fail(*args, **kwargs):
+        raise AssertionError("para_lt transformed a block at K = 1")
+
+    monkeypatch.setattr(besov, "to_physical", fail)
+    monkeypatch.setattr(besov, "from_physical", fail)
+    g = FrequencyLattice(1)
+    f = np.ones(g.shape, dtype=np.complex128)
+    assert np.array_equal(para_lt(f, f, g), np.zeros(g.shape, dtype=np.complex128))
+
+
+def test_lt_holds_three_padded_arrays():
+    # K = 24: P = 75 and 7 blocks, so one (P, P, P) float64 array is 3.4 MB
+    # and the block stacks of f and g would be 14 of them, 47.3 MB.  The
+    # sum's three arrays and the transform pair's scratch peak at 4.39 of
+    # them (14.8 MB)
+    g = FrequencyLattice(24)
+    rng = np.random.default_rng(3)
+    f, h = (from_physical(rng.standard_normal((g.n,) * 3), g, g.n) for _ in range(2))
+    para_lt(f, h, g)  # warm the transform matrices and block weights
+    tracemalloc.start()
+    try:
+        para_lt(f, h, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * g.pad_size(2) ** 3 * 8

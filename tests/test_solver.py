@@ -9,21 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phi4sim import besov, solver
-from phi4sim.besov import (combine, commutator_com, para_lt, physical_blocks,
-                           resonance)
+from phi4sim import besov, fourier, solver
 from phi4sim.config import load_config
 from phi4sim.diagrams import build_limit_upsilon, build_upsilon, stream_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
-from phi4sim.fourier import (DispersionQ, ExponentialQuadrature,
+from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
                              FrequencyLattice, _mirror, from_physical, product,
                              to_physical)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
-                            coeffs_F, coeffs_F_traj, reconstruct_phi, solve,
-                            solve_final, taylor_remainder, y_distance, y_norm)
-from conftest import hermitian_defect, random_hermitian_field
+                            coeffs_F, reconstruct_phi, solve, solve_final,
+                            taylor_remainder, y_distance, y_norm)
+from conftest import (combine, commutator_com, hermitian_defect, lt,
+                      physical_blocks, random_hermitian_field, resonance)
 
 EPS = 0.3
 K = 2
@@ -92,15 +91,6 @@ def test_taylor_remainder_sextic_closed_form(rng):
     assert np.max(np.abs(taylor_remainder(V, x, y) - want)) < 1e-10
 
 
-def test_batched_coefficient_fields_match_per_step():
-    _, _, rs, g, U, cfg = _setup()
-    F = coeffs_F_traj(cfg.lam, U)
-    for i in (0, len(U.t_grid) - 1):
-        single = coeffs_F(cfg.lam, U, i)
-        for j in range(4):
-            assert np.array_equal(F[j][i], single[j].coeffs)
-
-
 def _plus_constant(F, c):
     """F + c for a spatial constant c: a shift of the zero mode."""
     out = F.copy()
@@ -126,9 +116,9 @@ def _coeffs_F_paper(lam, U, i, k31):
     F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
     sq30 = product(c30, c30, 2)
     F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (para_lt(c30, c1) + para_lt(c1, c30) + c31)
+        + 6.0 * lam**2 * (lt(c30, c1) + lt(c1, c30) + c31)
     F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * (para_lt(sq30, c1) + para_lt(c1, sq30)
+        - 3.0 * lam**3 * (lt(sq30, c1) + lt(c1, sq30)
                           + resonance(resonance(c30, c30), c1)
                           + 2.0 * product(c31, c30, 2)
                           + 2.0 * commutator_com(c30, c30, c1)) \
@@ -152,7 +142,7 @@ def test_coefficient_fields_match_the_paraproduct_form():
                           burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
         lam, k31 = rs.lam, rs.C3
         for i in (0, len(U.t_grid) - 1, slice(2, 5)):
-            F0, F1, F2, F3 = coeffs_F(lam, U, i)
+            F0, F1, F2, F3 = (FourierField(g, c) for c in coeffs_F(lam, U, U.slice(i)))
             with_mass = (F0 + 6.0 * lam**3 * k31 * U.field("c30", i)
                          + 3.0 * lam**2 * _c32(U, i),
                          _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
@@ -162,17 +152,18 @@ def test_coefficient_fields_match_the_paraproduct_form():
 
 
 def test_coefficient_fields_decompose_no_field(monkeypatch):
+    # no paraproduct and no block transform, for one slice or a batch of them
     _, _, rs, g, U, cfg = _setup()
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
 
-    for name in ("physical_blocks", "combine"):
-        monkeypatch.setattr(besov, name, counted)
-        monkeypatch.setattr(solver, name, counted)
-    coeffs_F(cfg.lam, U, 0)
-    coeffs_F_traj(cfg.lam, U)
+    monkeypatch.setattr(besov, "para_lt", counted)
+    monkeypatch.setattr(solver, "para_lt", counted)
+    monkeypatch.setattr(besov, "to_physical", counted)
+    coeffs_F(cfg.lam, U, U.slice(0))
+    coeffs_F(cfg.lam, U, U.slice(slice(None)))
     assert calls == []
 
 
@@ -205,56 +196,69 @@ def test_solution_stays_hermitian(mode):
         assert hermitian_defect(c) <= 1e-14 * np.max(np.abs(c))
 
 
-@pytest.mark.parametrize("mode, want", [("sequential", 0), ("picard", 1)])
-def test_coefficient_trajectories_are_built_only_for_picard(mode, want,
-                                                            monkeypatch):
+@pytest.mark.parametrize("mode", ["sequential", "picard"])
+def test_each_coefficient_field_is_formed_once_per_solve(mode, monkeypatch):
+    # one coeffs_F per step: the sequential march forms F as it reads the
+    # slice, and Picard forms the list once for all its sweeps
     _, V, rs, g, U, cfg = _setup(mode=mode)
     calls = []
-    real = solver.coeffs_F_traj
+    real = solver.coeffs_F
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "coeffs_F_traj", counted)
+    monkeypatch.setattr(solver, "coeffs_F", counted)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
-    assert len(calls) == want
+    assert len(calls) == len(U.t_grid) - 1
     assert mode == "sequential" or P.info["sweeps"] > 1
 
 
 def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
-    # reference: the march fed one coeffs_F_traj precompute, as Picard feeds it
+    # reference: the march fed a precomputed list of (slice, F), as Picard
+    # feeds it
     _, V, rs, g, U, cfg = _setup()
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
     h = z[..., : g.K + 1]
     nsteps = len(U.t_grid) - 1
+    steps = [(U.slice(i), coeffs_F(cfg.lam, U, U.slice(i))) for i in range(nsteps)]
     v, w = np.empty_like(P.v_traj), np.empty_like(P.w_traj)
-    solver._march(cfg, U, map(U.slice, range(nsteps)), h, h, V,
-                  F_traj=coeffs_F_traj(cfg.lam, U), out=(v, w))
+    solver._march(cfg, U, steps, h, h, V, out=(v, w))
     assert np.array_equal(P.v_traj, v)
     assert np.array_equal(P.w_traj, w)
 
 
-def test_march_step_decomposes_two_fields_and_combines_once(monkeypatch):
-    # f and c2, and f < c2; the noise build and coeffs_F make none
-    calls = {"physical_blocks": 0, "combine": 0}
-    for name in calls:
-        real = getattr(besov, name)
+@pytest.mark.parametrize("cutoff, per_step", [(K, 23), (8, 27)])
+def test_march_step_makes_one_paraproduct_and_a_fixed_transform_count(
+        cutoff, per_step, monkeypatch):
+    # to_physical per step: coeffs_F's 7 projected products 14, the
+    # polynomial pass 7 (u, F0..F3, c2, f), and f < c2 two per added term:
+    # 1 term at K = 2 (3 blocks), 3 at K = 8 (5 blocks)
+    if cutoff == K:
+        _, V, rs, g, U, cfg = _setup()
+    else:
+        Q, V = DispersionQ.quartic(0.2, nu=1.0), Potential.quartic(0.25)
+        rs, g, n = build_renorm(Q, V, K=cutoff), FrequencyLattice(cutoff), 3
+        U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * 1e-4, rs,
+                          burn_in=0.002, coarse_dt=0.02, fine_window=0.002)
+        cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=1e-4, T=n * 1e-4, K=cutoff)
+    calls = {"para_lt": 0, "to_physical": 0}
+    for mod, name in ((besov, "para_lt"), (solver, "para_lt"),
+                      (fourier, "to_physical"), (besov, "to_physical"),
+                      (solver, "to_physical")):
+        real = getattr(mod, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(besov, name, counted)
-        monkeypatch.setattr(solver, name, counted)
-    _, V, rs, g, U, cfg = _setup()
-    assert calls == {"physical_blocks": 0, "combine": 0}
+        monkeypatch.setattr(mod, name, counted)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(cfg, U, z, z, V=V)
     nsteps = len(U.t_grid) - 1
-    assert calls == {"physical_blocks": 2 * nsteps, "combine": nsteps}
+    assert calls == {"para_lt": nsteps, "to_physical": per_step * nsteps}
 
 
 def _march_paper(cfg, U, v0, w0, V):
@@ -271,10 +275,10 @@ def _march_paper(cfg, U, v0, w0, V):
         c2 = U.traj("c2")[i]
         u = v + w
         f = u - lam * U.traj("c30")[i]
-        F0, F1, F2, F3 = coeffs_F(lam, U, i)
-        F = (F0 + 3.0 * lam**2 * _c32(U, i), F1, F2, F3)
+        F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
+        F = (F0 + 3.0 * lam**2 * _c32(U, i).coeffs, F1, F2, F3)
         ux = to_physical(u, g, P4)
-        G = from_physical(sum(to_physical(F[j].coeffs, g, P4) * ux**j
+        G = from_physical(sum(to_physical(F[j], g, P4) * ux**j
                               for j in range(4)), g, P4)
         Bf, Bc2 = physical_blocks(f, g), physical_blocks(c2, g)
         para = combine(Bf, Bc2, g, "lt")

@@ -8,6 +8,5 @@ __version__ = "0.1.0"
 from . import besov, config, diagrams, errors, fourier, gaussian, renorm, solver
 from .errors import (BlowUpSignal, ConfigError, FeasibilityError, GridError,
                      GrowthViolationError, Phi4Error, SymbolError)
-from .fourier import (DispersionQ, FourierField, FrequencyLattice,
-                      apply_semigroup, product, validate_symbol)
+from .fourier import DispersionQ, FrequencyLattice, product, validate_symbol
 from .renorm import Potential, build_renorm, coupling_lambda, sigma2_eps, sigma2_limit

@@ -34,47 +34,31 @@ def _psi(r):
     return 1.0 - _smoothstep((np.asarray(r, dtype=np.float64) - 1.0) * 3.0)
 
 
-class DyadicPartition:
-    """Dyadic partition of unity on frequency space for a given cutoff K."""
-
-    def __init__(self, K):
-        self.K = int(K)
-        # coverage: the partial sums telescope to psi(r / 2^(jmax+1)), which
-        # equals one for r <= 2^(jmax+1); the lattice needs r <= sqrt(3) K.
-        self.jmax = max(0, math.ceil(math.log2(max(math.sqrt(3) * self.K / 2.0,
-                                                   1.0))))
-        self.nblocks = self.jmax + 2  # j = -1 .. jmax
-        self._weights = {}
-
-    def chi_tilde(self, r):
+def chi_j(j, r):
+    """The bump of block j at radius r: chi_tilde(r) = psi(r) for j = -1, else
+    chi(r / 2^j) with the annulus bump chi(r) = psi(r / 2) - psi(r)."""
+    r = np.asarray(r, dtype=np.float64)
+    if j == -1:
         return _psi(r)
-
-    def chi(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        return _psi(r / 2.0) - _psi(r)
-
-    def chi_j(self, j, r):
-        if j == -1:
-            return self.chi_tilde(r)
-        return self.chi(np.asarray(r, dtype=np.float64) / 2.0**j)
-
-    def weights(self, grid):
-        """Block multipliers on the lattice: array (nblocks, n, n, K+1)."""
-        if grid.K not in self._weights:
-            W = np.empty((self.nblocks,) + grid.kabs.shape)
-            for a in range(self.nblocks):
-                W[a] = self.chi_j(a - 1, grid.kabs)
-            self._weights[grid.K] = W
-        return self._weights[grid.K]
+    r = r / 2.0**j
+    return _psi(r / 2.0) - _psi(r)
 
 
-_partitions = {}
+_weights = {}
 
 
-def _partition(grid):
-    if grid.K not in _partitions:
-        _partitions[grid.K] = DyadicPartition(grid.K)
-    return _partitions[grid.K]
+def weights(grid):
+    """Block multipliers chi_j(|k|), j = -1..jmax, on the lattice: array
+    (jmax + 2, n, n, K+1), built once per K.  The partial sums telescope to
+    psi(r / 2^(jmax+1)), one for r <= 2^(jmax+1), and the lattice needs
+    r <= sqrt(3) K."""
+    if grid.K not in _weights:
+        jmax = max(0, math.ceil(math.log2(max(math.sqrt(3) * grid.K / 2.0, 1.0))))
+        W = np.empty((jmax + 2,) + grid.shape)
+        for a in range(jmax + 2):
+            W[a] = chi_j(a - 1, grid.kabs)
+        _weights[grid.K] = W
+    return _weights[grid.K]
 
 
 @dataclass
@@ -88,20 +72,19 @@ class BesovProfile:
         return float(np.max(2.0 ** (alpha * self.j) * self.b))
 
 
-def besov_profile(f):
-    """The sup norm of every block of f, each block transformed into one
-    reused array on the pad_size(2) grid."""
-    grid = f.grid
-    W, P = _partition(grid).weights(grid), grid.pad_size(2)
-    block = np.empty(f.coeffs.shape[:-3] + (P, P, P))
-    b = [np.max(np.abs(to_physical(f.coeffs * w, grid, P, out=block), out=block),
+def besov_profile(f, grid):
+    """The sup norm of every block of the half spectrum f, each block
+    transformed into one reused array on the pad_size(2) grid."""
+    W, P = weights(grid), grid.pad_size(2)
+    block = np.empty(f.shape[:-3] + (P, P, P))
+    b = [np.max(np.abs(to_physical(f * w, grid, P, out=block), out=block),
                 axis=(-3, -2, -1)) for w in W]
     return BesovProfile(j=np.arange(-1, len(W) - 1), b=np.stack(b, axis=-1))
 
 
-def besov_norm(f, alpha):
+def besov_norm(f, grid, alpha):
     """sup_j 2^(alpha j) ||Delta_j f||_inf, L_inf on the padded physical grid."""
-    return besov_profile(f).norm(alpha)
+    return besov_profile(f, grid).norm(alpha)
 
 
 def para_lt(f, g, grid):
@@ -112,7 +95,7 @@ def para_lt(f, g, grid):
     each Delta_j g is transformed when its term is added, so the sum holds
     three (P, P, P) arrays and transforms only the blocks it reads: f's up
     to jmax - 2 and g's from 1 on."""
-    W, P = _partition(grid).weights(grid), grid.pad_size(2)
+    W, P = weights(grid), grid.pad_size(2)
     if len(W) < 3:  # no block of g has a low sum below it
         return np.zeros(f.shape, dtype=np.complex128)
     low = to_physical(f * W[0], grid, P)

@@ -34,8 +34,8 @@ from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
 from .diagrams import mc_moment, stream_limit_upsilon, stream_upsilon
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
-from .fourier import (FourierField, FrequencyLattice, _atomic_open, get_threads,
-                      save_field, set_threads, validate_symbol)
+from .fourier import (FrequencyLattice, _atomic_open, get_threads, save_field,
+                      set_threads, validate_symbol)
 from .renorm import build_renorm, coupling_lambda, sigma2_limit
 from .gaussian import NoiseSeed
 from .solver import SolverConfig, solve, solve_final, y_distance
@@ -212,7 +212,7 @@ def cmd_solve(cfg, out_dir, seed):
                     entry["status"] = "not_converged"
             for tag, final in (("v", v), ("w", w)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
-                save_field(path, FourierField(grid, final[..., : K + 1]))
+                save_field(path, final[..., : K + 1], grid)
                 entry[f"{tag}_snapshot"] = os.path.basename(path)
         except BlowUpSignal as sig:
             entry.update(status="blowup", blowup_time=float(sig.t),

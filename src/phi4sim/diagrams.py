@@ -47,8 +47,7 @@ import numpy as np
 
 from . import renorm
 from .errors import GridError
-from .fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                      from_physical, to_physical)
+from .fourier import DispersionQ, ExponentialQuadrature, from_physical, to_physical
 from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 @dataclass
@@ -78,9 +77,6 @@ class EnhancedNoise:
 
     def slice(self, i):
         return {tag: c[i] for tag, c in self.components.items()}
-
-    def field(self, tag, i):
-        return FourierField(self.grid, self.read(tag, self.slice(i)))
 
     def traj(self, tag):
         return self.read(tag, self.components)
@@ -219,12 +215,14 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
     return phases[::-1]
 
 
-def _build_common(seed, grid, Q, evaluator, t_grid, sample,
-                  burn_in, coarse_dt, fine_window):
-    """Shared burn-in, then the main loop as a generator.  Returns the OU
-    path offset, the coefficients of the noises of degree <= 1 by tag, and the
-    generator of the slices: one dict per time of t_grid of `one`, c30 and the
-    noises of degree >= 2."""
+def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
+                  sample, burn_in, coarse_dt, fine_window):
+    """The shared build: burn-in, then the main loop as a generator.  Returns
+    an EnhancedNoise that stores no trajectory, with the coefficients of the
+    noises of degree <= 1 by tag and `constants` in its provenance, and the
+    generator of the slices: one dict per time of t_grid of `one`, c30 and
+    the noises of degree >= 2."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
     phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
@@ -239,6 +237,9 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
             ens = advance(ens, h, ou_step)
     stored = [m for m in range(3) if len(evaluator.polys[m]) > 2]
     linear = {f"c{m}": evaluator.polys[m] for m in range(3) if m not in stored}
+    prov = dict(master=seed.master, sample=sample, step_offset=ens.step,
+                burn_in=burn_in, coarse_dt=coarse_dt, fine_window=fine_window,
+                **constants)
 
     def slices(ens, I3):
         quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
@@ -250,7 +251,7 @@ def _build_common(seed, grid, Q, evaluator, t_grid, sample,
                 I3 = quad.advance(I3, a3)
                 ens = advance(ens, dt, ou_step)
 
-    return ens.step, linear, slices(ens, I3)
+    return EnhancedNoise(grid, Q, eps, t_grid, {}, k32, linear, prov), slices(ens, I3)
 
 
 def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
@@ -260,14 +261,10 @@ def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
-    step_offset, linear, slices = _build_common(
-        seed, grid, Q, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
-    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                burn_in=burn_in, coarse_dt=coarse_dt,
-                fine_window=fine_window, lam=renorm_set.lam, renorm=renorm_set)
-    U = EnhancedNoise(grid, Q, eps, np.asarray(t_grid, dtype=np.float64), {},
-                      3.0 * renorm_set.C2 + 2.0 * renorm_set.C3, linear, prov)
-    return U, slices
+    return _stream_build(seed, grid, Q, eps, ev, t_grid,
+                         3.0 * renorm_set.C2 + 2.0 * renorm_set.C3,
+                         dict(lam=renorm_set.lam, renorm=renorm_set), sample,
+                         burn_in, coarse_dt, fine_window)
 
 
 def build_upsilon(*args, **kwargs):
@@ -281,17 +278,11 @@ def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     """The standard objects of the eps = 0 limit (Q = z^2) on the lattice,
     with the same noise counters as stream_upsilon, so matched seeds give
     coupled realizations; streamed as stream_upsilon's."""
-    Q0 = DispersionQ.laplacian(0.0)
     c1_std, c2_std = renorm.standard_constants(grid.K)
-    ev = _NoiseEvaluator.standard(grid, c1_std)
-    step_offset, linear, slices = _build_common(
-        seed, grid, Q0, ev, t_grid, sample, burn_in, coarse_dt, fine_window)
-    prov = dict(master=seed.master, sample=sample, step_offset=step_offset,
-                burn_in=burn_in, coarse_dt=coarse_dt,
-                fine_window=fine_window, c1_std=c1_std, c2_std=c2_std)
-    U = EnhancedNoise(grid, Q0, 0.0, np.asarray(t_grid, dtype=np.float64), {},
-                      6.0 * c2_std, linear, prov)
-    return U, slices
+    return _stream_build(seed, grid, DispersionQ.laplacian(0.0), 0.0,
+                         _NoiseEvaluator.standard(grid, c1_std), t_grid,
+                         6.0 * c2_std, dict(c1_std=c1_std, c2_std=c2_std),
+                         sample, burn_in, coarse_dt, fine_window)
 
 
 def build_limit_upsilon(*args, **kwargs):
@@ -309,19 +300,13 @@ def _mode_index(n, k):
     return tuple(int(ki) % n for ki in k)
 
 
-def second_moment_oracle(symbol, k, t_pair, Q, eps, K, V=None, renorm_set=None):
-    """Analytic E[tau-hat(s,k) tau-hat(t,-k)] for the supported symbols.
+def second_moment_oracle(symbol, t_pair, Q, eps, K, V=None, renorm_set=None):
+    """Analytic E[tau-hat(s,k) tau-hat(t,-k)] on the whole mode cube (FFT
+    order), one convolution power per chaos order.
 
     symbol is 'one', ('wick', n), 'c1', 'c2', or 'c30' (equal-time only for
     'c30').
     """
-    cube = _oracle_cube(symbol, t_pair, Q, eps, K, V, renorm_set)
-    return float(cube[_mode_index(len(cube), k)])
-
-
-def _oracle_cube(symbol, t_pair, Q, eps, K, V=None, renorm_set=None):
-    """second_moment_oracle on the whole mode cube (FFT order): one
-    convolution power per chaos order, whatever the number of modes read."""
     if Q.eps != eps:
         Q = Q.with_eps(eps)
     s, t = (t_pair if isinstance(t_pair, (tuple, list)) else (t_pair, t_pair))
@@ -371,13 +356,20 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
               t_pair=None):
     """Monte Carlo estimates of the equal-time second moment at each mode k of
     `modes` vs the oracle, one MomentReport per mode; with t_pair = (s, t), of
-    the free field's covariance at lag t - s.  Each sample is drawn and
-    evaluated once for all the modes, and the oracle cube is built once."""
+    the free field's covariance at lag t - s.  symbol is 'one', ('wick', n),
+    'c1' or 'c2'.  The oracle cube is built, and so the request checked,
+    before the first draw; each sample is drawn and evaluated once for all
+    the modes."""
     if M < 1:
         raise ValueError("need at least one sample")
     if t_pair is not None and symbol != "one":
         raise ValueError(f"a time pair is supported for 'one' only, not {symbol!r}")
+    wick = isinstance(symbol, tuple) and symbol[0] == "wick"
+    if not (wick or symbol in ("one", "c1", "c2")):
+        raise ValueError(f"unsupported symbol {symbol!r}")
     eps = Q.eps
+    cube = second_moment_oracle(symbol, 0.0 if t_pair is None else t_pair, Q,
+                                eps, grid.K, V, renorm_set)
     # k3 < 0 is read at -k: c(k) = conj c(-k), and |c|^2, Re c conj c' are even
     idx = tuple(np.transpose([_mode_index(grid.n, k if k[2] >= 0 else [-ki for ki in k])
                               for k in modes]))
@@ -388,6 +380,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
     else:
         ev = None
         nu = renorm.point_variance(Q, grid.K)
+    if ev is None and symbol in ("c1", "c2"):
+        raise ValueError(f"{symbol!r} is sampled at eps > 0 only")
     vals = np.empty((len(modes), M))
     for m in range(M):
         ens = sample_stationary(seed, grid, Q, sample=m)
@@ -398,18 +392,14 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
             continue
         if symbol == "one":
             a = ens.coeffs
-        elif isinstance(symbol, tuple) and symbol[0] == "wick":
+        elif wick:
             n = int(symbol[1])
             P = grid.pad_size(n)
             x = to_physical(ens.coeffs, grid, P)
             a = from_physical(hermite(n, x, nu), grid, P)
-        elif symbol in ("c1", "c2"):
-            a, = ev.all_noises(ens.coeffs, (1 if symbol == "c1" else 2,))
         else:
-            raise ValueError(f"unsupported symbol {symbol!r}")
+            a, = ev.all_noises(ens.coeffs, (1 if symbol == "c1" else 2,))
         vals[:, m] = np.abs(a[idx]) ** 2
-    cube = _oracle_cube(symbol, 0.0 if t_pair is None else t_pair, Q, eps,
-                        grid.K, V, renorm_set)
     reports = []
     for k, v in zip(modes, vals):
         mean = float(np.mean(v))

@@ -22,8 +22,7 @@ Large passes are cut into blocks fixed by (K, P), which the set_threads
 workers share; numpy's OpenBLAS is held to one thread, because it splits a
 product by its own thread count with other roundings.  So the results are
 bit-identical for any worker count or OPENBLAS_NUM_THREADS, and a batch gives
-the per-slice results bit for bit.  from_physical rejects complex samples and
-a field cannot be scaled by a complex number.
+the per-slice results bit for bit.  from_physical rejects complex samples.
 """
 
 import ctypes
@@ -78,8 +77,8 @@ def get_threads():
 class FrequencyLattice:
     """Symmetric mode cube {-K..K}^3, stored as its k3 >= 0 half.
 
-    Coefficient arrays (and k1, k2, k3, ksq, kabs) have shape `shape` =
-    (n, n, K+1); `freqs` = [0, 1, .., K, -K, .., -1] is the FFT order.
+    Coefficient arrays (and kabs = |k|) have shape `shape` = (n, n, K+1);
+    `freqs` = [0, 1, .., K, -K, .., -1] is the FFT order.
     """
 
     def __init__(self, K):
@@ -88,11 +87,9 @@ class FrequencyLattice:
             raise GridError("cutoff K must be >= 0")
         self.K = K
         self.n = 2 * K + 1
-        freqs = np.concatenate([np.arange(0, K + 1), np.arange(-K, 0)])
-        self.freqs = freqs
-        self.k1, self.k2, self.k3 = np.meshgrid(freqs, freqs, freqs[: K + 1], indexing="ij")
-        self.ksq = (self.k1**2 + self.k2**2 + self.k3**2).astype(np.float64)
-        self.kabs = np.sqrt(self.ksq)
+        self.freqs = freqs = np.concatenate([np.arange(0, K + 1), np.arange(-K, 0)])
+        k1, k2, k3 = np.meshgrid(freqs, freqs, freqs[: K + 1], indexing="ij")
+        self.kabs = np.sqrt((k1**2 + k2**2 + k3**2).astype(np.float64))
         self.shape = self.kabs.shape
 
     def __eq__(self, other):
@@ -123,42 +120,6 @@ def fast_len(n, primes=(2, 3, 5, 7, 11)):
         if r == 1:
             return m
         m += 1
-
-
-@dataclass
-class FourierField:
-    """A real scalar field given by its stored half of Fourier coefficients."""
-
-    grid: FrequencyLattice
-    coeffs: np.ndarray
-
-    def copy(self):
-        return FourierField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        if np.iscomplexobj(scalar):
-            raise TypeError("a real field is scaled by real numbers only")
-        return FourierField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FourierField(self.grid, -self.coeffs)
-
-
-def _check_same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridError("fields live on different lattices")
 
 
 _pair_matrices = {}
@@ -282,13 +243,11 @@ def _half(full, grid, what):
     return full[..., : grid.K + 1]
 
 
-def product(F, G, degree_hint=2):
-    """Alias-free pointwise product projected back to the cube."""
-    _check_same_grid(F, G)
-    g = F.grid
-    P = g.pad_size(degree_hint)
-    return FourierField(g, from_physical(to_physical(F.coeffs, g, P)
-                                         * to_physical(G.coeffs, g, P), g, P))
+def product(f, g, grid, degree=2):
+    """Alias-free pointwise product of two half spectra, projected back to the
+    cube on the pad_size(degree) grid."""
+    P = grid.pad_size(degree)
+    return from_physical(to_physical(f, grid, P) * to_physical(g, grid, P), grid, P)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +263,7 @@ class DispersionQ:
     """
 
     def __init__(self, eval=None, eps=0.0):
-        if eps < 0 or eps > 1:
+        if not 0 <= eps <= 1:  # NaN too
             raise SymbolError("eps must lie in [0, 1]")
         self.eval = eval
         self.eps = float(eps)
@@ -389,14 +348,6 @@ def validate_symbol(Q):
     )
 
 
-def apply_semigroup(F, Q, t):
-    """Multiply each mode by exp(-t * bracket(k)^2)."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    mult = np.exp(-t * Q.bracket_sq_grid(F.grid))
-    return FourierField(F.grid, F.coeffs * mult)
-
-
 class ExponentialQuadrature:
     """One-step exponential (exact-propagator) left-endpoint Duhamel rule.
 
@@ -441,16 +392,18 @@ def _atomic_open(path, mode="w", **kwargs):
 _MAGIC = b"PHI4FLD1"
 
 
-def save_field(path, F):
-    """Write a field snapshot: magic, u32 K, u32 M = 2K+1, u8 flag = 1 (the
-    field is real), then the full cube as (re, im) f64 pairs."""
+def save_field(path, coeffs, grid):
+    """Write the snapshot of a half spectrum: magic, u32 K, u32 M = 2K+1, u8
+    flag = 1 (the field is real), then the full cube as (re, im) f64 pairs."""
     with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIB", F.grid.K, F.grid.n, 1))
-        fh.write(_mirror(F.coeffs, F.grid).astype("<c16").tobytes())
+        fh.write(struct.pack("<IIB", grid.K, grid.n, 1))
+        fh.write(_mirror(coeffs, grid).astype("<c16").tobytes())
 
 
 def load_field(path):
+    """(grid, half spectrum) of a snapshot, its header and Hermitian symmetry
+    checked."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -469,4 +422,4 @@ def load_field(path):
         if fh.read(1):
             raise GridError("snapshot has trailing bytes")
         coeffs = np.frombuffer(payload, dtype="<c16").reshape((grid.n,) * 3)
-    return FourierField(grid, _half(coeffs, grid, "snapshot").copy())
+    return grid, _half(coeffs, grid, "snapshot").copy()

@@ -259,8 +259,8 @@ class EvenOctant:
     Such a field is even in every physical axis too, so the octant fixes it,
     and the size-P DFT restricted to even data is a type-I DCT of length P/2+1.
     Both directions run as three products with the cosine matrices of
-    _cosines, one per axis.  `work`, two flat arrays, holds the unbatched
-    pass arrays when given (a caller's storage, reused across octants).
+    _cosines, one per axis, through two pass arrays: `work`, two flat arrays
+    (a caller's storage, reused across octants), or arrays of their own.
     """
 
     def __init__(self, K, P, work=None):
@@ -269,42 +269,30 @@ class EvenOctant:
         self.K, self.P = K, P
         D, S = _cosines(P)
         self.D, self.S = D[:, : K + 1], S[: K + 1]
-        self._passes = {}
-        if work is not None:
-            self._passes[()] = tuple(map(_view, work, self._pass_shapes()))
-
-    def _pass_shapes(self, batch=()):
-        K, M = self.K, self.P // 2 + 1
-        return batch + ((K + 1) ** 2, M), batch + (K + 1, M, M)
-
-    def _pass_arrays(self, batch=()):
-        """The first two passes' products per batch shape, reused by every
-        call; samples and block (which runs the passes in reverse) share them."""
-        if batch not in self._passes:
-            self._passes[batch] = tuple(map(np.empty, self._pass_shapes(batch)))
-        return self._passes[batch]
+        M = P // 2 + 1
+        shapes = ((K + 1) ** 2, M), (K + 1, M, M)
+        # samples and block (which runs the passes in reverse) share them
+        self.passes = tuple(map(np.empty, shapes)) if work is None else \
+            tuple(map(_view, work, shapes))
 
     def samples(self, spec, out=None):
         """Octant samples of the field whose even, real cube spectrum has the
-        non-negative-frequency block spec[..., :K+1, :K+1, :K+1] (a cube or
-        just that block; batch dims allowed, each slice gets its own bits),
-        written into `out` (C-contiguous) when given."""
+        non-negative-frequency block spec[:K+1, :K+1, :K+1] (a cube or just
+        that block), written into `out` (C-contiguous) when given."""
         K, M, D = self.K, self.P // 2 + 1, self.D
-        x = spec[..., : K + 1, : K + 1, : K + 1]
-        batch = x.shape[:-3]
-        x1, x2 = self._pass_arrays(batch)
+        x1, x2 = self.passes
         # axis -1, then -2, then -3: each pass contracts K+1 nonzeros
-        np.matmul(x.reshape(batch + ((K + 1) ** 2, K + 1)), D.T, out=x1)
-        np.matmul(D, x1.reshape(batch + (K + 1, K + 1, M)), out=x2)
-        out = np.empty(batch + (M, M, M)) if out is None else out
-        np.matmul(D, x2.reshape(batch + (K + 1, M * M)), out=out.reshape(batch + (M, M * M)))
+        np.matmul(spec[: K + 1, : K + 1, : K + 1].reshape((K + 1) ** 2, K + 1), D.T, out=x1)
+        np.matmul(D, x1.reshape(K + 1, K + 1, M), out=x2)
+        out = np.empty((M, M, M)) if out is None else out
+        np.matmul(D, x2.reshape(K + 1, M * M), out=out.reshape(M, M * M))
         return out
 
     def block(self, phys, out=None):
         """Block {0..K}^3 of the cube spectrum of an even field from its octant
         samples, written into `out` (C-contiguous) when given."""
         K, M, S = self.K, self.P // 2 + 1, self.S
-        x2, x1 = self._pass_arrays()
+        x2, x1 = self.passes
         np.matmul(S, phys.reshape(M, M * M), out=x1.reshape(K + 1, M * M))
         np.matmul(S, x1, out=x2.reshape(K + 1, K + 1, M))
         out = np.empty((K + 1,) * 3) if out is None else out
@@ -346,7 +334,7 @@ def _resonance_block(Q, N, K, P):
     acc = np.zeros_like(b)
     h = np.empty(b.size)
     y, yN = (np.empty((P // 2 + 1) ** 3) for _ in range(2))
-    work = [a.ravel() for a in EvenOctant(K, P)._pass_arrays()]  # checks P, too
+    work = [a.ravel() for a in EvenOctant(K, P).passes]  # checks P, too
     Ks = K
     for s, w in zip(nodes, weights):
         n = Ks + 1

@@ -62,8 +62,8 @@ import numpy as np
 
 from .besov import besov_norm, besov_profile, para_lt
 from .errors import BlowUpSignal, GridError
-from .fourier import (ExponentialQuadrature, FourierField, _half, _mirror,
-                      from_physical, product, to_physical)
+from .fourier import (ExponentialQuadrature, _half, _mirror, from_physical,
+                      product, to_physical)
 from .gaussian import ou_increment, ou_transition
 
 
@@ -116,15 +116,16 @@ def coeffs_F(lam, U, s):
     one slice of U's stored noise (U.slice or a streamed build's): projected
     products of c0, c1 and c30 (the module docstring derives them from the
     paper's form)."""
-    c0, c1, c30 = (FourierField(U.grid, U.read(t, s)) for t in ("c0", "c1", "c30"))
-    sq30 = product(c30, c30, 2)
+    g = U.grid
+    c0, c1, c30 = (U.read(t, s) for t in ("c0", "c1", "c30"))
+    sq30 = product(c30, c30, g, 2)
     F3 = -lam * c0
-    F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
-    F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * product(c30, c1, 2)
-    F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * product(sq30, c1, 2)
-    return F0.coeffs, F1.coeffs, F2.coeffs, F3.coeffs
+    F2 = 3.0 * lam**2 * product(c0, c30, g, 2) - 3.0 * lam * c1
+    F1 = (-3.0 * lam**3) * product(c0, sq30, g, 3) \
+        + 6.0 * lam**2 * product(c30, c1, g, 2)
+    F0 = lam**4 * product(c0, product(sq30, c30, g, 3), g, 4) \
+        - 3.0 * lam**3 * product(sq30, c1, g, 2)
+    return F0, F1, F2, F3
 
 
 def _with_F(lam, U, slices):
@@ -274,7 +275,7 @@ def solve_final(config, U, slices, v0, w0, V=None):
 def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha):
     traj = traj[..., : grid.K + 1]  # full cubes -> stored halves
     sel = np.where(t_grid <= T + 1e-12)[0]
-    profiles = [besov_profile(FourierField(grid, traj[i])) for i in sel]
+    profiles = [besov_profile(traj[i], grid) for i in sel]
     kap = np.array([p.norm(kappa) for p in profiles])
     high = np.array([p.norm(high_alpha) for p in profiles])
     t = t_grid[sel]
@@ -300,7 +301,7 @@ def _component_y_norm(grid, traj, t_grid, eps, T, kappa, delta0, high_alpha):
             s, tt = t_grid[i], t_grid[j]
             if s <= 0:
                 continue
-            diff = besov_norm(FourierField(grid, traj[j] - traj[i]), kappa)
+            diff = besov_norm(traj[j] - traj[i], grid, kappa)
             hold = max(hold, s**0.25 * diff / (tt - s) ** 0.125)
     return total + hold
 

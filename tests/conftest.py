@@ -3,26 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from phi4sim.besov import _partition
-from phi4sim.fourier import (FourierField, FrequencyLattice, _check_same_grid,
-                             from_physical, get_threads, product, set_threads,
-                             to_physical)
+from phi4sim.besov import weights
+from phi4sim.fourier import (FrequencyLattice, from_physical, get_threads, product,
+                             set_threads, to_physical)
 from phi4sim.gaussian import gaussian_expectation, polyder
 
 
 def random_hermitian_field(grid, rng, scale=1.0):
-    """Random real-valued band-limited field via its physical samples."""
+    """Half spectrum of a random real-valued band-limited field via its
+    physical samples."""
     samples = rng.standard_normal((grid.n,) * 3) * scale
-    return FourierField(grid, from_physical(samples, grid, grid.n))
+    return from_physical(samples, grid, grid.n)
 
 
 def delta_field(grid, k, amplitude=1.0):
-    """The real field with mode k plus its conjugate at -k (so k = 0 gets
-    twice the amplitude)."""
+    """Half spectrum of the real field with mode k plus its conjugate at -k
+    (so k = 0 gets twice the amplitude)."""
     c = np.zeros((grid.n,) * 3, dtype=np.complex128)
     c[tuple(int(ki) % grid.n for ki in k)] = amplitude
     c[tuple(-int(ki) % grid.n for ki in k)] += np.conj(amplitude)
-    return FourierField(grid, c[..., : grid.K + 1].copy())
+    return c[..., : grid.K + 1].copy()
 
 
 def reflected(c):
@@ -61,7 +61,7 @@ def physical_blocks(coeffs, grid):
     """Real samples of every block of a field, given by its coefficient array
     (batch dims allowed), on the pad_size(2) grid: shape (..., nblocks, P, P, P),
     transformed one block at a time."""
-    W, P = _partition(grid).weights(grid), grid.pad_size(2)
+    W, P = weights(grid), grid.pad_size(2)
     out = np.empty(coeffs.shape[:-3] + (len(W), P, P, P))
     for a in range(len(W)):
         to_physical(coeffs * W[a], grid, P, out=out[..., a, :, :, :])
@@ -92,27 +92,23 @@ def combine(Bf, Bg, grid, mode):
     return from_physical(acc, grid, P)
 
 
-def _paraproduct(f, g, mode):
-    _check_same_grid(f, g)
-    grid = f.grid
-    return FourierField(grid, combine(physical_blocks(f.coeffs, grid),
-                                      physical_blocks(g.coeffs, grid), grid, mode))
+def _paraproduct(f, g, grid, mode):
+    return combine(physical_blocks(f, grid), physical_blocks(g, grid), grid, mode)
 
 
-def lt(f, g):
-    """Low-high paraproduct f < g of two fields, from block stacks."""
-    return _paraproduct(f, g, "lt")
+def lt(f, g, grid):
+    """Low-high paraproduct f < g of two half spectra, from block stacks."""
+    return _paraproduct(f, g, grid, "lt")
 
 
-def resonance(f, g):
+def resonance(f, g, grid):
     """Resonance product f o g = sum_{|i-j|<=1} Delta_i f Delta_j g."""
-    return _paraproduct(f, g, "res")
+    return _paraproduct(f, g, grid, "res")
 
 
-def commutator_com(f, g, h):
+def commutator_com(f, g, h, grid):
     """Com(f; g; h) = (f < g) o h - f (g o h)."""
-    _check_same_grid(f, g, h)
-    return resonance(lt(f, g), h) - product(f, resonance(g, h), 2)
+    return resonance(lt(f, g, grid), h, grid) - product(f, resonance(g, h, grid), grid, 2)
 
 
 @pytest.fixture

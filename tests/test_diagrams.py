@@ -122,7 +122,7 @@ def test_noises_of_degree_at_most_one_are_formed_on_read(build):
         want = ev.all_noises(U.traj("one")[i])
         for tag, c in zip(("c0", "c1", "c2"), want):
             assert np.array_equal(U.traj(tag)[i].view(np.int64), c.view(np.int64))
-            assert np.array_equal(U.field(tag, i).coeffs.view(np.int64),
+            assert np.array_equal(U.read(tag, U.slice(i)).view(np.int64),
                                   c.view(np.int64))
 
 
@@ -263,15 +263,15 @@ def test_oracle_free_field_equal_time():
     bsq = Q.bracket_sq_grid(g)
     for k in ((0, 0, 0), (1, 0, 0), (2, 1, 0)):
         want = 0.5 / bsq[tuple(np.array(k) % g.n)]
-        got = second_moment_oracle("one", k, 0.0, Q, EPS, KCUT)
+        got = second_moment_oracle("one", 0.0, Q, EPS, KCUT)[tuple(np.array(k) % g.n)]
         assert abs(got - want) < 1e-14
 
 
 def test_oracle_free_field_temporal_decay():
     Q = DispersionQ.quartic(EPS, nu=1.0)
     b2 = Q.bracket_sq(1.0)
-    eq = second_moment_oracle("one", (1, 0, 0), (0.0, 0.0), Q, EPS, KCUT)
-    lag = second_moment_oracle("one", (1, 0, 0), (0.0, 0.3), Q, EPS, KCUT)
+    eq = second_moment_oracle("one", (0.0, 0.0), Q, EPS, KCUT)[1, 0, 0]
+    lag = second_moment_oracle("one", (0.0, 0.3), Q, EPS, KCUT)[1, 0, 0]
     assert abs(lag - eq * np.exp(-0.3 * b2)) < 1e-14
 
 
@@ -287,7 +287,7 @@ def test_oracle_wick_square_is_pair_convolution():
         for j in range(b.size):
             if tuple(kv[i] + kv[j]) == (1, 0, 0):
                 want += 2.0 * (0.5 / b[i]) * (0.5 / b[j])
-    got = second_moment_oracle(("wick", 2), (1, 0, 0), 0.0, Q, EPS, 1)
+    got = second_moment_oracle(("wick", 2), 0.0, Q, EPS, 1)[1, 0, 0]
     assert abs(got - want) / want < 1e-12
 
 
@@ -314,8 +314,7 @@ def test_mc_moment_temporal_pair():
     rep, = mc_moment("one", [(1, 0, 0)], 400, NoiseSeed(23), g, Q,
                      t_pair=(0.0, 0.1))
     assert abs(rep.z) < 4.0
-    assert rep.oracle < second_moment_oracle("one", (1, 0, 0), 0.0, Q, EPS,
-                                             KCUT)
+    assert rep.oracle < second_moment_oracle("one", 0.0, Q, EPS, KCUT)[1, 0, 0]
 
 
 @pytest.mark.parametrize("t_pair", [None, (0.0, 0.1)])
@@ -337,8 +336,8 @@ def test_mc_moment_of_several_modes_is_that_of_each_mode(symbol):
     for k, rep in zip(modes, both):
         one, = mc_moment(symbol, [k], 20, NoiseSeed(25), g, Q, V=V, renorm_set=rs)
         assert rep == one and rep.k == k
-        assert rep.oracle == second_moment_oracle(symbol, k, 0.0, Q, EPS, KCUT,
-                                                  V, rs)
+        cube = second_moment_oracle(symbol, 0.0, Q, EPS, KCUT, V, rs)
+        assert rep.oracle == cube[tuple(np.array(k) % g.n)]
 
 
 @pytest.mark.parametrize("symbol", [("wick", 2), "c1", "c2"],
@@ -349,6 +348,27 @@ def test_mc_moment_rejects_a_time_pair_for_any_symbol_but_the_free_field(symbol)
     with pytest.raises(ValueError, match="time pair"):
         mc_moment(symbol, [(1, 0, 0)], 4, NoiseSeed(26), g, Q, V=V,
                   renorm_set=rs, t_pair=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("symbol, with_potential, eps, match", [
+    ("c1", False, EPS, "need V and renorm_set"), ("c2", False, EPS, "need V and renorm_set"),
+    ("c1", True, 0.0, "eps > 0"), ("c30", True, EPS, "unsupported symbol"),
+    ("two", True, EPS, "unsupported symbol")])
+def test_mc_moment_rejects_a_bad_request_before_the_first_draw(
+        symbol, with_potential, eps, match, monkeypatch):
+    # a polynomial noise without V and renorm_set or at eps = 0, or a symbol
+    # it cannot sample (c30 has an oracle, but no sampler), fails before any
+    # sample
+    Q, V, rs, g, _ = _small_setup()
+    Q = Q.with_eps(eps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_moment drew a sample")
+
+    monkeypatch.setattr(diagrams, "sample_stationary", refuse)
+    kw = dict(V=V, renorm_set=rs) if with_potential else {}
+    with pytest.raises(ValueError, match=match):
+        mc_moment(symbol, [(1, 0, 0)], 4, NoiseSeed(27), g, Q, **kw)
 
 
 def test_mc_moment_rejects_zero_samples():

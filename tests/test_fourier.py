@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from phi4sim import fourier
 from phi4sim.errors import GridError, SymbolError
-from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, _mirror, apply_semigroup,
-                             from_physical, get_threads, load_field, product,
-                             save_field, set_threads, to_physical,
+from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FrequencyLattice,
+                             _mirror, from_physical, get_threads, load_field,
+                             product, save_field, set_threads, to_physical,
                              validate_symbol)
 from conftest import (delta_field, hermitian_defect, random_hermitian_field,
                       reflected)
@@ -26,11 +25,12 @@ def test_lattice_shapes_and_frequencies():
     g = FrequencyLattice(3)
     assert g.n == 7
     assert list(g.freqs) == [0, 1, 2, 3, -3, -2, -1]
-    assert g.ksq[0, 0, 0] == 0
-    assert g.ksq[1, 0, 0] == 1
-    assert g.ksq[-1, 0, 0] == 1
+    ksq = g.kabs**2
+    assert ksq[0, 0, 0] == 0
+    assert ksq[1, 0, 0] == 1
+    assert ksq[-1, 0, 0] == 1
     assert g.shape == g.kabs.shape == (7, 7, 4)
-    assert list(g.k3[0, 0]) == [0, 1, 2, 3]
+    assert list(g.kabs[0, 0]) == [0, 1, 2, 3]  # |k| = k3 on the k3 axis
 
 
 def test_lattice_rejects_bad_sizes():
@@ -55,15 +55,15 @@ def test_forward_inverse_round_trip(K, seed):
     g = FrequencyLattice(K)
     rng = np.random.default_rng(seed)
     f = random_hermitian_field(g, rng)
-    again = from_physical(to_physical(f.coeffs, g, g.n), g, g.n)
-    assert np.max(np.abs(again - f.coeffs)) < 1e-12
+    again = from_physical(to_physical(f, g, g.n), g, g.n)
+    assert np.max(np.abs(again - f)) < 1e-12
 
 
 def test_forward_of_real_samples_is_hermitian(rng):
     g = FrequencyLattice(3)
     f = random_hermitian_field(g, rng)
-    assert f.coeffs.shape == g.shape
-    assert hermitian_defect(_mirror(f.coeffs, g)) < 1e-12
+    assert f.shape == g.shape
+    assert hermitian_defect(_mirror(f, g)) < 1e-12
 
 
 def _mirror_as_before(h, g):
@@ -160,7 +160,7 @@ def test_pruned_pair_matches_full_grid_transforms(K, degree, batch, seed):
 _BLAS_RUN = """
 import hashlib
 import numpy as np
-from phi4sim.fourier import FourierField, FrequencyLattice, from_physical, product, to_physical
+from phi4sim.fourier import FrequencyLattice, from_physical, product, to_physical
 rng = np.random.default_rng(7)
 h = hashlib.sha256()
 for K, degree in ((2, 2), (8, 2), (8, 3), (8, 4), (24, 5), (40, 2)):
@@ -168,8 +168,7 @@ for K, degree in ((2, 2), (8, 2), (8, 3), (8, 4), (24, 5), (40, 2)):
     P = g.pad_size(degree)
     f = rng.standard_normal((3, P, P, P))
     c = from_physical(f, g, P)
-    F, G = FourierField(g, c[0]), FourierField(g, c[1])
-    for a in (c, to_physical(c, g, P), product(F, G, degree).coeffs):
+    for a in (c, to_physical(c, g, P), product(c[0], c[1], g, degree)):
         h.update(np.ascontiguousarray(a).tobytes())
 print(h.hexdigest())
 """
@@ -242,11 +241,11 @@ def test_pruned_pair_round_trips_without_padding(K, rng):
 # products
 
 
-def _direct_convolution(F, G):
-    """O(n^6) reference convolution projected to the full cube."""
-    g = F.grid
+def _direct_convolution(F, G, g):
+    """O(n^6) reference convolution of two half spectra projected to the full
+    cube."""
     K, n = g.K, g.n
-    Fc, Gc = _mirror(F.coeffs, g), _mirror(G.coeffs, g)
+    Fc, Gc = _mirror(F, g), _mirror(G, g)
     out = np.zeros((n, n, n), dtype=np.complex128)
     rng = range(-K, K + 1)
     for a1 in rng:
@@ -270,8 +269,8 @@ def test_product_matches_direct_convolution(rng):
     g = FrequencyLattice(2)
     F = random_hermitian_field(g, rng)
     G = random_hermitian_field(g, rng)
-    got = _mirror(product(F, G).coeffs, g)
-    want = _direct_convolution(F, G)
+    got = _mirror(product(F, G, g), g)
+    want = _direct_convolution(F, G, g)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -279,7 +278,7 @@ def test_product_of_single_modes_adds_frequencies():
     g = FrequencyLattice(3)
     f = delta_field(g, (1, 0, 2))
     h = delta_field(g, (2, -1, 0))
-    p = _mirror(product(f, h).coeffs, g)
+    p = _mirror(product(f, h, g), g)
     # (e_a + e_-a)(e_b + e_-b) has the four modes +-a +-b
     sums = [(3, -1, 2), (-1, 1, 2), (1, -1, -2), (-3, 1, -2)]
     for k in sums:
@@ -290,7 +289,7 @@ def test_product_of_single_modes_adds_frequencies():
 def test_product_outside_cube_is_projected_away():
     g = FrequencyLattice(2)
     f = delta_field(g, (2, 0, 0))
-    p = product(f, f).coeffs  # modes +-4 exceed the cutoff, 2 e_0 survives
+    p = product(f, f, g)  # modes +-4 exceed the cutoff, 2 e_0 survives
     assert abs(p[0, 0, 0] - 2.0) < 1e-14
     p[0, 0, 0] = 0.0
     assert np.max(np.abs(p)) < 1e-14
@@ -300,16 +299,16 @@ def test_no_aliasing_in_cubic_power(rng):
     g = FrequencyLattice(2)
     F = random_hermitian_field(g, rng)
     P = g.pad_size(3)
-    cube = _mirror(from_physical(to_physical(F.coeffs, g, P)**3, g, P), g)
+    cube = _mirror(from_physical(to_physical(F, g, P)**3, g, P), g)
     # compare against pairwise convolution done fully alias-free at degree 3
-    want = _direct_convolution_3(F)
+    want = _direct_convolution_3(F, g)
     assert np.max(np.abs(cube - want)) < 1e-11
 
 
 def test_to_physical_rejects_a_full_cube(rng):
     # a full cube's k3 < 0 columns would be read as k3 > K without the check
     g = FrequencyLattice(2)
-    full = _mirror(random_hermitian_field(g, rng).coeffs, g)
+    full = _mirror(random_hermitian_field(g, rng), g)
     with pytest.raises(GridError, match="half spectrum"):
         to_physical(full, g, g.pad_size(2))
 
@@ -320,27 +319,16 @@ def test_from_physical_rejects_complex_samples():
         from_physical(np.ones((g.n,) * 3) * 1j, g, g.n)
 
 
-def test_field_rejects_complex_scale(rng):
-    F = random_hermitian_field(FrequencyLattice(2), rng)
-    for scale in (1j, np.complex128(2.0)):
-        with pytest.raises(TypeError):
-            F * scale
-        with pytest.raises(TypeError):
-            scale * F
-
-
-def _direct_convolution_3(F):
-    g = F.grid
+def _direct_convolution_3(F, g):
     big = FrequencyLattice(2 * g.K)
     K = g.K
     idx = np.concatenate([np.arange(0, K + 1), np.arange(big.n - K, big.n)])
     cube = np.ix_(idx, idx, idx)
     c = np.zeros((big.n,) * 3, dtype=np.complex128)
-    c[cube] = _mirror(F.coeffs, g)
-    Fb = FourierField(big, c[..., : big.K + 1])
-    sq_full = _direct_convolution(Fb, Fb)  # cube 2K holds the full square
-    out_big = _direct_convolution(FourierField(big, sq_full[..., : big.K + 1]),
-                                  Fb)
+    c[cube] = _mirror(F, g)
+    Fb = c[..., : big.K + 1]
+    sq_full = _direct_convolution(Fb, Fb, big)  # cube 2K holds the full square
+    out_big = _direct_convolution(sq_full[..., : big.K + 1], Fb, big)
     return out_big[cube]
 
 
@@ -362,6 +350,12 @@ def test_bracket_positive_eps_formula():
     z = 2 * np.pi * eps * k
     want = 1 + (z**2 + nu * z**4) / eps**2
     assert abs(Q.bracket_sq(k) - want) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+def test_symbol_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(SymbolError, match=r"\[0, 1\]"):
+        DispersionQ.quartic(eps)
 
 
 def test_negative_symbol_rejected():
@@ -387,25 +381,6 @@ def test_validate_symbol_flags_insufficient_growth():
 
 # ---------------------------------------------------------------------------
 # semigroup and quadrature
-
-
-@given(t=st.floats(0.0, 2.0), s=st.floats(0.0, 2.0), seed=st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_semigroup_property(t, s, seed):
-    g = FrequencyLattice(3)
-    rng = np.random.default_rng(seed)
-    f = random_hermitian_field(g, rng)
-    Q = DispersionQ.quartic(0.2, nu=1.0)
-    once = apply_semigroup(f, Q, t + s)
-    twice = apply_semigroup(apply_semigroup(f, Q, t), Q, s)
-    assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-12
-
-
-def test_semigroup_at_zero_is_identity(rng):
-    g = FrequencyLattice(3)
-    f = random_hermitian_field(g, rng)
-    out = apply_semigroup(f, DispersionQ.laplacian(0.0), 0.0)
-    assert np.array_equal(out.coeffs, f.coeffs)
 
 
 def test_exponential_quadrature_exact_for_constant_forcing():
@@ -438,10 +413,10 @@ def test_snapshot_round_trip(tmp_path, rng):
     g = FrequencyLattice(3)
     f = random_hermitian_field(g, rng)
     path = tmp_path / "field.fld"
-    save_field(path, f)
-    back = load_field(path)
-    assert back.grid == g
-    assert np.array_equal(back.coeffs, f.coeffs)
+    save_field(path, f, g)
+    grid, back = load_field(path)
+    assert grid == g
+    assert np.array_equal(back, f)
 
 
 def test_snapshot_holds_the_full_cube(tmp_path, rng):
@@ -449,18 +424,17 @@ def test_snapshot_holds_the_full_cube(tmp_path, rng):
     g = FrequencyLattice(2)
     f = random_hermitian_field(g, rng)
     path = tmp_path / "field.fld"
-    save_field(path, f)
+    save_field(path, f, g)
     raw = np.frombuffer(path.read_bytes()[17:], dtype="<f8")
-    assert np.array_equal(raw[0::2] + 1j * raw[1::2],
-                          _mirror(f.coeffs, g).ravel())
+    assert np.array_equal(raw[0::2] + 1j * raw[1::2], _mirror(f, g).ravel())
 
 
 @pytest.mark.parametrize("offset, value", [(12, b"\x09"), (16, b"\x00")],
                          ids=["M", "flag"])
 def test_snapshot_rejects_header_of_no_real_cube(tmp_path, rng, offset, value):
     # bytes 12..15 hold M (must be 2K+1), byte 16 the flag (must be 1)
-    path = tmp_path / "field.fld"
-    save_field(path, random_hermitian_field(FrequencyLattice(2), rng))
+    path, g = tmp_path / "field.fld", FrequencyLattice(2)
+    save_field(path, random_hermitian_field(g, rng), g)
     data = bytearray(path.read_bytes())
     data[offset:offset + 1] = value
     path.write_bytes(bytes(data))
@@ -479,7 +453,7 @@ def test_snapshot_rejects_truncation(tmp_path, rng):
     g = FrequencyLattice(2)
     f = random_hermitian_field(g, rng)
     path = tmp_path / "trunc.fld"
-    save_field(path, f)
+    save_field(path, f, g)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(GridError):
@@ -496,7 +470,7 @@ def test_snapshot_rejects_truncated_header(tmp_path):
 def test_snapshot_rejects_trailing_bytes(tmp_path, rng):
     g = FrequencyLattice(2)
     path = tmp_path / "long.fld"
-    save_field(path, random_hermitian_field(g, rng))
+    save_field(path, random_hermitian_field(g, rng), g)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(GridError):
         load_field(path)
@@ -505,8 +479,8 @@ def test_snapshot_rejects_trailing_bytes(tmp_path, rng):
 def test_snapshot_rejects_a_cube_of_no_real_field(tmp_path, rng):
     # a valid header over a random complex cube: its k3 < 0 half is not the
     # conjugate mirror of the stored half, so no real field has this spectrum
-    path = tmp_path / "complex.fld"
-    save_field(path, random_hermitian_field(FrequencyLattice(2), rng))
+    path, g = tmp_path / "complex.fld", FrequencyLattice(2)
+    save_field(path, random_hermitian_field(g, rng), g)
     data = path.read_bytes()
     c = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
     path.write_bytes(data[:17] + c.astype("<c16").tobytes())
@@ -529,8 +503,8 @@ def test_results_independent_of_thread_count(rng):
         sys.setswitchinterval(1e-6)
         for n in (1, 8):
             set_threads(n)
-            runs.append((product(F, G, 5).coeffs, from_physical(f, g, P),
-                         to_physical(F.coeffs, g, P)))
+            runs.append((product(F, G, g, 5), from_physical(f, g, P),
+                         to_physical(F, g, P)))
     finally:
         set_threads(before)
         sys.setswitchinterval(interval)

@@ -165,14 +165,6 @@ def test_gaussian_expectation_moments():
     assert gaussian_expectation(np.array([0, 1.0]), s2) == 0.0  # odd
 
 
-def test_gaussian_expectation_callable_agrees_with_polynomial():
-    s2 = 0.9
-    c = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-    poly = lambda x: np.polynomial.polynomial.polyval(x, c)
-    exact = gaussian_expectation(c, s2)
-    assert abs(gaussian_expectation(poly, s2) - exact) < 1e-10
-
-
 def test_gaussian_expectation_rejects_negative_variance():
     with pytest.raises(ValueError):
         gaussian_expectation(np.array([1.0]), -1.0)

@@ -15,7 +15,7 @@ from phi4sim import cli, fourier
 from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
 from phi4sim.errors import BlowUpSignal
-from phi4sim.fourier import FourierField, load_field, save_field
+from phi4sim.fourier import load_field, save_field
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import build_renorm
 from phi4sim.solver import y_distance
@@ -312,8 +312,8 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
     run = manifest["runs"][0]
     assert run["status"] == "ok" and run["eps"] == 0.4 and run["K"] == 2
     for tag in ("v", "w"):
-        f = load_field(out / run[f"{tag}_snapshot"])
-        assert f.grid.K == 2
+        grid, _ = load_field(out / run[f"{tag}_snapshot"])
+        assert grid.K == 2
     assert load_config(out / "config.yaml") is not None
 
 
@@ -336,7 +336,7 @@ def test_cli_solve_snapshots_are_the_collected_solve_s_last_slice(tmp_path, eps,
                                     cfg.make_potential())
     for tag, traj in (("v", pair.v_traj), ("w", pair.w_traj)):
         want = tmp_path / f"{tag}.fld"
-        save_field(want, FourierField(grid, traj[-1][..., :3]))
+        save_field(want, traj[-1][..., :3], grid)
         assert (out / run[f"{tag}_snapshot"]).read_bytes() == want.read_bytes()
 
 
@@ -501,8 +501,9 @@ def _interrupt_manifest(monkeypatch, out):
 
 
 def _interrupt_snapshot(monkeypatch, out):
-    F = delta_field(fourier.FrequencyLattice(1), (1, 0, 0))
-    write = lambda: fourier.save_field(out / "f.fld", F)
+    g = fourier.FrequencyLattice(1)
+    F = delta_field(g, (1, 0, 0))
+    write = lambda: fourier.save_field(out / "f.fld", F, g)
     write()
     # the magic is written by the time the header is packed
     monkeypatch.setattr(fourier, "struct", SimpleNamespace(pack=_disk_full))

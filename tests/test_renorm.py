@@ -258,15 +258,6 @@ def test_octant_products_match_the_type1_dct(K, P):
     assert np.max(np.abs(_unfold(octant.block(phys)) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("K,P", [(8, 18), (40, 90)])
-def test_octant_batch_gives_each_slice_bit_for_bit(K, P):
-    octant = EvenOctant(K, P)
-    u, v = np.random.default_rng(K).uniform(-1.0, 1.0, (2,) + (K + 1,) * 3)
-    both = octant.samples(np.stack([u, v]))
-    assert np.array_equal(both[0], octant.samples(u))
-    assert np.array_equal(both[1], octant.samples(v))
-
-
 def test_octant_sums_make_no_scipy_transform(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("renorm called a scipy.fft transform")

@@ -13,9 +13,8 @@ from phi4sim import besov, fourier, solver
 from phi4sim.config import load_config
 from phi4sim.diagrams import build_limit_upsilon, build_upsilon, stream_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
-from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FourierField,
-                             FrequencyLattice, _mirror, from_physical, product,
-                             to_physical)
+from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FrequencyLattice,
+                             _mirror, from_physical, product, to_physical)
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
@@ -94,14 +93,14 @@ def test_taylor_remainder_sextic_closed_form(rng):
 def _plus_constant(F, c):
     """F + c for a spatial constant c: a shift of the zero mode."""
     out = F.copy()
-    out.coeffs[..., 0, 0, 0] += c
+    out[..., 0, 0, 0] += c
     return out
 
 
 def _c32(U, i):
     """The paper's renormalised resonance c32 = c30 o c2 - k32 X."""
-    return resonance(U.field("c30", i), U.field("c2", i)) \
-        - U.k32 * U.field("one", i)
+    s = U.slice(i)
+    return resonance(U.read("c30", s), U.read("c2", s), U.grid) - U.k32 * U.read("one", s)
 
 
 def _coeffs_F_paper(lam, U, i, k31):
@@ -110,18 +109,19 @@ def _coeffs_F_paper(lam, U, i, k31):
     c22 terms of that form are left out: they cancel exactly against the
     step's -9 lam^2 f (c2 o c20), which the reconstruction tests check end to
     end."""
-    c0, c1, c30 = (U.field(t, i) for t in ("c0", "c1", "c30"))
-    c31 = _plus_constant(resonance(c30, c1), -k31)
+    g = U.grid
+    c0, c1, c30 = (U.read(t, U.slice(i)) for t in ("c0", "c1", "c30"))
+    c31 = _plus_constant(resonance(c30, c1, g), -k31)
     F3 = -lam * c0
-    F2 = 3.0 * lam**2 * product(c0, c30, 2) - 3.0 * lam * c1
-    sq30 = product(c30, c30, 2)
-    F1 = (-3.0 * lam**3) * product(c0, sq30, 3) \
-        + 6.0 * lam**2 * (lt(c30, c1) + lt(c1, c30) + c31)
-    F0 = lam**4 * product(c0, product(sq30, c30, 3), 4) \
-        - 3.0 * lam**3 * (lt(sq30, c1) + lt(c1, sq30)
-                          + resonance(resonance(c30, c30), c1)
-                          + 2.0 * product(c31, c30, 2)
-                          + 2.0 * commutator_com(c30, c30, c1)) \
+    F2 = 3.0 * lam**2 * product(c0, c30, g, 2) - 3.0 * lam * c1
+    sq30 = product(c30, c30, g, 2)
+    F1 = (-3.0 * lam**3) * product(c0, sq30, g, 3) \
+        + 6.0 * lam**2 * (lt(c30, c1, g) + lt(c1, c30, g) + c31)
+    F0 = lam**4 * product(c0, product(sq30, c30, g, 3), g, 4) \
+        - 3.0 * lam**3 * (lt(sq30, c1, g) + lt(c1, sq30, g)
+                          + resonance(resonance(c30, c30, g), c1, g)
+                          + 2.0 * product(c31, c30, g, 2)
+                          + 2.0 * commutator_com(c30, c30, c1, g)) \
         + 3.0 * lam**2 * _c32(U, i)
     return F0, F1, F2, F3
 
@@ -142,13 +142,13 @@ def test_coefficient_fields_match_the_paraproduct_form():
                           burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
         lam, k31 = rs.lam, rs.C3
         for i in (0, len(U.t_grid) - 1, slice(2, 5)):
-            F0, F1, F2, F3 = (FourierField(g, c) for c in coeffs_F(lam, U, U.slice(i)))
-            with_mass = (F0 + 6.0 * lam**3 * k31 * U.field("c30", i)
+            F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
+            with_mass = (F0 + 6.0 * lam**3 * k31 * U.read("c30", U.slice(i))
                          + 3.0 * lam**2 * _c32(U, i),
                          _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
             for got, want in zip(with_mass, _coeffs_F_paper(lam, U, i, k31)):
-                scale = np.max(np.abs(want.coeffs))
-                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_coefficient_fields_decompose_no_field(monkeypatch):
@@ -174,8 +174,8 @@ def test_coefficient_fields_decompose_no_field(monkeypatch):
 def test_zero_coupling_is_exact_linear_decay(rng):
     Q, V, rs, g, U, _ = _setup(lam=0.0)
     cfg = SolverConfig(eps=EPS, lam=0.0, dt=DT, T=T, K=K)
-    v0 = random_hermitian_field(g, rng).coeffs
-    w0 = random_hermitian_field(g, rng).coeffs
+    v0 = random_hermitian_field(g, rng)
+    w0 = random_hermitian_field(g, rng)
     P = solve(cfg, U, _mirror(v0, g), _mirror(w0, g))
     decay = ExponentialQuadrature(g, Q, DT).decay
     for i in range(len(P.t_grid)):
@@ -276,7 +276,7 @@ def _march_paper(cfg, U, v0, w0, V):
         u = v + w
         f = u - lam * U.traj("c30")[i]
         F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
-        F = (F0 + 3.0 * lam**2 * _c32(U, i).coeffs, F1, F2, F3)
+        F = (F0 + 3.0 * lam**2 * _c32(U, i), F1, F2, F3)
         ux = to_physical(u, g, P4)
         G = from_physical(sum(to_physical(F[j], g, P4) * ux**j
                               for j in range(4)), g, P4)
@@ -323,8 +323,8 @@ def test_solve_matches_the_paper_step(case, rng):
     cfg = SolverConfig(eps=eps, lam=lam, dt=dt, T=n * dt, K=K)
     v0 = w0 = np.zeros(g.shape, dtype=np.complex128)
     if sextic:
-        v0 = random_hermitian_field(g, rng, 0.5).coeffs
-        w0 = random_hermitian_field(g, rng, 0.1).coeffs
+        v0 = random_hermitian_field(g, rng, 0.5)
+        w0 = random_hermitian_field(g, rng, 0.1)
     P = solve(cfg, U, _mirror(v0, g), _mirror(w0, g), V=V)
     v, w = _march_paper(cfg, U, v0, w0, V)
     for got, want in ((P.v_traj, v), (P.w_traj, w)):
@@ -347,7 +347,7 @@ _THREADS_RUN = """
 import hashlib
 import numpy as np
 from phi4sim.diagrams import build_upsilon
-from phi4sim.fourier import DispersionQ, FourierField, FrequencyLattice, product
+from phi4sim.fourier import DispersionQ, FrequencyLattice, product
 from phi4sim.gaussian import NoiseSeed
 from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import SolverConfig, solve
@@ -357,9 +357,9 @@ U = build_upsilon(NoiseSeed(3), g, Q, V, 0.3, np.arange(3) * 1e-3, rs,
                   burn_in=0.004, coarse_dt=0.02, fine_window=0.002)
 z = np.zeros((g.n,) * 3, dtype=np.complex128)
 run = solve(SolverConfig(eps=0.3, lam=rs.lam, dt=1e-3, T=2e-3, K=24), U, z, z, V=V)
-F = FourierField(g, U.traj("one")[-1])
+F = U.traj("one")[-1]
 h = hashlib.sha256()
-for a in (run.v_traj, run.w_traj, product(F, F, 5).coeffs):
+for a in (run.v_traj, run.w_traj, product(F, F, g, 5)):
     h.update(np.ascontiguousarray(a).tobytes())
 print(h.hexdigest())
 """
@@ -486,7 +486,7 @@ def test_y_norm_monotone_in_horizon():
     g = FrequencyLattice(2)
     t_grid = np.arange(11) * 0.01
     rng = np.random.default_rng(5)
-    v = _mirror(np.stack([random_hermitian_field(g, rng).coeffs
+    v = _mirror(np.stack([random_hermitian_field(g, rng)
                           for _ in range(11)]), g)
     P = RemainderPair(t_grid=t_grid, v_traj=v, w_traj=np.zeros_like(v))
     assert y_norm(P, 0.0, 0.1, grid=g) >= y_norm(P, 0.0, 0.03, grid=g) - 1e-12

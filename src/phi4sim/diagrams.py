@@ -23,12 +23,12 @@ t = 0 (run resolution adjacent to the main window), so the discrete Duhamel
 recursion on t >= 0 is at the run resolution at logarithmic burn-in cost.
 
 The main loop yields one slice per time of the grid: `one`, c30 and the
-noises of degree >= 2 in X.  A noise of degree <= 1 (c0 and c1 at the quartic
-and in the limit) is stored nowhere; `EnhancedNoise` forms it on read from
-`one`.  `build_upsilon` and `build_limit_upsilon` collect the slices into
-trajectories; `stream_upsilon` and `stream_limit_upsilon` hand them out one
-at a time, so a sequential solve can consume the build and keep no
-trajectory.
+noises of degree >= 2 in X.  Only `one` and c30 carry history: c0, c1 and c2
+are polynomials in X at the same time, so `EnhancedNoise` stores none of
+them and forms every one on read from `one`.  `build_upsilon` and
+`build_limit_upsilon` collect `one` and c30 into trajectories;
+`stream_upsilon` and `stream_limit_upsilon` hand out whole slices one at a
+time, so a sequential solve can consume the build and keep no trajectory.
 
 Each noise field is worked once per step: c0..c3 are polynomials in the free
 field X.  Their terms of degree <= 1 (-C1 in c2, -3 C1 X in c3, and all of a
@@ -52,13 +52,13 @@ from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 @dataclass
 class EnhancedNoise:
-    """Time-indexed component fields of one enhanced-noise realization and
-    the counterterm k32 of the remainder step's mass term.
+    """Time-indexed fields of one enhanced-noise realization and the
+    counterterm k32 of the remainder step's mass term.
 
-    `components` holds the trajectories of `one`, c30 and the noises of
-    degree >= 2 in the free field (empty while the build is streamed).  A
-    noise of degree <= 1 is read as linear[tag][1] * one + linear[tag][0],
-    formed with `all_noises`' operations."""
+    `components` holds the trajectories of the fields with history, `one`
+    and c30 (empty while the build is streamed).  Every noise c0, c1, c2 is
+    formed on read from `one` by `all_noises` with the build's polynomials
+    `polys` (c0..c3) and pad, so it is bit for bit the build's value."""
 
     grid: object
     Q: object
@@ -66,30 +66,37 @@ class EnhancedNoise:
     t_grid: np.ndarray
     components: dict
     k32: float
-    linear: dict = field(default_factory=dict)
+    polys: list
     provenance: dict = field(default_factory=dict)
 
-    def read(self, tag, stored):
-        """`tag` from `stored`, the stored trajectories or one slice of them."""
-        if tag in self.linear:
-            return _linear_noise(self.linear[tag], stored["one"])
-        return stored[tag]
+    def read(self, tag, s):
+        """`tag` from s, one slice of the build: s[tag] when s carries it,
+        else formed from s["one"]."""
+        if tag in s:
+            return s[tag]
+        return _NoiseEvaluator(self.grid, self.polys).all_noises(s["one"], [int(tag[1])])[0]
 
     def slice(self, i):
-        return {tag: c[i] for tag, c in self.components.items()}
+        """Slice i as the streamed build yields it: `one`, c30 and the noises
+        of degree >= 2, formed in one `all_noises` call."""
+        s = {tag: c[i] for tag, c in self.components.items()}
+        ev = _NoiseEvaluator(self.grid, self.polys)
+        s.update(zip((f"c{m}" for m in ev.formed), ev.all_noises(s["one"], ev.formed)))
+        return s
 
     def traj(self, tag):
-        return self.read(tag, self.components)
+        if tag in self.components:
+            return self.components[tag]
+        return np.stack([self.read(tag, {"one": one}) for one in self.components["one"]])
 
     def collect(self, slices):
-        """Store the slices of a streamed build, one per time of t_grid, as
-        the component trajectories; returns self."""
+        """Store `one` and c30 of the slices of a streamed build, one per time
+        of t_grid, as trajectories; returns self."""
+        self.components = {tag: np.empty((len(self.t_grid),) + self.grid.shape, complex)
+                           for tag in ("one", "c30")}
         for i, s in enumerate(slices):
-            if i == 0:
-                self.components = {tag: np.empty((len(self.t_grid),) + c.shape, c.dtype)
-                                   for tag, c in s.items()}
-            for tag, c in s.items():
-                self.components[tag][i] = c
+            for tag, c in self.components.items():
+                c[i] = s[tag]
         return self
 
 
@@ -114,25 +121,16 @@ def _uniform_dt(t_grid):
     return dt
 
 
-def _linear_noise(p, coeffs, high=None):
-    """The spectrum of the noise p[0] + p[1] x (+ high, the spectrum of its
-    terms of degree >= 2) from the spectrum `coeffs` of x."""
-    c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
-    if high is not None:
-        c += high
-    if len(p) and p[0]:
-        c[..., 0, 0, 0] += p[0]
-    return c
-
-
 class _NoiseEvaluator:
     """The noises c0, c1, c2 and the centered cubic c3, each an ascending
     polynomial in the free-field samples x, on one shared padded grid."""
 
     def __init__(self, grid, polys):
         self.grid = grid
-        self.P = grid.pad_size(max(map(len, polys)) - 1)
         self.polys = [np.trim_zeros(np.asarray(p, float), "b") for p in polys]
+        self.P = grid.pad_size(max(map(len, self.polys)) - 1)
+        # c0..c2 with a term of degree >= 2, the noises a transform forms
+        self.formed = [m for m in range(3) if len(self.polys[m]) > 2]
         self._buffers = {}
 
     def _work(self, batch, name):
@@ -178,14 +176,16 @@ class _NoiseEvaluator:
                 np.multiply(powers[j - 1], powers[1], out=powers[j])
         out = []
         for p in polys:
-            high = None
+            c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
             if len(p) > 2:
                 js = [j for j in range(2, len(p)) if p[j]]
                 work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
                 for j in js[1:]:
                     work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
-                high = from_physical(work, self.grid, self.P)
-            out.append(_linear_noise(p, coeffs, high))
+                c += from_physical(work, self.grid, self.P)
+            if len(p) and p[0]:
+                c[..., 0, 0, 0] += p[0]
+            out.append(c)
         return tuple(out)
 
 
@@ -218,10 +218,10 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
 def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
                   sample, burn_in, coarse_dt, fine_window):
     """The shared build: burn-in, then the main loop as a generator.  Returns
-    an EnhancedNoise that stores no trajectory, with the coefficients of the
-    noises of degree <= 1 by tag and `constants` in its provenance, and the
-    generator of the slices: one dict per time of t_grid of `one`, c30 and
-    the noises of degree >= 2."""
+    an EnhancedNoise that stores no trajectory, with the evaluator's
+    polynomials and `constants` in its provenance, and the generator of the
+    slices: one dict per time of t_grid of `one`, c30 and the noises of
+    degree >= 2."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     dt = _uniform_dt(t_grid)
     nsteps = len(t_grid) - 1
@@ -235,8 +235,6 @@ def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
             c, = evaluator.all_noises(ens.coeffs, (3,))
             I3 = quad.advance(I3, c)
             ens = advance(ens, h, ou_step)
-    stored = [m for m in range(3) if len(evaluator.polys[m]) > 2]
-    linear = {f"c{m}": evaluator.polys[m] for m in range(3) if m not in stored}
     prov = dict(master=seed.master, sample=sample, step_offset=ens.step,
                 burn_in=burn_in, coarse_dt=coarse_dt, fine_window=fine_window,
                 **constants)
@@ -244,14 +242,15 @@ def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
     def slices(ens, I3):
         quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
         for i in range(nsteps + 1):
-            *noises, a3 = evaluator.all_noises(ens.coeffs, stored + [3])
+            *noises, a3 = evaluator.all_noises(ens.coeffs, evaluator.formed + [3])
             yield dict(one=ens.coeffs, c30=I3,
-                       **{f"c{m}": c for m, c in zip(stored, noises)})
+                       **{f"c{m}": c for m, c in zip(evaluator.formed, noises)})
             if i < nsteps:
                 I3 = quad.advance(I3, a3)
                 ens = advance(ens, dt, ou_step)
 
-    return EnhancedNoise(grid, Q, eps, t_grid, {}, k32, linear, prov), slices(ens, I3)
+    return (EnhancedNoise(grid, Q, eps, t_grid, {}, k32, evaluator.polys, prov),
+            slices(ens, I3))
 
 
 def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
@@ -358,8 +357,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
     `modes` vs the oracle, one MomentReport per mode; with t_pair = (s, t), of
     the free field's covariance at lag t - s.  symbol is 'one', ('wick', n),
     'c1' or 'c2'.  The oracle cube is built, and so the request checked,
-    before the first draw; each sample is drawn and evaluated once for all
-    the modes."""
+    before the first draw (a renorm_set at another eps than Q raises
+    GridError); each sample is drawn and evaluated once for all the modes."""
     if M < 1:
         raise ValueError("need at least one sample")
     if t_pair is not None and symbol != "one":
@@ -374,6 +373,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
     idx = tuple(np.transpose([_mode_index(grid.n, k if k[2] >= 0 else [-ki for ki in k])
                               for k in modes]))
     if V is not None and renorm_set is not None and eps > 0:
+        if abs(renorm_set.eps - eps) > 1e-12:
+            raise GridError("renorm constants / symbol eps mismatch")
         ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam,
                                        renorm_set.C1)
         nu = renorm_set.sigma2_eps / eps

@@ -330,9 +330,11 @@ def y_distance(P1, P2, eps, T, grid, **kw):
 
 
 def reconstruct_phi(U, P, lam):
-    """Phi = free field - lam * c30 + v + w on the common time grid (full cubes)."""
-    n = P.v_traj.shape[0]
-    phi = _mirror(U.traj("one")[:n] - lam * U.traj("c30")[:n], U.grid)
+    """Phi = free field - lam * c30 + v + w on the common time grid (full
+    cubes), written into the result slice by slice."""
+    phi = np.empty_like(P.v_traj)
+    for out, one, c30 in zip(phi, U.traj("one"), U.traj("c30")):
+        _mirror(one - lam * c30, U.grid, out=out)
     phi += P.v_traj
     phi += P.w_traj
     return phi

@@ -175,10 +175,10 @@ def test_quartic_potential_collapses_the_noise_hierarchy():
             one_hat[0, 0, 0] = 1.0
             assert np.max(np.abs(c0 - one_hat)) < 1e-10
             assert np.max(np.abs(U.traj("c1")[i]
-                                 - U.components["one"][i])) < 1e-10
-            x = to_physical(U.components["one"][i], g, P).real
+                                 - U.traj("one")[i])) < 1e-10
+            x = to_physical(U.traj("one")[i], g, P).real
             wick2 = from_physical(hermite(2, x, nu), g, P)
-            assert np.max(np.abs(U.components["c2"][i] - wick2)) < 1e-10
+            assert np.max(np.abs(U.traj("c2")[i] - wick2)) < 1e-10
         assert len(rs.a_m) == 1 and abs(rs.a_m[0] - 1.0) < 1e-12
 
 

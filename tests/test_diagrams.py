@@ -72,7 +72,7 @@ def test_build_is_deterministic_and_sample_indexed():
 def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
-    assert sorted(U.components) == ["c2", "c30", "one"]
+    assert sorted(U.components) == ["c30", "one"]
     for tag in ("one", "c0", "c1", "c2", "c30"):
         assert U.traj(tag).shape == (T, 5, 5, 3)
     assert U.k32 == 3.0 * rs.C2 + 2.0 * rs.C3
@@ -93,17 +93,18 @@ def test_quartic_noise_identities():
         want[0, 0, 0] = 1.0
         assert np.max(np.abs(c0 - want)) < 1e-10
         assert np.max(np.abs(U.traj("c1")[i]
-                             - U.components["one"][i])) < 1e-10
+                             - U.traj("one")[i])) < 1e-10
         P = g.pad_size(2)
-        x = to_physical(U.components["one"][i], g, P).real
+        x = to_physical(U.traj("one")[i], g, P).real
         h2 = from_physical(hermite(2, x, rs.C1), g, P)
-        assert np.max(np.abs(U.components["c2"][i] - h2)) < 1e-10
+        assert np.max(np.abs(U.traj("c2")[i] - h2)) < 1e-10
 
 
 @pytest.mark.parametrize("build", ["quartic", "limit", "sextic"])
 def test_noises_of_degree_at_most_one_are_formed_on_read(build):
-    # the quartic's c0 = 1 and c1 = X, and the limit's, are stored nowhere;
-    # read, they are all_noises' output bit for bit
+    # only `one` and c30 are stored: c0, c1 and c2 (the quartic's and the
+    # limit's c0 = 1 and c1 = X too) are formed on read, all_noises' output
+    # bit for bit
     Q, V, rs, g, t_grid = _small_setup()
     kw = dict(burn_in=0.2, coarse_dt=0.02, fine_window=0.05)
     if build == "limit":
@@ -115,15 +116,34 @@ def test_noises_of_degree_at_most_one_are_formed_on_read(build):
             rs = build_renorm(Q, V, K=KCUT)
         U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
         ev = _NoiseEvaluator.potential(g, V, EPS, rs.lam, rs.C1)
-    stored = ["c0", "c1", "c2", "c30", "one"] if build == "sextic" \
-        else ["c2", "c30", "one"]
-    assert sorted(U.components) == stored
+    assert sorted(U.components) == ["c30", "one"]
     for i in range(len(t_grid)):
         want = ev.all_noises(U.traj("one")[i])
         for tag, c in zip(("c0", "c1", "c2"), want):
             assert np.array_equal(U.traj(tag)[i].view(np.int64), c.view(np.int64))
             assert np.array_equal(U.read(tag, U.slice(i)).view(np.int64),
                                   c.view(np.int64))
+
+
+def test_a_collected_build_holds_the_trajectories_of_one_and_c30_only():
+    # c0, c1 and c2 are formed on read, so a sextic build, whose noises all
+    # have degree >= 2, holds two half-spectrum trajectories and little else
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    V = Potential.sextic(1.0)
+    g = FrequencyLattice(4)
+    rs = build_renorm(Q, V, K=4)
+    t_grid = np.arange(21) * 0.005
+    kw = dict(burn_in=0.1, coarse_dt=0.02, fine_window=0.05)
+    build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)  # warm
+    tracemalloc.start()
+    try:
+        U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    traj = len(t_grid) * g.n**2 * (g.K + 1) * 16
+    assert sorted(U.components) == ["c30", "one"]
+    assert held <= 1.1 * 2 * traj
 
 
 def test_build_rejects_mismatched_symbol():
@@ -150,9 +170,9 @@ def test_limit_build_wick_identities():
     nu = U.provenance["c1_std"]
     P = g.pad_size(2)
     for i in range(len(t_grid)):
-        x = to_physical(U.components["one"][i], g, P).real
+        x = to_physical(U.traj("one")[i], g, P).real
         h2 = from_physical(hermite(2, x, nu), g, P)
-        assert np.max(np.abs(U.components["c2"][i] - h2)) < 1e-10
+        assert np.max(np.abs(U.traj("c2")[i] - h2)) < 1e-10
         c0 = U.traj("c0")[i]
         assert abs(c0[0, 0, 0] - 1.0) < 1e-14
         assert np.max(np.abs(c0.ravel()[1:])) == 0.0
@@ -369,6 +389,22 @@ def test_mc_moment_rejects_a_bad_request_before_the_first_draw(
     kw = dict(V=V, renorm_set=rs) if with_potential else {}
     with pytest.raises(ValueError, match=match):
         mc_moment(symbol, [(1, 0, 0)], 4, NoiseSeed(27), g, Q, **kw)
+
+
+def test_mc_moment_rejects_constants_built_at_another_eps(monkeypatch):
+    # a renorm_set at eps 0.3 would scale c2 with that eps's lam and C1
+    # while Q samples at eps 0.1
+    Q = DispersionQ.quartic(0.3, nu=1.0)
+    V = Potential.sextic(1.0)
+    rs = build_renorm(Q, V, K=KCUT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_moment drew a sample")
+
+    monkeypatch.setattr(diagrams, "sample_stationary", refuse)
+    with pytest.raises(GridError, match="eps mismatch"):
+        mc_moment("c2", [(1, 0, 0)], 50, NoiseSeed(27), FrequencyLattice(KCUT),
+                  Q.with_eps(0.1), V=V, renorm_set=rs)
 
 
 def test_mc_moment_rejects_zero_samples():

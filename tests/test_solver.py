@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phi4sim import besov, fourier, solver
+from phi4sim import besov, diagrams, fourier, solver
 from phi4sim.config import load_config
 from phi4sim.diagrams import build_limit_upsilon, build_upsilon, stream_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
@@ -527,6 +527,57 @@ def test_sextic_reconstruction_matches_brute_force(mode):
     ref = brute_force_reference(NoiseSeed(5), cfg, V, Q, rs, U)
     err = np.sqrt(np.mean(np.abs(phi - ref) ** 2) / np.mean(np.abs(ref) ** 2))
     assert err < 1e-8
+
+
+def test_reconstruct_phi_writes_its_result_slice_by_slice():
+    # no whole-trajectory temporary: the peak is the result and one slice's
+    # temporaries, and the values are the whole-trajectory formula's bits
+    _, V, rs, g, U, cfg = _setup(nsteps=40)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    P = solve(cfg, U, z, z, V=V)
+    reconstruct_phi(U, P, cfg.lam)  # warm
+    tracemalloc.start()
+    try:
+        phi = reconstruct_phi(U, P, cfg.lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * phi.nbytes
+    want = _mirror(U.traj("one") - cfg.lam * U.traj("c30"), g) + P.v_traj
+    want += P.w_traj
+    assert np.array_equal(phi, want)
+
+
+@pytest.mark.parametrize("potential, mode", [
+    (Potential.quartic(0.25), "sequential"), (Potential.quartic(0.25), "picard"),
+    (Potential.sextic(1.0), "sequential")], ids=["quartic", "picard", "sextic"])
+def test_a_collected_solve_forms_each_slice_s_noises_once(potential, mode,
+                                                         monkeypatch):
+    # a collected build stores `one` and c30 only: each step forms its
+    # noises of degree >= 2 from `one` with one inverse transform and one
+    # forward transform per noise (c2, and c0, c1 at the sextic); Picard
+    # forms them once per solve, not once per sweep
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    rs = build_renorm(Q, potential, K=K)
+    g = FrequencyLattice(K)
+    t_grid = np.arange(6) * DT
+    U = build_upsilon(NoiseSeed(3), g, Q, potential, EPS, t_grid, rs,
+                      burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+    cfg = SolverConfig(eps=EPS, lam=rs.lam, dt=DT, T=5 * DT, K=K, mode=mode)
+    calls = {"to_physical": 0, "from_physical": 0}
+    for name in calls:
+        real = getattr(diagrams, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(diagrams, name, counted)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    P = solve(cfg, U, z, z, V=potential)
+    formed = 1 if potential.n == 2 else 3
+    assert calls == {"to_physical": 5, "from_physical": 5 * formed}
+    assert mode == "sequential" or P.info["sweeps"] > 1
 
 
 def test_reconstruct_workload_matches_its_pinned_outputs(tmp_path):

@@ -37,9 +37,16 @@ monomials of degree >= 2 share one inverse transform of X and its powers, and
 each noise sums them in place on the padded grid before its one forward
 transform, in arrays the evaluator makes at their first use, so a burn-in
 step allocates no padded-grid array.  The burn-in evaluates c3 alone, one
-forward transform per step.
+forward transform per step, and only on the modes that can still reach t = 0:
+a phase ending tau before t = 0 forms it on the cube |k|_inf <= m that holds
+every mode with b^2(k) tau <= -ln(float64 eps), as the semigroup damps the
+others by e^{-b^2(k) tau}, below rounding; the last phase's cube is the whole
+lattice, and m >= 1, as a one-mode transform takes other BLAS kernels.  X's
+samples go on the pad fast_len(d K + m + 1), alias-free for that projection of
+its degree-d powers, and c30 advances on the cube, X on the whole lattice.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +54,8 @@ import numpy as np
 
 from . import renorm
 from .errors import GridError
-from .fourier import DispersionQ, ExponentialQuadrature, from_physical, to_physical
+from .fourier import (DispersionQ, ExponentialQuadrature, FrequencyLattice, fast_len,
+                      from_physical, to_physical)
 from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 @dataclass
@@ -129,16 +137,26 @@ class _NoiseEvaluator:
         self.grid = grid
         self.polys = [np.trim_zeros(np.asarray(p, float), "b") for p in polys]
         self.P = grid.pad_size(max(map(len, self.polys)) - 1)
+        self.cube, self.sub = grid, Ellipsis  # the modes formed, their index
         # c0..c2 with a term of degree >= 2, the noises a transform forms
         self.formed = [m for m in range(3) if len(self.polys[m]) > 2]
+        self._size = self.P**3
         self._buffers = {}
 
     def _work(self, batch, name):
-        """The padded-grid work array `name` of a batch shape, made at its
-        first use and reused by every later call."""
+        """The padded-grid work array `name` of a batch shape: a prefix view of
+        the array made at the full pad at its first use, reused by later calls."""
         if (batch, name) not in self._buffers:
-            self._buffers[batch, name] = np.empty(batch + (self.P,) * 3)
-        return self._buffers[batch, name]
+            self._buffers[batch, name] = np.empty(batch + (self._size,))
+        return self._buffers[batch, name][..., : self.P**3].reshape(batch + (self.P,) * 3)
+
+    def onto(self, m):
+        """This evaluator forming only the modes |k|_inf <= m, on the pad
+        fast_len(d K + m + 1), d the top degree, in prefix views of its arrays."""
+        ev = copy.copy(self)
+        ev.cube, ev.sub = FrequencyLattice(m), self.grid.sub_cube(m)
+        ev.P = fast_len((max(map(len, self.polys)) - 1) * self.grid.K + m + 1)
+        return ev
 
     @classmethod
     def potential(cls, grid, V, eps, lam, C1):
@@ -176,13 +194,13 @@ class _NoiseEvaluator:
                 np.multiply(powers[j - 1], powers[1], out=powers[j])
         out = []
         for p in polys:
-            c = p[1] * coeffs if len(p) > 1 else np.zeros_like(coeffs)
+            c = p[1] * coeffs[self.sub] if len(p) > 1 else np.zeros_like(coeffs[self.sub])
             if len(p) > 2:
                 js = [j for j in range(2, len(p)) if p[j]]
                 work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
                 for j in js[1:]:
                     work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
-                c += from_physical(work, self.grid, self.P)
+                c += from_physical(work, self.cube, self.P)
             if len(p) and p[0]:
                 c[..., 0, 0, 0] += p[0]
             out.append(c)
@@ -215,6 +233,15 @@ def _burn_phases(dt, burn_in, coarse_dt, fine_window):
     return phases[::-1]
 
 
+def _burn_cubes(grid, Q, phases):
+    """The cube |k|_inf <= m of each burn-in phase (module docstring): m is
+    the integer part of the largest |k| with b^2(k) tau <= -ln(float64 eps),
+    at most K, tau the time from the phase's end to t = 0."""
+    bsq, cut = Q.bracket_sq_grid(grid), -math.log(np.finfo(float).eps)
+    taus = sum(n * h for n, h in phases) - np.cumsum([n * h for n, h in phases])
+    return [min(grid.K, int(np.max(grid.kabs[bsq * t <= cut], initial=0))) for t in taus]
+
+
 def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
                   sample, burn_in, coarse_dt, fine_window):
     """The shared build: burn-in, then the main loop as a generator.  Returns
@@ -229,11 +256,12 @@ def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
     total_burn = sum(n * h for n, h in phases)
     ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn)
     I3 = np.zeros(grid.shape, dtype=np.complex128)
-    for n, h in phases:
-        quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
+    for (n, h), m in zip(phases, _burn_cubes(grid, Q, phases)):
+        ev = evaluator.onto(max(m, 1)) if m < grid.K else evaluator
+        quad, ou_step = ExponentialQuadrature(ev.cube, Q, h), ou_transition(grid, Q, h)
         for _ in range(n):
-            c, = evaluator.all_noises(ens.coeffs, (3,))
-            I3 = quad.advance(I3, c)
+            c, = ev.all_noises(ens.coeffs, (3,))
+            I3[ev.sub] = quad.advance(I3[ev.sub], c)
             ens = advance(ens, h, ou_step)
     prov = dict(master=seed.master, sample=sample, step_offset=ens.step,
                 burn_in=burn_in, coarse_dt=coarse_dt, fine_window=fine_window,
@@ -355,7 +383,7 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
               t_pair=None):
     """Monte Carlo estimates of the equal-time second moment at each mode k of
     `modes` vs the oracle, one MomentReport per mode; with t_pair = (s, t), of
-    the free field's covariance at lag t - s.  symbol is 'one', ('wick', n),
+    the free field's covariance at lag |t - s|.  symbol is 'one', ('wick', n),
     'c1' or 'c2'.  The oracle cube is built, and so the request checked,
     before the first draw (a renorm_set at another eps than Q raises
     GridError); each sample is drawn and evaluated once for all the modes."""
@@ -387,8 +415,8 @@ def mc_moment(symbol, modes, M, seed, grid, Q, V=None, renorm_set=None,
     for m in range(M):
         ens = sample_stationary(seed, grid, Q, sample=m)
         if t_pair is not None:
-            dt = t_pair[1] - t_pair[0]
-            ens2 = advance(ens, dt)
+            lag = abs(t_pair[1] - t_pair[0])
+            ens2 = advance(ens, lag) if lag > 0 else ens
             vals[:, m] = (ens.coeffs[idx] * np.conj(ens2.coeffs[idx])).real
             continue
         if symbol == "one":

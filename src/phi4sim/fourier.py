@@ -106,6 +106,11 @@ class FrequencyLattice:
         need = max((int(degree) + 1) * self.K + 1, self.n)
         return fast_len(need)
 
+    def sub_cube(self, m):
+        """Index of FrequencyLattice(m)'s half spectrum, m <= K, in this one's."""
+        a = np.r_[0 : m + 1, self.n - m : self.n]
+        return (Ellipsis,) + np.ix_(a, a, np.arange(m + 1))
+
 
 def fast_len(n, primes=(2, 3, 5, 7, 11)):
     """Smallest m >= n whose prime factors all lie in `primes`: the lengths

@@ -49,7 +49,8 @@ and the march integrates
 
 plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
 (in G of the paper's step too).  A step forms one paraproduct, f < c2
-(besov.para_lt); P(c2 f) joins the polynomial pass on the degree-4 grid.
+(besov.para_lt); P(c2 f) joins the polynomial pass, of degree 4, or 3 when c0
+is a number (every quartic V, and the limit's c0 = 1) and so F3 is one too.
 The march reads each step's noise slice with its F: the sequential march
 forms F as it reads the slice, and Picard forms the list of them once per
 solve.  A Picard sweep's integrands read only the source iterate.
@@ -115,15 +116,20 @@ def coeffs_F(lam, U, s):
     """The four coefficient fields (F0, F1, F2, F3) as half spectra, from s,
     one slice of U's stored noise (U.slice or a streamed build's): projected
     products of c0, c1 and c30 (the module docstring derives them from the
-    paper's form)."""
+    paper's form), with a number c0 as a factor, not in a product."""
     g = U.grid
     c0, c1, c30 = (U.read(t, s) for t in ("c0", "c1", "c30"))
+    a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0, if it is a number
+
+    def c0_times(f, degree):
+        return product(c0, f, g, degree) if a is None else a * f
+
     sq30 = product(c30, c30, g, 2)
     F3 = -lam * c0
-    F2 = 3.0 * lam**2 * product(c0, c30, g, 2) - 3.0 * lam * c1
-    F1 = (-3.0 * lam**3) * product(c0, sq30, g, 3) \
+    F2 = 3.0 * lam**2 * c0_times(c30, 2) - 3.0 * lam * c1
+    F1 = (-3.0 * lam**3) * c0_times(sq30, 3) \
         + 6.0 * lam**2 * product(c30, c1, g, 2)
-    F0 = lam**4 * product(c0, product(sq30, c30, g, 3), g, 4) \
+    F0 = lam**4 * c0_times(product(sq30, c30, g, 3), 4) \
         - 3.0 * lam**3 * product(sq30, c1, g, 2)
     return F0, F1, F2, F3
 
@@ -159,7 +165,8 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
     eps = config.eps
     nsteps = _check_grid_match(config, U)
     quad = ExponentialQuadrature(g, U.Q, config.dt)
-    P4 = g.pad_size(4)
+    a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0 if a number: F3 = -lam a
+    P = g.pad_size(4 if a is None else 3)
     v = np.array(v0, dtype=np.complex128)
     w = np.array(w0, dtype=np.complex128)
     if out is not None:
@@ -175,13 +182,13 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
         f = u - lam * s["c30"]
         para = para_lt(f, c2, g)
         # sum_j F_j u^j - 3 lam c2 f on one shared alias-free grid
-        ux = to_physical(u, g, P4)
-        poly, uj = to_physical(F[0], g, P4), 1.0
+        ux = to_physical(u, g, P)
+        poly, uj = to_physical(F[0], g, P), 1.0
         for j in (1, 2, 3):
             uj = uj * ux
-            poly += to_physical(F[j], g, P4) * uj
-        poly -= 3.0 * lam * to_physical(c2, g, P4) * to_physical(f, g, P4)
-        G = from_physical(poly, g, P4) + 3.0 * lam * para \
+            poly += (to_physical(F[j], g, P) if j < 3 or a is None else -lam * a) * uj
+        poly -= 3.0 * lam * to_physical(c2, g, P) * to_physical(f, g, P)
+        G = from_physical(poly, g, P) + 3.0 * lam * para \
             - 3.0 * lam**2 * U.k32 * (s["one"] + f)
         if eps > 0 and V is not None and V.n > 2:
             # Taylor remainder of V' around sqrt(eps) * (free field); exactly

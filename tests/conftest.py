@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from phi4sim.besov import weights
-from phi4sim.fourier import (FrequencyLattice, from_physical, get_threads, product,
-                             set_threads, to_physical)
-from phi4sim.gaussian import gaussian_expectation, polyder
+from phi4sim.diagrams import _burn_phases, _NoiseEvaluator
+from phi4sim.fourier import (ExponentialQuadrature, FrequencyLattice, from_physical,
+                             get_threads, product, set_threads, to_physical)
+from phi4sim.gaussian import (advance, gaussian_expectation, ou_transition, polyder,
+                              sample_stationary)
 
 
 def random_hermitian_field(grid, rng, scale=1.0):
@@ -129,3 +131,26 @@ def fft_threads_restored():
     after = get_threads()
     set_threads(before)
     assert after == before, f"FFT thread count left at {after}, was {before}"
+
+
+# ---------------------------------------------------------------------------
+# the burn-in on the whole lattice at every step: the reference of the
+# build's burn-in on nested cubes
+
+
+def full_lattice_c30(seed, grid, Q, polys, dt, sample=0, burn_in=10.0,
+                     coarse_dt=0.02, fine_window=1.0):
+    """c30 at t = 0 of a build with the noise polynomials `polys` (c0..c3),
+    its c3 formed and integrated on the whole lattice at every burn-in step."""
+    ev = _NoiseEvaluator(grid, polys)
+    phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
+    ens = sample_stationary(seed, grid, Q, sample=sample,
+                            t0=-sum(n * h for n, h in phases))
+    I3 = np.zeros(grid.shape, dtype=np.complex128)
+    for n, h in phases:
+        quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
+        for _ in range(n):
+            c, = ev.all_noises(ens.coeffs, (3,))
+            I3 = quad.advance(I3, c)
+            ens = advance(ens, h, ou_step)
+    return I3

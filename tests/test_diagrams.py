@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phi4sim import diagrams
-from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_phases,
+from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_cubes, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
                               second_moment_oracle)
 from phi4sim.errors import GridError
@@ -12,7 +12,7 @@ from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical)
 from phi4sim.gaussian import NoiseSeed, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
-from conftest import cube_bsq, cube_modes
+from conftest import cube_bsq, cube_modes, full_lattice_c30
 
 EPS = 0.3
 KCUT = 2
@@ -53,6 +53,43 @@ def test_burn_phases_cover_span_and_refine_toward_zero():
 def test_burn_phases_short_span():
     phases = _burn_phases(dt=1e-3, burn_in=0.01, coarse_dt=0.02, fine_window=1.0)
     assert abs(sum(n * h for n, h in phases) - 0.01) < 1e-12
+
+
+@pytest.mark.parametrize("K, Q, cubes", [
+    (8, DispersionQ.quartic(0.2, nu=1.0), [0, 0, 1, 2, 8]),
+    (8, DispersionQ.laplacian(0.0), [0, 1, 2, 5, 8]),
+    (24, DispersionQ.quartic(1 / 6, nu=1.0), [0, 0, 1, 2, 24])],
+    ids=["K8-eps0.2", "K8-limit", "K24-eps1/6"])
+def test_burn_in_cubes_on_the_reconstruction_mesh(K, Q, cubes):
+    # a phase ending tau before t = 0 keeps the modes with
+    # b^2(k) tau <= -ln(float64 eps): at eps = 0.2, |k| = 1 has b^2 = 102.8
+    # and the third phase ends at tau = 0.128; the last phase keeps them all
+    phases = _burn_phases(dt=1e-4, burn_in=10.0, coarse_dt=0.02, fine_window=1.0)
+    assert [n for n, _ in phases] == [391, 256, 256, 256, 256]
+    assert _burn_cubes(FrequencyLattice(K), Q, phases) == cubes
+
+
+@pytest.mark.parametrize("case", ["quartic", "sextic", "limit"])
+def test_the_burn_in_on_nested_cubes_matches_the_whole_lattice_burn_in(case):
+    # the modes a phase leaves out reach c30(0) damped below rounding, and
+    # the modes it keeps are the whole lattice's at rounding; each first
+    # phase keeps |k| = 1, damped by e^{-10} to e^{-18} before t = 0
+    K, dt = 6, 1e-3
+    kw = dict(burn_in=1.0, coarse_dt=0.02, fine_window=0.4 if case == "limit" else 0.1)
+    g, t_grid = FrequencyLattice(K), np.arange(2) * dt
+    if case == "limit":
+        seed, Q = NoiseSeed(3), DispersionQ.laplacian(0.0)
+        U = build_limit_upsilon(seed, g, t_grid, **kw)
+    else:
+        V, eps = (Potential.quartic(0.25), 0.2) if case == "quartic" \
+            else (Potential.sextic(1.0), 0.3)
+        seed, Q = NoiseSeed(5), DispersionQ.quartic(eps, nu=1.0)
+        U = build_upsilon(seed, g, Q, V, eps, t_grid, build_renorm(Q, V, K=K), **kw)
+    cubes = _burn_cubes(g, Q, _burn_phases(dt, **kw))
+    assert 0 < cubes[0] < K and cubes[-1] == K
+    want = full_lattice_c30(seed, g, Q, U.polys, dt, **kw)
+    got = U.traj("c30")[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +284,20 @@ def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in again) < 8 * ev.P**3
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    # a burn-in evaluator on a smaller cube works in prefix views of the same
+    # arrays on its smaller pad: from its first call on, it makes none
+    cube = ev.onto(2)
+    assert cube.P < ev.P
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            c3, = cube.all_noises(coeffs, (3,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - c3.nbytes < 8 * ev.P**3
+    assert np.max(np.abs(c3 - first[3][FrequencyLattice(8).sub_cube(2)])) \
+        <= 1e-14 * np.max(np.abs(first[3]))
 
 
 def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
@@ -335,6 +386,23 @@ def test_mc_moment_temporal_pair():
                      t_pair=(0.0, 0.1))
     assert abs(rep.z) < 4.0
     assert rep.oracle < second_moment_oracle("one", 0.0, Q, EPS, KCUT)[1, 0, 0]
+
+
+def test_mc_moment_takes_the_lag_of_a_time_pair_in_either_order():
+    # the oracle is a function of |t - s|: (0.1, 0.0) is the pair (0.0, 0.1),
+    # and at zero lag each sample is read twice, the equal-time moment
+    Q = DispersionQ.quartic(EPS, nu=1.0)
+    g = FrequencyLattice(KCUT)
+    modes = [(1, 0, 0), (2, 1, 0)]
+
+    def run(t_pair):
+        return mc_moment("one", modes, 30, NoiseSeed(23), g, Q, t_pair=t_pair)
+
+    assert run((0.1, 0.0)) == run((0.0, 0.1))
+    assert run((0.2, 0.2)) == run((0.0, 0.0))
+    for lag0, equal in zip(run((0.0, 0.0)), run(None)):
+        assert lag0.oracle == equal.oracle
+        assert abs(lag0.mean - equal.mean) <= 1e-14 * equal.mean
 
 
 @pytest.mark.parametrize("t_pair", [None, (0.0, 0.1)])

@@ -33,6 +33,19 @@ def test_lattice_shapes_and_frequencies():
     assert list(g.kabs[0, 0]) == [0, 1, 2, 3]  # |k| = k3 on the k3 axis
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_sub_cube_indexes_the_smaller_lattice_s_modes(m):
+    g, sub = FrequencyLattice(3), FrequencyLattice(m)
+    idx = g.sub_cube(m)
+    assert np.array_equal(g.kabs[idx], sub.kabs)
+    k1, k2, k3 = np.meshgrid(g.freqs, g.freqs, g.freqs[: g.K + 1], indexing="ij")
+    for k, f in ((k1, sub.freqs[:, None, None]), (k2, sub.freqs[None, :, None]),
+                 (k3, sub.freqs[None, None, : m + 1])):
+        assert np.array_equal(k[idx], np.broadcast_to(f, sub.shape))
+    batch = np.arange(2 * g.kabs.size).reshape((2,) + g.shape)
+    assert batch[idx].shape == (2,) + sub.shape
+
+
 def test_lattice_rejects_bad_sizes():
     with pytest.raises(GridError):
         FrequencyLattice(-1)

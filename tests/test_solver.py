@@ -230,12 +230,13 @@ def test_sequential_solve_matches_a_march_on_precomputed_coefficients():
     assert np.array_equal(P.w_traj, w)
 
 
-@pytest.mark.parametrize("cutoff, per_step", [(K, 23), (8, 27)])
+@pytest.mark.parametrize("cutoff, per_step", [(K, 16), (8, 20)])
 def test_march_step_makes_one_paraproduct_and_a_fixed_transform_count(
         cutoff, per_step, monkeypatch):
-    # to_physical per step: coeffs_F's 7 projected products 14, the
-    # polynomial pass 7 (u, F0..F3, c2, f), and f < c2 two per added term:
-    # 1 term at K = 2 (3 blocks), 3 at K = 8 (5 blocks)
+    # to_physical per step at the quartic, where c0 is a number: coeffs_F's
+    # 4 projected products 8, the polynomial pass 6 (u, F0..F2, c2, f), and
+    # f < c2 two per added term: 1 term at K = 2 (3 blocks), 3 at K = 8
+    # (5 blocks)
     if cutoff == K:
         _, V, rs, g, U, cfg = _setup()
     else:

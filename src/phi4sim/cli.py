@@ -154,10 +154,10 @@ def _solver_config(cfg, eps, K, lam):
                         picard_iters=int(s["picard_iters"]))
 
 
-def _stream_one(cfg, noise, eps, K, lam, V):
-    """The grid, solver config and streamed noise build of one run.  At
-    eps > 0 the coupling is the RenormSet's, the one the noise build scales
-    c0..c3 by; `lam` (1 if None) sets the limit run's."""
+def _run_one(cfg, noise, eps, K, lam, V, run=solve):
+    """The grid, solver config and streamed noise build of one run, and `run`
+    (`solve` or `solve_final`) of it from zero.  At eps > 0 the coupling is
+    the RenormSet's, which scales the noises; `lam` (1 if None) the limit's."""
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
     sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
@@ -165,18 +165,11 @@ def _stream_one(cfg, noise, eps, K, lam, V):
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
         sc.lam = rs.lam
-        U, slices = stream_upsilon(noise, grid, Q, V, eps, t_grid, rs)
+        U = stream_upsilon(noise, grid, Q, V, eps, t_grid, rs)
     else:
-        U, slices = stream_limit_upsilon(noise, grid, t_grid)
-    return grid, sc, U, slices
-
-
-def _run_one(cfg, noise, eps, K, lam, V):
-    """One solve on the collected build, whole trajectories out."""
-    grid, sc, U, slices = _stream_one(cfg, noise, eps, K, lam, V)
+        U = stream_limit_upsilon(noise, grid, t_grid)
     z = np.zeros((grid.n,) * 3, dtype=np.complex128)
-    pair = solve(sc, U.collect(slices), z, z, V=V)
-    return grid, sc, U, pair
+    return grid, sc, U, run(sc, U, z, z, V=V)
 
 
 def _l2(c):
@@ -201,9 +194,7 @@ def cmd_solve(cfg, out_dir, seed):
         K = cfg.cutoff_for(eps)
         entry = {"eps": float(eps), "K": int(K)}
         try:
-            grid, sc, U, slices = _stream_one(cfg, noise, eps, K, lam, V)
-            z = np.zeros((grid.n,) * 3, dtype=np.complex128)
-            v, w, info = solve_final(sc, U, slices, z, z, V=V)
+            grid, sc, U, (v, w, info) = _run_one(cfg, noise, eps, K, lam, V, solve_final)
             entry.update(lam=float(sc.lam), t_final=float(U.t_grid[-1]), status="ok")
             if sc.mode == "picard":
                 for key in ("converged", "sweeps", "final_distance", "distances"):
@@ -330,6 +321,8 @@ def main(argv=None):
         path = handler(cfg, out_dir, seed)
     except (GrowthViolationError, SymbolError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
+    except ConfigError as exc:
+        _fail(EXIT_USAGE, f"config error: {exc}")
     except Phi4Error as exc:
         _fail(1, str(exc))
     print(path)

@@ -22,21 +22,20 @@ t = -burn_in on a graded mesh whose step coarsens geometrically away from
 t = 0 (run resolution adjacent to the main window), so the discrete Duhamel
 recursion on t >= 0 is at the run resolution at logarithmic burn-in cost.
 
-The main loop yields one slice per time of the grid: `one`, c30 and the
-noises of degree >= 2 in X.  Only `one` and c30 carry history: c0, c1 and c2
-are polynomials in X at the same time, so `EnhancedNoise` stores none of
-them and forms every one on read from `one`.  `build_upsilon` and
-`build_limit_upsilon` collect `one` and c30 into trajectories;
-`stream_upsilon` and `stream_limit_upsilon` hand out whole slices one at a
-time, so a sequential solve can consume the build and keep no trajectory.
+The main loop yields one slice per time of the grid, `one` and c30, and
+forms c3 only to advance c30.  Only they carry history: c0, c1 and c2 are
+polynomials in X at the same time, which `EnhancedNoise` forms from `one` as
+it hands out a slice.  `build_upsilon` and `build_limit_upsilon` collect
+`one` and c30 into trajectories; `stream_upsilon` and `stream_limit_upsilon`
+hand the slices out once, as the main loop makes them, so a sequential solve
+can consume the build and keep no trajectory.
 
-Each noise field is worked once per step: c0..c3 are polynomials in the free
-field X.  Their terms of degree <= 1 (-C1 in c2, -3 C1 X in c3, and all of a
-noise of degree <= 1, when it is read) are formed in spectral space.  The
-monomials of degree >= 2 share one inverse transform of X and its powers, and
-each noise sums them in place on the padded grid before its one forward
-transform, in arrays the evaluator makes at their first use, so a burn-in
-step allocates no padded-grid array.  The burn-in evaluates c3 alone, one
+c0..c3 are polynomials in the free field X.  Their terms of degree <= 1 (-C1
+in c2, -3 C1 X in c3, and all of a noise of degree <= 1) are formed in
+spectral space.  The monomials of degree >= 2 share one inverse transform of
+X and its powers, and each noise sums them in place on the padded grid
+before its one forward transform, in arrays the evaluator makes at their
+first use, so a burn-in step allocates no padded-grid array.  The burn-in evaluates c3 alone, one
 forward transform per step, and only on the modes that can still reach t = 0:
 a phase ending tau before t = 0 forms it on the cube |k|_inf <= m that holds
 every mode with b^2(k) tau <= -ln(float64 eps), as the semigroup damps the
@@ -63,10 +62,11 @@ class EnhancedNoise:
     """Time-indexed fields of one enhanced-noise realization and the
     counterterm k32 of the remainder step's mass term.
 
-    `components` holds the trajectories of the fields with history, `one`
-    and c30 (empty while the build is streamed).  Every noise c0, c1, c2 is
-    formed on read from `one` by `all_noises` with the build's polynomials
-    `polys` (c0..c3) and pad, so it is bit for bit the build's value."""
+    A slice is `one` and c30 at one time of t_grid, with c0, c1 and c2 formed
+    from `one` in one `all_noises` call with the build's polynomials `polys`
+    (c0..c3) and pad.  A streamed build hands its slices out once, from
+    `stream`: the evaluator that forms them and the main loop's generator.
+    `collect` stores `one` and c30 as the trajectories `components`."""
 
     grid: object
     Q: object
@@ -76,33 +76,40 @@ class EnhancedNoise:
     k32: float
     polys: list
     provenance: dict = field(default_factory=dict)
+    stream: object = field(default=None, repr=False)
 
-    def read(self, tag, s):
-        """`tag` from s, one slice of the build: s[tag] when s carries it,
-        else formed from s["one"]."""
-        if tag in s:
-            return s[tag]
-        return _NoiseEvaluator(self.grid, self.polys).all_noises(s["one"], [int(tag[1])])[0]
+    def _read_stream(self):
+        if self.stream is None:
+            raise GridError("a streamed build is read once: collect it first to read it again")
+        stream, self.stream = self.stream, None
+        return stream
 
     def slice(self, i):
-        """Slice i as the streamed build yields it: `one`, c30 and the noises
-        of degree >= 2, formed in one `all_noises` call."""
-        s = {tag: c[i] for tag, c in self.components.items()}
-        ev = _NoiseEvaluator(self.grid, self.polys)
-        s.update(zip((f"c{m}" for m in ev.formed), ev.all_noises(s["one"], ev.formed)))
-        return s
+        """Slice i (an index or a slice of t_grid's) of a collected build."""
+        if not self.components:
+            raise GridError("a streamed build holds no trajectory: collect it first")
+        return _NoiseEvaluator(self.grid, self.polys).with_noises(
+            {tag: c[i] for tag, c in self.components.items()})
+
+    def slices(self):
+        """The slices, one per time of t_grid: a collected build's by index,
+        a streamed build's as the build makes them, once."""
+        if self.components:
+            return map(self.slice, range(len(self.t_grid)))
+        ev, stream = self._read_stream()
+        return map(ev.with_noises, stream)
 
     def traj(self, tag):
         if tag in self.components:
             return self.components[tag]
-        return np.stack([self.read(tag, {"one": one}) for one in self.components["one"]])
+        return np.stack([self.slice(i)[tag] for i in range(len(self.t_grid))])
 
-    def collect(self, slices):
-        """Store `one` and c30 of the slices of a streamed build, one per time
-        of t_grid, as trajectories; returns self."""
+    def collect(self):
+        """Store `one` and c30 of a streamed build's slices as trajectories; returns self."""
+        _, stream = self._read_stream()
         self.components = {tag: np.empty((len(self.t_grid),) + self.grid.shape, complex)
                            for tag in ("one", "c30")}
-        for i, s in enumerate(slices):
+        for i, s in enumerate(stream):
             for tag, c in self.components.items():
                 c[i] = s[tag]
         return self
@@ -138,8 +145,6 @@ class _NoiseEvaluator:
         self.polys = [np.trim_zeros(np.asarray(p, float), "b") for p in polys]
         self.P = grid.pad_size(max(map(len, self.polys)) - 1)
         self.cube, self.sub = grid, Ellipsis  # the modes formed, their index
-        # c0..c2 with a term of degree >= 2, the noises a transform forms
-        self.formed = [m for m in range(3) if len(self.polys[m]) > 2]
         self._size = self.P**3
         self._buffers = {}
 
@@ -206,29 +211,37 @@ class _NoiseEvaluator:
             out.append(c)
         return tuple(out)
 
+    def with_noises(self, s):
+        """The slice s with c0, c1 and c2 formed from its `one` in one call."""
+        c0, c1, c2 = self.all_noises(s["one"], (0, 1, 2))
+        return dict(s, c0=c0, c1=c1, c2=c2)
 
-def _burn_phases(dt, burn_in, coarse_dt, fine_window):
+
+COARSE_DT = 0.02  # the burn-in's coarsest step
+
+
+def _burn_phases(dt, burn_in, fine_window):
     """Graded burn-in mesh, finest steps next to t = 0.
 
     Returns phases [(n, h), ...] ordered from the earliest: the step h starts
     at the run resolution dt adjacent to t = 0 and coarsens by factors of 4 up
-    to coarse_dt going backwards, each level covering at most `fine_window`
+    to COARSE_DT going backwards, each level covering at most `fine_window`
     time units (in units of 256 steps), so the cost is logarithmic in
-    coarse_dt / dt instead of linear in fine_window / dt.
+    COARSE_DT / dt instead of linear in fine_window / dt.
     """
     phases = []
     remaining = burn_in
     h = dt
     first_cap = math.ceil(min(fine_window, burn_in) / dt)
     cap = min(first_cap, 256)
-    while remaining > 1e-12 and h < coarse_dt:
+    while remaining > 1e-12 and h < COARSE_DT:
         n = min(math.ceil(remaining / h), cap)
         phases.append((n, h))
         remaining -= n * h
         h *= 4.0
         cap = 256
     if remaining > 1e-12:
-        n = max(1, round(remaining / coarse_dt))
+        n = max(1, round(remaining / COARSE_DT))
         phases.append((n, remaining / n))
     return phases[::-1]
 
@@ -243,18 +256,15 @@ def _burn_cubes(grid, Q, phases):
 
 
 def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
-                  sample, burn_in, coarse_dt, fine_window):
-    """The shared build: burn-in, then the main loop as a generator.  Returns
-    an EnhancedNoise that stores no trajectory, with the evaluator's
-    polynomials and `constants` in its provenance, and the generator of the
-    slices: one dict per time of t_grid of `one`, c30 and the noises of
-    degree >= 2."""
+                  sample, burn_in, fine_window):
+    """The shared build: the burn-in, then an EnhancedNoise that holds the
+    main loop as the generator of its slices, `one` and c30 at each time of
+    t_grid, with the evaluator's polynomials and `constants` in its
+    provenance."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     dt = _uniform_dt(t_grid)
-    nsteps = len(t_grid) - 1
-    phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
-    total_burn = sum(n * h for n, h in phases)
-    ens = sample_stationary(seed, grid, Q, sample=sample, t0=-total_burn)
+    phases = _burn_phases(dt, burn_in, fine_window)
+    ens = sample_stationary(seed, grid, Q, sample=sample, t0=-sum(n * h for n, h in phases))
     I3 = np.zeros(grid.shape, dtype=np.complex128)
     for (n, h), m in zip(phases, _burn_cubes(grid, Q, phases)):
         ev = evaluator.onto(max(m, 1)) if m < grid.K else evaluator
@@ -264,44 +274,40 @@ def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
             I3[ev.sub] = quad.advance(I3[ev.sub], c)
             ens = advance(ens, h, ou_step)
     prov = dict(master=seed.master, sample=sample, step_offset=ens.step,
-                burn_in=burn_in, coarse_dt=coarse_dt, fine_window=fine_window,
-                **constants)
+                burn_in=burn_in, fine_window=fine_window, **constants)
 
     def slices(ens, I3):
         quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
-        for i in range(nsteps + 1):
-            *noises, a3 = evaluator.all_noises(ens.coeffs, evaluator.formed + [3])
-            yield dict(one=ens.coeffs, c30=I3,
-                       **{f"c{m}": c for m, c in zip(evaluator.formed, noises)})
-            if i < nsteps:
-                I3 = quad.advance(I3, a3)
-                ens = advance(ens, dt, ou_step)
+        yield dict(one=ens.coeffs, c30=I3)
+        for _ in t_grid[1:]:
+            c, = evaluator.all_noises(ens.coeffs, (3,))
+            I3 = quad.advance(I3, c)
+            ens = advance(ens, dt, ou_step)
+            yield dict(one=ens.coeffs, c30=I3)
 
-    return (EnhancedNoise(grid, Q, eps, t_grid, {}, k32, evaluator.polys, prov),
-            slices(ens, I3))
+    return EnhancedNoise(grid, Q, eps, t_grid, {}, k32, evaluator.polys, prov,
+                         (evaluator, slices(ens, I3)))
 
 
 def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
-                   burn_in=10.0, coarse_dt=0.02, fine_window=1.0):
-    """The enhanced noise at eps > 0, burnt in: an EnhancedNoise that stores
-    no trajectory and the generator of its slices, one per time of t_grid."""
+                   burn_in=10.0, fine_window=1.0):
+    """The enhanced noise at eps > 0, burnt in: an EnhancedNoise that streams
+    its slices, one per time of t_grid."""
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
     return _stream_build(seed, grid, Q, eps, ev, t_grid,
                          3.0 * renorm_set.C2 + 2.0 * renorm_set.C3,
                          dict(lam=renorm_set.lam, renorm=renorm_set), sample,
-                         burn_in, coarse_dt, fine_window)
+                         burn_in, fine_window)
 
 
 def build_upsilon(*args, **kwargs):
     """Assemble the enhanced noise at eps > 0 (arguments as stream_upsilon)."""
-    U, slices = stream_upsilon(*args, **kwargs)
-    return U.collect(slices)
+    return stream_upsilon(*args, **kwargs).collect()
 
 
-def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
-                         coarse_dt=0.02, fine_window=1.0):
+def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0, fine_window=1.0):
     """The standard objects of the eps = 0 limit (Q = z^2) on the lattice,
     with the same noise counters as stream_upsilon, so matched seeds give
     coupled realizations; streamed as stream_upsilon's."""
@@ -309,14 +315,13 @@ def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0,
     return _stream_build(seed, grid, DispersionQ.laplacian(0.0), 0.0,
                          _NoiseEvaluator.standard(grid, c1_std), t_grid,
                          6.0 * c2_std, dict(c1_std=c1_std, c2_std=c2_std),
-                         sample, burn_in, coarse_dt, fine_window)
+                         sample, burn_in, fine_window)
 
 
 def build_limit_upsilon(*args, **kwargs):
     """Assemble the eps = 0 limit's standard objects (arguments as
     stream_limit_upsilon)."""
-    U, slices = stream_limit_upsilon(*args, **kwargs)
-    return U.collect(slices)
+    return stream_limit_upsilon(*args, **kwargs).collect()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FeasibilityError, GrowthViolationError
+from .errors import ConfigError, FeasibilityError, GrowthViolationError
 from .fourier import DispersionQ, fast_len, validate_symbol
 from .gaussian import gaussian_expectation, polyder
 
@@ -189,14 +189,16 @@ def sigma2_eps(Q, eps, K):
 
 
 def coupling_lambda(V, sigma2):
-    """lambda = (1/6) E V''''(X), X ~ N(0, sigma2)."""
-    return gaussian_expectation(V.derivative(4), sigma2) / 6.0
+    """lambda = (1/6) E V''''(X), X ~ N(0, sigma2), nonzero: every constant and
+    noise is scaled by 1/lambda.  At degree >= 6 it depends on sigma2."""
+    lam = gaussian_expectation(V.derivative(4), sigma2) / 6.0
+    if lam == 0:
+        raise ConfigError(f"the potential's coupling lambda is 0 at variance {sigma2:.6g}")
+    return lam
 
 
 def a_coeffs(V, lam, sigma2_eps_val):
     """Chaos coefficients a_m = E V^(2m+2)(N(0, sigma_eps^2)) / (6 lambda (2m-1)!)."""
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
     out = []
     for m in range(1, V.n):
         fact = math.factorial(2 * m - 1)
@@ -207,8 +209,6 @@ def a_coeffs(V, lam, sigma2_eps_val):
 
 def c1(V, eps, lam, sigma2_eps_val):
     """C1 = E V''(N(0, sigma_eps^2)) / (3 lambda eps)."""
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
     if eps <= 0:
         raise ValueError("eps must be positive")
     return gaussian_expectation(V.derivative(2), sigma2_eps_val) / (3.0 * lam * eps)

@@ -51,13 +51,15 @@ plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
 (in G of the paper's step too).  A step forms one paraproduct, f < c2
 (besov.para_lt); P(c2 f) joins the polynomial pass, of degree 4, or 3 when c0
 is a number (every quartic V, and the limit's c0 = 1) and so F3 is one too.
-The march reads each step's noise slice with its F: the sequential march
-forms F as it reads the slice, and Picard forms the list of them once per
-solve.  A Picard sweep's integrands read only the source iterate.
+The march reads each step's noise slice (`EnhancedNoise.slices`, of a
+collected or a streamed build) with its F: the sequential march forms F as
+it reads the slice, and Picard forms the list of them once per solve.  A
+Picard sweep's integrands read only the source iterate.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -114,11 +116,11 @@ def taylor_remainder(V, x, y):
 
 def coeffs_F(lam, U, s):
     """The four coefficient fields (F0, F1, F2, F3) as half spectra, from s,
-    one slice of U's stored noise (U.slice or a streamed build's): projected
-    products of c0, c1 and c30 (the module docstring derives them from the
-    paper's form), with a number c0 as a factor, not in a product."""
+    one slice of U (`U.slice` or `U.slices`): projected products of c0, c1
+    and c30 (the module docstring derives them from the paper's form), with a
+    number c0 as a factor, not in a product."""
     g = U.grid
-    c0, c1, c30 = (U.read(t, s) for t in ("c0", "c1", "c30"))
+    c0, c1, c30 = s["c0"], s["c1"], s["c30"]
     a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0, if it is a number
 
     def c0_times(f, degree):
@@ -134,23 +136,23 @@ def coeffs_F(lam, U, s):
     return F0, F1, F2, F3
 
 
-def _with_F(lam, U, slices):
-    """(slice, coeffs_F of it) for each of `slices`, formed as it is read."""
-    return ((s, coeffs_F(lam, U, s)) for s in slices)
+def _steps(lam, U):
+    """(slice, coeffs_F of it) for each slice of U, formed as it is read; U is
+    read at the first step taken.  The slice keeps only what the march reads."""
+    for s in U.slices():
+        F = coeffs_F(lam, U, s)
+        yield {tag: s[tag] for tag in ("one", "c30", "c2")}, F
 
 
 def _check_grid_match(config, U):
     if config.K != U.grid.K or abs(config.eps - U.eps) > 1e-12:
         raise GridError(f"config (K={config.K}, eps={config.eps}) does not match "
                         f"the enhanced noise (K={U.grid.K}, eps={U.eps})")
-    t_grid = U.t_grid
-    dt = float(t_grid[1] - t_grid[0])
-    if abs(dt - config.dt) > 1e-12:
+    if abs(float(U.t_grid[1] - U.t_grid[0]) - config.dt) > 1e-12:
         raise GridError("enhanced noise dt does not match config")
-    if t_grid[-1] < config.T - 1e-12:
+    if U.t_grid[-1] < config.T - 1e-12:
         raise GridError("enhanced noise does not cover [0, T]")
-    nsteps = int(round(config.T / config.dt))
-    return nsteps
+    return int(round(config.T / config.dt))
 
 
 def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
@@ -177,7 +179,7 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
             vi, wi = v, w
         else:
             vi, wi = (t[i][..., : g.K + 1] for t in integrand_source)
-        c2 = U.read("c2", s)
+        c2 = s["c2"]
         u = vi + wi
         f = u - lam * s["c30"]
         para = para_lt(f, c2, g)
@@ -217,16 +219,15 @@ def _full_cubes(nsteps, grid):
 
 
 def solve(config, U, v0, w0, V=None):
-    """Integrate the remainder system on [0, T]; full cubes in and out.  The
-    trajectories are written as full cubes step by step, so no half
-    trajectory is held beside them."""
+    """Integrate the remainder system on [0, T] on a collected or a streamed
+    build U; full cubes in and out.  The trajectories are written as full
+    cubes step by step, so no half trajectory is held beside them."""
     g = U.grid
     v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
     nsteps = _check_grid_match(config, U)
     if config.mode == "sequential":
         v_traj, w_traj = _full_cubes(nsteps, g)
-        _march(config, U, _with_F(config.lam, U, map(U.slice, range(nsteps))),
-               v0h, w0h, V, out=(v_traj, w_traj))
+        _march(config, U, _steps(config.lam, U), v0h, w0h, V, out=(v_traj, w_traj))
         info = {"mode": "sequential"}
     else:
         decay = ExponentialQuadrature(g, U.Q, config.dt).decay
@@ -240,7 +241,7 @@ def solve(config, U, v0, w0, V=None):
         half = np.s_[..., : g.K + 1]
         dists = []
         info = {"mode": "picard", "converged": False, "non_contraction": False}
-        steps = list(_with_F(config.lam, U, map(U.slice, range(nsteps))))
+        steps = list(islice(_steps(config.lam, U), nsteps))
         for sweep in range(config.picard_iters):
             v_new, w_new = _full_cubes(nsteps, g)
             _march(config, U, steps, v0h, w0h, V,
@@ -261,17 +262,16 @@ def solve(config, U, v0, w0, V=None):
     return RemainderPair(t_grid=t_grid, v_traj=v_traj, w_traj=w_traj, info=info)
 
 
-def solve_final(config, U, slices, v0, w0, V=None):
-    """The final state (v, w, info) of `solve`, full cubes, from a streamed
-    build (`diagrams.stream_upsilon`): the sequential march reads each slice
-    as the build yields it and keeps only the running (v, w); a Picard solve
-    collects the slices first."""
+def solve_final(config, U, v0, w0, V=None):
+    """The final state (v, w, info) of `solve`, full cubes: the sequential
+    march keeps only the running (v, w), so on a streamed build
+    (`diagrams.stream_upsilon`) no trajectory is held."""
     if config.mode != "sequential":
-        pair = solve(config, U.collect(slices), v0, w0, V)
+        pair = solve(config, U, v0, w0, V)
         return pair.v_traj[-1], pair.w_traj[-1], pair.info
     g = U.grid
     v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
-    v, w = _march(config, U, _with_F(config.lam, U, slices), v0h, w0h, V)
+    v, w = _march(config, U, _steps(config.lam, U), v0h, w0h, V)
     return _mirror(v, g), _mirror(w, g), {"mode": "sequential"}
 
 

@@ -139,11 +139,11 @@ def fft_threads_restored():
 
 
 def full_lattice_c30(seed, grid, Q, polys, dt, sample=0, burn_in=10.0,
-                     coarse_dt=0.02, fine_window=1.0):
+                     fine_window=1.0):
     """c30 at t = 0 of a build with the noise polynomials `polys` (c0..c3),
     its c3 formed and integrated on the whole lattice at every burn-in step."""
     ev = _NoiseEvaluator(grid, polys)
-    phases = _burn_phases(dt, burn_in, coarse_dt, fine_window)
+    phases = _burn_phases(dt, burn_in, fine_window)
     ens = sample_stationary(seed, grid, Q, sample=sample,
                             t0=-sum(n * h for n, h in phases))
     I3 = np.zeros(grid.shape, dtype=np.complex128)

@@ -164,7 +164,7 @@ def test_quartic_potential_collapses_the_noise_hierarchy():
         g = FrequencyLattice(K)
         t_grid = np.arange(4) * 1e-3
         U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs,
-                          burn_in=0.2, coarse_dt=0.02, fine_window=0.05)
+                          burn_in=0.2, fine_window=0.05)
         nu = sigma2_eps(Q, eps, K) / eps
         P = g.pad_size(2)
         for i in range(len(t_grid)):
@@ -227,7 +227,7 @@ def test_zero_coupling_reduces_to_exact_mode_decay():
         n = int(round(T / dt))
         t_grid = np.arange(n + 1) * dt
         U = build_upsilon(NoiseSeed(1), g, Q, V, eps, t_grid, rs,
-                          burn_in=0.1, coarse_dt=0.02, fine_window=0.05)
+                          burn_in=0.1, fine_window=0.05)
         cfg = SolverConfig(eps=eps, lam=0.0, dt=dt, T=T, K=K)
         rng = np.random.default_rng(4)
         v0 = random_hermitian_field(g, rng)

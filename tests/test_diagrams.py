@@ -6,7 +6,7 @@ import pytest
 from phi4sim import diagrams
 from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_cubes, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
-                              second_moment_oracle)
+                              second_moment_oracle, stream_upsilon)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical)
@@ -30,7 +30,7 @@ def _small_setup():
 def _small_build(sample=0):
     Q, V, rs, g, t_grid = _small_setup()
     U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, sample=sample,
-                      burn_in=0.2, coarse_dt=0.02, fine_window=0.05)
+                      burn_in=0.2, fine_window=0.05)
     return U, rs, V
 
 
@@ -39,7 +39,7 @@ def _small_build(sample=0):
 
 
 def test_burn_phases_cover_span_and_refine_toward_zero():
-    phases = _burn_phases(dt=1e-3, burn_in=10.0, coarse_dt=0.02, fine_window=1.0)
+    phases = _burn_phases(dt=1e-3, burn_in=10.0, fine_window=1.0)
     total = sum(n * h for n, h in phases)
     assert abs(total - 10.0) < 1e-9
     assert phases[-1][1] == 1e-3  # run resolution adjacent to t = 0
@@ -51,7 +51,7 @@ def test_burn_phases_cover_span_and_refine_toward_zero():
 
 
 def test_burn_phases_short_span():
-    phases = _burn_phases(dt=1e-3, burn_in=0.01, coarse_dt=0.02, fine_window=1.0)
+    phases = _burn_phases(dt=1e-3, burn_in=0.01, fine_window=1.0)
     assert abs(sum(n * h for n, h in phases) - 0.01) < 1e-12
 
 
@@ -64,7 +64,7 @@ def test_burn_in_cubes_on_the_reconstruction_mesh(K, Q, cubes):
     # a phase ending tau before t = 0 keeps the modes with
     # b^2(k) tau <= -ln(float64 eps): at eps = 0.2, |k| = 1 has b^2 = 102.8
     # and the third phase ends at tau = 0.128; the last phase keeps them all
-    phases = _burn_phases(dt=1e-4, burn_in=10.0, coarse_dt=0.02, fine_window=1.0)
+    phases = _burn_phases(dt=1e-4, burn_in=10.0, fine_window=1.0)
     assert [n for n, _ in phases] == [391, 256, 256, 256, 256]
     assert _burn_cubes(FrequencyLattice(K), Q, phases) == cubes
 
@@ -75,7 +75,7 @@ def test_the_burn_in_on_nested_cubes_matches_the_whole_lattice_burn_in(case):
     # the modes it keeps are the whole lattice's at rounding; each first
     # phase keeps |k| = 1, damped by e^{-10} to e^{-18} before t = 0
     K, dt = 6, 1e-3
-    kw = dict(burn_in=1.0, coarse_dt=0.02, fine_window=0.4 if case == "limit" else 0.1)
+    kw = dict(burn_in=1.0, fine_window=0.4 if case == "limit" else 0.1)
     g, t_grid = FrequencyLattice(K), np.arange(2) * dt
     if case == "limit":
         seed, Q = NoiseSeed(3), DispersionQ.laplacian(0.0)
@@ -143,7 +143,7 @@ def test_noises_of_degree_at_most_one_are_formed_on_read(build):
     # limit's c0 = 1 and c1 = X too) are formed on read, all_noises' output
     # bit for bit
     Q, V, rs, g, t_grid = _small_setup()
-    kw = dict(burn_in=0.2, coarse_dt=0.02, fine_window=0.05)
+    kw = dict(burn_in=0.2, fine_window=0.05)
     if build == "limit":
         U = build_limit_upsilon(NoiseSeed(11), g, t_grid, **kw)
         ev = _NoiseEvaluator.standard(g, U.provenance["c1_std"])
@@ -158,7 +158,7 @@ def test_noises_of_degree_at_most_one_are_formed_on_read(build):
         want = ev.all_noises(U.traj("one")[i])
         for tag, c in zip(("c0", "c1", "c2"), want):
             assert np.array_equal(U.traj(tag)[i].view(np.int64), c.view(np.int64))
-            assert np.array_equal(U.read(tag, U.slice(i)).view(np.int64),
+            assert np.array_equal(U.slice(i)[tag].view(np.int64),
                                   c.view(np.int64))
 
 
@@ -170,7 +170,7 @@ def test_a_collected_build_holds_the_trajectories_of_one_and_c30_only():
     g = FrequencyLattice(4)
     rs = build_renorm(Q, V, K=4)
     t_grid = np.arange(21) * 0.005
-    kw = dict(burn_in=0.1, coarse_dt=0.02, fine_window=0.05)
+    kw = dict(burn_in=0.1, fine_window=0.05)
     build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)  # warm
     tracemalloc.start()
     try:
@@ -181,6 +181,29 @@ def test_a_collected_build_holds_the_trajectories_of_one_and_c30_only():
     traj = len(t_grid) * g.n**2 * (g.K + 1) * 16
     assert sorted(U.components) == ["c30", "one"]
     assert held <= 1.1 * 2 * traj
+
+
+def test_a_streamed_build_is_read_once():
+    # a streamed build hands its slices out once, as its main loop makes
+    # them, and holds no trajectory; a collected build hands out the same
+    # slices, bit for bit, as often as asked
+    Q, V, rs, g, t_grid = _small_setup()
+    kw = dict(burn_in=0.2, fine_window=0.05)
+    U = stream_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
+    for read in (lambda: U.traj("one"), lambda: U.traj("c2"), lambda: U.slice(0)):
+        with pytest.raises(GridError):
+            read()
+    got = list(U.slices())
+    for read in (U.slices, U.collect):
+        with pytest.raises(GridError):
+            read()
+    want = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
+    assert len(got) == len(t_grid)
+    for _ in range(2):
+        for s, w in zip(got, want.slices(), strict=True):
+            assert sorted(s) == sorted(w) == ["c0", "c1", "c2", "c30", "one"]
+            for tag in s:
+                assert np.array_equal(s[tag].view(np.int64), w[tag].view(np.int64))
 
 
 def test_build_rejects_mismatched_symbol():
@@ -201,7 +224,7 @@ def test_limit_build_wick_identities():
     g = FrequencyLattice(2)
     t_grid = np.arange(3) * 0.005
     U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.1,
-                            coarse_dt=0.02, fine_window=0.05)
+                            fine_window=0.05)
     assert U.eps == 0.0
     assert U.k32 == 6.0 * U.provenance["c2_std"]  # the eps = 0 counterterm
     nu = U.provenance["c1_std"]
@@ -301,9 +324,9 @@ def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
 
 
 def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
-    # the burn-in integrates c3 alone: one forward transform per step; each
-    # slice of the main loop evaluates the stored c2 and c3, two transforms
-    # (c0, c1 have degree <= 1 and are formed on read)
+    # the burn-in and the main loop integrate c3 alone, one forward transform
+    # per step, and the last slice forms none: a collected build stores `one`
+    # and c30, and c0, c1, c2 are formed on read
     orders, forward = [], []
     real_noises, real_forward = _NoiseEvaluator.all_noises, diagrams.from_physical
 
@@ -319,9 +342,9 @@ def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
     monkeypatch.setattr(diagrams, "from_physical", counted)
     U = _small_build()[0]
     T = len(U.t_grid)
-    nburn = sum(n for n, _ in _burn_phases(0.005, 0.2, 0.02, 0.05))
-    assert orders == [(3,)] * nburn + [(2, 3)] * T
-    assert len(forward) == nburn + 2 * T
+    nburn = sum(n for n, _ in _burn_phases(0.005, 0.2, 0.05))
+    assert orders == [(3,)] * (nburn + T - 1)
+    assert len(forward) == nburn + T - 1
 
 
 # ---------------------------------------------------------------------------

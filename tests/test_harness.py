@@ -14,6 +14,7 @@ import yaml
 from phi4sim import cli, fourier
 from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
                             dump_config, load_config)
+from phi4sim.diagrams import EnhancedNoise
 from phi4sim.errors import BlowUpSignal
 from phi4sim.fourier import load_field, save_field
 from phi4sim.gaussian import NoiseSeed
@@ -203,6 +204,18 @@ def test_the_package_and_a_constants_run_load_no_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("workload", ["reconstruct", "constants"])
+def test_a_benchmark_smoke_run_is_correct(workload):
+    # the benchmark's worker runs the package as a user does, through the
+    # API (reconstruct) and the command line (constants)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, os.path.join(root, "perfbench", "run.py"),
+                          "--workload", workload, "--smoke", "--seconds", "0"],
+                         cwd=root, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1])["correct"] is True
+
+
 def test_cli_seed_and_eps_overrides(tmp_path):
     path = _write_cfg(tmp_path)
     out = tmp_path / "o"
@@ -324,8 +337,8 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
 ], ids=["quartic", "limit", "picard"])
 def test_cli_solve_snapshots_are_the_collected_solve_s_last_slice(tmp_path, eps,
                                                                  solver):
-    # the sequential CLI run streams the build into the march; the API
-    # collects it first
+    # the CLI run keeps only the final state (`solve_final`); `_run_one`
+    # solves the whole trajectory (`solve`) on the same build
     path = _write_cfg(tmp_path, eps=[eps], k_rule={"kind": "fixed", "K": 2},
                       solver=solver)
     out = tmp_path / "s"
@@ -413,7 +426,7 @@ def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys
                                        "threads": fourier.get_threads()}
     run = manifest["runs"][0]
     cfg = load_config(path)
-    with pytest.raises(BlowUpSignal) as exc:  # the collected API path
+    with pytest.raises(BlowUpSignal) as exc:  # the whole-trajectory path, `solve`
         cli._run_one(cfg, NoiseSeed(7), 0.4, 2, None, cfg.make_potential())
     sig = exc.value
     assert run["blowup_step"] == sig.step and run["blowup_time"] == sig.t
@@ -434,6 +447,30 @@ def test_cli_solve_records_the_picard_distance_history(tmp_path):
     assert len(run["distances"]) == run["sweeps"]
     assert run["distances"][-1] == run["final_distance"] < 1e-8
     assert all(d > 0 for d in run["distances"])
+
+
+def test_a_sequential_converge_run_streams_its_builds(tmp_path, monkeypatch):
+    # each run's solve reads the slices as its build makes them: no build
+    # is collected, so none holds the trajectories of `one` and c30
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sequential converge run collected its build")
+
+    monkeypatch.setattr(EnhancedNoise, "collect", refuse)
+    path = _write_cfg(tmp_path, eps=[0.5, 0.4], k_rule={"kind": "fixed", "K": 2},
+                      solver={"dt": 1e-3, "T": 0.004})
+    assert cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+
+
+@pytest.mark.parametrize("potential", [[0.0, 0.0], [1.0, 0.0]], ids=["zero", "mass"])
+@pytest.mark.parametrize("command", ["constants", "moments", "solve", "converge"])
+def test_cli_a_potential_without_coupling_is_a_usage_error(tmp_path, capsys, command,
+                                                            potential):
+    # the noises are scaled by 1/lambda; lambda = E V''''(X) / 6 depends on
+    # the variance at degree >= 6, so it is checked where it is computed
+    path = _write_cfg(tmp_path, potential=potential, k_rule={"kind": "fixed", "K": 2})
+    err = _expect_exit([command, "--config", str(path), "--out", str(tmp_path / "o")],
+                       cli.EXIT_USAGE, capsys)
+    assert err["error"].startswith("config error:") and "lambda" in err["error"]
 
 
 def test_cli_converge_tiny_run(tmp_path):

@@ -37,7 +37,7 @@ def _setup(lam=None, seed=11, nsteps=None, mode="sequential", build=build_upsilo
     n = nsteps if nsteps is not None else int(round(T / DT))
     t_grid = np.arange(n + 1) * DT
     U = build(NoiseSeed(seed), g, Q, V, EPS, t_grid, rs,
-              burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
+              burn_in=0.5, fine_window=0.05)
     cfg = SolverConfig(eps=EPS, lam=rs.lam if lam is None else lam, dt=DT,
                        T=n * DT, K=K, mode=mode)
     return Q, V, rs, g, U, cfg
@@ -100,7 +100,7 @@ def _plus_constant(F, c):
 def _c32(U, i):
     """The paper's renormalised resonance c32 = c30 o c2 - k32 X."""
     s = U.slice(i)
-    return resonance(U.read("c30", s), U.read("c2", s), U.grid) - U.k32 * U.read("one", s)
+    return resonance(s["c30"], s["c2"], U.grid) - U.k32 * s["one"]
 
 
 def _coeffs_F_paper(lam, U, i, k31):
@@ -110,7 +110,7 @@ def _coeffs_F_paper(lam, U, i, k31):
     step's -9 lam^2 f (c2 o c20), which the reconstruction tests check end to
     end."""
     g = U.grid
-    c0, c1, c30 = (U.read(t, U.slice(i)) for t in ("c0", "c1", "c30"))
+    c0, c1, c30 = (U.slice(i)[t] for t in ("c0", "c1", "c30"))
     c31 = _plus_constant(resonance(c30, c1, g), -k31)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, g, 2) - 3.0 * lam * c1
@@ -139,11 +139,11 @@ def test_coefficient_fields_match_the_paraproduct_form():
     for V in (Potential.quartic(0.25), Potential.sextic(1.0)):
         rs = build_renorm(Q, V, K=K)
         U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, np.arange(6) * DT, rs,
-                          burn_in=0.5, coarse_dt=0.02, fine_window=0.05)
+                          burn_in=0.5, fine_window=0.05)
         lam, k31 = rs.lam, rs.C3
         for i in (0, len(U.t_grid) - 1, slice(2, 5)):
             F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
-            with_mass = (F0 + 6.0 * lam**3 * k31 * U.read("c30", U.slice(i))
+            with_mass = (F0 + 6.0 * lam**3 * k31 * U.slice(i)["c30"]
                          + 3.0 * lam**2 * _c32(U, i),
                          _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
             for got, want in zip(with_mass, _coeffs_F_paper(lam, U, i, k31)):
@@ -243,7 +243,7 @@ def test_march_step_makes_one_paraproduct_and_a_fixed_transform_count(
         Q, V = DispersionQ.quartic(0.2, nu=1.0), Potential.quartic(0.25)
         rs, g, n = build_renorm(Q, V, K=cutoff), FrequencyLattice(cutoff), 3
         U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * 1e-4, rs,
-                          burn_in=0.002, coarse_dt=0.02, fine_window=0.002)
+                          burn_in=0.002, fine_window=0.002)
         cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=1e-4, T=n * 1e-4, K=cutoff)
     calls = {"para_lt": 0, "to_physical": 0}
     for mod, name in ((besov, "para_lt"), (solver, "para_lt"),
@@ -313,7 +313,7 @@ def test_solve_matches_the_paper_step(case, rng):
     V = Potential.sextic(1.0) if sextic else Potential.quartic(0.25)
     g = FrequencyLattice(K)
     t_grid = np.arange(n + 1) * dt
-    kw = dict(burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+    kw = dict(burn_in=0.05, fine_window=0.01)
     if case == "limit":
         eps, lam = 0.0, 1.0
         U = build_limit_upsilon(NoiseSeed(3), g, t_grid, **kw)
@@ -355,7 +355,7 @@ from phi4sim.solver import SolverConfig, solve
 Q, V, g = DispersionQ.quartic(0.3), Potential.quartic(0.25), FrequencyLattice(24)
 rs = build_renorm(Q, V, K=24)
 U = build_upsilon(NoiseSeed(3), g, Q, V, 0.3, np.arange(3) * 1e-3, rs,
-                  burn_in=0.004, coarse_dt=0.02, fine_window=0.002)
+                  burn_in=0.004, fine_window=0.002)
 z = np.zeros((g.n,) * 3, dtype=np.complex128)
 run = solve(SolverConfig(eps=0.3, lam=rs.lam, dt=1e-3, T=2e-3, K=24), U, z, z, V=V)
 F = U.traj("one")[-1]
@@ -413,12 +413,34 @@ def test_blowup_is_reported_with_time_and_partial_state():
         done = solve(dataclasses.replace(cfg, T=(sig.step - 1) * DT), U, z, z, V=V)
         assert np.array_equal(done.v_traj[-1], v)
         assert np.array_equal(done.w_traj[-1], w)
-    *_, (Us, slices), _ = _setup(build=stream_upsilon)
+    *_, Us, _ = _setup(build=stream_upsilon)
     with pytest.raises(BlowUpSignal) as streamed:
-        solve_final(cfg, Us, slices, z, z, V=V)
+        solve_final(cfg, Us, z, z, V=V)
     assert (streamed.value.step, streamed.value.t) == (sig.step, sig.t)
     for a, b in zip(streamed.value.last_state, sig.last_state):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("mode", ["sequential", "picard"])
+def test_a_streamed_build_solves_as_the_collected_one_and_once(mode):
+    # solve reads a streamed build's slices as the build makes them, with the
+    # collected build's bits; a second read of it raises, where it would
+    # march on slices that no longer line up with t_grid
+    _, V, rs, g, U, cfg = _setup(mode=mode)
+    z = np.zeros((g.n,) * 3, dtype=np.complex128)
+    want = solve(cfg, U, z, z, V=V)
+    Us = _setup(mode=mode, build=stream_upsilon)[4]
+    got = solve(cfg, Us, z, z, V=V)
+    for a, b in ((got.v_traj, want.v_traj), (got.w_traj, want.w_traj)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for again in (solve, solve_final):
+        with pytest.raises(GridError):
+            again(cfg, Us, z, z, V=V)
+    Us = _setup(mode=mode, build=stream_upsilon)[4]
+    v, w, _ = solve_final(cfg, Us, z, z, V=V)
+    assert np.array_equal(v, want.v_traj[-1]) and np.array_equal(w, want.w_traj[-1])
+    with pytest.raises(GridError):
+        solve_final(cfg, Us, z, z, V=V)
 
 
 def test_solve_rejects_bad_initial_shape():
@@ -519,7 +541,7 @@ def test_sextic_reconstruction_matches_brute_force(mode):
     g = FrequencyLattice(K)
     t_grid = np.arange(int(round(T / dt)) + 1) * dt
     U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs,
-                      burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+                      burn_in=0.05, fine_window=0.01)
     cfg = SolverConfig(eps=eps, lam=rs.lam, dt=dt, T=T, K=K, mode=mode)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
@@ -563,7 +585,7 @@ def test_a_collected_solve_forms_each_slice_s_noises_once(potential, mode,
     g = FrequencyLattice(K)
     t_grid = np.arange(6) * DT
     U = build_upsilon(NoiseSeed(3), g, Q, potential, EPS, t_grid, rs,
-                      burn_in=0.05, coarse_dt=0.02, fine_window=0.01)
+                      burn_in=0.05, fine_window=0.01)
     cfg = SolverConfig(eps=EPS, lam=rs.lam, dt=DT, T=5 * DT, K=K, mode=mode)
     calls = {"to_physical": 0, "from_physical": 0}
     for name in calls:
@@ -675,7 +697,7 @@ def test_warm_solve_holds_no_trajectory_beside_its_result():
     g = FrequencyLattice(8)
     n, dt = 100, 1e-4
     U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * dt, rs,
-                      burn_in=0.002, coarse_dt=0.02, fine_window=0.002)
+                      burn_in=0.002, fine_window=0.002)
     cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=dt, T=n * dt, K=8)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(dataclasses.replace(cfg, T=2 * dt), U, z, z, V=V)  # warm the caches

@@ -228,10 +228,11 @@ def cmd_converge(cfg, out_dir, seed):
     eps_sorted = sorted(float(e) for e in cfg.eps)
     # one shared lattice so the runs couple through identical mode noise
     K = cfg.cutoff_for(min(eps_sorted))
+    # a potential without coupling fails here, before any run, whatever lam is
+    coupling = coupling_lambda(V, sigma2_limit(cfg.make_symbol(min(eps_sorted))))
     lam = cfg.solver.get("lam")
     if lam is None:
-        Qref = cfg.make_symbol(min(eps_sorted))
-        lam = coupling_lambda(V, sigma2_limit(Qref))
+        lam = coupling
     kappa = float({**SOLVER_DEFAULTS, **cfg.solver}["kappa"])
     failed = []
 

@@ -19,15 +19,20 @@ bracket on {0..K}^3, never on the (2K+1)^3 cube.  There the size-P DFT is a
 type-I DCT, run as pruned products with cosine matrices cached per P:
 each pass contracts an axis of K+1 non-negative frequencies.
 
-At a node s, e^{-s b} underflows to exactly 0 beyond some slab, the sooner
-the larger s.  So each node runs on its support {0..K_s}^3, K_s the last slab
-of the block holding a nonzero (the bracket need not be monotone, so every
-slab is checked), at the smallest even 5-smooth pad >= (N+1) K_s + 1, which
-is alias-free on the support, or at the call's pad P where that is smaller.
-The dropped modes only ever added 0, so a node gives the full block's number
-up to rounding.  The pair integrals take P alias-free, (N+1) K + 1, up to
-K = 24 and for the eps = 0 Laplacian; above K = 24 with eps > 0 they take the
-half pad 2K + 2, where the aliased tuples weigh below 1e-12 of the total.
+At a node s, the modes whose e^{-s b} lies below eps/(2K+1)^3 of its largest
+value, eps = 2^-52, cannot change the node's float64 sum: b is nowhere below
+its minimum, so together they carry at most eps of the mass of each of the
+node's N legs e^{-s b}/b and of its output factor e^{-s b}.  So each node
+runs on its support {0..K_s}^3, K_s the last slab of the block holding a mode
+above that cut (the bracket need not be monotone, so every slab is checked),
+at the smallest even 5-smooth pad >= (N+1) K_s + 1, which is alias-free on
+the support, or at the call's pad P where that is smaller.  The kept set,
+s (b - min b) <= ln((2K+1)^3/eps), only shrinks as s grows, so each node's
+support is found on the previous node's, and a node gives the full block's
+number up to rounding.  The pair integrals take P alias-free, (N+1) K + 1,
+up to K = 24 and for the eps = 0 Laplacian; above K = 24 with eps > 0 they
+take the half pad 2K + 2, where the aliased tuples weigh below 1e-12 of the
+total.
 """
 
 import math
@@ -326,31 +331,50 @@ def _resonance_block(Q, N, K, P):
         (N!/2^N) sum_s w_s e^{-s b} block((e^{-s b}/b)^{*N}),
 
     the one s-node loop behind every resonance sum.  Each node runs on the
-    support of e^{-s b} (module docstring), evaluated on the previous node's:
-    the nodes run in increasing s, so the support only shrinks.  Every array
-    is made once per call and viewed at each node's shape."""
+    support of e^{-s b} (module docstring), found on the previous node's: the
+    nodes run in increasing s, so the support only shrinks.  The node's
+    arithmetic runs on contiguous arrays, made once per call and viewed at
+    the node's shape: b on the support, the support's running sums, and
+    e^{-s b}, which lives in the samples array while that is free.  When the
+    support shrinks, the sums of the modes it drops are final and go to the
+    block, and b and the sums of the modes it keeps are packed anew."""
     b = _octant_bsq(Q, K)
     nodes, weights = _s_quadrature(N)
-    acc = np.zeros_like(b)
-    h = np.empty(b.size)
+    cut = np.finfo(np.float64).eps / (2 * K + 1) ** 3
+    acc, sums = np.empty_like(b), np.zeros(b.size)
     y, yN = (np.empty((P // 2 + 1) ** 3) for _ in range(2))
     work = [a.ravel() for a in EvenOctant(K, P).passes]  # checks P, too
-    Ks = K
+    b, n = b.ravel(), K + 1
+    bn, sn = (_view(a, (n,) * 3) for a in (b, sums))
     for s, w in zip(nodes, weights):
-        n = Ks + 1
-        hs = _view(h, (n,) * 3)
-        np.exp(np.multiply(-s, b[:n, :n, :n], out=hs), out=hs)
-        Ks = int(np.flatnonzero(hs.reshape(n, -1).any(axis=1))[-1])  # h[0] holds e^{-s}
-        n, Ps = Ks + 1, min(P, _even_pad((N + 1) * Ks + 1))
+        hs = _view(y, (n,) * 3)
+        np.exp(np.multiply(-s, bn, out=hs), out=hs)
+        top = hs.reshape(n, -1).max(axis=1)  # the largest e^{-sb} of each slab
+        Ks = int(np.flatnonzero(top >= cut * top.max())[-1])
+        if Ks < n - 1:
+            # the dropped modes' sums are final; b on the kept support is
+            # packed through the free samples array, the kept sums from acc
+            acc[:n, :n, :n] = sn
+            n = Ks + 1
+            packed = _view(y, (n,) * 3)
+            np.copyto(packed, bn[:n, :n, :n])
+            bn, sn, hs = (_view(a, (n,) * 3) for a in (b, sums, y))
+            np.copyto(bn, packed)
+            np.copyto(sn, acc[:n, :n, :n])
+            np.exp(np.multiply(-s, bn, out=hs), out=hs)
+        Ps = min(P, _even_pad((N + 1) * Ks + 1))
         octant, m = EvenOctant(Ks, Ps, work), (Ps // 2 + 1,) * 3
         # h/b and the node's block live in the second pass array: samples
         # reads h/b in its first pass only, and block writes its result in
         # its last pass, which reads the first pass array only
-        hs, blk = hs[:n, :n, :n], _view(work[1], (n,) * 3)
-        ys = octant.samples(np.divide(hs, b[:n, :n, :n], out=blk), out=_view(y, m))
+        blk = _view(work[1], (n,) * 3)
+        ys = octant.samples(np.divide(hs, bn, out=blk), out=_view(y, m))
+        octant.power_block(ys, N, _view(yN, m), out=blk)
+        np.exp(np.multiply(-s, bn, out=hs), out=hs)  # y is free again
         hs *= w
-        hs *= octant.power_block(ys, N, _view(yN, m), out=blk)
-        acc[:n, :n, :n] += hs
+        hs *= blk
+        sn += hs
+    acc[:n, :n, :n] = sn
     acc *= math.factorial(N) / 2.0**N
     return acc
 

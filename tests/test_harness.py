@@ -473,6 +473,24 @@ def test_cli_a_potential_without_coupling_is_a_usage_error(tmp_path, capsys, com
     assert err["error"].startswith("config error:") and "lambda" in err["error"]
 
 
+def test_cli_converge_with_a_set_lambda_rejects_a_potential_without_coupling_first(
+        tmp_path, capsys, monkeypatch):
+    # the limit run needs no constants, so it must not start before the check
+    def refuse(*args, **kwargs):
+        raise AssertionError("converge started the limit run")
+
+    monkeypatch.setattr(cli, "stream_limit_upsilon", refuse)
+    path = _write_cfg(tmp_path, potential=[0.0, 0.0], eps=[0.5, 0.4],
+                      k_rule={"kind": "fixed", "K": 4},
+                      solver={"dt": 1e-3, "T": 0.004, "lam": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "c")])
+    assert exc.value.code == cli.EXIT_USAGE
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"].startswith("config error:") and "lambda" in err["error"]
+
+
 def test_cli_converge_tiny_run(tmp_path):
     path = _write_cfg(tmp_path, eps=[0.5, 0.4],
                       k_rule={"kind": "fixed", "K": 2},

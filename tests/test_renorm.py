@@ -8,6 +8,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.special import roots_legendre
 
+from phi4sim import renorm
 from phi4sim.errors import FeasibilityError, GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical, validate_symbol)
@@ -278,9 +279,12 @@ def _power(y, N):
 
 def _node_octant(h, N, K, P):
     """The octant an s-node of the kernel runs on: K_s the last slab h[i] of
-    the non-negative block {0..K}^3 holding a nonzero, found over the whole
-    block, and the alias-free pad for K_s, capped at P."""
-    Ks = max(i for i in range(K + 1) if np.any(h[i, : K + 1, : K + 1]))
+    the non-negative block {0..K}^3 holding a mode with h >= 2^-52/(2K+1)^3
+    of the block's largest h, found over the whole block, and the alias-free
+    pad for K_s, capped at P."""
+    block = h[: K + 1, : K + 1, : K + 1]
+    cut = np.finfo(np.float64).eps / (2 * K + 1) ** 3 * block.max()
+    Ks = max(i for i in range(K + 1) if np.any(block[i] >= cut))
     return EvenOctant(Ks, min(P, _even_pad((N + 1) * Ks + 1)))
 
 
@@ -356,10 +360,17 @@ def _resonance_block_unpruned(Q, N, K, P):
                                    (DispersionQ.quartic(0.1, nu=0.25), 2, 40),
                                    (DispersionQ.quartic(0.4, nu=1.0), 3, 10),
                                    (DispersionQ.quartic(0.4, nu=1.0), 4, 10),
-                                   (DispersionQ.laplacian(0.0), 2, 25)])
+                                   (DispersionQ.laplacian(0.0), 2, 25),
+                                   # the rest of the constants workload's calls
+                                   (DispersionQ.quartic(0.2, nu=0.25), 2, 20),
+                                   (DispersionQ.quartic(0.141, nu=0.25), 2, 29),
+                                   (DispersionQ.quartic(0.4, nu=1.0), 2, 10),
+                                   # and standard_constants at K = 12 and 40
+                                   (DispersionQ.laplacian(0.0), 2, 12),
+                                   (DispersionQ.laplacian(0.0), 2, 40)])
 def test_pair_integral_agrees_with_the_unpruned_kernel(Q, N, K):
-    # dropping the modes where e^{-sb} is 0 and narrowing the pad moves
-    # only rounding (at most 3.3e-16 measured)
+    # dropping the modes where e^{-sb} is below 2^-52/(2K+1)^3 of its largest
+    # value and narrowing the pad moves only rounding (at most 3.3e-16 measured)
     P = _spi_pad(Q, N, K)
     want = _octant_sum(_resonance_block_unpruned(Q, N, K, P))
     assert abs(_octant_sum(_resonance_block(Q, N, K, P)) - want) <= 1e-14 * want
@@ -390,6 +401,59 @@ def test_pruned_kernel_finds_the_support_slab_by_slab():
     got = _resonance_block(Q, N, K, P)
     assert np.max(np.abs(got - want) / want) <= 1e-14
     assert abs(_octant_sum(got) - _octant_sum(want)) <= 1e-14 * _octant_sum(want)
+
+
+class _NodeOctants(EvenOctant):
+    """EvenOctant recording the (K_s, P_s) of each s-node's octant (the ones
+    made on the kernel's work arrays); at the first it restarts the traced
+    peak and notes the traced memory, which then holds every up-front array."""
+
+    def __init__(self, K, P, work=None):
+        super().__init__(K, P, work)
+        if work is not None:
+            if not self.nodes and tracemalloc.is_tracing():
+                _NodeOctants.start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            self.nodes.append((K, P))
+
+
+@pytest.fixture
+def node_octants(monkeypatch):
+    monkeypatch.setattr(renorm, "EvenOctant", _NodeOctants)
+    _NodeOctants.nodes = []
+    return _NodeOctants
+
+
+def test_nodes_drop_the_modes_below_rounding(node_octants):
+    # at K = 40 the nodes need about a quarter of the octant samples of the
+    # nonzero support of e^{-sb}
+    Q, N, K = DispersionQ.quartic(0.1, nu=0.25), 2, 40
+    P = _spi_pad(Q, N, K)
+    _resonance_block(Q, N, K, P)
+    b = _octant_bsq(Q, K)
+    nonzero = 0
+    for s in _s_quadrature(N)[0]:
+        Ks = max(i for i in range(K + 1) if np.exp(-s * b[i]).any())
+        nonzero += (min(P, _even_pad((N + 1) * Ks + 1)) // 2 + 1) ** 3
+    assert len(node_octants.nodes) == len(_s_quadrature(N)[0])
+    assert sum((Ps // 2 + 1) ** 3 for _, Ps in node_octants.nodes) <= 0.3 * nonzero
+
+
+def test_node_loop_makes_no_scratch_arrays(node_octants):
+    # numpy allocates a 64 KiB iterator buffer for each non-contiguous operand
+    # of an in-place product, so every node runs on contiguous arrays
+    Q, N, K = DispersionQ.quartic(0.1, nu=0.25), 2, 40
+    P = _spi_pad(Q, N, K)
+    _resonance_block(Q, N, K, P)  # warm the cosine-matrix cache
+    node_octants.nodes = []
+    tracemalloc.start()
+    try:
+        _resonance_block(Q, N, K, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(Ks < K for Ks, _ in node_octants.nodes)
+    assert peak - node_octants.start <= 64 * 2**10
 
 
 def test_pair_integral_holds_octant_memory_only():

@@ -603,16 +603,16 @@ def test_a_collected_solve_forms_each_slice_s_noises_once(potential, mode,
     assert mode == "sequential" or P.info["sweeps"] > 1
 
 
-def test_reconstruct_workload_matches_its_pinned_outputs(tmp_path):
-    # the benchmark's seed-0 reconstruct outputs are pinned to 1e-12 relative;
-    # run in process, through its own configs, body, summary and checks
+def _check_workload_against_its_pins(tmp_path, name):
+    # the benchmark's seed-0 outputs are pinned to 1e-12 relative; run in
+    # process, through the workload's own configs, body, summary and checks
     bench = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench")
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(bench, "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    wl, seed = workloads.Reconstruct, workloads.DEFAULT_SEED
+    wl, seed = workloads.WORKLOADS[name], workloads.DEFAULT_SEED
     paths = {}
     for key, doc in wl.configs(seed).items():
         paths[key] = str(tmp_path / f"{key}.yaml")
@@ -620,11 +620,23 @@ def test_reconstruct_workload_matches_its_pinned_outputs(tmp_path):
             json.dump(doc, fh)
     cfgs = {key: load_config(path) for key, path in paths.items()}
     out_dir = str(tmp_path / "out")
-    out = wl.summarize(wl.body(cfgs, paths, out_dir), paths, out_dir)
+    threads = fourier.get_threads()  # a CLI body runs with --threads 1
+    try:
+        out = wl.summarize(wl.body(cfgs, paths, out_dir), paths, out_dir)
+    finally:
+        fourier.set_threads(threads)
     with open(os.path.join(bench, "pinned.json"), encoding="utf-8") as fh:
-        pinned = json.load(fh)["reconstruct"]
+        pinned = json.load(fh)[name]
     assert workloads.pinned_mismatches(out, pinned) == []
     assert wl.check(out, seed, False) == []
+
+
+def test_reconstruct_workload_matches_its_pinned_outputs(tmp_path):
+    _check_workload_against_its_pins(tmp_path, "reconstruct")
+
+
+def test_constants_workload_matches_its_pinned_outputs(tmp_path):
+    _check_workload_against_its_pins(tmp_path, "constants")
 
 
 def test_counterterm_matters_in_the_reference():

@@ -12,10 +12,9 @@ All CSVs are comma-separated UTF-8 with Unix newlines and start with the
 comment lines "# schema=1", "# version=...", "# config=<hash>", "# seed=<n>",
 so a rerun from the same config and seed is byte-identical.  Failures exit
 nonzero and print a single JSON object {"error": <reason>} on stderr; `solve`
-still writes its manifest and exits 4 when a run blew up or a Picard run did
-not converge (run status "blowup" or "not_converged").  `converge` likewise
-writes its CSV, names such runs in a trailer line "# failed=<eps,...>" (0 is
-the limit run) and exits 4.
+still writes its manifest and exits 4 when a run blew up (run status
+"blowup").  `converge` likewise writes its CSV, names such runs in a trailer
+line "# failed=<eps,...>" (0 is the limit run) and exits 4.
 """
 
 import argparse
@@ -149,9 +148,7 @@ def cmd_moments(cfg, out_dir, seed):
 
 def _solver_config(cfg, eps, K, lam):
     s = {**SOLVER_DEFAULTS, **cfg.solver}
-    return SolverConfig(eps=eps, lam=lam, K=K, dt=float(s["dt"]),
-                        T=float(s["T"]), mode=s["mode"],
-                        picard_iters=int(s["picard_iters"]))
+    return SolverConfig(eps=eps, lam=lam, K=K, dt=float(s["dt"]), T=float(s["T"]))
 
 
 def _run_one(cfg, noise, eps, K, lam, V, run=solve):
@@ -172,6 +169,14 @@ def _run_one(cfg, noise, eps, K, lam, V, run=solve):
     return grid, sc, U, run(sc, U, z, z, V=V)
 
 
+def _couplings(cfg, V, eps_list):
+    """The coupling lambda of V at each eps > 0 of eps_list, ascending.  A
+    potential without coupling, or a symbol that grows too slowly for the
+    limit variance, fails here, before any run writes a file."""
+    return [coupling_lambda(V, sigma2_limit(cfg.make_symbol(e)))
+            for e in sorted(eps_list) if e > 0]
+
+
 def _l2(c):
     """The L2 norm of a cube's coefficients; hypot keeps it finite for a
     state near overflow, as a blown-up run's last one can be."""
@@ -182,6 +187,7 @@ def cmd_solve(cfg, out_dir, seed):
     if not cfg.eps:
         _fail(EXIT_USAGE, "empty eps list")
     V = cfg.make_potential()
+    _couplings(cfg, V, cfg.eps)
     noise = NoiseSeed(seed)
     lam = cfg.solver.get("lam")
     manifest = {"version": __version__, "config": config_hash(cfg),
@@ -194,13 +200,8 @@ def cmd_solve(cfg, out_dir, seed):
         K = cfg.cutoff_for(eps)
         entry = {"eps": float(eps), "K": int(K)}
         try:
-            grid, sc, U, (v, w, info) = _run_one(cfg, noise, eps, K, lam, V, solve_final)
+            grid, sc, U, (v, w) = _run_one(cfg, noise, eps, K, lam, V, solve_final)
             entry.update(lam=float(sc.lam), t_final=float(U.t_grid[-1]), status="ok")
-            if sc.mode == "picard":
-                for key in ("converged", "sweeps", "final_distance", "distances"):
-                    entry[key] = info[key]
-                if not info["converged"]:
-                    entry["status"] = "not_converged"
             for tag, final in (("v", v), ("w", w)):
                 path = os.path.join(out_dir, f"{tag}_eps{eps:g}.fld")
                 save_field(path, final[..., : K + 1], grid)
@@ -228,24 +229,19 @@ def cmd_converge(cfg, out_dir, seed):
     eps_sorted = sorted(float(e) for e in cfg.eps)
     # one shared lattice so the runs couple through identical mode noise
     K = cfg.cutoff_for(min(eps_sorted))
-    # a potential without coupling fails here, before any run, whatever lam is
-    coupling = coupling_lambda(V, sigma2_limit(cfg.make_symbol(min(eps_sorted))))
     lam = cfg.solver.get("lam")
+    coupling = _couplings(cfg, V, eps_sorted)[0]  # checked whatever lam is
     if lam is None:
         lam = coupling
     kappa = float({**SOLVER_DEFAULTS, **cfg.solver}["kappa"])
     failed = []
 
     def run(eps):
-        # a blow-up gives no pair; a Picard run that did not converge
-        # still has one, but both are failures
         try:
             _, sc, _, pair = _run_one(cfg, noise, eps, K, lam, V)
-        except BlowUpSignal:
+        except BlowUpSignal:  # a blow-up gives no pair
             failed.append(eps)
             return None, None
-        if sc.mode == "picard" and not pair.info["converged"]:
-            failed.append(eps)
         return sc, pair
 
     grid = FrequencyLattice(K)

@@ -16,8 +16,7 @@ below:
                {kind: fixed,   K: 8}         ->  integer K >= 1
     seed:      master seed (integer >= 0)
     samples:   Monte Carlo replicas (integer >= 0)
-    solver:    {dt, T: 0 < dt <= T, lam: null|float, kappa: > 0,
-                mode: sequential|picard, picard_iters: integer >= 1}
+    solver:    {dt, T: 0 < dt <= T, lam: null|float, kappa: > 0}
                kappa sets the Y-norm of the distances that converge reports;
                lam sets only the eps = 0 run's coupling: an eps > 0 run
                takes lambda from its renormalization constants
@@ -38,8 +37,7 @@ from .fourier import DispersionQ, _atomic_open
 from .renorm import Potential
 
 KNOWN_FAMILIES = ("quartic", "laplacian")
-SOLVER_DEFAULTS = {"dt": 1e-3, "T": 0.1, "lam": None, "kappa": 0.05,
-                   "mode": "sequential", "picard_iters": 40}
+SOLVER_DEFAULTS = {"dt": 1e-3, "T": 0.1, "lam": None, "kappa": 0.05}
 NESTED_KEYS = {"symbol": {"family", "nu"},
                "k_rule": {"kind", "factor", "K"},
                "solver": set(SOLVER_DEFAULTS)}
@@ -109,15 +107,10 @@ class ExperimentConfig:
         dt, T = solver["dt"], solver["T"]
         if not (_is_number(dt) and _is_number(T) and 0 < dt <= T):
             raise ConfigError(f"solver needs finite 0 < dt <= T: dt={dt!r}, T={T!r}")
-        if solver["mode"] not in ("sequential", "picard"):
-            raise ConfigError(f"unknown solver mode {solver['mode']!r}")
         if not (_is_number(solver["kappa"]) and solver["kappa"] > 0):
             raise ConfigError(f"solver kappa must be finite and > 0: {solver['kappa']!r}")
         if not (solver["lam"] is None or _is_number(solver["lam"])):
             raise ConfigError(f"solver lam must be null or a finite number: {solver['lam']!r}")
-        if not _is_count(solver["picard_iters"], 1):
-            raise ConfigError("solver picard_iters must be an integer >= 1: "
-                              f"{solver['picard_iters']!r}")
         if not _is_count(self.samples, 0):
             raise ConfigError(f"samples must be an integer >= 0: {self.samples!r}")
 

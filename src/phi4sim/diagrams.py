@@ -27,8 +27,8 @@ forms c3 only to advance c30.  Only they carry history: c0, c1 and c2 are
 polynomials in X at the same time, which `EnhancedNoise` forms from `one` as
 it hands out a slice.  `build_upsilon` and `build_limit_upsilon` collect
 `one` and c30 into trajectories; `stream_upsilon` and `stream_limit_upsilon`
-hand the slices out once, as the main loop makes them, so a sequential solve
-can consume the build and keep no trajectory.
+hand the slices out once, as the main loop makes them, so a solve can
+consume the build and keep no trajectory.
 
 c0..c3 are polynomials in the free field X.  Their terms of degree <= 1 (-C1
 in c2, -3 C1 X in c3, and all of a noise of degree <= 1) are formed in

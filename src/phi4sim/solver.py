@@ -1,6 +1,6 @@
 """Paracontrolled remainder system for (v, w), the coefficient fields F_j,
-exponential-Euler / Picard integration, Y-norms, and the reconstruction of
-the full solution against a brute-force reference.
+its exponential-Euler march, Y-norms, and the reconstruction of the full
+solution against a brute-force reference.
 
 The paper's step is written with the renormalised resonances
 c31 = c30 o c1 - k31, c22 = c20 o c2 - k22 and c32 = c30 o c2 - k32 X, which
@@ -52,14 +52,11 @@ plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
 (besov.para_lt); P(c2 f) joins the polynomial pass, of degree 4, or 3 when c0
 is a number (every quartic V, and the limit's c0 = 1) and so F3 is one too.
 The march reads each step's noise slice (`EnhancedNoise.slices`, of a
-collected or a streamed build) with its F: the sequential march forms F as
-it reads the slice, and Picard forms the list of them once per solve.  A
-Picard sweep's integrands read only the source iterate.
+collected or a streamed build) and forms its F as it reads it.
 """
 
 import math
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +74,6 @@ class SolverConfig:
     dt: float
     T: float
     K: int
-    picard_iters: int = 40
-    mode: str = "sequential"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.T)
@@ -86,10 +81,6 @@ class SolverConfig:
             raise ValueError("dt and T must be finite and positive")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must lie in [0, 1], not {self.eps}")
-        if self.mode not in ("sequential", "picard"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.picard_iters < 1:
-            raise ValueError("picard_iters must be at least 1")
 
 
 @dataclass
@@ -97,7 +88,6 @@ class RemainderPair:
     t_grid: np.ndarray
     v_traj: np.ndarray
     w_traj: np.ndarray
-    info: dict = field(default_factory=dict)
 
 
 def taylor_remainder(V, x, y):
@@ -136,14 +126,6 @@ def coeffs_F(lam, U, s):
     return F0, F1, F2, F3
 
 
-def _steps(lam, U):
-    """(slice, coeffs_F of it) for each slice of U, formed as it is read; U is
-    read at the first step taken.  The slice keeps only what the march reads."""
-    for s in U.slices():
-        F = coeffs_F(lam, U, s)
-        yield {tag: s[tag] for tag in ("one", "c30", "c2")}, F
-
-
 def _check_grid_match(config, U):
     if config.K != U.grid.K or abs(config.eps - U.eps) > 1e-12:
         raise GridError(f"config (K={config.K}, eps={config.eps}) does not match "
@@ -155,13 +137,12 @@ def _check_grid_match(config, U):
     return int(round(config.T / config.dt))
 
 
-def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
-    """One exponential-Euler sweep on half spectra, reading step i's noise
-    slice and coefficient fields from the i-th (slice, F) pair of `steps`;
-    returns the final state (v, w).  With out = (v_traj, w_traj), full-cube
-    trajectories, each step's state is mirrored into them as it is made.
-    With integrand_source=None the integrands use the running (sequential)
-    state; otherwise the supplied previous iterates (full cubes, Picard)."""
+def _march(config, U, v0, w0, V, trajectory=False):
+    """The exponential-Euler march on half spectra from the full cubes
+    (v0, w0), forming each step's coefficient fields F from its slice of U
+    as it reads it; returns the final state (v, w), half spectra.  With
+    trajectory=True it returns the full-cube trajectories (v_traj, w_traj)
+    at steps 0 .. nsteps instead, each step's state mirrored in as it is made."""
     g = U.grid
     lam = config.lam
     eps = config.eps
@@ -169,19 +150,19 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
     quad = ExponentialQuadrature(g, U.Q, config.dt)
     a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0 if a number: F3 = -lam a
     P = g.pad_size(4 if a is None else 3)
-    v = np.array(v0, dtype=np.complex128)
-    w = np.array(w0, dtype=np.complex128)
+    v, w = (_half(c, g, "initial data") for c in (v0, w0))
+    out = _full_cubes(nsteps, g) if trajectory else None
     if out is not None:
         _mirror(v, g, out=out[0][0])
         _mirror(w, g, out=out[1][0])
-    for i, (s, F) in zip(range(nsteps), steps):
-        if integrand_source is None:
-            vi, wi = v, w
-        else:
-            vi, wi = (t[i][..., : g.K + 1] for t in integrand_source)
-        c2 = s["c2"]
-        u = vi + wi
-        f = u - lam * s["c30"]
+    slices = U.slices()
+    for i in range(nsteps):
+        s = next(slices)  # not zip's: its reused result tuple keeps the slice
+        F = coeffs_F(lam, U, s)
+        one, c30, c2 = s["one"], s["c30"], s["c2"]
+        del s  # c0 and c1 are not read once F is formed
+        u = v + w
+        f = u - lam * c30
         para = para_lt(f, c2, g)
         # sum_j F_j u^j - 3 lam c2 f on one shared alias-free grid
         ux = to_physical(u, g, P)
@@ -191,12 +172,12 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
             poly += (to_physical(F[j], g, P) if j < 3 or a is None else -lam * a) * uj
         poly -= 3.0 * lam * to_physical(c2, g, P) * to_physical(f, g, P)
         G = from_physical(poly, g, P) + 3.0 * lam * para \
-            - 3.0 * lam**2 * U.k32 * (s["one"] + f)
+            - 3.0 * lam**2 * U.k32 * (one + f)
         if eps > 0 and V is not None and V.n > 2:
             # Taylor remainder of V' around sqrt(eps) * (free field); exactly
             # zero for quartic V
             Pr = g.pad_size(2 * V.n - 1)
-            psi = to_physical(s["one"], g, Pr) * np.sqrt(eps)
+            psi = to_physical(one, g, Pr) * np.sqrt(eps)
             y = to_physical(f, g, Pr) * np.sqrt(eps)
             G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
         v_next = quad.advance(v, -3.0 * lam * para)
@@ -209,7 +190,7 @@ def _march(config, U, steps, v0, w0, V, integrand_source=None, out=None):
         if out is not None:
             _mirror(v, g, out=out[0][i + 1])
             _mirror(w, g, out=out[1][i + 1])
-    return v, w
+    return (v, w) if out is None else out
 
 
 def _full_cubes(nsteps, grid):
@@ -222,57 +203,16 @@ def solve(config, U, v0, w0, V=None):
     """Integrate the remainder system on [0, T] on a collected or a streamed
     build U; full cubes in and out.  The trajectories are written as full
     cubes step by step, so no half trajectory is held beside them."""
-    g = U.grid
-    v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
-    nsteps = _check_grid_match(config, U)
-    if config.mode == "sequential":
-        v_traj, w_traj = _full_cubes(nsteps, g)
-        _march(config, U, _steps(config.lam, U), v0h, w0h, V, out=(v_traj, w_traj))
-        info = {"mode": "sequential"}
-    else:
-        decay = ExponentialQuadrature(g, U.Q, config.dt).decay
-        v_prev, w_prev = _full_cubes(nsteps, g)
-        v, w = v0h, w0h
-        for i in range(nsteps + 1):  # zeroth iterate: pure linear evolution
-            if i:
-                v, w = decay * v, decay * w
-            _mirror(v, g, out=v_prev[i])
-            _mirror(w, g, out=w_prev[i])
-        half = np.s_[..., : g.K + 1]
-        dists = []
-        info = {"mode": "picard", "converged": False, "non_contraction": False}
-        steps = list(islice(_steps(config.lam, U), nsteps))
-        for sweep in range(config.picard_iters):
-            v_new, w_new = _full_cubes(nsteps, g)
-            _march(config, U, steps, v0h, w0h, V,
-                   integrand_source=(v_prev, w_prev), out=(v_new, w_new))
-            dist = max(float(np.max(np.abs(v_new[half] - v_prev[half]))),
-                       float(np.max(np.abs(w_new[half] - w_prev[half]))))
-            dists.append(dist)
-            v_prev, w_prev = v_new, w_new
-            if dist < 1e-8:
-                info["converged"] = True
-                break
-            if len(dists) >= 3 and dists[-1] > dists[-2] > dists[-3]:
-                info["non_contraction"] = True
-                break
-        info.update(sweeps=len(dists), final_distance=dists[-1], distances=dists)
-        v_traj, w_traj = v_prev, w_prev
-    t_grid = U.t_grid[: nsteps + 1].copy()
-    return RemainderPair(t_grid=t_grid, v_traj=v_traj, w_traj=w_traj, info=info)
+    v_traj, w_traj = _march(config, U, v0, w0, V, trajectory=True)
+    return RemainderPair(t_grid=U.t_grid[: len(v_traj)].copy(), v_traj=v_traj,
+                         w_traj=w_traj)
 
 
 def solve_final(config, U, v0, w0, V=None):
-    """The final state (v, w, info) of `solve`, full cubes: the sequential
-    march keeps only the running (v, w), so on a streamed build
-    (`diagrams.stream_upsilon`) no trajectory is held."""
-    if config.mode != "sequential":
-        pair = solve(config, U, v0, w0, V)
-        return pair.v_traj[-1], pair.w_traj[-1], pair.info
-    g = U.grid
-    v0h, w0h = (_half(c, g, "initial data") for c in (v0, w0))
-    v, w = _march(config, U, _steps(config.lam, U), v0h, w0h, V)
-    return _mirror(v, g), _mirror(w, g), {"mode": "sequential"}
+    """The final state (v, w) of `solve`, full cubes: the march keeps only
+    the running (v, w), so on a streamed build (`diagrams.stream_upsilon`)
+    no trajectory is held."""
+    return tuple(_mirror(c, U.grid) for c in _march(config, U, v0, w0, V))
 
 
 # ---------------------------------------------------------------------------

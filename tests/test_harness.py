@@ -12,8 +12,8 @@ import pytest
 import yaml
 
 from phi4sim import cli, fourier
-from phi4sim.config import (ConfigError, ExperimentConfig, config_hash,
-                            dump_config, load_config)
+from phi4sim.config import (SOLVER_DEFAULTS, ConfigError, ExperimentConfig,
+                            config_hash, dump_config, load_config)
 from phi4sim.diagrams import EnhancedNoise
 from phi4sim.errors import BlowUpSignal
 from phi4sim.fourier import load_field, save_field
@@ -63,15 +63,39 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("block", [
-    {"solver": {"picard_iters": 3, "dtt": 5}},
+    {"solver": {"T": 0.01, "dtt": 5}},
     {"symbol": {"family": "quartic", "nu": 1.0, "nuu": 3}},
     {"k_rule": {"kind": "inverse", "factor": 4.0, "factr": 9}},
+    # the keys of the deleted Picard mode, with values it took or refused
+    {"solver": {"mode": "picard"}},
+    {"solver": {"picard_iters": 40}},
+    {"solver": {"mode": "bogus"}},
+    {"solver": {"picard_iters": 0}},
+    {"solver": {"picard_iters": 2.5}},
 ])
 def test_config_rejects_unknown_nested_key(tmp_path, capsys, block):
     path = _write_cfg(tmp_path, **block)
     with pytest.raises(ConfigError, match="unknown"):
         load_config(path)
-    _expect_exit(["constants", "--config", str(path)], cli.EXIT_USAGE, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--config", str(path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"].startswith("config error: unknown")
+
+
+def test_readme_config_grammar_names_every_solver_key(tmp_path):
+    # the README's example config loads, and its solver block documents
+    # exactly the keys the config accepts
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Config grammar"):]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "grammar.yaml"
+    path.write_text(block, encoding="utf-8")
+    assert set(load_config(path).solver) == set(SOLVER_DEFAULTS)
 
 
 @pytest.mark.parametrize("block", [
@@ -86,11 +110,11 @@ def test_config_rejects_unknown_nested_key(tmp_path, capsys, block):
     {"k_rule": {"kind": "inverse", "factor": -4}},
     {"k_rule": {"kind": "inverse", "factor": 0}},
     {"seed": -1},
-    {"solver": {"mode": "bogus"}},
+    {"solver": {"kappa": float("inf")}},
     {"solver": {"kappa": 0}},
     {"solver": {"lam": "x"}},
-    {"solver": {"picard_iters": 0}},
-    {"solver": {"picard_iters": 2.5}},
+    {"solver": {"lam": True}},
+    {"eps": 0.4},
     {"potential": [0.0, "x"]},
     {"symbol": {"family": "quartic", "nu": "abc"}},
     # not finite: factor .inf used to die with an OverflowError, nu .nan to
@@ -333,8 +357,7 @@ def test_cli_solve_writes_manifest_and_snapshots(tmp_path):
 @pytest.mark.parametrize("eps, solver", [
     (0.4, {"dt": 1e-3, "T": 0.004}),
     (0.0, {"dt": 1e-3, "T": 0.004}),
-    (0.4, {"dt": 1e-3, "T": 0.004, "mode": "picard"}),
-], ids=["quartic", "limit", "picard"])
+], ids=["quartic", "limit"])
 def test_cli_solve_snapshots_are_the_collected_solve_s_last_slice(tmp_path, eps,
                                                                  solver):
     # the CLI run keeps only the final state (`solve_final`); `_run_one`
@@ -392,25 +415,6 @@ BLOWUP_V = [0.0, 2.5e7]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solver, status", [
-    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1},
-     "not_converged"),
-    ({"dt": 1e-3, "T": 0.004}, "blowup"),
-])
-def test_cli_solve_failed_run_exits_nonzero(tmp_path, capsys, solver, status):
-    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2}, solver=solver,
-                      potential=BLOWUP_V if status == "blowup" else [0.0, 0.25])
-    out = tmp_path / "s"
-    _expect_exit(["solve", "--config", str(path), "--out", str(out)],
-                 cli.EXIT_RUN_FAILED, capsys)
-    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
-    assert run["status"] == status
-    if status == "not_converged":
-        assert run["converged"] is False and run["sweeps"] == 1
-        assert run["final_distance"] > 0
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys):
     path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2},
                       potential=BLOWUP_V)
@@ -425,6 +429,7 @@ def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys
                                        "numpy": np.__version__,
                                        "threads": fourier.get_threads()}
     run = manifest["runs"][0]
+    assert run["status"] == "blowup"
     cfg = load_config(path)
     with pytest.raises(BlowUpSignal) as exc:  # the whole-trajectory path, `solve`
         cli._run_one(cfg, NoiseSeed(7), 0.4, 2, None, cfg.make_potential())
@@ -435,18 +440,6 @@ def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys
         want = scale * math.sqrt(float(np.sum((np.abs(state) / scale) ** 2)))
         assert math.isfinite(run[f"blowup_{tag}_l2"])
         assert run[f"blowup_{tag}_l2"] == pytest.approx(want, rel=1e-12)
-
-
-def test_cli_solve_records_the_picard_distance_history(tmp_path):
-    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2},
-                      solver={"dt": 1e-3, "T": 0.004, "mode": "picard"})
-    out = tmp_path / "s"
-    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    run = yaml.safe_load((out / "manifest.yaml").read_text())["runs"][0]
-    assert run["converged"] is True and run["sweeps"] > 1
-    assert len(run["distances"]) == run["sweeps"]
-    assert run["distances"][-1] == run["final_distance"] < 1e-8
-    assert all(d > 0 for d in run["distances"])
 
 
 def test_a_sequential_converge_run_streams_its_builds(tmp_path, monkeypatch):
@@ -491,6 +484,29 @@ def test_cli_converge_with_a_set_lambda_rejects_a_potential_without_coupling_fir
     assert err["error"].startswith("config error:") and "lambda" in err["error"]
 
 
+@pytest.mark.parametrize("block, code", [
+    ({"potential": [0.0, 0.0]}, cli.EXIT_USAGE),
+    ({"symbol": {"family": "laplacian"}}, cli.EXIT_VALIDATION),
+], ids=["no-coupling", "laplacian"])
+def test_cli_solve_checks_each_positive_eps_before_the_limit_run(tmp_path, capsys,
+                                                                 monkeypatch, block, code):
+    # eps 0 comes first, so a coupling or a symbol that fails at eps 0.4 must
+    # fail before the limit run writes its snapshots
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve started the limit run")
+
+    monkeypatch.setattr(cli, "stream_limit_upsilon", refuse)
+    path = _write_cfg(tmp_path, eps=[0.0, 0.4], k_rule={"kind": "fixed", "K": 2},
+                      **block)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == code
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert "error" in json.loads(line)
+    assert not list(tmp_path.rglob("*.fld"))
+
+
 def test_cli_converge_tiny_run(tmp_path):
     path = _write_cfg(tmp_path, eps=[0.5, 0.4],
                       k_rule={"kind": "fixed", "K": 2},
@@ -507,22 +523,16 @@ def test_cli_converge_tiny_run(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solver, potential, rows", [
-    ({"dt": 1e-3, "T": 0.004, "mode": "picard", "picard_iters": 1},
-     [0.0, 0.25], 2),
-    ({"dt": 1e-3, "T": 0.004}, BLOWUP_V, 0),
-], ids=["not_converged", "blowup"])
-def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys, solver,
-                                               potential, rows):
-    path = _write_cfg(tmp_path, eps=[0.5, 0.4], potential=potential,
-                      k_rule={"kind": "fixed", "K": 2}, solver=solver)
+def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys):
+    path = _write_cfg(tmp_path, eps=[0.5, 0.4], potential=BLOWUP_V,
+                      k_rule={"kind": "fixed", "K": 2})
     out = tmp_path / "c"
     err = _expect_exit(["converge", "--config", str(path), "--out", str(out)],
                        cli.EXIT_RUN_FAILED, capsys)
     assert "converge.csv" in err["error"]
     lines = (out / "converge.csv").read_text().strip().split("\n")
     body = [ln for ln in lines if ln and not ln.startswith("#")]
-    assert len(body) == 1 + rows  # a blown-up limit leaves no distance
+    assert len(body) == 1  # a blown-up limit leaves no distance
     assert lines[-1] == "# failed=0,0.5,0.4"  # the limit run is eps 0
 
 

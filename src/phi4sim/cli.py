@@ -13,8 +13,9 @@ comment lines "# schema=1", "# version=...", "# config=<hash>", "# seed=<n>",
 so a rerun from the same config and seed is byte-identical.  Failures exit
 nonzero and print a single JSON object {"error": <reason>} on stderr; `solve`
 still writes its manifest and exits 4 when a run blew up (run status
-"blowup").  `converge` likewise writes its CSV, names such runs in a trailer
-line "# failed=<eps,...>" (0 is the limit run) and exits 4.
+"blowup").  `converge` likewise writes its CSV, with the verdict
+"incomplete", names such runs in a trailer line "# failed=<eps,...>" (0 is
+the limit run) and exits 4.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import yaml
 
 from . import __version__
 from .config import SOLVER_DEFAULTS, config_hash, dump_config, load_config
-from .diagrams import mc_moment, stream_limit_upsilon, stream_upsilon
+from .diagrams import build_limit_upsilon, build_upsilon, mc_moment
 from .errors import (BlowUpSignal, ConfigError, GrowthViolationError,
                      Phi4Error, SymbolError)
 from .fourier import (FrequencyLattice, _atomic_open, get_threads, save_field,
@@ -152,9 +153,10 @@ def _solver_config(cfg, eps, K, lam):
 
 
 def _run_one(cfg, noise, eps, K, lam, V, run=solve):
-    """The grid, solver config and streamed noise build of one run, and `run`
-    (`solve` or `solve_final`) of it from zero.  At eps > 0 the coupling is
-    the RenormSet's, which scales the noises; `lam` (1 if None) the limit's."""
+    """The grid, solver config and noise build of one run, and `run`
+    (`solve` or `solve_final`) of it from zero, which reads the build once.
+    At eps > 0 the coupling is the RenormSet's, which scales the noises;
+    `lam` (1 if None) the limit's."""
     Q = cfg.make_symbol(eps)
     grid = FrequencyLattice(K)
     sc = _solver_config(cfg, eps, K, 1.0 if lam is None else lam)
@@ -162,9 +164,9 @@ def _run_one(cfg, noise, eps, K, lam, V, run=solve):
     if eps > 0:
         rs = build_renorm(Q, V, K=K)
         sc.lam = rs.lam
-        U = stream_upsilon(noise, grid, Q, V, eps, t_grid, rs)
+        U = build_upsilon(noise, grid, Q, V, eps, t_grid, rs)
     else:
-        U = stream_limit_upsilon(noise, grid, t_grid)
+        U = build_limit_upsilon(noise, grid, t_grid)
     z = np.zeros((grid.n,) * 3, dtype=np.complex128)
     return grid, sc, U, run(sc, U, z, z, V=V)
 
@@ -259,7 +261,7 @@ def cmd_converge(cfg, out_dir, seed):
             monotone = False
         prev = dist
         rows.append((eps, K, lam, dist))
-    verdict = "decreasing" if monotone else "non-monotone"
+    verdict = "incomplete" if failed else "decreasing" if monotone else "non-monotone"
     trailer = [f"verdict={verdict}"]
     if failed:
         trailer.append("failed=" + ",".join(f"{e:g}" for e in failed))

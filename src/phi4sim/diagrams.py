@@ -7,7 +7,7 @@ full mode lattice, through the same counters, so a build at eps > 0 and the
 limit build from the same seed are coupled realizations.
 
 Component tags (in chaos order):
-    one : the free field trajectory (kept for reconstruction/coupling)
+    one : the free field (for reconstruction/coupling)
     c0  : V''''(sqrt(eps) X) / (6 lambda)
     c1  : V'''(sqrt(eps) X) / (6 lambda sqrt(eps))
     c2  : V''(sqrt(eps) X) / (3 lambda eps) - C1
@@ -22,13 +22,12 @@ t = -burn_in on a graded mesh whose step coarsens geometrically away from
 t = 0 (run resolution adjacent to the main window), so the discrete Duhamel
 recursion on t >= 0 is at the run resolution at logarithmic burn-in cost.
 
-The main loop yields one slice per time of the grid, `one` and c30, and
-forms c3 only to advance c30.  Only they carry history: c0, c1 and c2 are
-polynomials in X at the same time, which `EnhancedNoise` forms from `one` as
-it hands out a slice.  `build_upsilon` and `build_limit_upsilon` collect
-`one` and c30 into trajectories; `stream_upsilon` and `stream_limit_upsilon`
-hand the slices out once, as the main loop makes them, so a solve can
-consume the build and keep no trajectory.
+A build runs the burn-in and keeps its end, the state at t = 0.  Each read
+of it replays the main loop from there, which yields `one` and c30 at each
+time of the grid and forms c3 only to advance c30, so every read gives the
+same bits and no build holds a trajectory.  Only `one` and c30 carry
+history: c0, c1 and c2 are polynomials in X at the same time, which
+`EnhancedNoise.slices` forms from `one` as it hands out a slice.
 
 c0..c3 are polynomials in the free field X.  Their terms of degree <= 1 (-C1
 in c2, -3 C1 X in c3, and all of a noise of degree <= 1) are formed in
@@ -59,60 +58,38 @@ from .gaussian import advance, hermite, ou_transition, sample_stationary
 
 @dataclass
 class EnhancedNoise:
-    """Time-indexed fields of one enhanced-noise realization and the
+    """One enhanced-noise realization: the build's noise `evaluator`, its
+    state `start` at t = 0 after the burn-in (the OU ensemble and c30), the
+    main loop's `step` (its quadrature and OU transition) and the
     counterterm k32 of the remainder step's mass term.
 
-    A slice is `one` and c30 at one time of t_grid, with c0, c1 and c2 formed
-    from `one` in one `all_noises` call with the build's polynomials `polys`
-    (c0..c3) and pad.  A streamed build hands its slices out once, from
-    `stream`: the evaluator that forms them and the main loop's generator.
-    `collect` stores `one` and c30 as the trajectories `components`."""
+    Every read replays the main loop from `start`, so every read gives the
+    same bits: `fields` yields `one` and c30 at each time of t_grid, and
+    `slices` adds c0, c1 and c2, formed from `one` in one `all_noises` call."""
 
     grid: object
     Q: object
     eps: float
     t_grid: np.ndarray
-    components: dict
     k32: float
-    polys: list
+    evaluator: object = field(repr=False)
+    start: tuple = field(repr=False)
+    step: tuple = field(repr=False)
     provenance: dict = field(default_factory=dict)
-    stream: object = field(default=None, repr=False)
 
-    def _read_stream(self):
-        if self.stream is None:
-            raise GridError("a streamed build is read once: collect it first to read it again")
-        stream, self.stream = self.stream, None
-        return stream
-
-    def slice(self, i):
-        """Slice i (an index or a slice of t_grid's) of a collected build."""
-        if not self.components:
-            raise GridError("a streamed build holds no trajectory: collect it first")
-        return _NoiseEvaluator(self.grid, self.polys).with_noises(
-            {tag: c[i] for tag, c in self.components.items()})
+    def fields(self):
+        """`one` and c30 at each time of t_grid; c3 is formed only to advance c30."""
+        (ens, I3), (quad, ou_step) = self.start, self.step
+        yield dict(one=ens.coeffs, c30=I3)
+        for _ in self.t_grid[1:]:
+            c, = self.evaluator.all_noises(ens.coeffs, (3,))
+            I3 = quad.advance(I3, c)
+            ens = advance(ens, quad.dt, ou_step)
+            yield dict(one=ens.coeffs, c30=I3)
 
     def slices(self):
-        """The slices, one per time of t_grid: a collected build's by index,
-        a streamed build's as the build makes them, once."""
-        if self.components:
-            return map(self.slice, range(len(self.t_grid)))
-        ev, stream = self._read_stream()
-        return map(ev.with_noises, stream)
-
-    def traj(self, tag):
-        if tag in self.components:
-            return self.components[tag]
-        return np.stack([self.slice(i)[tag] for i in range(len(self.t_grid))])
-
-    def collect(self):
-        """Store `one` and c30 of a streamed build's slices as trajectories; returns self."""
-        _, stream = self._read_stream()
-        self.components = {tag: np.empty((len(self.t_grid),) + self.grid.shape, complex)
-                           for tag in ("one", "c30")}
-        for i, s in enumerate(stream):
-            for tag, c in self.components.items():
-                c[i] = s[tag]
-        return self
+        """The slices `one`, c0, c1, c2 and c30, one per time of t_grid."""
+        return map(self.evaluator.with_noises, self.fields())
 
 
 @dataclass
@@ -148,12 +125,12 @@ class _NoiseEvaluator:
         self._size = self.P**3
         self._buffers = {}
 
-    def _work(self, batch, name):
-        """The padded-grid work array `name` of a batch shape: a prefix view of
-        the array made at the full pad at its first use, reused by later calls."""
-        if (batch, name) not in self._buffers:
-            self._buffers[batch, name] = np.empty(batch + (self._size,))
-        return self._buffers[batch, name][..., : self.P**3].reshape(batch + (self.P,) * 3)
+    def _work(self, name):
+        """The padded-grid work array `name`: a prefix view of the array made
+        at the full pad at its first use, reused by later calls."""
+        if name not in self._buffers:
+            self._buffers[name] = np.empty(self._size)
+        return self._buffers[name][: self.P**3].reshape((self.P,) * 3)
 
     def onto(self, m):
         """This evaluator forming only the modes |k|_inf <= m, on the pad
@@ -190,10 +167,9 @@ class _NoiseEvaluator:
         array."""
         polys = [self.polys[m] for m in orders]
         top = max(map(len, polys))
-        batch = coeffs.shape[:-3]
         powers = [None]
         if top > 2:
-            powers += [self._work(batch, j) for j in range(1, top)]
+            powers += [self._work(j) for j in range(1, top)]
             to_physical(coeffs, self.grid, self.P, out=powers[1])
             for j in range(2, top):
                 np.multiply(powers[j - 1], powers[1], out=powers[j])
@@ -202,9 +178,9 @@ class _NoiseEvaluator:
             c = p[1] * coeffs[self.sub] if len(p) > 1 else np.zeros_like(coeffs[self.sub])
             if len(p) > 2:
                 js = [j for j in range(2, len(p)) if p[j]]
-                work = np.multiply(powers[js[0]], p[js[0]], out=self._work(batch, "sum"))
+                work = np.multiply(powers[js[0]], p[js[0]], out=self._work("sum"))
                 for j in js[1:]:
-                    work += np.multiply(powers[j], p[j], out=self._work(batch, "term"))
+                    work += np.multiply(powers[j], p[j], out=self._work("term"))
                 c += from_physical(work, self.cube, self.P)
             if len(p) and p[0]:
                 c[..., 0, 0, 0] += p[0]
@@ -218,22 +194,22 @@ class _NoiseEvaluator:
 
 
 COARSE_DT = 0.02  # the burn-in's coarsest step
+FINE_WINDOW = 1.0  # the most time the burn-in's finest level covers
 
 
-def _burn_phases(dt, burn_in, fine_window):
+def _burn_phases(dt, burn_in):
     """Graded burn-in mesh, finest steps next to t = 0.
 
     Returns phases [(n, h), ...] ordered from the earliest: the step h starts
     at the run resolution dt adjacent to t = 0 and coarsens by factors of 4 up
-    to COARSE_DT going backwards, each level covering at most `fine_window`
-    time units (in units of 256 steps), so the cost is logarithmic in
-    COARSE_DT / dt instead of linear in fine_window / dt.
+    to COARSE_DT going backwards, each level covering at most 256 steps (the
+    finest at most FINE_WINDOW time units), so the cost is logarithmic in
+    COARSE_DT / dt instead of linear in FINE_WINDOW / dt.
     """
     phases = []
     remaining = burn_in
     h = dt
-    first_cap = math.ceil(min(fine_window, burn_in) / dt)
-    cap = min(first_cap, 256)
+    cap = min(math.ceil(min(FINE_WINDOW, burn_in) / dt), 256)
     while remaining > 1e-12 and h < COARSE_DT:
         n = min(math.ceil(remaining / h), cap)
         phases.append((n, h))
@@ -255,16 +231,13 @@ def _burn_cubes(grid, Q, phases):
     return [min(grid.K, int(np.max(grid.kabs[bsq * t <= cut], initial=0))) for t in taus]
 
 
-def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
-                  sample, burn_in, fine_window):
-    """The shared build: the burn-in, then an EnhancedNoise that holds the
-    main loop as the generator of its slices, `one` and c30 at each time of
-    t_grid, with the evaluator's polynomials and `constants` in its
-    provenance."""
+def _build(seed, grid, Q, eps, evaluator, t_grid, k32, constants, sample, burn_in):
+    """The shared build: the burn-in, then an EnhancedNoise that starts the
+    main loop from its end, with `constants` in its provenance."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     dt = _uniform_dt(t_grid)
-    phases = _burn_phases(dt, burn_in, fine_window)
-    ens = sample_stationary(seed, grid, Q, sample=sample, t0=-sum(n * h for n, h in phases))
+    phases = _burn_phases(dt, burn_in)
+    ens = sample_stationary(seed, grid, Q, sample=sample)
     I3 = np.zeros(grid.shape, dtype=np.complex128)
     for (n, h), m in zip(phases, _burn_cubes(grid, Q, phases)):
         ev = evaluator.onto(max(m, 1)) if m < grid.K else evaluator
@@ -274,54 +247,28 @@ def _stream_build(seed, grid, Q, eps, evaluator, t_grid, k32, constants,
             I3[ev.sub] = quad.advance(I3[ev.sub], c)
             ens = advance(ens, h, ou_step)
     prov = dict(master=seed.master, sample=sample, step_offset=ens.step,
-                burn_in=burn_in, fine_window=fine_window, **constants)
-
-    def slices(ens, I3):
-        quad, ou_step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
-        yield dict(one=ens.coeffs, c30=I3)
-        for _ in t_grid[1:]:
-            c, = evaluator.all_noises(ens.coeffs, (3,))
-            I3 = quad.advance(I3, c)
-            ens = advance(ens, dt, ou_step)
-            yield dict(one=ens.coeffs, c30=I3)
-
-    return EnhancedNoise(grid, Q, eps, t_grid, {}, k32, evaluator.polys, prov,
-                         (evaluator, slices(ens, I3)))
+                burn_in=burn_in, **constants)
+    step = ExponentialQuadrature(grid, Q, dt), ou_transition(grid, Q, dt)
+    return EnhancedNoise(grid, Q, eps, t_grid, k32, evaluator, (ens, I3), step, prov)
 
 
-def stream_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0,
-                   burn_in=10.0, fine_window=1.0):
-    """The enhanced noise at eps > 0, burnt in: an EnhancedNoise that streams
-    its slices, one per time of t_grid."""
+def build_upsilon(seed, grid, Q, V, eps, t_grid, renorm_set, sample=0, burn_in=10.0):
+    """The enhanced noise at eps > 0 on t_grid, burnt in."""
     if abs(renorm_set.eps - eps) > 1e-12 or Q.eps != eps:
         raise GridError("renorm constants / symbol eps mismatch")
     ev = _NoiseEvaluator.potential(grid, V, eps, renorm_set.lam, renorm_set.C1)
-    return _stream_build(seed, grid, Q, eps, ev, t_grid,
-                         3.0 * renorm_set.C2 + 2.0 * renorm_set.C3,
-                         dict(lam=renorm_set.lam, renorm=renorm_set), sample,
-                         burn_in, fine_window)
+    return _build(seed, grid, Q, eps, ev, t_grid, 3.0 * renorm_set.C2 + 2.0 * renorm_set.C3,
+                  dict(lam=renorm_set.lam, renorm=renorm_set), sample, burn_in)
 
 
-def build_upsilon(*args, **kwargs):
-    """Assemble the enhanced noise at eps > 0 (arguments as stream_upsilon)."""
-    return stream_upsilon(*args, **kwargs).collect()
-
-
-def stream_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0, fine_window=1.0):
+def build_limit_upsilon(seed, grid, t_grid, sample=0, burn_in=10.0):
     """The standard objects of the eps = 0 limit (Q = z^2) on the lattice,
-    with the same noise counters as stream_upsilon, so matched seeds give
-    coupled realizations; streamed as stream_upsilon's."""
+    with the same noise counters as build_upsilon, so matched seeds give
+    coupled realizations."""
     c1_std, c2_std = renorm.standard_constants(grid.K)
-    return _stream_build(seed, grid, DispersionQ.laplacian(0.0), 0.0,
-                         _NoiseEvaluator.standard(grid, c1_std), t_grid,
-                         6.0 * c2_std, dict(c1_std=c1_std, c2_std=c2_std),
-                         sample, burn_in, fine_window)
-
-
-def build_limit_upsilon(*args, **kwargs):
-    """Assemble the eps = 0 limit's standard objects (arguments as
-    stream_limit_upsilon)."""
-    return stream_limit_upsilon(*args, **kwargs).collect()
+    return _build(seed, grid, DispersionQ.laplacian(0.0), 0.0,
+                  _NoiseEvaluator.standard(grid, c1_std), t_grid,
+                  6.0 * c2_std, dict(c1_std=c1_std, c2_std=c2_std), sample, burn_in)
 
 
 # ---------------------------------------------------------------------------

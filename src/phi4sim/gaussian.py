@@ -73,19 +73,18 @@ class ModeOUEnsemble:
 
     grid: object
     Q: object
-    t: float
     coeffs: np.ndarray
     seed: NoiseSeed
     sample: int = 0
     step: int = 0
 
 
-def sample_stationary(seed, grid, Q, sample=0, t0=0.0):
+def sample_stationary(seed, grid, Q, sample=0):
     """Draw the stationary Gaussian state: E|fhat(k)|^2 = 1/(2 bracket(k)^2),
     at step 0 of the sample's noise counters."""
     z = unit_hermitian_normals(seed, grid, sample, TAG_INIT, 0)
     bsq = Q.bracket_sq_grid(grid)
-    return ModeOUEnsemble(grid, Q, float(t0), z * np.sqrt(0.5 / bsq), seed, sample)
+    return ModeOUEnsemble(grid, Q, z * np.sqrt(0.5 / bsq), seed, sample)
 
 
 def ou_transition(grid, Q, dt):
@@ -114,7 +113,7 @@ def advance(ens, dt, transition=None):
         raise ValueError("dt must be positive")
     decay, scale = transition or ou_transition(ens.grid, ens.Q, dt)
     inc = unit_hermitian_normals(ens.seed, ens.grid, ens.sample, TAG_OU, ens.step) * scale
-    return replace(ens, t=ens.t + dt, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
+    return replace(ens, coeffs=decay * ens.coeffs + inc, step=ens.step + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ plus, for V of degree > 4, the Taylor remainder of V' in w's integrand
 (in G of the paper's step too).  A step forms one paraproduct, f < c2
 (besov.para_lt); P(c2 f) joins the polynomial pass, of degree 4, or 3 when c0
 is a number (every quartic V, and the limit's c0 = 1) and so F3 is one too.
-The march reads each step's noise slice (`EnhancedNoise.slices`, of a
-collected or a streamed build) and forms its F as it reads it.
+The march reads each step's noise slice (`EnhancedNoise.slices`, which
+replays the build's main loop from t = 0) and forms its F as it reads it.
 """
 
 import math
@@ -106,12 +106,13 @@ def taylor_remainder(V, x, y):
 
 def coeffs_F(lam, U, s):
     """The four coefficient fields (F0, F1, F2, F3) as half spectra, from s,
-    one slice of U (`U.slice` or `U.slices`): projected products of c0, c1
-    and c30 (the module docstring derives them from the paper's form), with a
-    number c0 as a factor, not in a product."""
+    one slice of U (`U.slices`): projected products of c0, c1 and c30 (the
+    module docstring derives them from the paper's form), with a number c0
+    as a factor, not in a product."""
     g = U.grid
     c0, c1, c30 = s["c0"], s["c1"], s["c30"]
-    a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0, if it is a number
+    c0_poly = U.evaluator.polys[0]
+    a = c0_poly[0] if len(c0_poly) == 1 else None  # c0, if it is a number
 
     def c0_times(f, degree):
         return product(c0, f, g, degree) if a is None else a * f
@@ -137,6 +138,7 @@ def _check_grid_match(config, U):
     return int(round(config.T / config.dt))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises BlowUpSignal
 def _march(config, U, v0, w0, V, trajectory=False):
     """The exponential-Euler march on half spectra from the full cubes
     (v0, w0), forming each step's coefficient fields F from its slice of U
@@ -148,7 +150,8 @@ def _march(config, U, v0, w0, V, trajectory=False):
     eps = config.eps
     nsteps = _check_grid_match(config, U)
     quad = ExponentialQuadrature(g, U.Q, config.dt)
-    a = U.polys[0][0] if len(U.polys[0]) == 1 else None  # c0 if a number: F3 = -lam a
+    c0_poly = U.evaluator.polys[0]
+    a = c0_poly[0] if len(c0_poly) == 1 else None  # c0 if a number: F3 = -lam a
     P = g.pad_size(4 if a is None else 3)
     v, w = (_half(c, g, "initial data") for c in (v0, w0))
     out = _full_cubes(nsteps, g) if trajectory else None
@@ -200,9 +203,9 @@ def _full_cubes(nsteps, grid):
 
 
 def solve(config, U, v0, w0, V=None):
-    """Integrate the remainder system on [0, T] on a collected or a streamed
-    build U; full cubes in and out.  The trajectories are written as full
-    cubes step by step, so no half trajectory is held beside them."""
+    """Integrate the remainder system on [0, T] on the build U, reading its
+    slices once; full cubes in and out.  The trajectories are written as
+    full cubes step by step, so no half trajectory is held beside them."""
     v_traj, w_traj = _march(config, U, v0, w0, V, trajectory=True)
     return RemainderPair(t_grid=U.t_grid[: len(v_traj)].copy(), v_traj=v_traj,
                          w_traj=w_traj)
@@ -210,8 +213,7 @@ def solve(config, U, v0, w0, V=None):
 
 def solve_final(config, U, v0, w0, V=None):
     """The final state (v, w) of `solve`, full cubes: the march keeps only
-    the running (v, w), so on a streamed build (`diagrams.stream_upsilon`)
-    no trajectory is held."""
+    the running (v, w), and the build holds no trajectory."""
     return tuple(_mirror(c, U.grid) for c in _march(config, U, v0, w0, V))
 
 
@@ -278,10 +280,10 @@ def y_distance(P1, P2, eps, T, grid, **kw):
 
 def reconstruct_phi(U, P, lam):
     """Phi = free field - lam * c30 + v + w on the common time grid (full
-    cubes), written into the result slice by slice."""
+    cubes), written into the result slice by slice as U's fields are read."""
     phi = np.empty_like(P.v_traj)
-    for out, one, c30 in zip(phi, U.traj("one"), U.traj("c30")):
-        _mirror(one - lam * c30, U.grid, out=out)
+    for out, s in zip(phi, U.fields()):
+        _mirror(s["one"] - lam * s["c30"], U.grid, out=out)
     phi += P.v_traj
     phi += P.w_traj
     return phi
@@ -313,8 +315,11 @@ def brute_force_reference(seed, config, V, Q, renorm_set, U, phi0=None,
                         f"the enhanced noise (eps={U.eps})")
     quad = ExponentialQuadrature(g, Q, config.dt)
     C = renorm_set.C_total
-    phi = U.traj("one")[0] - config.lam * U.traj("c30")[0] if phi0 is None \
-        else _half(phi0, g, "phi0")
+    if phi0 is None:
+        s = next(U.fields())  # the slice at t = 0: no step of the main loop runs
+        phi = s["one"] - config.lam * s["c30"]
+    else:
+        phi = _half(phi0, g, "phi0")
     traj = np.empty((nsteps + 1,) + (g.n,) * 3, dtype=np.complex128)
     _mirror(phi, g, out=traj[0])
     offset = prov["step_offset"]

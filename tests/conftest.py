@@ -138,14 +138,12 @@ def fft_threads_restored():
 # build's burn-in on nested cubes
 
 
-def full_lattice_c30(seed, grid, Q, polys, dt, sample=0, burn_in=10.0,
-                     fine_window=1.0):
+def full_lattice_c30(seed, grid, Q, polys, dt, sample=0, burn_in=10.0):
     """c30 at t = 0 of a build with the noise polynomials `polys` (c0..c3),
     its c3 formed and integrated on the whole lattice at every burn-in step."""
     ev = _NoiseEvaluator(grid, polys)
-    phases = _burn_phases(dt, burn_in, fine_window)
-    ens = sample_stationary(seed, grid, Q, sample=sample,
-                            t0=-sum(n * h for n, h in phases))
+    phases = _burn_phases(dt, burn_in)
+    ens = sample_stationary(seed, grid, Q, sample=sample)
     I3 = np.zeros(grid.shape, dtype=np.complex128)
     for n, h in phases:
         quad, ou_step = ExponentialQuadrature(grid, Q, h), ou_transition(grid, Q, h)
@@ -154,3 +152,9 @@ def full_lattice_c30(seed, grid, Q, polys, dt, sample=0, burn_in=10.0,
             I3 = quad.advance(I3, c)
             ens = advance(ens, h, ou_step)
     return I3
+
+
+def trajectories(U):
+    """Each field of a build's slices stacked over its t_grid, from one read."""
+    slices = list(U.slices())
+    return {tag: np.stack([s[tag] for s in slices]) for tag in slices[0]}

@@ -163,22 +163,19 @@ def test_quartic_potential_collapses_the_noise_hierarchy():
         rs = build_renorm(Q, V, K=K)
         g = FrequencyLattice(K)
         t_grid = np.arange(4) * 1e-3
-        U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs,
-                          burn_in=0.2, fine_window=0.05)
+        U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs, burn_in=0.2)
         nu = sigma2_eps(Q, eps, K) / eps
         P = g.pad_size(2)
-        for i in range(len(t_grid)):
+        for s in U.slices():
             # quartic coefficient noises: constant 1, the free field itself,
             # and the exact Wick square of the free field
-            c0 = U.traj("c0")[i]
-            one_hat = np.zeros_like(c0)
+            one_hat = np.zeros_like(s["c0"])
             one_hat[0, 0, 0] = 1.0
-            assert np.max(np.abs(c0 - one_hat)) < 1e-10
-            assert np.max(np.abs(U.traj("c1")[i]
-                                 - U.traj("one")[i])) < 1e-10
-            x = to_physical(U.traj("one")[i], g, P).real
+            assert np.max(np.abs(s["c0"] - one_hat)) < 1e-10
+            assert np.max(np.abs(s["c1"] - s["one"])) < 1e-10
+            x = to_physical(s["one"], g, P).real
             wick2 = from_physical(hermite(2, x, nu), g, P)
-            assert np.max(np.abs(U.traj("c2")[i] - wick2)) < 1e-10
+            assert np.max(np.abs(s["c2"] - wick2)) < 1e-10
         assert len(rs.a_m) == 1 and abs(rs.a_m[0] - 1.0) < 1e-12
 
 
@@ -229,8 +226,7 @@ def test_zero_coupling_reduces_to_exact_mode_decay():
         g = FrequencyLattice(K)
         n = int(round(T / dt))
         t_grid = np.arange(n + 1) * dt
-        U = build_upsilon(NoiseSeed(1), g, Q, V, eps, t_grid, rs,
-                          burn_in=0.1, fine_window=0.05)
+        U = build_upsilon(NoiseSeed(1), g, Q, V, eps, t_grid, rs, burn_in=0.1)
         cfg = SolverConfig(eps=eps, lam=0.0, dt=dt, T=T, K=K)
         rng = np.random.default_rng(4)
         v0 = random_hermitian_field(g, rng)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from phi4sim import diagrams
-from phi4sim.diagrams import (EnhancedNoise, _NoiseEvaluator, _burn_cubes, _burn_phases,
+from phi4sim.diagrams import (_NoiseEvaluator, _burn_cubes, _burn_phases,
                               build_limit_upsilon, build_upsilon, mc_moment,
-                              second_moment_oracle, stream_upsilon)
+                              second_moment_oracle)
 from phi4sim.errors import GridError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical)
 from phi4sim.gaussian import NoiseSeed, hermite, sample_stationary
 from phi4sim.renorm import Potential, build_renorm
-from conftest import cube_bsq, cube_modes, full_lattice_c30
+from conftest import cube_bsq, cube_modes, full_lattice_c30, trajectories
 
 EPS = 0.3
 KCUT = 2
@@ -30,7 +30,7 @@ def _small_setup():
 def _small_build(sample=0):
     Q, V, rs, g, t_grid = _small_setup()
     U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, sample=sample,
-                      burn_in=0.2, fine_window=0.05)
+                      burn_in=0.2)
     return U, rs, V
 
 
@@ -39,7 +39,7 @@ def _small_build(sample=0):
 
 
 def test_burn_phases_cover_span_and_refine_toward_zero():
-    phases = _burn_phases(dt=1e-3, burn_in=10.0, fine_window=1.0)
+    phases = _burn_phases(dt=1e-3, burn_in=10.0)
     total = sum(n * h for n, h in phases)
     assert abs(total - 10.0) < 1e-9
     assert phases[-1][1] == 1e-3  # run resolution adjacent to t = 0
@@ -51,7 +51,7 @@ def test_burn_phases_cover_span_and_refine_toward_zero():
 
 
 def test_burn_phases_short_span():
-    phases = _burn_phases(dt=1e-3, burn_in=0.01, fine_window=1.0)
+    phases = _burn_phases(dt=1e-3, burn_in=0.01)
     assert abs(sum(n * h for n, h in phases) - 0.01) < 1e-12
 
 
@@ -64,7 +64,7 @@ def test_burn_in_cubes_on_the_reconstruction_mesh(K, Q, cubes):
     # a phase ending tau before t = 0 keeps the modes with
     # b^2(k) tau <= -ln(float64 eps): at eps = 0.2, |k| = 1 has b^2 = 102.8
     # and the third phase ends at tau = 0.128; the last phase keeps them all
-    phases = _burn_phases(dt=1e-4, burn_in=10.0, fine_window=1.0)
+    phases = _burn_phases(dt=1e-4, burn_in=10.0)
     assert [n for n, _ in phases] == [391, 256, 256, 256, 256]
     assert _burn_cubes(FrequencyLattice(K), Q, phases) == cubes
 
@@ -73,9 +73,10 @@ def test_burn_in_cubes_on_the_reconstruction_mesh(K, Q, cubes):
 def test_the_burn_in_on_nested_cubes_matches_the_whole_lattice_burn_in(case):
     # the modes a phase leaves out reach c30(0) damped below rounding, and
     # the modes it keeps are the whole lattice's at rounding; each first
-    # phase keeps |k| = 1, damped by e^{-10} to e^{-18} before t = 0
-    K, dt = 6, 1e-3
-    kw = dict(burn_in=1.0, fine_window=0.4 if case == "limit" else 0.1)
+    # phase keeps |k| <= 1 (<= 2 in the limit), the largest damped by e^{-13}
+    # to e^{-23} before t = 0
+    K, dt = 6, 5e-4
+    kw = dict(burn_in=0.3)
     g, t_grid = FrequencyLattice(K), np.arange(2) * dt
     if case == "limit":
         seed, Q = NoiseSeed(3), DispersionQ.laplacian(0.0)
@@ -87,8 +88,8 @@ def test_the_burn_in_on_nested_cubes_matches_the_whole_lattice_burn_in(case):
         U = build_upsilon(seed, g, Q, V, eps, t_grid, build_renorm(Q, V, K=K), **kw)
     cubes = _burn_cubes(g, Q, _burn_phases(dt, **kw))
     assert 0 < cubes[0] < K and cubes[-1] == K
-    want = full_lattice_c30(seed, g, Q, U.polys, dt, **kw)
-    got = U.traj("c30")[0]
+    want = full_lattice_c30(seed, g, Q, U.evaluator.polys, dt, **kw)
+    got = next(U.fields())["c30"]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -99,19 +100,22 @@ def test_the_burn_in_on_nested_cubes_matches_the_whole_lattice_burn_in(case):
 def test_build_is_deterministic_and_sample_indexed():
     U1, _, _ = _small_build()
     U2, _, _ = _small_build()
-    for tag in U1.components:
-        assert np.array_equal(U1.components[tag], U2.components[tag])
+    for f1, f2 in zip(U1.fields(), U2.fields(), strict=True):
+        for tag in ("one", "c30"):
+            assert np.array_equal(f1[tag], f2[tag])
     assert U1.k32 == U2.k32
     U3, _, _ = _small_build(sample=1)
-    assert not np.array_equal(U1.components["one"], U3.components["one"])
+    assert not np.array_equal(trajectories(U1)["one"], trajectories(U3)["one"])
 
 
 def test_component_shapes_and_provenance():
     U, rs, _ = _small_build()
     T = len(U.t_grid)
-    assert sorted(U.components) == ["c30", "one"]
-    for tag in ("one", "c0", "c1", "c2", "c30"):
-        assert U.traj(tag).shape == (T, 5, 5, 3)
+    assert sorted(next(U.fields())) == ["c30", "one"]
+    traj = trajectories(U)
+    assert sorted(traj) == ["c0", "c1", "c2", "c30", "one"]
+    for tag in traj:
+        assert traj[tag].shape == (T, 5, 5, 3)
     assert U.k32 == 3.0 * rs.C2 + 2.0 * rs.C3
     assert U.provenance["master"] == 11
     assert U.provenance["lam"] == rs.lam
@@ -124,26 +128,24 @@ def test_quartic_noise_identities():
     # c0 = 1, c1 = free field, c2 = H_2(free field; C1)
     U, rs, _ = _small_build()
     g = U.grid
-    for i in range(len(U.t_grid)):
-        c0 = U.traj("c0")[i]
-        want = np.zeros_like(c0)
+    for s in U.slices():
+        want = np.zeros_like(s["c0"])
         want[0, 0, 0] = 1.0
-        assert np.max(np.abs(c0 - want)) < 1e-10
-        assert np.max(np.abs(U.traj("c1")[i]
-                             - U.traj("one")[i])) < 1e-10
+        assert np.max(np.abs(s["c0"] - want)) < 1e-10
+        assert np.max(np.abs(s["c1"] - s["one"])) < 1e-10
         P = g.pad_size(2)
-        x = to_physical(U.traj("one")[i], g, P).real
+        x = to_physical(s["one"], g, P).real
         h2 = from_physical(hermite(2, x, rs.C1), g, P)
-        assert np.max(np.abs(U.traj("c2")[i] - h2)) < 1e-10
+        assert np.max(np.abs(s["c2"] - h2)) < 1e-10
 
 
 @pytest.mark.parametrize("build", ["quartic", "limit", "sextic"])
 def test_noises_of_degree_at_most_one_are_formed_on_read(build):
-    # only `one` and c30 are stored: c0, c1 and c2 (the quartic's and the
-    # limit's c0 = 1 and c1 = X too) are formed on read, all_noises' output
-    # bit for bit
+    # the main loop yields `one` and c30 only: c0, c1 and c2 (the quartic's
+    # and the limit's c0 = 1 and c1 = X too) are formed on read,
+    # all_noises' output bit for bit
     Q, V, rs, g, t_grid = _small_setup()
-    kw = dict(burn_in=0.2, fine_window=0.05)
+    kw = dict(burn_in=0.2)
     if build == "limit":
         U = build_limit_upsilon(NoiseSeed(11), g, t_grid, **kw)
         ev = _NoiseEvaluator.standard(g, U.provenance["c1_std"])
@@ -153,57 +155,34 @@ def test_noises_of_degree_at_most_one_are_formed_on_read(build):
             rs = build_renorm(Q, V, K=KCUT)
         U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
         ev = _NoiseEvaluator.potential(g, V, EPS, rs.lam, rs.C1)
-    assert sorted(U.components) == ["c30", "one"]
-    for i in range(len(t_grid)):
-        want = ev.all_noises(U.traj("one")[i])
+    for f, s in zip(U.fields(), U.slices(), strict=True):
+        assert sorted(f) == ["c30", "one"]
+        want = ev.all_noises(f["one"])
         for tag, c in zip(("c0", "c1", "c2"), want):
-            assert np.array_equal(U.traj(tag)[i].view(np.int64), c.view(np.int64))
-            assert np.array_equal(U.slice(i)[tag].view(np.int64),
-                                  c.view(np.int64))
+            assert np.array_equal(s[tag].view(np.int64), c.view(np.int64))
 
 
-def test_a_collected_build_holds_the_trajectories_of_one_and_c30_only():
-    # c0, c1 and c2 are formed on read, so a sextic build, whose noises all
-    # have degree >= 2, holds two half-spectrum trajectories and little else
+def test_a_build_holds_no_trajectory():
+    # a build keeps its state at t = 0 and its evaluator's work arrays, and
+    # every read replays the main loop from there, so what a sextic build
+    # holds does not grow with its time grid
     Q = DispersionQ.quartic(EPS, nu=1.0)
     V = Potential.sextic(1.0)
     g = FrequencyLattice(4)
     rs = build_renorm(Q, V, K=4)
-    t_grid = np.arange(21) * 0.005
-    kw = dict(burn_in=0.1, fine_window=0.05)
-    build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)  # warm
-    tracemalloc.start()
-    try:
-        U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    traj = len(t_grid) * g.n**2 * (g.K + 1) * 16
-    assert sorted(U.components) == ["c30", "one"]
-    assert held <= 1.1 * 2 * traj
-
-
-def test_a_streamed_build_is_read_once():
-    # a streamed build hands its slices out once, as its main loop makes
-    # them, and holds no trajectory; a collected build hands out the same
-    # slices, bit for bit, as often as asked
-    Q, V, rs, g, t_grid = _small_setup()
-    kw = dict(burn_in=0.2, fine_window=0.05)
-    U = stream_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
-    for read in (lambda: U.traj("one"), lambda: U.traj("c2"), lambda: U.slice(0)):
-        with pytest.raises(GridError):
-            read()
-    got = list(U.slices())
-    for read in (U.slices, U.collect):
-        with pytest.raises(GridError):
-            read()
-    want = build_upsilon(NoiseSeed(11), g, Q, V, EPS, t_grid, rs, **kw)
-    assert len(got) == len(t_grid)
-    for _ in range(2):
-        for s, w in zip(got, want.slices(), strict=True):
-            assert sorted(s) == sorted(w) == ["c0", "c1", "c2", "c30", "one"]
-            for tag in s:
-                assert np.array_equal(s[tag].view(np.int64), w[tag].view(np.int64))
+    build_upsilon(NoiseSeed(11), g, Q, V, EPS, np.arange(2) * 0.005, rs, burn_in=0.1)  # warm
+    held = []
+    for n in (21, 81):
+        tracemalloc.start()
+        try:
+            U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, np.arange(n) * 0.005, rs,
+                              burn_in=0.1)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(list(U.fields())) == n
+    half = g.n**2 * (g.K + 1) * 16
+    assert held[1] - held[0] < half
 
 
 def test_build_rejects_mismatched_symbol():
@@ -223,17 +202,16 @@ def test_limit_build_wick_identities():
     # the standard objects use exact Wick powers of the free field
     g = FrequencyLattice(2)
     t_grid = np.arange(3) * 0.005
-    U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.1,
-                            fine_window=0.05)
+    U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.1)
     assert U.eps == 0.0
     assert U.k32 == 6.0 * U.provenance["c2_std"]  # the eps = 0 counterterm
     nu = U.provenance["c1_std"]
     P = g.pad_size(2)
-    for i in range(len(t_grid)):
-        x = to_physical(U.traj("one")[i], g, P).real
+    for s in U.slices():
+        x = to_physical(s["one"], g, P).real
         h2 = from_physical(hermite(2, x, nu), g, P)
-        assert np.max(np.abs(U.traj("c2")[i] - h2)) < 1e-10
-        c0 = U.traj("c0")[i]
+        assert np.max(np.abs(s["c2"] - h2)) < 1e-10
+        c0 = s["c0"]
         assert abs(c0[0, 0, 0] - 1.0) < 1e-14
         assert np.max(np.abs(c0.ravel()[1:])) == 0.0
 
@@ -325,8 +303,8 @@ def test_a_warm_noise_evaluation_allocates_no_padded_grid_array(V):
 
 def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
     # the burn-in and the main loop integrate c3 alone, one forward transform
-    # per step, and the last slice forms none: a collected build stores `one`
-    # and c30, and c0, c1, c2 are formed on read
+    # per step, and the last slice forms none; the build runs the burn-in
+    # only, and each read of its fields runs the main loop
     orders, forward = [], []
     real_noises, real_forward = _NoiseEvaluator.all_noises, diagrams.from_physical
 
@@ -342,9 +320,12 @@ def test_a_burn_in_step_evaluates_only_the_cubic_noise(monkeypatch):
     monkeypatch.setattr(diagrams, "from_physical", counted)
     U = _small_build()[0]
     T = len(U.t_grid)
-    nburn = sum(n for n, _ in _burn_phases(0.005, 0.2, 0.05))
-    assert orders == [(3,)] * (nburn + T - 1)
-    assert len(forward) == nburn + T - 1
+    nburn = sum(n for n, _ in _burn_phases(0.005, 0.2))
+    assert orders == [(3,)] * nburn and len(forward) == nburn
+    for read in (1, 2):
+        assert len(list(U.fields())) == T
+        assert orders == [(3,)] * (nburn + read * (T - 1))
+        assert len(forward) == nburn + read * (T - 1)
 
 
 # ---------------------------------------------------------------------------

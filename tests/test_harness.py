@@ -14,7 +14,6 @@ import yaml
 from phi4sim import cli, fourier
 from phi4sim.config import (SOLVER_DEFAULTS, ConfigError, ExperimentConfig,
                             config_hash, dump_config, load_config)
-from phi4sim.diagrams import EnhancedNoise
 from phi4sim.errors import BlowUpSignal
 from phi4sim.fourier import load_field, save_field
 from phi4sim.gaussian import NoiseSeed
@@ -414,7 +413,7 @@ def test_cli_solve_takes_lambda_from_the_constants_at_positive_eps(tmp_path):
 BLOWUP_V = [0.0, 2.5e7]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys):
     path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2},
                       potential=BLOWUP_V)
@@ -442,16 +441,18 @@ def test_cli_solve_records_the_blowup_state_and_the_environment(tmp_path, capsys
         assert run[f"blowup_{tag}_l2"] == pytest.approx(want, rel=1e-12)
 
 
-def test_a_sequential_converge_run_streams_its_builds(tmp_path, monkeypatch):
-    # each run's solve reads the slices as its build makes them: no build
-    # is collected, so none holds the trajectories of `one` and c30
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sequential converge run collected its build")
-
-    monkeypatch.setattr(EnhancedNoise, "collect", refuse)
-    path = _write_cfg(tmp_path, eps=[0.5, 0.4], k_rule={"kind": "fixed", "K": 2},
-                      solver={"dt": 1e-3, "T": 0.004})
-    assert cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+def test_a_blown_up_solve_writes_one_json_line_to_stderr(tmp_path):
+    # the overflow that blows a run up warns nothing: stderr holds the
+    # error object alone
+    path = _write_cfg(tmp_path, k_rule={"kind": "fixed", "K": 2}, potential=BLOWUP_V)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "phi4sim.cli", "solve", "--config",
+                          str(path), "--out", str(tmp_path / "s")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == cli.EXIT_RUN_FAILED
+    (line,) = out.stderr.splitlines()
+    assert "manifest.yaml" in json.loads(line)["error"]
 
 
 @pytest.mark.parametrize("potential", [[0.0, 0.0], [1.0, 0.0]], ids=["zero", "mass"])
@@ -472,7 +473,7 @@ def test_cli_converge_with_a_set_lambda_rejects_a_potential_without_coupling_fir
     def refuse(*args, **kwargs):
         raise AssertionError("converge started the limit run")
 
-    monkeypatch.setattr(cli, "stream_limit_upsilon", refuse)
+    monkeypatch.setattr(cli, "build_limit_upsilon", refuse)
     path = _write_cfg(tmp_path, potential=[0.0, 0.0], eps=[0.5, 0.4],
                       k_rule={"kind": "fixed", "K": 4},
                       solver={"dt": 1e-3, "T": 0.004, "lam": 1.0})
@@ -495,7 +496,7 @@ def test_cli_solve_checks_each_positive_eps_before_the_limit_run(tmp_path, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("solve started the limit run")
 
-    monkeypatch.setattr(cli, "stream_limit_upsilon", refuse)
+    monkeypatch.setattr(cli, "build_limit_upsilon", refuse)
     path = _write_cfg(tmp_path, eps=[0.0, 0.4], k_rule={"kind": "fixed", "K": 2},
                       **block)
     out = tmp_path / "s"
@@ -522,7 +523,7 @@ def test_cli_converge_tiny_run(tmp_path):
     assert any(ln.startswith("# verdict=") for ln in lines)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys):
     path = _write_cfg(tmp_path, eps=[0.5, 0.4], potential=BLOWUP_V,
                       k_rule={"kind": "fixed", "K": 2})
@@ -534,6 +535,22 @@ def test_cli_converge_failed_run_exits_nonzero(tmp_path, capsys):
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     assert len(body) == 1  # a blown-up limit leaves no distance
     assert lines[-1] == "# failed=0,0.5,0.4"  # the limit run is eps 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solver, failed", [
+    ({}, "0,0.5,0.4"), ({"lam": 1.0}, "0.5,0.4")], ids=["all-runs", "eps-runs"])
+def test_cli_converge_with_a_failed_run_reads_incomplete(tmp_path, capsys, solver, failed):
+    # with no distance for a failed run, the distances left say nothing of
+    # the trend, whether the limit run blew up too or not
+    path = _write_cfg(tmp_path, eps=[0.5, 0.4], potential=BLOWUP_V,
+                      k_rule={"kind": "fixed", "K": 2},
+                      solver={"dt": 1e-3, "T": 0.004, **solver})
+    out = tmp_path / "c"
+    _expect_exit(["converge", "--config", str(path), "--out", str(out)],
+                 cli.EXIT_RUN_FAILED, capsys)
+    lines = (out / "converge.csv").read_text().strip().split("\n")
+    assert lines[-2:] == ["# verdict=incomplete", f"# failed={failed}"]
 
 
 def _disk_full(*args, **kwargs):

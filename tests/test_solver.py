@@ -12,7 +12,7 @@ import pytest
 
 from phi4sim import besov, diagrams, fourier, solver
 from phi4sim.config import load_config
-from phi4sim.diagrams import build_limit_upsilon, build_upsilon, stream_upsilon
+from phi4sim.diagrams import build_limit_upsilon, build_upsilon
 from phi4sim.errors import BlowUpSignal, GridError
 from phi4sim.fourier import (DispersionQ, ExponentialQuadrature, FrequencyLattice,
                              _mirror, from_physical, product, to_physical)
@@ -22,7 +22,8 @@ from phi4sim.solver import (RemainderPair, SolverConfig, brute_force_reference,
                             coeffs_F, reconstruct_phi, solve, solve_final,
                             taylor_remainder, y_distance, y_norm)
 from conftest import (combine, commutator_com, hermitian_defect, lt,
-                      physical_blocks, random_hermitian_field, resonance)
+                      physical_blocks, random_hermitian_field, resonance,
+                      trajectories)
 
 EPS = 0.3
 K = 2
@@ -30,15 +31,14 @@ DT = 1e-3
 T = 0.01
 
 
-def _setup(lam=None, seed=11, nsteps=None, build=build_upsilon):
+def _setup(lam=None, seed=11, nsteps=None):
     Q = DispersionQ.quartic(EPS, nu=1.0)
     V = Potential.quartic(0.25)
     rs = build_renorm(Q, V, K=K)
     g = FrequencyLattice(K)
     n = nsteps if nsteps is not None else int(round(T / DT))
     t_grid = np.arange(n + 1) * DT
-    U = build(NoiseSeed(seed), g, Q, V, EPS, t_grid, rs,
-              burn_in=0.5, fine_window=0.05)
+    U = build_upsilon(NoiseSeed(seed), g, Q, V, EPS, t_grid, rs, burn_in=0.5)
     cfg = SolverConfig(eps=EPS, lam=rs.lam if lam is None else lam, dt=DT,
                        T=n * DT, K=K)
     return Q, V, rs, g, U, cfg
@@ -92,20 +92,19 @@ def _plus_constant(F, c):
     return out
 
 
-def _c32(U, i):
-    """The paper's renormalised resonance c32 = c30 o c2 - k32 X."""
-    s = U.slice(i)
+def _c32(U, s):
+    """The paper's renormalised resonance c32 = c30 o c2 - k32 X of U's slice s."""
     return resonance(s["c30"], s["c2"], U.grid) - U.k32 * s["one"]
 
 
-def _coeffs_F_paper(lam, U, i, k31):
+def _coeffs_F_paper(lam, U, s, k31):
     """The coefficient fields in the paper's paraproduct form, with the
     renormalised resonances c31 = c30 o c1 - k31 and c32 formed here.  The
     c22 terms of that form are left out: they cancel exactly against the
     step's -9 lam^2 f (c2 o c20), which the reconstruction tests check end to
     end."""
     g = U.grid
-    c0, c1, c30 = (U.slice(i)[t] for t in ("c0", "c1", "c30"))
+    c0, c1, c30 = s["c0"], s["c1"], s["c30"]
     c31 = _plus_constant(resonance(c30, c1, g), -k31)
     F3 = -lam * c0
     F2 = 3.0 * lam**2 * product(c0, c30, g, 2) - 3.0 * lam * c1
@@ -117,7 +116,7 @@ def _coeffs_F_paper(lam, U, i, k31):
                           + resonance(resonance(c30, c30, g), c1, g)
                           + 2.0 * product(c31, c30, g, 2)
                           + 2.0 * commutator_com(c30, c30, c1, g)) \
-        + 3.0 * lam**2 * _c32(U, i)
+        + 3.0 * lam**2 * _c32(U, s)
     return F0, F1, F2, F3
 
 
@@ -134,20 +133,19 @@ def test_coefficient_fields_match_the_paraproduct_form():
     for V in (Potential.quartic(0.25), Potential.sextic(1.0)):
         rs = build_renorm(Q, V, K=K)
         U = build_upsilon(NoiseSeed(11), g, Q, V, EPS, np.arange(6) * DT, rs,
-                          burn_in=0.5, fine_window=0.05)
+                          burn_in=0.5)
         lam, k31 = rs.lam, rs.C3
-        for i in (0, len(U.t_grid) - 1, slice(2, 5)):
-            F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
-            with_mass = (F0 + 6.0 * lam**3 * k31 * U.slice(i)["c30"]
-                         + 3.0 * lam**2 * _c32(U, i),
+        for s in U.slices():
+            F0, F1, F2, F3 = coeffs_F(lam, U, s)
+            with_mass = (F0 + 6.0 * lam**3 * k31 * s["c30"] + 3.0 * lam**2 * _c32(U, s),
                          _plus_constant(F1, -6.0 * lam**2 * k31), F2, F3)
-            for got, want in zip(with_mass, _coeffs_F_paper(lam, U, i, k31)):
+            for got, want in zip(with_mass, _coeffs_F_paper(lam, U, s, k31)):
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_coefficient_fields_decompose_no_field(monkeypatch):
-    # no paraproduct and no block transform, for one slice or a batch of them
+    # no paraproduct and no block transform
     _, _, rs, g, U, cfg = _setup()
     calls = []
 
@@ -157,8 +155,7 @@ def test_coefficient_fields_decompose_no_field(monkeypatch):
     monkeypatch.setattr(besov, "para_lt", counted)
     monkeypatch.setattr(solver, "para_lt", counted)
     monkeypatch.setattr(besov, "to_physical", counted)
-    coeffs_F(cfg.lam, U, U.slice(0))
-    coeffs_F(cfg.lam, U, U.slice(slice(None)))
+    coeffs_F(cfg.lam, U, next(U.slices()))
     assert calls == []
 
 
@@ -219,7 +216,7 @@ def test_march_step_makes_one_paraproduct_and_a_fixed_transform_count(
         Q, V = DispersionQ.quartic(0.2, nu=1.0), Potential.quartic(0.25)
         rs, g, n = build_renorm(Q, V, K=cutoff), FrequencyLattice(cutoff), 3
         U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * 1e-4, rs,
-                          burn_in=0.002, fine_window=0.002)
+                          burn_in=0.002)
         cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=1e-4, T=n * 1e-4, K=cutoff)
     calls = {"para_lt": 0, "to_physical": 0}
     for mod, name in ((besov, "para_lt"), (solver, "para_lt"),
@@ -248,12 +245,12 @@ def _march_paper(cfg, U, v0, w0, V):
     v, w = v0.copy(), w0.copy()
     A, ev0 = np.zeros_like(v), v.copy()
     vs, ws = [v], [w]
-    for i in range(int(round(cfg.T / cfg.dt))):
-        c2 = U.traj("c2")[i]
+    for _, s in zip(range(int(round(cfg.T / cfg.dt))), U.slices()):
+        c2 = s["c2"]
         u = v + w
-        f = u - lam * U.traj("c30")[i]
-        F0, F1, F2, F3 = coeffs_F(lam, U, U.slice(i))
-        F = (F0 + 3.0 * lam**2 * _c32(U, i), F1, F2, F3)
+        f = u - lam * s["c30"]
+        F0, F1, F2, F3 = coeffs_F(lam, U, s)
+        F = (F0 + 3.0 * lam**2 * _c32(U, s), F1, F2, F3)
         ux = to_physical(u, g, P4)
         G = from_physical(sum(to_physical(F[j], g, P4) * ux**j
                               for j in range(4)), g, P4)
@@ -265,7 +262,7 @@ def _march_paper(cfg, U, v0, w0, V):
             - 3.0 * lam**2 * U.k32 * f
         if eps > 0 and V.n > 2:
             Pr = g.pad_size(2 * V.n - 1)
-            psi = to_physical(U.traj("one")[i], g, Pr) * np.sqrt(eps)
+            psi = to_physical(s["one"], g, Pr) * np.sqrt(eps)
             y = to_physical(f, g, Pr) * np.sqrt(eps)
             G = G - from_physical(taylor_remainder(V, psi, y), g, Pr) * eps**-1.5
         v = quad.advance(v, -3.0 * lam * para)
@@ -289,7 +286,7 @@ def test_solve_matches_the_paper_step(case, rng):
     V = Potential.sextic(1.0) if sextic else Potential.quartic(0.25)
     g = FrequencyLattice(K)
     t_grid = np.arange(n + 1) * dt
-    kw = dict(burn_in=0.05, fine_window=0.01)
+    kw = dict(burn_in=0.05)
     if case == "limit":
         eps, lam = 0.0, 1.0
         U = build_limit_upsilon(NoiseSeed(3), g, t_grid, **kw)
@@ -330,11 +327,10 @@ from phi4sim.renorm import Potential, build_renorm
 from phi4sim.solver import SolverConfig, solve
 Q, V, g = DispersionQ.quartic(0.3), Potential.quartic(0.25), FrequencyLattice(24)
 rs = build_renorm(Q, V, K=24)
-U = build_upsilon(NoiseSeed(3), g, Q, V, 0.3, np.arange(3) * 1e-3, rs,
-                  burn_in=0.004, fine_window=0.002)
+U = build_upsilon(NoiseSeed(3), g, Q, V, 0.3, np.arange(3) * 1e-3, rs, burn_in=0.004)
 z = np.zeros((g.n,) * 3, dtype=np.complex128)
 run = solve(SolverConfig(eps=0.3, lam=rs.lam, dt=1e-3, T=2e-3, K=24), U, z, z, V=V)
-F = U.traj("one")[-1]
+F = next(U.fields())["one"]  # the free field at t = 0
 h = hashlib.sha256()
 for a in (run.v_traj, run.w_traj, product(F, F, g, 5)):
     h.update(np.ascontiguousarray(a).tobytes())
@@ -358,10 +354,10 @@ def test_solve_is_independent_of_thread_count():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_is_reported_with_time_and_partial_state():
     # last_state is (v, w) at the last finite step, as full cubes, the same
-    # whether the march reads a collected or a streamed build
+    # from solve and solve_final; the overflow on the way warns nothing
     _, V, rs, g, U, _ = _setup()
     cfg = SolverConfig(eps=EPS, lam=1e8, dt=DT, T=T, K=K)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
@@ -376,33 +372,45 @@ def test_blowup_is_reported_with_time_and_partial_state():
         done = solve(dataclasses.replace(cfg, T=(sig.step - 1) * DT), U, z, z, V=V)
         assert np.array_equal(done.v_traj[-1], v)
         assert np.array_equal(done.w_traj[-1], w)
-    *_, Us, _ = _setup(build=stream_upsilon)
-    with pytest.raises(BlowUpSignal) as streamed:
-        solve_final(cfg, Us, z, z, V=V)
-    assert (streamed.value.step, streamed.value.t) == (sig.step, sig.t)
-    for a, b in zip(streamed.value.last_state, sig.last_state):
+    with pytest.raises(BlowUpSignal) as final:
+        solve_final(cfg, U, z, z, V=V)
+    assert (final.value.step, final.value.t) == (sig.step, sig.t)
+    for a, b in zip(final.value.last_state, sig.last_state):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_a_streamed_build_solves_as_the_collected_one_and_once():
-    # solve reads a streamed build's slices as the build makes them, with the
-    # collected build's bits; a second read of it raises, where it would
-    # march on slices that no longer line up with t_grid
-    _, V, rs, g, U, cfg = _setup()
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["quartic", "sextic", "limit"])
+def test_every_read_of_a_build_gives_the_same_bits(case):
+    # each read replays the main loop from the build's state at t = 0: a
+    # second read, two interleaved reads and a second solve give the first
+    # one's bits, and solve_final ends where solve does
+    g, t_grid = FrequencyLattice(K), np.arange(6) * DT
+    if case == "limit":
+        V, lam = None, 1.0
+        U = build_limit_upsilon(NoiseSeed(3), g, t_grid, burn_in=0.05)
+    else:
+        Q = DispersionQ.quartic(EPS, nu=1.0)
+        V = Potential.quartic(0.25) if case == "quartic" else Potential.sextic(1.0)
+        rs = build_renorm(Q, V, K=K)
+        U, lam = build_upsilon(NoiseSeed(3), g, Q, V, EPS, t_grid, rs, burn_in=0.05), rs.lam
+    first = list(U.slices())
+    pairs = list(zip(U.slices(), U.slices(), strict=True))
+    for read in (list(U.slices()), [a for a, _ in pairs], [b for _, b in pairs]):
+        for s, want in zip(read, first, strict=True):
+            assert sorted(s) == sorted(want) == ["c0", "c1", "c2", "c30", "one"]
+            assert all(_same_bits(s[tag], want[tag]) for tag in s)
+    cfg = SolverConfig(eps=U.eps, lam=lam, dt=DT, T=5 * DT, K=K)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
-    want = solve(cfg, U, z, z, V=V)
-    Us = _setup(build=stream_upsilon)[4]
-    got = solve(cfg, Us, z, z, V=V)
-    for a, b in ((got.v_traj, want.v_traj), (got.w_traj, want.w_traj)):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    for again in (solve, solve_final):
-        with pytest.raises(GridError):
-            again(cfg, Us, z, z, V=V)
-    Us = _setup(build=stream_upsilon)[4]
-    v, w = solve_final(cfg, Us, z, z, V=V)
-    assert np.array_equal(v, want.v_traj[-1]) and np.array_equal(w, want.w_traj[-1])
-    with pytest.raises(GridError):
-        solve_final(cfg, Us, z, z, V=V)
+    P1, P2 = (solve(cfg, U, z, z, V=V) for _ in range(2))
+    v, w = solve_final(cfg, U, z, z, V=V)
+    assert np.max(np.abs(P1.w_traj[-1])) > 0
+    for a, b in ((P1.v_traj, P2.v_traj), (P1.w_traj, P2.w_traj),
+                 (P1.v_traj[-1], v), (P1.w_traj[-1], w)):
+        assert _same_bits(a, b)
 
 
 def test_a_step_drops_c0_and_c1_once_f_is_formed(monkeypatch):
@@ -424,8 +432,7 @@ def test_a_step_drops_c0_and_c1_once_f_is_formed(monkeypatch):
     monkeypatch.setattr(solver, "para_lt", para)
     Q, V = DispersionQ.quartic(EPS, nu=1.0), Potential.sextic(1.0)
     rs, g = build_renorm(Q, V, K=K), FrequencyLattice(K)
-    U = stream_upsilon(NoiseSeed(3), g, Q, V, EPS, np.arange(4) * DT, rs,
-                       burn_in=0.05, fine_window=0.01)
+    U = build_upsilon(NoiseSeed(3), g, Q, V, EPS, np.arange(4) * DT, rs, burn_in=0.05)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve_final(SolverConfig(eps=EPS, lam=rs.lam, dt=DT, T=3 * DT, K=K), U, z, z, V=V)
     assert alive == [[False, False]] * 3
@@ -516,7 +523,7 @@ def test_reconstruction_matches_brute_force():
     err = np.sqrt(np.mean(np.abs(phi - ref) ** 2)) / scale
     # not rounding: the march multiplies noises already projected onto the
     # cutoff (c2 = P_K(X^2) - C1, P(c30^2)) where the reference projects only
-    # the whole nonlinearity, which here leaves 4.9e-9 at step 1 and 2.6e-9
+    # the whole nonlinearity, which here leaves 1.5e-8 at step 1 and 4.7e-9
     # over the trajectory
     assert err < 1e-7
 
@@ -529,8 +536,7 @@ def test_sextic_reconstruction_matches_brute_force():
     rs = build_renorm(Q, V, K=K)
     g = FrequencyLattice(K)
     t_grid = np.arange(int(round(T / dt)) + 1) * dt
-    U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs,
-                      burn_in=0.05, fine_window=0.01)
+    U = build_upsilon(NoiseSeed(5), g, Q, V, eps, t_grid, rs, burn_in=0.05)
     cfg = SolverConfig(eps=eps, lam=rs.lam, dt=dt, T=T, K=K)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     P = solve(cfg, U, z, z, V=V)
@@ -554,7 +560,8 @@ def test_reconstruct_phi_writes_its_result_slice_by_slice():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * phi.nbytes
-    want = _mirror(U.traj("one") - cfg.lam * U.traj("c30"), g) + P.v_traj
+    traj = trajectories(U)
+    want = _mirror(traj["one"] - cfg.lam * traj["c30"], g) + P.v_traj
     want += P.w_traj
     assert np.array_equal(phi, want)
 
@@ -562,15 +569,15 @@ def test_reconstruct_phi_writes_its_result_slice_by_slice():
 @pytest.mark.parametrize("potential", [Potential.quartic(0.25), Potential.sextic(1.0)],
                          ids=["quartic", "sextic"])
 def test_a_collected_solve_forms_each_slice_s_noises_once(potential, monkeypatch):
-    # a collected build stores `one` and c30 only: each step forms its
+    # the build's main loop yields `one` and c30 only: each step forms its
     # noises of degree >= 2 from `one` with one inverse transform and one
-    # forward transform per noise (c2, and c0, c1 at the sextic)
+    # forward transform per noise (c2, and c0, c1 at the sextic), and each
+    # main-loop step forms c3 with one of each
     Q = DispersionQ.quartic(EPS, nu=1.0)
     rs = build_renorm(Q, potential, K=K)
     g = FrequencyLattice(K)
     t_grid = np.arange(6) * DT
-    U = build_upsilon(NoiseSeed(3), g, Q, potential, EPS, t_grid, rs,
-                      burn_in=0.05, fine_window=0.01)
+    U = build_upsilon(NoiseSeed(3), g, Q, potential, EPS, t_grid, rs, burn_in=0.05)
     cfg = SolverConfig(eps=EPS, lam=rs.lam, dt=DT, T=5 * DT, K=K)
     calls = {"to_physical": 0, "from_physical": 0}
     for name in calls:
@@ -584,7 +591,8 @@ def test_a_collected_solve_forms_each_slice_s_noises_once(potential, monkeypatch
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(cfg, U, z, z, V=potential)
     formed = 1 if potential.n == 2 else 3
-    assert calls == {"to_physical": 5, "from_physical": 5 * formed}
+    # 5 slices read, the main loop stepping to each but the first
+    assert calls == {"to_physical": 5 + 4, "from_physical": 5 * formed + 4}
 
 
 def _check_workload_against_its_pins(tmp_path, name):
@@ -634,7 +642,8 @@ def test_counterterm_matters_in_the_reference():
 def test_reference_takes_full_cube_initial_data_of_a_real_field(rng):
     Q, V, rs, g, U, cfg = _setup()
     ref = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U)
-    phi0 = _mirror(U.traj("one")[0] - cfg.lam * U.traj("c30")[0], g)
+    s = next(U.fields())
+    phi0 = _mirror(s["one"] - cfg.lam * s["c30"], g)
     got = brute_force_reference(NoiseSeed(11), cfg, V, Q, rs, U, phi0=phi0)
     assert np.array_equal(got, ref)
     c = rng.standard_normal(phi0.shape) + 1j * rng.standard_normal(phi0.shape)
@@ -693,7 +702,7 @@ def test_warm_solve_holds_no_trajectory_beside_its_result():
     g = FrequencyLattice(8)
     n, dt = 100, 1e-4
     U = build_upsilon(NoiseSeed(17), g, Q, V, 0.2, np.arange(n + 1) * dt, rs,
-                      burn_in=0.002, fine_window=0.002)
+                      burn_in=0.002)
     cfg = SolverConfig(eps=0.2, lam=rs.lam, dt=dt, T=n * dt, K=8)
     z = np.zeros((g.n,) * 3, dtype=np.complex128)
     solve(dataclasses.replace(cfg, T=2 * dt), U, z, z, V=V)  # warm the caches

@@ -13,11 +13,8 @@ field products).  The coupled denominator is opened with
 convolution power; the s-integral is done with panel-wise Gauss-Legendre on
 log-spaced panels.  One kernel, _resonance_block, forms every such sum: the
 spectra involved are radial, hence even in every axis, so the convolution
-powers are evaluated on the non-negative octant of a padded grid (symmetric
-convolution; Martucci, IEEE Trans. Signal Process. 42(5), 1994) from the
-bracket on {0..K}^3, never on the (2K+1)^3 cube.  There the size-P DFT is a
-type-I DCT, run as pruned products with cosine matrices cached per P:
-each pass contracts an axis of K+1 non-negative frequencies.
+powers are evaluated on the non-negative octant of a padded grid (the octant
+module) from the bracket on {0..K}^3, never on the (2K+1)^3 cube.
 
 At a node s, the modes whose e^{-s b} lies below eps/(2K+1)^3 of its largest
 value, eps = 2^-52, cannot change the node's float64 sum: b is nowhere below
@@ -29,20 +26,25 @@ at the smallest even 5-smooth pad >= (N+1) K_s + 1, which is alias-free on
 the support, or at the call's pad P where that is smaller.  The kept set,
 s (b - min b) <= ln((2K+1)^3/eps), only shrinks as s grows, so each node's
 support is found on the previous node's, and a node gives the full block's
-number up to rounding.  The pair integrals take P alias-free, (N+1) K + 1,
+number up to rounding.  Nodes that share a support go through as one stack.
+That leaves the bits of one node at a time: each node's products are the
+same BLAS calls on the same operands, and the node sums are added node by
+node, in node order.  The pair integrals take P alias-free, (N+1) K + 1,
 up to K = 24 and for the eps = 0 Laplacian; above K = 24 with eps > 0 they
 take the half pad 2K + 2, where the aliased tuples weigh below 1e-12 of the
 total.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FeasibilityError, GrowthViolationError
-from .fourier import DispersionQ, fast_len, validate_symbol
+from .fourier import DispersionQ, validate_symbol
 from .gaussian import gaussian_expectation, polyder
+from .octant import EvenOctant, _even_pad
 
 
 # ---------------------------------------------------------------------------
@@ -232,89 +234,9 @@ def _s_quadrature(N, npanels=20, order=8):
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-_octant_matrices = {}
-
-
-def _cosines(P):
-    """The cosine matrices of a size-P grid, built once per P, with M = P/2+1
-    and each phase reduced mod P = 2(M-1): D[j, k] = c_k cos(pi jk/(M-1)) with
-    c_0 = 1, c_k = 2 (samples from the non-negative frequencies), and
-    S[k, j] = w_j cos(pi jk/(M-1)) / P with endpoint weights 1, 2, .., 2, 1
-    (the frequencies from the octant samples).  They hold every frequency up
-    to P/2; an octant at K takes the first K+1 columns of D and rows of S."""
-    if P not in _octant_matrices:
-        M = P // 2 + 1
-        cos = np.cos(2 * np.pi * (np.outer(np.arange(M), np.arange(M)) % P) / P)
-        w = np.full(M, 2.0 / P)
-        w[[0, -1]] = 1.0 / P
-        D = cos * np.r_[1.0, np.full(M - 1, 2.0)]
-        _octant_matrices[P] = (D, np.ascontiguousarray(cos.T * w))
-    return _octant_matrices[P]
-
-
 def _view(buf, shape):
     """C-contiguous view of shape on the leading entries of a flat array."""
     return buf[: math.prod(shape)].reshape(shape)
-
-
-class EvenOctant:
-    """Real fields whose cube spectrum is real and even in every axis, held by
-    their samples on the octant {0..P/2}^3 of a size-P grid (P even).
-
-    Such a field is even in every physical axis too, so the octant fixes it,
-    and the size-P DFT restricted to even data is a type-I DCT of length P/2+1.
-    Both directions run as three products with the cosine matrices of
-    _cosines, one per axis, through two pass arrays: `work`, two flat arrays
-    (a caller's storage, reused across octants), or arrays of their own.
-    """
-
-    def __init__(self, K, P, work=None):
-        if P % 2 or P < 2 * K + 1:
-            raise ValueError(f"octant transforms need an even pad >= {2 * K + 1}, got {P}")
-        self.K, self.P = K, P
-        D, S = _cosines(P)
-        self.D, self.S = D[:, : K + 1], S[: K + 1]
-        M = P // 2 + 1
-        shapes = ((K + 1) ** 2, M), (K + 1, M, M)
-        # samples and block (which runs the passes in reverse) share them
-        self.passes = tuple(map(np.empty, shapes)) if work is None else \
-            tuple(map(_view, work, shapes))
-
-    def samples(self, spec, out=None):
-        """Octant samples of the field whose even, real cube spectrum has the
-        non-negative-frequency block spec[:K+1, :K+1, :K+1] (a cube or just
-        that block), written into `out` (C-contiguous) when given."""
-        K, M, D = self.K, self.P // 2 + 1, self.D
-        x1, x2 = self.passes
-        # axis -1, then -2, then -3: each pass contracts K+1 nonzeros
-        np.matmul(spec[: K + 1, : K + 1, : K + 1].reshape((K + 1) ** 2, K + 1), D.T, out=x1)
-        np.matmul(D, x1.reshape(K + 1, K + 1, M), out=x2)
-        out = np.empty((M, M, M)) if out is None else out
-        np.matmul(D, x2.reshape(K + 1, M * M), out=out.reshape(M, M * M))
-        return out
-
-    def block(self, phys, out=None):
-        """Block {0..K}^3 of the cube spectrum of an even field from its octant
-        samples, written into `out` (C-contiguous) when given."""
-        K, M, S = self.K, self.P // 2 + 1, self.S
-        x2, x1 = self.passes
-        np.matmul(S, phys.reshape(M, M * M), out=x1.reshape(K + 1, M * M))
-        np.matmul(S, x1, out=x2.reshape(K + 1, K + 1, M))
-        out = np.empty((K + 1,) * 3) if out is None else out
-        np.matmul(x2, S.T, out=out.reshape((K + 1) ** 2, K + 1))
-        return out
-
-    def power_block(self, y, N, yN, out=None):
-        """Block {0..K}^3 of the spectrum of y^N, the power formed in yN."""
-        np.copyto(yN, y)
-        for _ in range(N - 1):
-            yN *= y
-        return self.block(yN, out)
-
-
-def _even_pad(need):
-    """Smallest even 5-smooth length >= need (even for the octant)."""
-    return 2 * fast_len(-(-need // 2), (2, 3, 5))
 
 
 def _spi_pad(Q, N, K):
@@ -324,6 +246,38 @@ def _spi_pad(Q, N, K):
     return _even_pad((N + 1) * K + 1 if K <= 24 or Q.eps == 0 else 2 * K + 2)
 
 
+def _node_supports(b, nodes):
+    """K_s of each s-node (module docstring): the last slab of the previous
+    node's support holding a mode with e^{-s b} at least 2^-52/(2K+1)^3 of
+    the largest.  e^{-s b} is largest where b is least, so each slab is read
+    at its least b over the whole block.  On the support that reads the same:
+    the modes of a slab outside the support lie on slabs an earlier node
+    dropped, so they are below the cut (the kept set only shrinks), and the
+    support holds the modes of least b."""
+    K = len(b) - 1
+    least = b.reshape(K + 1, -1).min(axis=1)
+    cut = np.finfo(np.float64).eps / (2 * K + 1) ** 3 * np.exp(-nodes * least.min())
+    # kept[i][t]: slab i holds a mode above the cut at node t
+    kept = [np.exp(-nodes * m) >= cut for m in least]
+    supports = [K]
+    for t in range(len(nodes)):
+        i = supports[-1]
+        while not kept[i][t]:
+            i -= 1
+        supports.append(i)
+    return supports[1:]
+
+
+def _stack_decay(s, b, out, tile):
+    """e^{-s b} of the nodes s stacked in out, b laid out along the stack in
+    tile: copies make no scratch arrays, in-place products with a broadcast
+    operand do."""
+    np.copyto(tile, b)
+    np.copyto(out, -s[:, None, None, None])
+    out *= tile
+    np.exp(out, out=out)
+
+
 def _resonance_block(Q, N, K, P):
     """Block {0..K}^3 of the time-integrated resonance on the octant of a
     size-P grid,
@@ -331,50 +285,60 @@ def _resonance_block(Q, N, K, P):
         (N!/2^N) sum_s w_s e^{-s b} block((e^{-s b}/b)^{*N}),
 
     the one s-node loop behind every resonance sum.  Each node runs on the
-    support of e^{-s b} (module docstring), found on the previous node's: the
-    nodes run in increasing s, so the support only shrinks.  The node's
-    arithmetic runs on contiguous arrays, made once per call and viewed at
-    the node's shape: b on the support, the support's running sums, and
-    e^{-s b}, which lives in the samples array while that is free.  When the
-    support shrinks, the sums of the modes it drops are final and go to the
-    block, and b and the sums of the modes it keeps are packed anew."""
+    support of e^{-s b} (module docstring), found for every node first.
+    Consecutive nodes on one support go through as one stack, as many as the
+    call's arrays hold: e^{-s b}/b, the octant samples, the power, the block
+    and the weights take one pass each for the whole stack, and the nodes'
+    terms go to the running sums one by one, in node order, so the bits are
+    those of one node at a time.  The arithmetic runs on contiguous arrays,
+    made once per call and viewed at the stack's shape: b on the support, the
+    support's running sums, and e^{-s b}, which lives in the samples array
+    while that is free.  When the support shrinks, the sums of the modes it
+    drops are final and go to the block, and b and the sums of the modes it
+    keeps are packed anew."""
     b = _octant_bsq(Q, K)
     nodes, weights = _s_quadrature(N)
-    cut = np.finfo(np.float64).eps / (2 * K + 1) ** 3
+    supports = _node_supports(b, nodes)
     acc, sums = np.empty_like(b), np.zeros(b.size)
     y, yN = (np.empty((P // 2 + 1) ** 3) for _ in range(2))
-    work = [a.ravel() for a in EvenOctant(K, P).passes]  # checks P, too
-    b, n = b.ravel(), K + 1
-    bn, sn = (_view(a, (n,) * 3) for a in (b, sums))
-    for s, w in zip(nodes, weights):
-        hs = _view(y, (n,) * 3)
-        np.exp(np.multiply(-s, bn, out=hs), out=hs)
-        top = hs.reshape(n, -1).max(axis=1)  # the largest e^{-sb} of each slab
-        Ks = int(np.flatnonzero(top >= cut * top.max())[-1])
+    work = EvenOctant(K, P).passes()  # checks P, too
+    b, n, first = b.ravel(), K + 1, 0
+    for Ks, run in itertools.groupby(supports):
+        stop = first + len(list(run))
         if Ks < n - 1:
             # the dropped modes' sums are final; b on the kept support is
             # packed through the free samples array, the kept sums from acc
-            acc[:n, :n, :n] = sn
-            n = Ks + 1
+            acc[:n, :n, :n] = _view(sums, (n,) * 3)
+            kept, n = _view(b, (n,) * 3)[: Ks + 1, : Ks + 1, : Ks + 1], Ks + 1
             packed = _view(y, (n,) * 3)
-            np.copyto(packed, bn[:n, :n, :n])
-            bn, sn, hs = (_view(a, (n,) * 3) for a in (b, sums, y))
-            np.copyto(bn, packed)
-            np.copyto(sn, acc[:n, :n, :n])
-            np.exp(np.multiply(-s, bn, out=hs), out=hs)
+            np.copyto(packed, kept)
+            np.copyto(_view(b, (n,) * 3), packed)
+            np.copyto(_view(sums, (n,) * 3), acc[:n, :n, :n])
         Ps = min(P, _even_pad((N + 1) * Ks + 1))
-        octant, m = EvenOctant(Ks, Ps, work), (Ps // 2 + 1,) * 3
-        # h/b and the node's block live in the second pass array: samples
-        # reads h/b in its first pass only, and block writes its result in
-        # its last pass, which reads the first pass array only
-        blk = _view(work[1], (n,) * 3)
-        ys = octant.samples(np.divide(hs, bn, out=blk), out=_view(y, m))
-        octant.power_block(ys, N, _view(yN, m), out=blk)
-        np.exp(np.multiply(-s, bn, out=hs), out=hs)  # y is free again
-        hs *= w
-        hs *= blk
-        sn += hs
-    acc[:n, :n, :n] = sn
+        octant, m = EvenOctant(Ks, Ps, work), Ps // 2 + 1
+        bn, sn = (_view(a, (n,) * 3) for a in (b, sums))
+        fit = min(y.size // m**3, work[0].size // (n * n * m), work[1].size // (n * m * m))
+        for lo in range(first, stop, fit):
+            hi = min(stop, lo + fit)
+            s, w = nodes[lo:hi], weights[lo:hi]
+            stack = (len(s), n, n, n)
+            # b, and then the weights, laid out along the stack in the power
+            # array.  h/b and the stack's blocks live in the second pass
+            # array: samples reads h/b in its first pass only, and block
+            # writes its result in its last pass, which reads the first only
+            hs, tile, blk = (_view(a, stack) for a in (y, yN, work[1]))
+            _stack_decay(s, bn, hs, tile)
+            np.divide(hs, tile, out=blk)
+            ys = octant.samples(blk, out=_view(y, (len(s), m, m, m)))
+            octant.power_block(ys, N, _view(yN, (len(s), m, m, m)), out=blk)
+            _stack_decay(s, bn, hs, tile)  # y and yN are free again
+            np.copyto(tile, w[:, None, None, None])
+            hs *= tile
+            hs *= blk
+            for h in hs:
+                sn += h
+        first = stop
+    acc[:n, :n, :n] = _view(sums, (n,) * 3)
     acc *= math.factorial(N) / 2.0**N
     return acc
 

@@ -12,7 +12,8 @@ from phi4sim import renorm
 from phi4sim.errors import FeasibilityError, GrowthViolationError
 from phi4sim.fourier import (DispersionQ, FrequencyLattice, from_physical,
                              to_physical, validate_symbol)
-from phi4sim.renorm import (EvenOctant, Potential, _even_pad, _octant_bsq,
+from phi4sim.octant import EvenOctant, _even_pad
+from phi4sim.renorm import (Potential, _node_supports, _octant_bsq,
                             _octant_sum, _resonance_block, _s_quadrature,
                             _spi_pad, _unfold, a_coeffs, build_renorm, c1,
                             c2, c3, c_total, chaos_convolution_power,
@@ -384,14 +385,16 @@ def test_chaos_moment_agrees_with_the_unpruned_kernel():
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
-def test_pruned_kernel_finds_the_support_slab_by_slab():
+def _shell(z):
     # bracket^2 = 1 + 4 pi^2 |k|^2 inside |k|^2 < 80.5, 1 + 1e5 on the shell
     # 80.5 < |k|^2 < 288.5 and 1 beyond: at K = 10 the slab h[9] (81 <= |k|^2
     # <= 281) lies on the shell, while h[10] holds the corner (10, 10, 10)
-    def shell(z):
-        k2 = (z / (2.0 * np.pi)) ** 2
-        return np.where(k2 < 80.5, z**2, np.where(k2 < 288.5, 1e5, 0.0))
-    Q, N, K = DispersionQ(shell, 1.0), 2, 10
+    k2 = (z / (2.0 * np.pi)) ** 2
+    return np.where(k2 < 80.5, z**2, np.where(k2 < 288.5, 1e5, 0.0))
+
+
+def test_pruned_kernel_finds_the_support_slab_by_slab():
+    Q, N, K = DispersionQ(_shell, 1.0), 2, 10
     b = _octant_bsq(Q, K)
     nodes = _s_quadrature(N)[0]
     # some node has e^{-sb} = 0 on all of h[9] and e^{-sb} = e^{-s} at the corner
@@ -403,24 +406,48 @@ def test_pruned_kernel_finds_the_support_slab_by_slab():
     assert abs(_octant_sum(got) - _octant_sum(want)) <= 1e-14 * _octant_sum(want)
 
 
+@pytest.mark.parametrize("Q,N,K", [(DispersionQ(_shell, 1.0), 2, 10),
+                                   (DispersionQ.quartic(0.1, nu=0.25), 2, 40),
+                                   (DispersionQ.laplacian(0.0), 2, 40)],
+                         ids=["shell", "quartic-40", "laplacian-40"])
+def test_support_pass_matches_the_per_node_rule(Q, N, K):
+    # the per-node rule: the largest e^{-sb} of each slab of the previous
+    # node's support, against the cut relative to the largest over that support
+    b = _octant_bsq(Q, K)
+    cut = np.finfo(np.float64).eps / (2 * K + 1) ** 3
+    want, n = [], K + 1
+    for s in _s_quadrature(N)[0]:
+        top = np.exp(-s * b[:n, :n, :n]).reshape(n, -1).max(axis=1)
+        n = int(np.flatnonzero(top >= cut * top.max())[-1]) + 1
+        want.append(n - 1)
+    assert _node_supports(b, _s_quadrature(N)[0]) == want
+
+
 class _NodeOctants(EvenOctant):
-    """EvenOctant recording the (K_s, P_s) of each s-node's octant (the ones
-    made on the kernel's work arrays); at the first it restarts the traced
-    peak and notes the traced memory, which then holds every up-front array."""
+    """EvenOctant recording the (K_s, P_s) of each s-node the kernel runs
+    through its work arrays (one entry per field of a stacked pass) and the
+    size of each pass; at the first octant on the work arrays it restarts
+    the traced peak and notes the traced memory, which then holds every
+    up-front array."""
 
     def __init__(self, K, P, work=None):
         super().__init__(K, P, work)
-        if work is not None:
-            if not self.nodes and tracemalloc.is_tracing():
-                _NodeOctants.start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-            self.nodes.append((K, P))
+        if work is not None and not self.nodes and tracemalloc.is_tracing():
+            _NodeOctants.start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+
+    def samples(self, spec, out=None):
+        if self.work is not None:
+            count = math.prod(spec.shape[:-3])
+            self.nodes.extend([(self.K, self.P)] * count)
+            self.stacks.append(count)
+        return super().samples(spec, out)
 
 
 @pytest.fixture
 def node_octants(monkeypatch):
     monkeypatch.setattr(renorm, "EvenOctant", _NodeOctants)
-    _NodeOctants.nodes = []
+    _NodeOctants.nodes, _NodeOctants.stacks = [], []
     return _NodeOctants
 
 
@@ -439,9 +466,18 @@ def test_nodes_drop_the_modes_below_rounding(node_octants):
     assert sum((Ps // 2 + 1) ** 3 for _, Ps in node_octants.nodes) <= 0.3 * nonzero
 
 
+def test_nodes_that_share_a_support_run_as_one_stack(node_octants):
+    # the 160 nodes at K = 40 fall on 26 supports
+    Q, N, K = DispersionQ.quartic(0.1, nu=0.25), 2, 40
+    _resonance_block(Q, N, K, _spi_pad(Q, N, K))
+    assert sum(node_octants.stacks) == len(_s_quadrature(N)[0]) == 160
+    assert len(node_octants.stacks) <= 40
+
+
 def test_node_loop_makes_no_scratch_arrays(node_octants):
-    # numpy allocates a 64 KiB iterator buffer for each non-contiguous operand
-    # of an in-place product, so every node runs on contiguous arrays
+    # numpy allocates a 64 KiB iterator buffer for each non-contiguous or
+    # broadcast operand of an in-place product, so every stack runs on
+    # contiguous arrays of its own shape
     Q, N, K = DispersionQ.quartic(0.1, nu=0.25), 2, 40
     P = _spi_pad(Q, N, K)
     _resonance_block(Q, N, K, P)  # warm the cosine-matrix cache
